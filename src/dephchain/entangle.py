@@ -67,20 +67,22 @@ def reduce_to_pair(rho, basis: ManyBodyBasis, i: int, j: int) -> np.ndarray:
 def concurrence(rdm: np.ndarray, psd_tol: float = 1e-7) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
-    Square roots of the eigenvalues of ``rho (sy x sy) rho* (sy x sy)`` are
-    sorted descending and combined as ``max(0, l1 - l2 - l3 - l4)``. For the
-    X-form steady pair this reduces to ``2 max(0, |z| - sqrt(p00 p11))``.
+    The square roots l1 >= ... >= l4 of the eigenvalues of
+    ``rho (sy x sy) rho* (sy x sy)`` are combined as
+    ``max(0, l1 - l2 - l3 - l4)``. They are taken as the singular values of
+    Wootters' ``tau = W^T (sy x sy) W`` with ``rho = W W^dagger``,
+    ``W = V sqrt(p)`` from the eigendecomposition of rho; the eigenvalues of
+    the non-normal product lose half their digits on rank-deficient states.
+    For the X-form steady pair this reduces to ``2 max(0, |z| - sqrt(p00 p11))``.
     """
     rdm = _as_matrix(rdm)
     if rdm.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rdm.shape}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rdm + rdm.conj().T)).min())
-    if min_eig < -psd_tol:
-        raise ValueError(f"input is not positive semidefinite (min eig {min_eig:.3e})")
-    flipped = _YY @ rdm.conj() @ _YY
-    eigenvalues = np.linalg.eigvals(rdm @ flipped)
-    roots = np.sqrt(np.clip(eigenvalues.real, 0.0, None))
-    roots[::-1].sort()
+    weights, vectors = np.linalg.eigh(0.5 * (rdm + rdm.conj().T))
+    if weights[0] < -psd_tol:
+        raise ValueError(f"input is not positive semidefinite (min eig {weights[0]:.3e})")
+    w = vectors * np.sqrt(np.clip(weights, 0.0, None))
+    roots = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 

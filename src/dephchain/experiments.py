@@ -167,6 +167,16 @@ def _checks_pass(checks: dict) -> bool:
     return bool(ok)
 
 
+def _worst_diagnostics(diagnostics: list[dict]) -> dict:
+    """Worst per-sample trace, hermiticity and positivity over several
+    trajectories' diagnostics."""
+    return {
+        "max_trace_dev": max(d["max_trace_dev"] for d in diagnostics),
+        "max_herm_dev": max(d["max_herm_dev"] for d in diagnostics),
+        "min_eigenvalue": min(d["min_eigenvalue"] for d in diagnostics),
+    }
+
+
 def _timeseries_table(times, series) -> tuple[list[str], list[list]]:
     header = ["t"]
     for name in series:
@@ -185,9 +195,8 @@ def run_evolve(config: ExperimentConfig) -> RunResult:
     basis, psi = build_initial_state(spec, config.initial_state)
     liouvillian = dephasing_liouvillian(spec, basis)
     times = config.time_grid.values()
-    method = "expm" if liouvillian.superdim <= lindblad.DENSE_EXPM_LIMIT else "adaptive"
     trajectory = evolve(DensityMatrix.from_pure(psi, basis), liouvillian, times,
-                        method=method)
+                        method="expm")
     operators = _parse_observables(config.observables, basis, spec)
     series = _series(trajectory, operators)
     checks = _conservation_checks(trajectory, basis)
@@ -344,10 +353,11 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     n = spec.n_sites
     end_to_end = fock.bilinear_operator(basis, 1, n)
     liouvillian = dephasing_liouvillian(spec, basis)
-    method = "expm" if liouvillian.superdim <= lindblad.DENSE_EXPM_LIMIT else "adaptive"
+    rho0 = DensityMatrix.from_pure(psi, basis)
 
-    times = config.time_grid.values()
-    bare = evolve(DensityMatrix.from_pure(psi, basis), liouvillian, times, method=method)
+    grid = config.time_grid
+    times = grid.values()
+    bare = evolve(rho0, liouvillian, times, method="expm")
     corr = bare.expectations(end_to_end)
     abs_corr = np.abs(corr)
     residuals = np.array([liouvillian.residual(r) for r in bare.states])
@@ -363,13 +373,19 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     pre_peaks = [p for p in pre_peaks if p[0] <= t_quench + 1e-9]
     pre_local_max = pre_peaks[-1][1] if pre_peaks else float(abs_corr[times <= t_quench].max())
 
-    rho_at_quench = evolve(DensityMatrix.from_pure(psi, basis), liouvillian,
-                           [t_quench], method=method).final()
+    # rho(t_quench) is the last bare sample at or before t_quench, carried the
+    # rest of the way when t_quench falls between samples.
+    k = int(np.searchsorted(times, t_quench, side="right")) - 1
+    rho_at_quench, t_base = (rho0.matrix, 0.0) if k < 0 else (bare.states[k], float(times[k]))
+    if t_quench > t_base:
+        rho_at_quench = evolve(rho_at_quench, liouvillian, [t_quench - t_base],
+                               method="expm").final()
     trap_spec = dataclasses.replace(spec, trap_amplitude=quench.trap_amplitude)
     trapped = dephasing_liouvillian(trap_spec, basis, include_trap=True)
-    step = times[1] - times[0] if len(times) > 1 else quench.window / 400
+    uniform = grid.points is None and grid.num > 1
+    step = (grid.stop - grid.start) / (grid.num - 1) if uniform else quench.window / 400
     post_times = np.arange(0.0, quench.window + step / 2, step)
-    post = evolve(rho_at_quench, trapped, post_times, method=method)
+    post = evolve(rho_at_quench, trapped, post_times, method="expm")
     post_corr = post.expectations(end_to_end)
 
     header = ["t", "corr_re", "corr_im", "corr_abs", "residual", "post_quench"]
@@ -415,11 +431,12 @@ def run_robustness_aa(config: ExperimentConfig) -> RunResult:
     basis, psi = build_initial_state(base, config.initial_state)
     rho0 = DensityMatrix.from_pure(psi, basis)
     sample_times = np.asarray(scan.times, dtype=float)
-    rows = []
+    rows, diagnostics = [], []
     for amplitude in scan.grid():
         spec = dataclasses.replace(base, aa_amplitude=float(amplitude))
         liouvillian = dephasing_liouvillian(spec, basis)
         trajectory = evolve(rho0, liouvillian, sample_times, method="expm")
+        diagnostics.append(trajectory.diagnostics)
         for t, rho in zip(sample_times, trajectory.states):
             rdm = entangle.reduce_to_pair(rho, basis, 1, n)
             rows.append([float(amplitude), float(t), entangle.concurrence(rdm)])
@@ -427,11 +444,12 @@ def run_robustness_aa(config: ExperimentConfig) -> RunResult:
     checks = {
         "value_at_zero_amplitude": unperturbed,
         "n_grid_points": len(scan.grid()),
+        **_worst_diagnostics(diagnostics),
     }
     result = RunResult(
         kind="robustness-aa",
         summary={"config": config_to_dict(config), "checks": checks},
-        invariants_ok=True,
+        invariants_ok=_checks_pass(checks),
     )
     result.tables["robustness_aa"] = (["aa_amplitude", "t", "concurrence_1N"], rows)
     return result
@@ -445,12 +463,12 @@ def run_robustness_int(config: ExperimentConfig) -> RunResult:
     rho0 = DensityMatrix.from_pure(psi, basis)
     t_sample = float(scan.times[0])
     end_to_end = fock.bilinear_operator(basis, 1, n)
-    rows = []
+    rows, diagnostics = [], []
     for strength in scan.grid():
         spec = dataclasses.replace(base, interaction=float(strength))
         liouvillian = dephasing_liouvillian(spec, basis)
-        method = "expm" if liouvillian.superdim <= lindblad.DENSE_EXPM_LIMIT else "adaptive"
-        trajectory = evolve(rho0, liouvillian, [t_sample], method=method)
+        trajectory = evolve(rho0, liouvillian, [t_sample], method="expm")
+        diagnostics.append(trajectory.diagnostics)
         rho = trajectory.final()
         rdm = entangle.reduce_to_pair(rho, basis, 1, n)
         corr = trajectory.expectations(end_to_end)[-1]
@@ -467,11 +485,12 @@ def run_robustness_int(config: ExperimentConfig) -> RunResult:
         "linear_fit_intercept": float(coef[1]),
         "linear_fit_r_squared": r_squared,
         "sample_time": t_sample,
+        **_worst_diagnostics(diagnostics),
     }
     result = RunResult(
         kind="robustness-int",
         summary={"config": config_to_dict(config), "checks": checks},
-        invariants_ok=True,
+        invariants_ok=_checks_pass(checks),
     )
     result.tables["robustness_int"] = (
         ["interaction", "concurrence_1N", "corr_re", "corr_im"], rows

@@ -63,12 +63,14 @@ def evolve_with_hamiltonian(c0: np.ndarray, h: np.ndarray, gamma: float, center:
 
     if times[-1] == 0.0:
         return [c0.copy() for _ in times]
+    # solve_ivp wants strictly increasing t_eval; repeated times share a sample.
+    unique, index = np.unique(times, return_inverse=True)
     solution = solve_ivp(rhs, (0.0, float(times[-1])), c0.ravel(), method="DOP853",
-                         t_eval=times, rtol=rtol, atol=atol)
+                         t_eval=unique, rtol=rtol, atol=atol)
     if not solution.success:
         raise RuntimeError(f"correlation integrator aborted: {solution.message}")
     return [c0.copy() if t == 0.0 else solution.y[:, k].reshape(n, n)
-            for k, t in enumerate(times)]
+            for k, t in zip(index, times)]
 
 
 def correlation_evolve(spec: LatticeSpec, c0: np.ndarray, times,

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 from scipy.integrate import DOP853
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401  (dephbench/tracing.py wraps it by name)
 
 from .fock import ManyBodyBasis, build_many_body_hamiltonian, number_operator
 from .model import LatticeSpec
@@ -28,9 +28,9 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 ABORT_FACTOR = 10.0
 
-# Superoperator dimension up to which a cached dense matrix exponential is
-# cheaper and tighter than Krylov stepping.
-DENSE_EXPM_LIMIT = 2048
+# A time grid that differs from ``np.linspace`` over its own ends by at most
+# this many ulps of its last time is propagated in one interval call.
+UNIFORM_GRID_ULPS = 4
 
 
 class InvariantViolation(RuntimeError):
@@ -240,25 +240,33 @@ def _check_sample(rho: np.ndarray, t: float, diagnostics: dict) -> None:
         )
 
 
-class _ExpmStepper:
-    """Exact-exponential propagation: cached dense expm for small problems,
-    Krylov ``expm_multiply`` steps otherwise."""
+def _is_uniform(times: np.ndarray) -> bool:
+    """Whether ``times`` is ``np.linspace`` over its own ends, to a few ulps."""
+    if len(times) < 2 or times[-1] == times[0]:
+        return False
+    grid = np.linspace(times[0], times[-1], len(times))
+    return bool(np.abs(times - grid).max() <= UNIFORM_GRID_ULPS * np.spacing(times[-1]))
 
-    def __init__(self, liouvillian: Liouvillian):
-        self.liouvillian = liouvillian
-        self.dense = liouvillian.superdim <= DENSE_EXPM_LIMIT
-        self._dense_gen = liouvillian.matrix.toarray() if self.dense else None
-        self._cache: dict[float, np.ndarray] = {}
 
-    def step(self, vec: np.ndarray, dt: float) -> np.ndarray:
-        if dt == 0.0:
-            return vec
-        if self.dense:
-            key = float(dt)
-            if key not in self._cache:
-                self._cache[key] = expm(self._dense_gen * dt)
-            return self._cache[key] @ vec
-        return splinalg.expm_multiply(self.liouvillian.matrix * dt, vec)
+def _expm_samples(generator, vec: np.ndarray, times: np.ndarray):
+    """exp(L t) vec at each of the non-decreasing ``times``, by scipy's
+    ``expm_multiply``: one interval call for a uniform grid, otherwise one
+    call per distinct step."""
+    if times[0] > 0:
+        # The interval call sizes its Taylor steps by the interval length, not
+        # by ``start``, so the path up to the first sample is taken apart.
+        vec = splinalg.expm_multiply(generator * times[0], vec)
+    if _is_uniform(times):
+        return splinalg.expm_multiply(generator, vec, start=0.0,
+                                      stop=times[-1] - times[0], num=len(times),
+                                      endpoint=True)
+    samples, t_prev = [], times[0]
+    for t in times:
+        if t > t_prev:
+            vec = splinalg.expm_multiply(generator * (t - t_prev), vec)
+            t_prev = t
+        samples.append(vec)
+    return samples
 
 
 def evolve(rho0, liouvillian: Liouvillian, times, method: str = "adaptive",
@@ -272,13 +280,17 @@ def evolve(rho0, liouvillian: Liouvillian, times, method: str = "adaptive",
     times : array-like
         Non-decreasing sample times, first entry >= 0. A requested t = 0
         returns ``rho0`` exactly.
-    method : {"adaptive", "expm", "auto"}
+    method : {"adaptive", "expm"}
         "adaptive" is an explicit Runge-Kutta integrator (DOP853) with the
         given tolerances, stepped exactly onto each sample time: every
         sample is the state at an accepted step, never a dense-output
-        interpolation; "expm" applies the exact exponential stepwise;
-        "auto" picks "expm" when the superoperator fits the dense cache,
-        otherwise "adaptive".
+        interpolation. "expm" applies the exact exponential with scipy's
+        ``expm_multiply`` (Al-Mohy & Higham 2011) and never forms a dense
+        matrix: a grid that is ``np.linspace`` over its own ends (to a few
+        ulps) is evaluated in one interval call, any other grid one step per
+        distinct time; the first sample is reached by a separate call when
+        it is later than 0. Both paths are exact; the test only picks the
+        faster.
     check : bool
         Validate trace/hermiticity/positivity at every sample and abort when
         any deviation exceeds ten times its tolerance.
@@ -290,8 +302,6 @@ def evolve(rho0, liouvillian: Liouvillian, times, method: str = "adaptive",
         raise ValueError("no sample times given")
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("sample times must be non-decreasing and non-negative")
-    if method == "auto":
-        method = "expm" if liouvillian.superdim <= DENSE_EXPM_LIMIT else "adaptive"
 
     dim = liouvillian.dim
     if rho0.shape != (dim, dim):
@@ -299,13 +309,9 @@ def evolve(rho0, liouvillian: Liouvillian, times, method: str = "adaptive",
 
     states: list[np.ndarray] = []
     if method == "expm":
-        stepper = _ExpmStepper(liouvillian)
-        vec = vectorize(rho0)
-        t_prev = 0.0
-        for t in times:
-            vec = stepper.step(vec, t - t_prev)
-            t_prev = t
-            states.append(rho0.copy() if t == 0.0 else unvectorize(vec, dim))
+        samples = _expm_samples(liouvillian.matrix, vectorize(rho0), times)
+        states = [rho0.copy() if t == 0.0 else unvectorize(vec, dim)
+                  for t, vec in zip(times, samples)]
     elif method == "adaptive":
         generator = liouvillian.matrix
 
@@ -374,7 +380,6 @@ def steady_state_by_integration(rho0, liouvillian: Liouvillian,
     if initial_window is None:
         initial_window = 2.0 / liouvillian.gamma if liouvillian.gamma > 0 else t_max / 64
 
-    # Krylov stepping: window sizes grow, so a dense-expm cache never hits.
     vec = vectorize(rho0)
     elapsed = 0.0
     window = float(initial_window)

@@ -14,7 +14,9 @@ from dephchain.config import (
     load_config,
     save_config,
 )
+from dephchain import experiments
 from dephchain.experiments import run
+from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, evolve
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +146,66 @@ def test_run_is_deterministic(tmp_path):
     run(config, out_dir=tmp_path / "b")
     assert (tmp_path / "a" / "timeseries.csv").read_bytes() == \
         (tmp_path / "b" / "timeseries.csv").read_bytes()
+
+
+def _small_quench(time_grid, quench_time):
+    payload = config_to_dict(default_config("fock-quench"))
+    payload["lattice"]["n_sites"] = 5
+    payload["initial_state"] = {"type": "fock", "bitstring": "10101"}
+    payload["time_grid"] = time_grid
+    payload["quench"].update({"time": quench_time, "window": 2.0})
+    return config_from_dict(payload)
+
+
+@pytest.mark.parametrize("quench_time, on_grid", [(4.0, True), (4.03, False)],
+                         ids=["on-grid", "between-samples"])
+def test_fock_quench_state_matches_fresh_propagation(monkeypatch, quench_time, on_grid):
+    config = _small_quench({"start": 0.0, "stop": 10.0, "num": 101}, quench_time)
+    assert (quench_time in config.time_grid.values()) == on_grid
+    starts = []
+
+    def recording(rho0, *args, **kwargs):
+        starts.append(rho0)
+        return evolve(rho0, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve", recording)
+    run(config)
+    # bare trajectory, [carry to t_quench,] post-quench window
+    assert len(starts) == (2 if on_grid else 3)
+    basis, psi = experiments.build_initial_state(config.lattice, config.initial_state)
+    fresh = evolve(DensityMatrix.from_pure(psi, basis),
+                   dephasing_liouvillian(config.lattice, basis), [quench_time],
+                   method="expm").final()
+    assert np.abs(starts[-1] - fresh).max() < 1e-12
+
+
+def test_fock_quench_points_grid_uses_window_step():
+    # A points grid has no spacing: the post-quench window takes window / 400.
+    config = _small_quench({"points": [0.0, 0.5, 1.3, 2.0, 3.7, 5.0, 8.0]}, 4.2)
+    result = run(config)
+    header, rows = result.tables["fock_quench"]
+    post_t = np.array([r[0] for r in rows if r[-1] == 1]) - 4.2
+    assert post_t.shape == (401,)
+    assert np.abs(post_t - np.linspace(0.0, 2.0, 401)).max() < 1e-12
+    assert [r[0] for r in rows if r[-1] == 0] == [0.0, 0.5, 1.3, 2.0, 3.7]
+    assert result.invariants_ok
+
+
+@pytest.mark.parametrize("kind, initial_state", [
+    ("robustness-aa", {"type": "ground"}),
+    ("robustness-int", {"type": "fock", "bitstring": "10101"}),
+])
+def test_robustness_runs_report_invariants(kind, initial_state):
+    payload = config_to_dict(default_config(kind))
+    payload["lattice"]["n_sites"] = 5
+    payload["initial_state"] = initial_state
+    payload["scan"].update({"n_values": 3, "times": [10.0]})
+    result = run(config_from_dict(payload))
+    checks = result.summary["checks"]
+    assert checks["max_trace_dev"] < 1e-9
+    assert checks["max_herm_dev"] < 1e-9
+    assert checks["min_eigenvalue"] > -1e-8
+    assert result.invariants_ok is True
 
 
 def test_concurrence_scan_small(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dephchain.entangle import (
@@ -154,6 +154,8 @@ def test_concurrence_rejects_non_psd():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        weight=st.floats(min_value=0.0, max_value=1.0))
+# A rank-deficient state that a square root of eigvals(rho rho~) lifted by 1.3e-9.
+@example(seed=1, weight=0.9999999999999999)
 def test_concurrence_nonincreasing_under_mixing(seed, weight):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 4, rank=rng.integers(1, 5))

@@ -130,6 +130,20 @@ def test_trace_and_hermiticity_preserved():
         assert np.abs(c - c.conj().T).max() < 1e-10
 
 
+def test_repeated_sample_times_share_a_sample():
+    # solve_ivp rejects a repeated t_eval; evolve_with_hamiltonian accepts
+    # non-decreasing times, so repeats must map back onto one sample.
+    h = build_single_particle_hamiltonian(LatticeSpec(n_sites=3))
+    c0 = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    repeated = evolve_with_hamiltonian(c0, h, 1.0, 2, [0.0, 1.0, 1.0, 2.5])
+    distinct = evolve_with_hamiltonian(c0, h, 1.0, 2, [0.0, 1.0, 2.5])
+    assert len(repeated) == 4
+    assert np.array_equal(repeated[0], c0)
+    assert np.array_equal(repeated[1], repeated[2])
+    for a, b in zip([repeated[0], repeated[1], repeated[3]], distinct):
+        assert np.array_equal(a, b)
+
+
 def test_steady_correlation_pattern_invariant():
     spec = LatticeSpec(n_sites=7)
     basis = ManyBodyBasis(7, 1)

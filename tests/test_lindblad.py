@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.linalg import expm
 
+import dephchain.lindblad as lindblad
 from dephchain.fock import (
     ManyBodyBasis,
     charge_operator,
@@ -140,6 +142,64 @@ def test_methods_agree():
     b = evolve(rho0, liou, times, method="expm")
     worst = max(np.abs(x - y).max() for x, y in zip(a.states, b.states))
     assert worst < 1e-7
+
+
+def _jittered_arange():
+    times = np.arange(0.0, 60.0, 0.05)
+    times[1:] += np.random.default_rng(7).uniform(-1e-12, 1e-12, len(times) - 1)
+    return times
+
+
+EXPM_GRIDS = {
+    "linspace": np.linspace(0.0, 20.0, 81),
+    "arange": np.arange(0.0, 60.0, 0.05),
+    "jittered-arange": _jittered_arange(),
+    "repeated-times": np.array([0.0, 0.3, 0.3, 7.1, 7.1, 7.2, 40.0, 40.0]),
+    "late-start": np.linspace(5.0, 25.0, 41),
+    "late-short-interval": np.array([50.0, 50.1, 50.2]),
+    "single-time": np.array([31.1]),
+}
+
+
+@pytest.mark.parametrize("n_sites, bits", [(3, "010"), (5, "10010")])
+@pytest.mark.parametrize("grid", list(EXPM_GRIDS), ids=list(EXPM_GRIDS))
+def test_expm_matches_dense_exponential(n_sites, bits, grid):
+    times = EXPM_GRIDS[grid]
+    spec = LatticeSpec(n_sites=n_sites, dephasing_gamma=1.5)
+    basis = ManyBodyBasis(n_sites, bits.count("1"))
+    liou = dephasing_liouvillian(spec, basis)
+    rho0 = DensityMatrix.from_pure(fock_state(basis, bits), basis)
+    traj = evolve(rho0, liou, times, method="expm")
+    generator, vec0 = liou.matrix.toarray(), vectorize(rho0.matrix)
+    # every sample of a short grid; 30 spread over a long one, the last included
+    checked = np.unique(np.linspace(0, len(times) - 1, 30).round().astype(int))
+    worst = max(
+        np.abs(vectorize(traj.states[k]) - expm(generator * times[k]) @ vec0).max()
+        for k in checked
+    )
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("times, calls", [
+    (np.linspace(0.0, 60.0, 1201), 1),
+    (np.linspace(5.0, 25.0, 41), 2),
+    (np.array([0.0, 0.3, 0.3, 7.1]), 2),
+])
+def test_expm_calls_per_grid(monkeypatch, times, calls):
+    # One interval call per uniform grid, plus one to reach a later first
+    # sample; one call per distinct step otherwise.
+    _, basis, liou = n3_problem()
+    seen = []
+    original = lindblad.splinalg.expm_multiply
+
+    def counting(*args, **kwargs):
+        seen.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad.splinalg, "expm_multiply", counting)
+    evolve(DensityMatrix.from_pure(fock_state(basis, "010"), basis), liou, times,
+           method="expm")
+    assert len(seen) == calls
 
 
 def test_dark_state_is_stationary():
