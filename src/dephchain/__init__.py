@@ -25,7 +25,6 @@ from .fock import (
     charge_operator,
     charge_sector_weights,
     correlation_matrix,
-    enumerate_basis,
     enumerate_charge_sectors,
     even_mode_slater,
     fock_state,
@@ -47,7 +46,6 @@ from .lindblad import (
     dephasing_liouvillian,
     evolve,
     maximally_mixed,
-    residual_of_steady_recursion,
     steady_state_by_integration,
     steady_state_null_space,
     unvectorize,

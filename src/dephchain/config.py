@@ -137,6 +137,10 @@ class ExperimentConfig:
                               f"choose from {', '.join(EXPERIMENT_KINDS)}")
         if self.kind == "fock-quench" and self.quench is None:
             raise ConfigError("quench: block required for kind 'fock-quench'")
+        if self.kind == "fock-quench" and self.quench.time != "auto" \
+                and self.quench.time < self.time_grid.values()[0]:
+            raise ConfigError(f"quench.time: {self.quench.time:g} is earlier than the "
+                              f"first time_grid time {self.time_grid.values()[0]:g}")
         if self.kind in ("robustness-aa", "robustness-int", "concurrence-scan") \
                 and self.scan is None:
             raise ConfigError(f"scan: block required for kind {self.kind!r}")

@@ -14,18 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import ManyBodyBasis
-from .lindblad import DensityMatrix
+from .lindblad import _as_matrix
 
 # 4x4 basis ordering of a pair (i, j), i < j: |00>, |01>, |10>, |11> with the
 # occupation of i first.
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
 
 
 def reduce_to_pair(rho, basis: ManyBodyBasis, i: int, j: int) -> np.ndarray:
@@ -113,10 +107,6 @@ def is_x_state(rho, tol: float = 1e-7) -> tuple[bool, float]:
     n = rho.shape[0]
     if rho.shape != (n, n):
         raise ValueError("expected a square matrix")
-    off = 0.0
-    for a in range(n):
-        for b in range(n):
-            if a == b or a + b == n - 1:
-                continue
-            off = max(off, abs(rho[a, b]))
+    pattern = np.eye(n, dtype=bool) | np.eye(n, dtype=bool)[::-1]
+    off = float(np.abs(rho[~pattern]).max(initial=0.0))
     return off < tol, off

@@ -78,10 +78,6 @@ class ManyBodyBasis:
         return f"ManyBodyBasis(n_sites={self.n_sites}, n_particles={self.n_particles})"
 
 
-def enumerate_basis(n_sites: int, n_particles: int) -> ManyBodyBasis:
-    return ManyBodyBasis(n_sites, n_particles)
-
-
 def _occ(mask: int, n: int, site: int) -> int:
     return (mask >> (n - site)) & 1
 

@@ -131,18 +131,10 @@ class Liouvillian:
     matrix: sparse.csr_matrix
     dim: int                       # density-matrix dimension d; superoperator is d^2 x d^2
     gamma: float
-    hamiltonian: object = None
-    jump_operator: object = None
 
     @property
     def superdim(self) -> int:
         return self.dim * self.dim
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        return unvectorize(self.matrix @ vectorize(rho), self.dim)
 
     def residual(self, state) -> float:
         """Infinity norm of L vec(rho); zero exactly on steady states."""
@@ -185,13 +177,7 @@ def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
             sparse.kron(jump.T, jump)
             - 0.5 * (sparse.kron(identity, jump2) + sparse.kron(jump2.T, identity))
         )
-    return Liouvillian(
-        matrix=gen.tocsr(),
-        dim=dim,
-        gamma=float(gamma),
-        hamiltonian=hamiltonian,
-        jump_operator=jump_operator,
-    )
+    return Liouvillian(matrix=gen.tocsr(), dim=dim, gamma=float(gamma))
 
 
 def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis,
@@ -211,9 +197,6 @@ class Trajectory:
     basis: ManyBodyBasis | None = None
     method: str = ""
     diagnostics: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def final(self) -> np.ndarray:
         return self.states[-1]
@@ -462,39 +445,3 @@ def normalize_kernel_element(vector: np.ndarray, psd_tol: float = POSITIVITY_TOL
         if np.linalg.eigvalsh(rho).min() > -psd_tol:
             return "density", rho
     return "coherence", matrix / np.linalg.norm(matrix)
-
-
-def residual_of_steady_recursion(rho, gamma: float) -> float:
-    """Maximum residual of the single-particle steady-state recursion.
-
-    The tridiagonal hopping couples each entry to its four neighbors,
-    ``i (rho[j,k+1] + rho[j,k-1] - rho[j+1,k] - rho[j-1,k])``, balanced by the
-    dephasing term ``gamma rho[j,k] / 2`` exactly when one index (not both)
-    is the central site. Out-of-range neighbors are dropped.
-    """
-    if isinstance(rho, DensityMatrix):
-        if rho.basis is not None and rho.basis.n_particles != 1:
-            raise ValueError("steady recursion applies to the single-particle sector")
-        rho = rho.matrix
-    rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0]
-    if rho.shape != (n, n) or n % 2 == 0:
-        raise ValueError(f"expected odd-dimension square matrix, got {rho.shape}")
-    center = (n + 1) // 2
-    worst = 0.0
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            hop = 0.0 + 0.0j
-            if k + 1 <= n:
-                hop += rho[j - 1, k]
-            if k - 1 >= 1:
-                hop += rho[j - 1, k - 2]
-            if j + 1 <= n:
-                hop -= rho[j, k - 1]
-            if j - 1 >= 1:
-                hop -= rho[j - 2, k - 1]
-            rhs = 0.0 + 0.0j
-            if (j == center) != (k == center):
-                rhs = gamma * rho[j - 1, k - 1] / 2.0
-            worst = max(worst, abs(1j * hop - rhs))
-    return worst

@@ -22,8 +22,6 @@ import numpy as np
 # Irrational spatial frequency of the quasi-periodic potential.
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
-HBAR = 1.0
-
 
 class ReflectionSymmetryBroken(ValueError):
     """Parity classification requested for a Hamiltonian that does not
@@ -66,8 +64,6 @@ class LatticeSpec:
     trap_amplitude: float = 0.0
     trap_center: int | None = None
     interaction: float = 0.0
-
-    hbar = HBAR
 
     def __post_init__(self) -> None:
         n = self.n_sites

@@ -288,3 +288,28 @@ def test_cli_nonconvergence_exit_code(tmp_path, capsys):
     ])
     assert code == 3
     assert "steady state not reached" in capsys.readouterr().err
+
+
+def test_cli_quench_time_before_grid_is_config_error(tmp_path, capsys):
+    # No bare sample precedes a quench at t = 2 on a grid that starts at 5.
+    code = main([
+        "fock-quench", "--out", str(tmp_path),
+        "--override", "lattice.n_sites=5",
+        "--override", 'initial_state.bitstring="10101"',
+        "--override", 'time_grid={"start": 5.0, "stop": 10.0, "num": 11}',
+        "--override", "quench.time=2.0",
+    ])
+    assert code == 2
+    assert "quench.time" in capsys.readouterr().err
+
+
+def test_cli_correlation_map_nonconvergence_exit_code(tmp_path, capsys):
+    # A particle on site 1 straddles the parity sectors: the coherences
+    # between undamped odd modes never settle.
+    code = main([
+        "correlation-map", "--out", str(tmp_path),
+        "--override", "lattice.n_sites=5",
+        "--override", 'initial_state={"type": "fock", "bitstring": "10000"}',
+    ])
+    assert code == 3
+    assert "steady state not reached" in capsys.readouterr().err

@@ -231,6 +231,16 @@ def test_identity_is_x():
     assert flag
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_x_state_mask_matches_loop(n):
+    rng = np.random.default_rng(n)
+    rho = random_density(rng, n)
+    off = max((abs(rho[a, b]) for a in range(n) for b in range(n)
+               if a != b and a + b != n - 1), default=0.0)
+    assert is_x_state(rho, tol=off + 1e-12) == (True, off)
+    assert is_x_state(rho, tol=off) == (False, off)   # strict: off < tol
+
+
 def test_multiparticle_even_sector_rdm_concurrence():
     state = even_sector_steady_state(5, 2)
     rdm = reduce_to_pair(state.matrix, state.basis, 2, 4)

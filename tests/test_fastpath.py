@@ -41,12 +41,14 @@ def test_sign_convention_fixed_by_liouvillian_oracle():
     assert worst < 1e-9
 
     h = build_single_particle_hamiltonian(spec)
-    flipped = _integrate_flipped_sign(c0, h, spec.dephasing_gamma, 2, times)
+    flipped = _integrate_two_point(c0, h, spec.dephasing_gamma, 2, times, sign=-1)
     mismatch = max(np.abs(a - b).max() for a, b in zip(flipped, reference))
     assert mismatch > 1e-2
 
 
-def _integrate_flipped_sign(c0, h, gamma, center, times):
+def _integrate_two_point(c0, h, gamma, center, times, sign):
+    """dC/dt = sign * i [h, C] - (gamma / 2) D o C, integrated directly by
+    DOP853: a reference that shares no code with ``lindblad``."""
     from scipy.integrate import solve_ivp
 
     n = h.shape[0]
@@ -56,11 +58,28 @@ def _integrate_flipped_sign(c0, h, gamma, center, times):
 
     def rhs(_t, y):
         c = y.reshape(n, n)
-        return (-1j * (h @ c - c @ h) - damping * c).ravel()
+        return (sign * 1j * (h @ c - c @ h) - damping * c).ravel()
 
-    sol = solve_ivp(rhs, (0, float(times[-1])), c0.ravel(), t_eval=times,
-                    rtol=1e-10, atol=1e-13)
+    sol = solve_ivp(rhs, (0, float(times[-1])), c0.astype(complex).ravel(),
+                    method="DOP853", t_eval=times, rtol=1e-10, atol=1e-13)
     return [sol.y[:, k].reshape(n, n) for k in range(len(times))]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_matches_independent_two_point_integration(n):
+    # One particle on site 1, and a Slater determinant of two random orbitals.
+    rng = np.random.default_rng(7 + n)
+    spec = LatticeSpec(n_sites=n, dephasing_gamma=1.5)
+    h = build_single_particle_hamiltonian(spec)
+    orbitals, _ = np.linalg.qr(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+    inputs = [np.diag(np.eye(n)[0]), orbitals.conj() @ orbitals.T]
+    times = np.linspace(0.0, 10.0, 21)
+    for c0 in inputs:
+        fast = correlation_evolve(spec, c0, times)
+        reference = _integrate_two_point(c0, h, spec.dephasing_gamma,
+                                         spec.central_site, times, sign=+1)
+        worst = max(np.abs(a - b).max() for a, b in zip(fast, reference))
+        assert worst < 1e-8, f"N={n}, Tr C0={np.trace(c0).real:g}: {worst:.3e}"
 
 
 def test_center_occupation_not_damped_directly():
@@ -131,8 +150,8 @@ def test_trace_and_hermiticity_preserved():
 
 
 def test_repeated_sample_times_share_a_sample():
-    # solve_ivp rejects a repeated t_eval; evolve_with_hamiltonian accepts
-    # non-decreasing times, so repeats must map back onto one sample.
+    # evolve_with_hamiltonian accepts non-decreasing times; repeats map back
+    # onto one sample.
     h = build_single_particle_hamiltonian(LatticeSpec(n_sites=3))
     c0 = np.diag([0.0, 1.0, 0.0]).astype(complex)
     repeated = evolve_with_hamiltonian(c0, h, 1.0, 2, [0.0, 1.0, 1.0, 2.5])
@@ -142,6 +161,22 @@ def test_repeated_sample_times_share_a_sample():
     assert np.array_equal(repeated[1], repeated[2])
     for a, b in zip([repeated[0], repeated[1], repeated[3]], distinct):
         assert np.array_equal(a, b)
+
+
+def test_steady_correlation_scales_with_filling():
+    # Three particles in even modes: C_inf = 3 * (one-particle steady state);
+    # the one-particle state rho = C^T / Tr C is scaled back by Tr C0 = 3.
+    basis = ManyBodyBasis(9, 3)
+    psi = even_mode_slater(basis)
+    c0 = correlation_matrix(np.outer(psi, psi.conj()), basis)
+    c, _ = steady_correlation(LatticeSpec(n_sites=9), c0)
+    expected = multiparticle_scaling(analytic_steady_state(9), 3)
+    assert np.abs(c - expected).max() < 1e-8
+
+
+def test_steady_correlation_needs_positive_trace():
+    with pytest.raises(ValueError, match="trace"):
+        steady_correlation(LatticeSpec(n_sites=3), np.zeros((3, 3)))
 
 
 def test_steady_correlation_pattern_invariant():

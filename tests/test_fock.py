@@ -13,7 +13,6 @@ from dephchain.fock import (
     charge_operator,
     charge_sector_weights,
     correlation_matrix,
-    enumerate_basis,
     enumerate_charge_sectors,
     even_mode_slater,
     fock_state,
@@ -45,17 +44,17 @@ def comm(a, b):
 # ----------------------------------------------------------------------
 
 def test_basis_order_single_particle():
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     assert [basis.bitstring(m) for m in basis.states] == ["100", "010", "001"]
 
 
 @pytest.mark.parametrize("n,k,size", [(3, 2, 3), (7, 4, 35), (9, 3, 84), (5, 0, 1)])
 def test_basis_sizes(n, k, size):
-    assert enumerate_basis(n, k).size == math.comb(n, k) == size
+    assert ManyBodyBasis(n, k).size == math.comb(n, k) == size
 
 
 def test_basis_popcounts_and_index():
-    basis = enumerate_basis(5, 2)
+    basis = ManyBodyBasis(5, 2)
     for mask in basis.states:
         assert bin(mask).count("1") == 2
         assert basis.states[basis.index_of(mask)] == mask
@@ -64,9 +63,9 @@ def test_basis_popcounts_and_index():
 
 def test_basis_rejects_bad_filling():
     with pytest.raises(ValueError):
-        enumerate_basis(3, 4)
+        ManyBodyBasis(3, 4)
     with pytest.raises(ValueError):
-        enumerate_basis(3, -1)
+        ManyBodyBasis(3, -1)
 
 
 # ----------------------------------------------------------------------
@@ -74,21 +73,21 @@ def test_basis_rejects_bad_filling():
 # ----------------------------------------------------------------------
 
 def test_hop_without_intervening_occupation():
-    basis = enumerate_basis(2, 1)
+    basis = ManyBodyBasis(2, 1)
     op = dense(bilinear_operator(basis, 1, 2))
     psi = fock_state(basis, "01")
     assert np.allclose(op @ psi, fock_state(basis, "10"))
 
 
 def test_hop_across_occupied_site_picks_up_sign():
-    basis = enumerate_basis(3, 2)
+    basis = ManyBodyBasis(3, 2)
     op = dense(bilinear_operator(basis, 1, 3))
     psi = fock_state(basis, "011")
     assert np.allclose(op @ psi, -fock_state(basis, "110"))
 
 
 def test_number_operator_diagonal():
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     op = dense(number_operator(basis, 2))
     psi = fock_state(basis, "010")
     assert np.allclose(op @ psi, psi)
@@ -102,13 +101,13 @@ def test_bilinear_matches_bruteforce_anticommutation(data):
     k = data.draw(st.integers(min_value=0, max_value=n))
     i = data.draw(st.integers(min_value=1, max_value=n))
     j = data.draw(st.integers(min_value=1, max_value=n))
-    basis = enumerate_basis(n, k)
+    basis = ManyBodyBasis(n, k)
     assert np.array_equal(dense(bilinear_operator(basis, i, j)),
                           bruteforce_bilinear(n, k, i, j))
 
 
 def test_bilinear_index_bounds():
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     with pytest.raises(ValueError):
         bilinear_operator(basis, 0, 1)
     with pytest.raises(ValueError):
@@ -116,8 +115,8 @@ def test_bilinear_index_bounds():
 
 
 def test_sparse_storage_above_threshold():
-    small = enumerate_basis(5, 2)      # dimension 10
-    large = enumerate_basis(9, 3)      # dimension 84
+    small = ManyBodyBasis(5, 2)      # dimension 10
+    large = ManyBodyBasis(9, 3)      # dimension 84
     assert isinstance(bilinear_operator(small, 1, 2), np.ndarray)
     assert sparse.issparse(bilinear_operator(large, 1, 2))
 
@@ -128,7 +127,7 @@ def test_sparse_storage_above_threshold():
 
 def test_single_particle_sector_equals_h():
     spec = LatticeSpec(n_sites=3)
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     h_many = dense(build_many_body_hamiltonian(spec, basis))
     h_one = build_single_particle_hamiltonian(spec)
     assert np.allclose(h_many, h_one, atol=1e-14)
@@ -136,7 +135,7 @@ def test_single_particle_sector_equals_h():
 
 def test_two_particle_free_spectrum_is_pairwise_sums():
     spec = LatticeSpec(n_sites=3)
-    basis = enumerate_basis(3, 2)
+    basis = ManyBodyBasis(3, 2)
     h_many = dense(build_many_body_hamiltonian(spec, basis))
     assert np.allclose(np.linalg.eigvalsh(h_many),
                        [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-12)
@@ -144,7 +143,7 @@ def test_two_particle_free_spectrum_is_pairwise_sums():
 
 def test_interaction_diagonal():
     spec = LatticeSpec(n_sites=3, interaction=5.0)
-    basis = enumerate_basis(3, 2)
+    basis = ManyBodyBasis(3, 2)
     h_many = dense(build_many_body_hamiltonian(spec, basis))
     q = basis.index_of("110")
     assert h_many[q, q] == pytest.approx(5.0)
@@ -155,7 +154,7 @@ def test_interaction_diagonal():
 def test_hamiltonian_matches_jw_spin_construction():
     # independent route: assemble H from full Jordan-Wigner spin matrices
     spec = LatticeSpec(n_sites=5, interaction=0.7)
-    basis = enumerate_basis(5, 2)
+    basis = ManyBodyBasis(5, 2)
     h_one = build_single_particle_hamiltonian(spec)
     ops = {site: jw_annihilation(5, site) for site in range(1, 6)}
     h_full = np.zeros((32, 32), dtype=complex)
@@ -178,7 +177,7 @@ def test_hamiltonian_matches_jw_spin_construction():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        build_many_body_hamiltonian(LatticeSpec(n_sites=5), enumerate_basis(3, 1))
+        build_many_body_hamiltonian(LatticeSpec(n_sites=5), ManyBodyBasis(3, 1))
 
 
 # ----------------------------------------------------------------------
@@ -186,24 +185,24 @@ def test_dimension_mismatch_rejected():
 # ----------------------------------------------------------------------
 
 def test_reflection_examples():
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     refl = dense(reflection_operator(basis))
     assert np.allclose(refl @ fock_state(basis, "100"), fock_state(basis, "001"))
     assert np.allclose(refl @ fock_state(basis, "010"), fock_state(basis, "010"))
-    basis2 = enumerate_basis(3, 2)
+    basis2 = ManyBodyBasis(3, 2)
     refl2 = dense(reflection_operator(basis2))
     assert np.allclose(refl2 @ fock_state(basis2, "110"), -fock_state(basis2, "011"))
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (5, 2), (5, 3), (7, 3)])
 def test_reflection_matches_bruteforce(n, k):
-    basis = enumerate_basis(n, k)
+    basis = ManyBodyBasis(n, k)
     assert np.array_equal(dense(reflection_operator(basis)), bruteforce_reflection(n, k))
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 4)])
 def test_reflection_algebra(n, k):
-    basis = enumerate_basis(n, k)
+    basis = ManyBodyBasis(n, k)
     spec = LatticeSpec(n_sites=n)
     refl = dense(reflection_operator(basis))
     h0 = build_many_body_hamiltonian(spec, basis)
@@ -215,7 +214,7 @@ def test_reflection_algebra(n, k):
 
 
 def test_reflection_fixes_symmetric_fock_state():
-    basis = enumerate_basis(7, 4)
+    basis = ManyBodyBasis(7, 4)
     refl = dense(reflection_operator(basis))
     psi = fock_state(basis, "1010101")
     assert np.allclose(refl @ psi, psi)    # 4 reflected modes reorder evenly
@@ -227,7 +226,7 @@ def test_reflection_fixes_symmetric_fock_state():
 
 def test_charge_commutes_with_h0_and_nc():
     spec = LatticeSpec(n_sites=5)
-    basis = enumerate_basis(5, 2)
+    basis = ManyBodyBasis(5, 2)
     charge = charge_operator(basis)
     h0 = build_many_body_hamiltonian(spec, basis)
     n_c = number_operator(basis, 3)
@@ -237,21 +236,21 @@ def test_charge_commutes_with_h0_and_nc():
 
 def test_charge_does_not_commute_with_interaction():
     spec = LatticeSpec(n_sites=5, interaction=1.0)
-    basis = enumerate_basis(5, 2)
+    basis = ManyBodyBasis(5, 2)
     charge = charge_operator(basis)
     h_int = build_many_body_hamiltonian(spec, basis)
     assert np.abs(comm(charge, h_int)).max() > 1e-6
 
 
 def test_charge_spectrum_n3_single_particle():
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     evals = np.sort(np.linalg.eigvalsh(dense(charge_operator(basis))))
     assert np.allclose(evals, [-1.5, 0.5, 0.5], atol=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3)])
 def test_charge_spectrum_matches_sector_enumeration(n, k):
-    basis = enumerate_basis(n, k)
+    basis = ManyBodyBasis(n, k)
     evals = np.sort(np.linalg.eigvalsh(dense(charge_operator(basis))))
     expected = np.sort(np.concatenate([
         np.full(s.degeneracy, s.eigenvalue) for s in enumerate_charge_sectors(n, k)
@@ -260,7 +259,7 @@ def test_charge_spectrum_matches_sector_enumeration(n, k):
 
 
 def test_single_even_mode_has_charge_half():
-    basis = enumerate_basis(5, 1)
+    basis = ManyBodyBasis(5, 1)
     psi = even_mode_slater(basis)
     charge = dense(charge_operator(basis))
     assert np.abs(charge @ psi - 0.5 * psi).max() < 1e-12
@@ -294,7 +293,7 @@ def test_sector_degeneracy_sums():
 
 
 def test_charge_sector_weights_projection():
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     weights = charge_sector_weights(fock_state(basis, "010"), basis)
     assert weights == pytest.approx({0.5: 1.0})
     mixed = fock_state(basis, "100")
@@ -308,13 +307,13 @@ def test_charge_sector_weights_projection():
 # ----------------------------------------------------------------------
 
 def test_ground_mode_slater_amplitudes():
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     psi = slater_state(basis, [1])
     assert np.allclose(psi, [0.5, 1.0 / np.sqrt(2), 0.5], atol=1e-12)
 
 
 def test_closed_shell_slater_properties():
-    basis = enumerate_basis(3, 2)
+    basis = ManyBodyBasis(3, 2)
     parity = bare_mode_parity(3)
     psi = slater_state(basis, parity.even, orbitals=parity.modes)
     refl = dense(reflection_operator(basis))
@@ -325,14 +324,14 @@ def test_closed_shell_slater_properties():
 
 
 def test_full_filling_slater_is_unit_amplitude():
-    basis = enumerate_basis(3, 3)
+    basis = ManyBodyBasis(3, 3)
     psi = slater_state(basis, [1, 2, 3])
     assert psi.shape == (1,)
     assert psi[0] == pytest.approx(1.0)
 
 
 def test_slater_rejects_repeats_and_mismatch():
-    basis = enumerate_basis(3, 2)
+    basis = ManyBodyBasis(3, 2)
     with pytest.raises(ValueError):
         slater_state(basis, [1, 1])
     with pytest.raises(ValueError):
@@ -341,7 +340,7 @@ def test_slater_rejects_repeats_and_mismatch():
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3)])
 def test_even_mode_slaters_are_even_and_charged(n, k):
-    basis = enumerate_basis(n, k)
+    basis = ManyBodyBasis(n, k)
     psi = even_mode_slater(basis)
     refl = dense(reflection_operator(basis))
     charge = dense(charge_operator(basis))
@@ -351,16 +350,16 @@ def test_even_mode_slaters_are_even_and_charged(n, k):
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3)])
 def test_odd_mode_slaters_are_dark(n, k):
-    basis = enumerate_basis(n, k)
+    basis = ManyBodyBasis(n, k)
     psi = odd_mode_slater(basis)
     n_c = dense(number_operator(basis, (n + 1) // 2))
     assert np.abs(n_c @ psi).max() < 1e-12
 
 
 def test_fock_state_examples():
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     assert np.allclose(fock_state(basis, "010"), [0.0, 1.0, 0.0])
-    big = enumerate_basis(7, 4)
+    big = ManyBodyBasis(7, 4)
     psi = fock_state(big, "1010101")
     assert np.count_nonzero(psi) == 1 and abs(psi[big.index_of("1010101")]) == 1.0
     with pytest.raises(ValueError):
@@ -368,7 +367,7 @@ def test_fock_state_examples():
 
 
 def test_parity_sector_weights():
-    basis = enumerate_basis(3, 1)
+    basis = ManyBodyBasis(3, 1)
     even, odd = parity_sector_weights(fock_state(basis, "010"), basis)
     assert even == pytest.approx(1.0) and odd == pytest.approx(0.0)
     even, odd = parity_sector_weights(fock_state(basis, "100"), basis)
@@ -376,7 +375,7 @@ def test_parity_sector_weights():
 
 
 def test_correlation_matrix_of_slater():
-    basis = enumerate_basis(5, 2)
+    basis = ManyBodyBasis(5, 2)
     parity = bare_mode_parity(5)
     psi = even_mode_slater(basis)
     rho = np.outer(psi, psi.conj())

@@ -26,7 +26,6 @@ from dephchain.lindblad import (
     evolve,
     maximally_mixed,
     normalize_kernel_element,
-    residual_of_steady_recursion,
     steady_state_by_integration,
     steady_state_null_space,
     unvectorize,
@@ -408,26 +407,23 @@ def test_x_form_of_even_sector_steady_state():
 
 
 # ----------------------------------------------------------------------
-# steady-state recursion residual
+# steady-state recursion: the one-particle sector's Liouvillian residual
 # ----------------------------------------------------------------------
+
+def one_particle_liouvillian(n):
+    return dephasing_liouvillian(LatticeSpec(n_sites=n), ManyBodyBasis(n, 1))
+
 
 @pytest.mark.parametrize("n", [5, 9])
 def test_recursion_residual_on_analytic_state(n):
-    assert residual_of_steady_recursion(analytic_steady_state(n), 1.0) < 1e-12
+    assert one_particle_liouvillian(n).residual(analytic_steady_state(n)) < 1e-12
 
 
 def test_recursion_residual_on_maximally_mixed():
-    assert residual_of_steady_recursion(maximally_mixed(5), 1.0) < 1e-12
-
-
-def test_recursion_rejects_wrong_sector():
-    basis = ManyBodyBasis(5, 2)
-    rho = DensityMatrix(np.eye(10) / 10.0, basis)
-    with pytest.raises(ValueError):
-        residual_of_steady_recursion(rho, 1.0)
+    assert one_particle_liouvillian(5).residual(maximally_mixed(5)) < 1e-12
 
 
 def test_recursion_detects_non_steady_state():
     rho = np.zeros((5, 5), dtype=complex)
     rho[0, 0] = 1.0     # localized state is far from steady
-    assert residual_of_steady_recursion(rho, 1.0) > 0.5
+    assert one_particle_liouvillian(5).residual(rho) > 0.5

@@ -145,4 +145,3 @@ def test_spec_defaults():
     assert spec.central_site == 5
     assert spec.effective_trap_center == 5
     assert spec.aa_frequency == pytest.approx((np.sqrt(5) - 1) / 2)
-    assert spec.hbar == 1.0
