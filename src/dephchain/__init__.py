@@ -46,7 +46,7 @@ from .lindblad import (
     dephasing_liouvillian,
     evolve,
     maximally_mixed,
-    steady_state_by_integration,
+    steady_state,
     steady_state_null_space,
     unvectorize,
     vectorize,

@@ -4,8 +4,8 @@
 
 Without ``--config`` the built-in desk-scale default for the kind is used;
 ``--dump-config`` prints the effective config instead of running. The exit
-code is nonzero when any invariant check fails or the steady-state solver
-does not converge.
+code is nonzero when any invariant check fails or the initial state never
+settles to a steady state.
 """
 
 from __future__ import annotations

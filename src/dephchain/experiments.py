@@ -25,7 +25,7 @@ from .lindblad import (
     Trajectory,
     dephasing_liouvillian,
     evolve,
-    steady_state_by_integration,
+    steady_state,
     vectorize,
 )
 from .model import LatticeSpec, bare_mode_parity
@@ -218,12 +218,11 @@ def run_steady(config: ExperimentConfig) -> RunResult:
     spec = config.lattice
     basis, psi = build_initial_state(spec, config.initial_state)
     liouvillian = dephasing_liouvillian(spec, basis)
-    steady = steady_state_by_integration(
+    steady = steady_state(
         DensityMatrix.from_pure(psi, basis), liouvillian,
         convergence_tol=config.convergence_tol,
     )
     rho = steady.state.matrix
-    steady.state.validate()
     x_state, off = entangle.is_x_state(rho, tol=1e-7)
     checks = {
         "residual": steady.residual,
@@ -237,11 +236,12 @@ def run_steady(config: ExperimentConfig) -> RunResult:
         summary={
             "config": config_to_dict(config),
             "checks": checks,
-            "elapsed_time": steady.elapsed,
             "is_x_state": bool(x_state),
             **diagonal,
         },
-        invariants_ok=checks["trace"] < 1e-9 and checks["min_eigenvalue"] > -1e-8,
+        invariants_ok=checks["trace"] < lindblad.TRACE_TOL
+        and checks["hermiticity"] < lindblad.HERMITICITY_TOL
+        and checks["min_eigenvalue"] > -lindblad.POSITIVITY_TOL,
     )
     result.json_payloads["density_matrix"] = _density_payload(rho)
     return result
@@ -263,11 +263,14 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
             else list(descriptor.modes)
         chosen = parity.modes[:, [m - 1 for m in modes]]
         c0 = (chosen @ chosen.T).astype(complex)
-    c_steady, elapsed = fastpath.steady_correlation(spec, c0, tol=1e-10)
+    c_steady = fastpath.steady_correlation(spec, c0, tol=1e-10)
     reference = n_particles * oracle.analytic_steady_state(n)
+    occupations = np.linalg.eigvalsh(0.5 * (c_steady + c_steady.conj().T))
     checks = {
         "trace_drift": float(abs(np.trace(c_steady).real - n_particles)),
         "max_dev_from_analytic": float(np.abs(c_steady - reference).max()),
+        "min_occupation": float(occupations.min()),
+        "max_occupation": float(occupations.max()),
     }
     header = ["i", "j", "re", "im"]
     rows = [[i + 1, j + 1, c_steady[i, j].real, c_steady[i, j].imag]
@@ -277,9 +280,10 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
         summary={
             "config": config_to_dict(config),
             "checks": checks,
-            "elapsed_time": elapsed,
         },
-        invariants_ok=checks["trace_drift"] < 1e-8,
+        invariants_ok=checks["trace_drift"] < 1e-8
+        and checks["min_occupation"] >= -fastpath.EIGENVALUE_SLACK
+        and checks["max_occupation"] <= 1.0 + fastpath.EIGENVALUE_SLACK,
     )
     result.tables["correlation_map"] = (header, rows)
     return result
@@ -288,7 +292,7 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
 def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
     scan = config.scan
     gamma = config.lattice.dephasing_gamma
-    rows = []
+    rows, deviations = [], []
     checks: dict = {"max_sector_residual": 0.0}
     conjecture_dev = 0.0
     monotone = True
@@ -302,7 +306,7 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
             if scan.dynamical:
                 psi = fock.even_mode_slater(basis)
                 liouvillian = dephasing_liouvillian(spec, basis)
-                steady = steady_state_by_integration(
+                steady = steady_state(
                     DensityMatrix.from_pure(psi, basis), liouvillian,
                     convergence_tol=config.convergence_tol,
                 )
@@ -314,6 +318,10 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
                 liouvillian = dephasing_liouvillian(spec, basis)
                 residual = liouvillian.residual(rho)
             checks["max_sector_residual"] = max(checks["max_sector_residual"], residual)
+            deviation = lindblad.invariant_deviations(rho)
+            deviations.append({"max_trace_dev": deviation["trace"],
+                               "max_herm_dev": deviation["hermiticity"],
+                               "min_eigenvalue": deviation["min_eigenvalue"]})
             values = []
             for i in range(1, (n - 1) // 2 + 1):
                 rdm = entangle.reduce_to_pair(rho, basis, i, n + 1 - i)
@@ -327,10 +335,12 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
             previous = mean
     checks["max_dev_from_2N_over_Np1"] = conjecture_dev
     checks["monotone_in_filling"] = monotone
+    checks.update(_worst_diagnostics(deviations))
     result = RunResult(
         kind="concurrence-scan",
         summary={"config": config_to_dict(config), "checks": checks},
-        invariants_ok=checks["max_sector_residual"] < 1e-8 and monotone,
+        invariants_ok=checks["max_sector_residual"] < 1e-8 and monotone
+        and _checks_pass(checks),
     )
     result.tables["concurrence"] = (["n_sites", "n_particles", "site", "concurrence"], rows)
     return result

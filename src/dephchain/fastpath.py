@@ -9,9 +9,9 @@ the two-point matrix C_jk = <f!_j f_k> obeys
 which is the one-particle sector of :mod:`dephchain.lindblad` read as
 C = rho^T: the sector's generator, built from the one-body ``h`` and the
 projector e_c e_c^T, acting on rho = C^T / Tr C. Evolution and steady
-states therefore go through ``lindblad.evolve`` and
-``lindblad.steady_state_by_integration``, with their invariant checks, and
-are scaled back by Tr C. The multi-fermion steady-state scaling law lives
+states therefore go through ``lindblad.evolve`` and ``lindblad.steady_state``
+(the exact projection onto the kernel), with their invariant checks, and are
+scaled back by Tr C. The multi-fermion steady-state scaling law lives
 here as well.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  (dephbench/tracing.py wraps it by name)
 
-from .lindblad import Liouvillian, build_liouvillian, evolve, steady_state_by_integration
+from .lindblad import Liouvillian, build_liouvillian, evolve, steady_state
 from .model import LatticeSpec, build_single_particle_hamiltonian
 
 EIGENVALUE_SLACK = 1e-9
@@ -88,19 +88,19 @@ def correlation_evolve(spec: LatticeSpec, c0: np.ndarray, times,
 
 
 def steady_correlation(spec: LatticeSpec, c0: np.ndarray, tol: float = 1e-10,
-                       t_max: float = 1e4, include_trap: bool = False) -> tuple[np.ndarray, float]:
-    """Propagate the two-point matrix until max |dC/dt| is below ``tol``.
+                       include_trap: bool = False) -> np.ndarray:
+    """The t -> infinity limit of the two-point matrix, exactly.
 
-    Returns (C_infinity, elapsed time). Raises
-    :class:`dephchain.lindblad.SteadyStateNotConverged` if ``t_max`` is hit.
+    Raises :class:`dephchain.lindblad.SteadyStateNotConverged` when ``c0``
+    has weight on undamped oscillations large enough that max |dC/dt| never
+    falls below ``tol``.
     """
     _refuse_interaction(spec)
     h = build_single_particle_hamiltonian(spec, include_trap=include_trap)
     liouvillian, rho0, filling = _one_particle_problem(c0, h, spec.dephasing_gamma,
                                                        spec.central_site)
-    steady = steady_state_by_integration(rho0, liouvillian, convergence_tol=tol / filling,
-                                         t_max=t_max)
-    return filling * steady.state.matrix.T, steady.elapsed
+    steady = steady_state(rho0, liouvillian, convergence_tol=tol / filling)
+    return filling * steady.state.matrix.T
 
 
 def multiparticle_scaling(c_sp_steady: np.ndarray, n_particles: int) -> np.ndarray:

@@ -11,6 +11,7 @@ are vectorized by column stacking, under which ``A rho B`` maps to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +33,19 @@ ABORT_FACTOR = 10.0
 # this many ulps of its last time is propagated in one interval call.
 UNIFORM_GRID_ULPS = 4
 
+# Eigenvalues of H closer than this (in the units of H) are one degenerate
+# level, and gaps E_a - E_b closer than this are one gap. It lies well above
+# eigh's rounding of a degeneracy (about 1e-14 here) and well below the
+# 1e-10 residual a kernel element must meet.
+DEGENERACY_TOL = 1e-11
+# Singular values of the dark-subspace constraint below this count as zero.
+NULL_TOL = 1e-10
+# A gap whose constraint Gram matrix has all eigenvalues above this (all
+# singular values above 1e-4) has no dark combination and is not solved.
+_GRAM_SCREEN = 1e-8
+# Row blocks of the dark-subspace constraint are about this many bytes.
+_CHUNK_BYTES = 1 << 22
+
 
 class InvariantViolation(RuntimeError):
     """A density-matrix invariant (trace, hermiticity, positivity) failed
@@ -39,14 +53,17 @@ class InvariantViolation(RuntimeError):
 
 
 class SteadyStateNotConverged(RuntimeError):
-    """Residual stayed above tolerance up to t_max. Carries the last residual;
-    expected for initial states straddling symmetry sectors, whose coherences
-    oscillate forever."""
+    """The state has weight on purely imaginary eigenvalues +-i omega of L,
+    so it never settles: the residual of that undamped part, carried as
+    ``residual``, reaches the tolerance. Also carries the gap ``omega`` and
+    the ``weight`` (Frobenius norm) of its largest piece. Expected for initial
+    states straddling symmetry sectors, whose coherences oscillate forever."""
 
-    def __init__(self, message: str, residual: float, elapsed: float):
+    def __init__(self, message: str, residual: float, omega: float, weight: float):
         super().__init__(message)
         self.residual = residual
-        self.elapsed = elapsed
+        self.omega = omega
+        self.weight = weight
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -126,15 +143,14 @@ def maximally_mixed(dim: int) -> np.ndarray:
 
 @dataclass
 class Liouvillian:
-    """Sparse superoperator acting on column-vectorized density matrices."""
+    """Sparse superoperator acting on column-vectorized density matrices,
+    with the Hamiltonian and jump operator it was built from."""
 
     matrix: sparse.csr_matrix
     dim: int                       # density-matrix dimension d; superoperator is d^2 x d^2
     gamma: float
-
-    @property
-    def superdim(self) -> int:
-        return self.dim * self.dim
+    hamiltonian: sparse.csr_matrix | None = None
+    jump: sparse.csr_matrix | None = None
 
     def residual(self, state) -> float:
         """Infinity norm of L vec(rho); zero exactly on steady states."""
@@ -145,6 +161,24 @@ class Liouvillian:
         is trace preserving."""
         left = vectorize(np.eye(self.dim)).conj() @ self.matrix
         return float(np.abs(left).max())
+
+    @functools.cached_property
+    def _spectrum(self):
+        """H's eigenbasis for the steady-state projection: level energy of
+        each eigenvector, the eigenvectors, their level index, and the
+        eigenvector rows where the jump is 1 (none when gamma = 0) and 0."""
+        if self.hamiltonian is None or self.jump is None:
+            raise ValueError("this Liouvillian does not carry its Hamiltonian and jump operator")
+        occupation = self.jump.diagonal()
+        if abs(self.jump - sparse.diags(occupation)).max() > 0 \
+                or not np.all((occupation == 0) | (occupation == 1)):
+            raise ValueError("the steady-state projection needs a diagonal 0/1 jump operator")
+        h = self.hamiltonian.toarray()
+        energies, vectors = np.linalg.eigh(h if np.any(h.imag) else h.real)
+        level = np.cumsum(np.diff(energies, prepend=energies[:1]) > DEGENERACY_TOL)
+        energies = (np.bincount(level, weights=energies) / np.bincount(level))[level]
+        on = (occupation == 1) & (self.gamma > 0)
+        return energies, vectors, level, vectors[on], vectors[~on]
 
 
 def _to_sparse(op) -> sparse.csr_matrix:
@@ -177,7 +211,8 @@ def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
             sparse.kron(jump.T, jump)
             - 0.5 * (sparse.kron(identity, jump2) + sparse.kron(jump2.T, identity))
         )
-    return Liouvillian(matrix=gen.tocsr(), dim=dim, gamma=float(gamma))
+    return Liouvillian(matrix=gen.tocsr(), dim=dim, gamma=float(gamma), hamiltonian=h,
+                       jump=jump)
 
 
 def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis,
@@ -338,110 +373,148 @@ def conserved_charge_trace(trajectory: Trajectory, operator) -> np.ndarray:
 @dataclass
 class SteadyStateResult:
     state: DensityMatrix
-    elapsed: float
     residual: float
-    windows: int
 
 
-def steady_state_by_integration(rho0, liouvillian: Liouvillian,
-                                convergence_tol: float = 1e-9,
-                                t_max: float | None = None,
-                                initial_window: float | None = None,
-                                growth: float = 1.5) -> SteadyStateResult:
-    """Integrate until the Liouvillian residual drops below tolerance.
+def _dark_span(on: np.ndarray, off: np.ndarray, left: np.ndarray, right: np.ndarray,
+               tol: float) -> np.ndarray:
+    """Orthonormal coefficient vectors z, one per column, such that
+    X = sum_k z_k v_{left_k} v_{right_k}^H commutes with the jump.
 
-    Propagates in geometrically growing windows of the exact exponential and
-    stops once ``||L vec(rho)||_inf < convergence_tol``. Raises
-    :class:`SteadyStateNotConverged` (carrying the residual) when ``t_max``
-    is reached first, as happens for mixed-sector initial states.
+    ``on`` and ``off`` are the rows of the eigenvectors v where the jump is 1
+    and 0. X commutes with the jump when P1 X P0 = 0 = P0 X P1; those blocks
+    are the rows of a constraint matrix. It is never held whole: row blocks
+    of about ``_CHUNK_BYTES`` are stacked under the triangular factor so far
+    and factored again by QR, and the null space is read from the singular
+    values of the final triangle (an SVD of the constraint itself, not of its
+    Gram matrix, whose conditioning is squared).
     """
-    rho0 = _as_matrix(rho0)
-    if t_max is None:
-        if liouvillian.gamma <= 0:
-            raise ValueError("t_max required when gamma = 0 (no relaxation)")
-        t_max = 1e4 / liouvillian.gamma
-    if initial_window is None:
-        initial_window = 2.0 / liouvillian.gamma if liouvillian.gamma > 0 else t_max / 64
-
-    vec = vectorize(rho0)
-    elapsed = 0.0
-    window = float(initial_window)
-    windows = 0
-    residual = float(np.abs(liouvillian.matrix @ vec).max())
-    while residual >= convergence_tol:
-        if elapsed >= t_max:
-            raise SteadyStateNotConverged(
-                f"residual {residual:.3e} after t={elapsed:g} (tol {convergence_tol:g}); "
-                "the initial state may straddle symmetry sectors with "
-                "undamped coherences",
-                residual=residual,
-                elapsed=elapsed,
-            )
-        window = min(window, t_max - elapsed)
-        vec = splinalg.expm_multiply(liouvillian.matrix * window, vec)
-        elapsed += window
-        window *= growth
-        windows += 1
-        residual = float(np.abs(liouvillian.matrix @ vec).max())
-    rho = unvectorize(vec, liouvillian.dim)
-    state = DensityMatrix(rho)
-    state.validate()
-    return SteadyStateResult(
-        state=state, elapsed=elapsed, residual=residual, windows=windows
-    )
+    k = len(left)
+    if len(on) == 0 or len(off) == 0:
+        return np.eye(k)
+    rows = max(1, _CHUNK_BYTES // (2 * on.itemsize * len(off) * k))
+    off_left, off_right = off[:, left], off[:, right].conj()
+    triangle = np.zeros((0, k), dtype=on.dtype)
+    for start in range(0, len(on), rows):
+        on_left = on[start:start + rows, left]
+        on_right = on[start:start + rows, right].conj()
+        triangle = np.linalg.qr(np.concatenate([
+            triangle,
+            (on_left[:, None, :] * off_right[None, :, :]).reshape(-1, k),   # P1 X P0
+            (off_left[:, None, :] * on_right[None, :, :]).reshape(-1, k),   # P0 X P1
+        ]), mode="r")
+    _, svals, vh = np.linalg.svd(triangle)
+    svals = np.concatenate([svals, np.zeros(k - len(svals))])
+    return vh[svals < tol].conj().T
 
 
-DENSE_NULLSPACE_LIMIT = 2500
+def steady_state_null_space(liouvillian: Liouvillian, tol: float = NULL_TOL) -> np.ndarray:
+    """Orthonormal basis of the kernel of the superoperator, as columns of
+    vectorized matrices.
 
-
-def steady_state_null_space(liouvillian: Liouvillian, tol: float = 1e-10,
-                            max_kernel_dim: int = 24,
-                            dense_limit: int = DENSE_NULLSPACE_LIMIT) -> np.ndarray:
-    """Orthonormal basis of the kernel of the superoperator.
-
-    Dense SVD up to ``dense_limit``; shift-inverted Arnoldi around zero above
-    it (requesting up to ``max_kernel_dim`` candidates). Every returned
-    column satisfies ``||L v|| < 1e-10``.
+    The jump is Hermitian, so ker L is the commutant {H, n_c}': the matrices
+    block-diagonal in H's eigenspaces, X = sum_g V_g Y_g V_g^H, that also
+    commute with the jump (Buča & Prosen, NJP 14, 073007 (2012)). The
+    Y_g are the null space of that constraint; singular values below ``tol``
+    count as zero. Every returned column satisfies ``||L v||_inf < 1e-10``.
     """
-    matrix = liouvillian.matrix
-    n = liouvillian.superdim
-    if n <= dense_limit:
-        dense = matrix.toarray()
-        _u, svals, vh = np.linalg.svd(dense)
-        cut = max(tol, svals[0] * n * np.finfo(float).eps)
-        kernel = vh[svals < cut].conj().T
-    else:
-        k = min(max_kernel_dim, n - 2)
-        try:
-            evals, evecs = splinalg.eigs(matrix.tocsc(), k=k, sigma=0.0, which="LM")
-        except Exception as exc:  # ARPACK / LU failures
-            raise RuntimeError(f"iterative kernel solver breakdown: {exc}") from exc
-        null = evecs[:, np.abs(evals) < tol]
-        if null.shape[1] == k:
-            raise RuntimeError(
-                f"kernel dimension may exceed max_kernel_dim={max_kernel_dim}; "
-                "increase it"
-            )
-        kernel, _ = np.linalg.qr(null) if null.size else (null, None)
+    _energies, vectors, level, on, off = liouvillian._spectrum
+    dim = liouvillian.dim
+    left, right = np.nonzero(level[:, None] == level[None, :])
+    coefficients = _dark_span(on, off, left, right, tol)
+    kernel = np.empty((dim * dim, coefficients.shape[1]), dtype=vectors.dtype)
+    block = np.zeros((dim, dim), dtype=vectors.dtype)
+    for k, column in enumerate(coefficients.T):
+        block[left, right] = column
+        kernel[:, k] = vectorize(vectors @ block @ vectors.conj().T)
     for col in kernel.T:
-        residual = float(np.abs(matrix @ col).max())
+        residual = float(np.abs(liouvillian.matrix @ col).max())
         if residual > 1e-10:
             raise RuntimeError(f"kernel candidate has residual {residual:.3e}")
     return kernel
 
 
-def normalize_kernel_element(vector: np.ndarray, psd_tol: float = POSITIVITY_TOL):
-    """Interpret one kernel vector physically.
+def _peripheral_part(rho: np.ndarray, liouvillian: Liouvillian,
+                     tol: float) -> tuple[np.ndarray, float, float]:
+    """The part of ``rho`` that never decays: its projection on the
+    eigenvectors of L with eigenvalue i omega, omega != 0.
 
-    Returns ``("density", rho)`` when the Hermitian part carries trace and is
-    positive semidefinite after normalization, else ``("coherence", m)`` with
-    ``m`` the Frobenius-normalized matrix (a traceless stationary coherence).
+    Those lie in ker D and in one eigenspace of [H, .], the gap
+    omega = E_a - E_b, and are HS-orthogonal to the decaying part, so ``rho``
+    is projected gap by gap. Only gaps where ``rho`` has weight are visited:
+    a gap whose weight w has |omega| w below a thousandth of ``tol`` cannot
+    move the residual. Gaps whose constraint Gram matrix is well conditioned
+    (smallest eigenvalue above ``_GRAM_SCREEN``) have no dark combination and
+    are skipped; the rest are solved by :func:`_dark_span`. Returns the part,
+    the largest weight (Frobenius norm) of one gap, and that gap.
     """
-    matrix = unvectorize(vector)
-    hermitian = 0.5 * (matrix + matrix.conj().T)
-    trace = np.trace(hermitian)
-    if abs(trace) > 1e-10:
-        rho = hermitian / trace.real
-        if np.linalg.eigvalsh(rho).min() > -psd_tol:
-            return "density", rho
-    return "coherence", matrix / np.linalg.norm(matrix)
+    energies, vectors, level, on, off = liouvillian._spectrum
+    in_eigenbasis = vectors.conj().T @ rho @ vectors
+    left, right = np.nonzero(level[:, None] != level[None, :])
+    gaps = energies[left] - energies[right]
+    order = np.argsort(gaps, kind="stable")
+    left, right, gaps = left[order], right[order], gaps[order]
+    gap_index = np.cumsum(np.diff(gaps, prepend=gaps[:1]) > DEGENERACY_TOL)
+    bounds = np.flatnonzero(np.diff(gap_index, prepend=-1, append=-1))
+    weights = np.sqrt(np.bincount(gap_index, weights=np.abs(in_eigenbasis[left, right]) ** 2))
+    gram_on = on.conj().T @ on
+    gram_off = np.eye(len(vectors)) - gram_on
+    part = np.zeros_like(in_eigenbasis)
+    found = []      # (|omega|, weight) of each gap with undamped weight
+    for g in np.flatnonzero(np.abs(gaps[bounds[:-1]]) * weights >= 1e-3 * tol):
+        pairs = slice(bounds[g], bounds[g + 1])
+        a, b = left[pairs], right[pairs]
+        gram = gram_on[np.ix_(a, a)] * gram_off[np.ix_(b, b)].T \
+            + gram_off[np.ix_(a, a)] * gram_on[np.ix_(b, b)].T
+        if np.linalg.eigvalsh(gram)[0] > _GRAM_SCREEN:
+            continue
+        z = _dark_span(on, off, a, b, NULL_TOL)
+        coefficients = z.conj().T @ in_eigenbasis[a, b]
+        part[a, b] = z @ coefficients
+        found.append((abs(float(gaps[bounds[g]])), float(np.linalg.norm(coefficients))))
+    # Gaps related by symmetry carry equal weights; of the heaviest, the
+    # slowest is named, so rounding cannot change the choice.
+    weight = max((w for _, w in found), default=0.0)
+    omega = min((o for o, w in found if w >= weight * (1.0 - 1e-9)), default=0.0)
+    return vectors @ part @ vectors.conj().T, weight, omega
+
+
+def steady_state(rho0, liouvillian: Liouvillian,
+                 convergence_tol: float = 1e-9) -> SteadyStateResult:
+    """The exact t -> infinity limit of ``rho0`` under the given generator.
+
+    "Steady" means that limit and nothing looser: it is the HS-orthogonal
+    projection of ``rho0`` onto ker L (ker L = ker L^dagger for a Hermitian
+    jump; Albert & Jiang, PRA 89, 022118 (2014)), built from
+    :func:`steady_state_null_space`. Where levels are split by very little,
+    relaxation toward that limit can take very long; the limit is returned
+    all the same. Energies closer than ``DEGENERACY_TOL`` count as one level.
+    A symmetry broken only slightly (dark states brightened, or levels split,
+    by about 1e-11 to 1e-8) leaves the kernel ill-conditioned in double
+    precision; the result then fails :meth:`DensityMatrix.validate`.
+
+    The limit exists only when ``rho0`` has no weight on the purely imaginary
+    eigenvalues i omega != 0 of L. When that part's residual
+    ``||L X_per||_inf`` reaches ``convergence_tol`` (it never decays, so the
+    residual of rho(t) never falls below it), raises
+    :class:`SteadyStateNotConverged` naming omega and the weight. The result
+    is validated as a density matrix and carries its residual.
+    """
+    rho0 = _as_matrix(rho0)
+    dim = liouvillian.dim
+    if rho0.shape != (dim, dim):
+        raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
+    peripheral, weight, omega = _peripheral_part(rho0, liouvillian, convergence_tol)
+    residual = liouvillian.residual(peripheral)
+    if residual >= convergence_tol:
+        raise SteadyStateNotConverged(
+            f"weight {weight:.6g} on the undamped eigenvalues +-i{omega:.6g} of L gives "
+            f"residual {residual:.3e}, never below tol {convergence_tol:g}; the initial "
+            "state straddles symmetry sectors with undamped coherences",
+            residual=residual, omega=omega, weight=weight,
+        )
+    kernel = steady_state_null_space(liouvillian)
+    rho = unvectorize(kernel @ (kernel.conj().T @ vectorize(rho0)), dim)
+    state = DensityMatrix(rho)
+    state.validate()
+    return SteadyStateResult(state=state, residual=liouvillian.residual(rho))

@@ -183,3 +183,14 @@ def jw_pair_rdm(rho: np.ndarray, basis, i: int, j: int) -> np.ndarray:
 def xstate_concurrence(p00: float, p11: float, coherence: complex) -> float:
     """Closed form for the number-conserving X pair: 2 max(0, |z| - sqrt(p00 p11))."""
     return max(0.0, 2.0 * (abs(coherence) - math.sqrt(max(p00, 0.0) * max(p11, 0.0))))
+
+
+# ----------------------------------------------------------------------
+# Kernel of a superoperator by brute force
+# ----------------------------------------------------------------------
+
+def dense_kernel(superoperator: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal kernel basis of a dense superoperator: the right singular
+    vectors of its full SVD whose singular value is below ``tol``."""
+    _u, svals, vh = np.linalg.svd(superoperator)
+    return vh[svals < tol].conj().T

@@ -28,7 +28,7 @@ from dephchain.lindblad import (
     DensityMatrix,
     dephasing_liouvillian,
     evolve,
-    steady_state_by_integration,
+    steady_state,
     vectorize,
 )
 from dephchain.model import LatticeSpec, bare_mode_parity
@@ -65,7 +65,7 @@ def test_criterion_01_n3_steady_state_under_one_second():
         started = time.perf_counter()
         _, basis, liou = n3_setup()
         rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
-        steady = steady_state_by_integration(rho0, liou, convergence_tol=1e-9)
+        steady = steady_state(rho0, liou, convergence_tol=1e-9)
         expected = np.array([[0.25, 0, 0.25], [0, 0.5, 0], [0.25, 0, 0.25]])
         deviation = np.abs(steady.state.matrix - expected).max()
         elapsed = time.perf_counter() - started
@@ -99,7 +99,7 @@ def test_criterion_03_n5_steady_state_appendix_values():
         basis = ManyBodyBasis(5, 1)
         liou = dephasing_liouvillian(spec, basis)
         rho0 = DensityMatrix.from_pure(fock_state(basis, "00100"), basis)
-        steady = steady_state_by_integration(rho0, liou, convergence_tol=1e-10)
+        steady = steady_state(rho0, liou, convergence_tol=1e-10)
         rho = steady.state.matrix
         expected = analytic_steady_state(5)
         assert np.abs(rho - expected).max() < 1e-7
@@ -125,7 +125,7 @@ def test_criterion_04_kernel_membership_and_uniqueness():
                 fock_state(basis, center),
             ]
             for psi in initial_states:
-                steady = steady_state_by_integration(
+                steady = steady_state(
                     DensityMatrix.from_pure(psi, basis), liou, convergence_tol=1e-10
                 )
                 deviation = np.abs(steady.state.matrix - target).max()
@@ -155,7 +155,7 @@ def test_criterion_06_multiparticle_scaling_law():
             basis = ManyBodyBasis(n, filling)
             liou = dephasing_liouvillian(spec, basis)
             psi = even_mode_slater(basis)
-            steady = steady_state_by_integration(
+            steady = steady_state(
                 DensityMatrix.from_pure(psi, basis), liou, convergence_tol=1e-10
             )
             exact = correlation_matrix(steady.state.matrix, basis)

@@ -17,6 +17,7 @@ from dephchain.config import (
 from dephchain import experiments
 from dephchain.experiments import run
 from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, evolve
+from dephchain.oracle import analytic_steady_state
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +221,45 @@ def test_concurrence_scan_small(tmp_path):
     assert result.summary["checks"]["monotone_in_filling"] is True
 
 
+@pytest.mark.parametrize("kind, keys", [
+    ("steady", ("trace", "hermiticity", "min_eigenvalue")),
+    ("correlation-map", ("trace_drift", "min_occupation", "max_occupation")),
+    ("concurrence-scan", ("max_trace_dev", "max_herm_dev", "min_eigenvalue")),
+])
+def test_steady_runners_report_invariants(kind, keys):
+    payload = config_to_dict(default_config(kind))
+    if kind == "concurrence-scan":
+        payload["scan"] = {"sizes": [3, 5], "fillings": [1, 2], "dynamical": True}
+    result = run(config_from_dict(payload))
+    checks = result.summary["checks"]
+    assert set(keys) <= set(checks)
+    assert "elapsed_time" not in result.summary
+    assert result.invariants_ok is True
+
+
+@pytest.mark.parametrize("kind", ["correlation-map", "concurrence-scan"])
+def test_steady_runners_flag_a_broken_invariant(monkeypatch, kind):
+    # The verdict reads the occupation bound (correlation-map) and the
+    # per-sector trace (concurrence-scan from the closed-form states; a
+    # rescaled steady state still has a vanishing residual).
+    payload = config_to_dict(default_config(kind))
+    if kind == "correlation-map":
+        real = experiments.fastpath.steady_correlation
+        monkeypatch.setattr(experiments.fastpath, "steady_correlation",
+                            lambda *args, **kwargs: 1.5 * real(*args, **kwargs))
+    else:
+        real = experiments.oracle.even_sector_steady_state
+
+        def skewed(n_sites, n_particles):
+            state = real(n_sites, n_particles)
+            state.matrix *= 1.0 + 1e-6
+            return state
+
+        monkeypatch.setattr(experiments.oracle, "even_sector_steady_state", skewed)
+        payload["scan"] = {"sizes": [3], "fillings": [1]}
+    assert run(config_from_dict(payload)).invariants_ok is False
+
+
 def test_correlation_map_matches_analytic(tmp_path):
     payload = config_to_dict(default_config("correlation-map"))
     payload["lattice"]["n_sites"] = 5
@@ -280,14 +320,35 @@ def test_cli_bad_config_value(tmp_path, capsys):
 
 
 def test_cli_nonconvergence_exit_code(tmp_path, capsys):
-    # mixed-parity input has no steady state; keep t_max small via gamma
+    # A particle on site 1 of five sites puts weight on the two dark odd
+    # modes, whose coherence oscillates at omega = 2 at any gamma.
+    code = main([
+        "steady", "--out", str(tmp_path),
+        "--override", "lattice.n_sites=5",
+        "--override", 'initial_state.bitstring="10000"',
+        "--override", "lattice.dephasing_gamma=100.0",
+    ])
+    assert code == 3
+    assert "steady state not reached" in capsys.readouterr().err
+
+
+def test_cli_slow_relaxation_reaches_exact_limit(tmp_path):
+    # At N = 3 the one dark mode has no partner to oscillate against, so
+    # |100> relaxes, even though at gamma = 100 (Zeno regime) it takes a time
+    # of order 1000: the exact limit is returned, not a timeout. Half the
+    # particle sits in the dark mode (1, 0, -1)/sqrt(2), half relaxes to the
+    # even-sector X state.
     code = main([
         "steady", "--out", str(tmp_path),
         "--override", 'initial_state.bitstring="100"',
         "--override", "lattice.dephasing_gamma=100.0",
     ])
-    assert code == 3
-    assert "steady state not reached" in capsys.readouterr().err
+    assert code == 0
+    dark = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    expected = 0.5 * np.outer(dark, dark) + 0.5 * analytic_steady_state(3)
+    data = json.loads((tmp_path / "density_matrix.json").read_text())["data"]
+    rho = np.array([complex(re, im) for re, im in data]).reshape(3, 3)
+    assert np.abs(rho - expected).max() < 1e-12
 
 
 def test_cli_quench_time_before_grid_is_config_error(tmp_path, capsys):

@@ -11,7 +11,7 @@ from dephchain.entangle import (
     reduce_to_pair,
 )
 from dephchain.fock import ManyBodyBasis, even_mode_slater, fock_state
-from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, steady_state_by_integration
+from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, steady_state
 from dephchain.model import LatticeSpec
 from dephchain.oracle import (
     analytic_n3_density_matrix,
@@ -128,7 +128,7 @@ def test_closed_shell_pair_is_maximally_entangled():
     basis = ManyBodyBasis(3, 2)
     psi = even_mode_slater(basis)
     liou = dephasing_liouvillian(spec, basis)
-    steady = steady_state_by_integration(DensityMatrix.from_pure(psi, basis), liou)
+    steady = steady_state(DensityMatrix.from_pure(psi, basis), liou)
     rdm = reduce_to_pair(steady.state.matrix, basis, 1, 3)
     assert concurrence(rdm) == pytest.approx(1.0, abs=1e-7)
 

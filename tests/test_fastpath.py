@@ -15,7 +15,7 @@ from dephchain.fock import (
     even_mode_slater,
     fock_state,
 )
-from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, evolve, steady_state_by_integration
+from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, evolve, steady_state
 from dephchain.model import LatticeSpec, bare_mode_parity, build_single_particle_hamiltonian
 from dephchain.oracle import analytic_steady_state
 
@@ -103,7 +103,7 @@ def test_center_occupation_not_damped_directly():
 def test_n3_steady_correlation_values():
     spec = LatticeSpec(n_sites=3)
     c0 = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    c, _elapsed = steady_correlation(spec, c0)
+    c = steady_correlation(spec, c0)
     expected = np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0], [0.25, 0.0, 0.25]])
     assert np.abs(c - expected).max() < 1e-7
 
@@ -169,7 +169,7 @@ def test_steady_correlation_scales_with_filling():
     basis = ManyBodyBasis(9, 3)
     psi = even_mode_slater(basis)
     c0 = correlation_matrix(np.outer(psi, psi.conj()), basis)
-    c, _ = steady_correlation(LatticeSpec(n_sites=9), c0)
+    c = steady_correlation(LatticeSpec(n_sites=9), c0)
     expected = multiparticle_scaling(analytic_steady_state(9), 3)
     assert np.abs(c - expected).max() < 1e-8
 
@@ -184,7 +184,7 @@ def test_steady_correlation_pattern_invariant():
     basis = ManyBodyBasis(7, 1)
     psi = even_mode_slater(basis, which=(3,))
     c0 = correlation_matrix(np.outer(psi, psi.conj()), basis)
-    c, _ = steady_correlation(spec, c0, tol=1e-11)
+    c = steady_correlation(spec, c0, tol=1e-11)
     n = 7
     for i in range(1, n + 1):
         assert c[i - 1, i - 1].real == pytest.approx(
@@ -235,7 +235,7 @@ def test_scaling_matches_exact_closed_shell():
     basis = ManyBodyBasis(3, 2)
     psi = even_mode_slater(basis)
     liou = dephasing_liouvillian(spec, basis)
-    steady = steady_state_by_integration(DensityMatrix.from_pure(psi, basis), liou)
+    steady = steady_state(DensityMatrix.from_pure(psi, basis), liou)
     exact = correlation_matrix(steady.state.matrix, basis)
     scaled = multiparticle_scaling(analytic_steady_state(3), 2)
     assert np.abs(exact - scaled).max() < 1e-7

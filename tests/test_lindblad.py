@@ -25,14 +25,14 @@ from dephchain.lindblad import (
     dephasing_liouvillian,
     evolve,
     maximally_mixed,
-    normalize_kernel_element,
-    steady_state_by_integration,
+    steady_state,
     steady_state_null_space,
     unvectorize,
     vectorize,
 )
 from dephchain.model import LatticeSpec
 from dephchain.oracle import analytic_n3_density_matrix, analytic_steady_state
+from oracles import dense_kernel
 
 
 def n3_problem(gamma=1.0):
@@ -266,10 +266,9 @@ def test_envelope_decay_rate_is_gamma_over_four():
 def test_steady_state_n3_x_form():
     _, basis, liou = n3_problem()
     rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
-    result = steady_state_by_integration(rho0, liou)
+    result = steady_state(rho0, liou)
     rho = result.state.matrix
     assert result.residual < 1e-9
-    assert result.elapsed > 0
     expected = np.array([[0.25, 0, 0.25], [0, 0.5, 0], [0.25, 0, 0.25]])
     assert np.abs(rho - expected).max() < 1e-7
 
@@ -279,7 +278,7 @@ def test_steady_state_n5_appendix_values():
     basis = ManyBodyBasis(5, 1)
     liou = dephasing_liouvillian(spec, basis)
     rho0 = DensityMatrix.from_pure(fock_state(basis, "00100"), basis)
-    result = steady_state_by_integration(rho0, liou)
+    result = steady_state(rho0, liou)
     rho = result.state.matrix
     sixth = 1.0 / 6.0
     assert rho[0, 0].real == pytest.approx(sixth, abs=1e-7)
@@ -295,8 +294,110 @@ def test_mixed_parity_state_never_converges():
     liou = dephasing_liouvillian(spec, basis)
     rho0 = DensityMatrix.from_pure(fock_state(basis, "1010101"), basis)
     with pytest.raises(SteadyStateNotConverged) as info:
-        steady_state_by_integration(rho0, liou, t_max=150.0)
+        steady_state(rho0, liou)
     assert info.value.residual > 1e-4
+
+
+@pytest.mark.parametrize("n_sites, bits, omega, weight", [
+    (5, "10000", 2.0, 0.25),
+    (7, "1010101", 2.0 * np.sqrt(2.0), 0.2041241452),
+    (11, "10101000000", 2.0, 0.0564810071),    # 2 sqrt(3) carries the same weight
+])
+def test_nonconvergence_names_undamped_gap_and_weight(n_sites, bits, omega, weight):
+    basis = ManyBodyBasis(n_sites, bits.count("1"))
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=n_sites), basis)
+    rho0 = DensityMatrix.from_pure(fock_state(basis, bits), basis)
+    with pytest.raises(SteadyStateNotConverged) as info:
+        steady_state(rho0, liou)
+    assert info.value.omega == pytest.approx(omega, abs=1e-6)
+    assert info.value.weight == pytest.approx(weight, abs=1e-6)
+    assert info.value.residual >= 1e-9
+
+
+@pytest.mark.parametrize("n_sites", [3, 5, 7])
+def test_centre_site_input_has_no_undamped_weight(n_sites):
+    basis = ManyBodyBasis(n_sites, 1)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=n_sites), basis)
+    centre = "0" * (n_sites // 2) + "1" + "0" * (n_sites // 2)
+    rho0 = DensityMatrix.from_pure(fock_state(basis, centre), basis).matrix
+    _part, weight, _omega = lindblad._peripheral_part(rho0, liou, 1e-9)
+    assert weight == 0.0
+    result = steady_state(rho0, liou)
+    assert np.abs(result.state.matrix - analytic_steady_state(n_sites)).max() < 1e-10
+
+
+def test_steady_state_matches_long_time_evolution():
+    """An oracle that shares no code with the projection: "steady" means the
+    exact t -> infinity limit of the given generator, so on random small specs
+    (AA potential, trap, interaction, stiff gamma = 20) and random states the
+    projection must agree with a long exact propagation, or refuse the states
+    whose propagation keeps oscillating."""
+    rng = np.random.default_rng(11)
+    kinds = ("aa", "trap", "interaction", "stiff") * 2
+    converged = 0
+    for kind in kinds:
+        n_sites, filling = int(rng.choice([3, 5])), int(rng.integers(1, 3))
+        spec = LatticeSpec(
+            n_sites=n_sites,
+            dephasing_gamma=20.0 if kind == "stiff" else float(rng.uniform(0.5, 2.0)),
+            aa_amplitude=float(rng.uniform(0.3, 1.0)) if kind == "aa" else 0.0,
+            trap_amplitude=float(rng.uniform(0.5, 2.0)) if kind == "trap" else 0.0,
+            interaction=float(rng.uniform(0.3, 1.0)) if kind == "interaction" else 0.0,
+        )
+        basis = ManyBodyBasis(n_sites, filling)
+        liou = dephasing_liouvillian(spec, basis, include_trap=kind == "trap")
+        a = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
+        rho0 = a @ a.conj().T / np.trace(a @ a.conj().T)
+        late = evolve(rho0, liou, [600.0, 600.5], method="expm").states
+        try:
+            rho = steady_state(rho0, liou).state.matrix
+        except SteadyStateNotConverged:
+            assert np.abs(late[1] - late[0]).max() > 1e-6, f"{kind}: {spec}"
+            continue
+        converged += 1
+        deviation = np.abs(late[0] - rho).max()
+        assert liou.residual(late[0]) < 1e-11, f"{kind}: t = 600 is not late enough"
+        assert deviation < 1e-8, f"{kind}: {spec} deviation {deviation:.3e}"
+    assert converged >= 4
+
+
+@pytest.mark.parametrize("amplitude", [1e-7, 1e-3])
+def test_weak_aa_potential_relaxes_to_its_exact_limit(amplitude):
+    # Above DEGENERACY_TOL the potential splits the bare chain's degenerate
+    # levels and makes its dark modes bright, so the kernel is the identity
+    # alone: the exact limit is maximally mixed, though reaching it takes a
+    # time of order 1 / amplitude^2.
+    basis = ManyBodyBasis(5, 2)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=5, aa_amplitude=amplitude), basis)
+    assert steady_state_null_space(liou).shape[1] == 1
+    rho0 = DensityMatrix.from_pure(even_mode_slater(basis), basis)
+    rho = steady_state(rho0, liou).state.matrix
+    assert np.abs(rho - np.eye(basis.size) / basis.size).max() < 1e-8
+
+
+def test_aa_splitting_below_degeneracy_tol_is_one_level():
+    # A potential of 1e-13 splits the bare degenerate levels by less than
+    # DEGENERACY_TOL: they stay one level and the bare chain's limit holds.
+    basis = ManyBodyBasis(5, 2)
+    rho0 = DensityMatrix.from_pure(even_mode_slater(basis), basis)
+    bare = steady_state(rho0, dephasing_liouvillian(LatticeSpec(n_sites=5), basis))
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=5, aa_amplitude=1e-13), basis)
+    assert steady_state_null_space(liou).shape[1] == 4
+    result = steady_state(rho0, liou)
+    assert np.abs(result.state.matrix - bare.state.matrix).max() < 1e-11
+    assert result.residual < 1e-12
+
+
+def test_steady_state_needs_diagonal_projector_jump():
+    h = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    for jump in (np.array([[0.5, 0.5], [0.5, 0.5]]), np.diag([2.0, 0.0])):
+        with pytest.raises(ValueError, match="0/1 jump"):
+            steady_state(rho0, build_liouvillian(h, 1.0, jump))
+    bare = Liouvillian(matrix=build_liouvillian(h, 1.0, np.diag([1.0, 0.0])).matrix,
+                       dim=2, gamma=1.0)
+    with pytest.raises(ValueError, match="Hamiltonian"):
+        steady_state(rho0, bare)
 
 
 def test_null_space_contains_analytic_steady_state():
@@ -323,32 +424,39 @@ def test_null_space_unitary_case_has_large_kernel():
     assert kernel.shape[1] >= 3   # one projector per nondegenerate level
 
 
-def test_null_space_iterative_path_matches_dense():
-    # force the shift-inverted Arnoldi branch on a problem small enough to
-    # also solve densely
-    spec = LatticeSpec(n_sites=5)
-    basis = ManyBodyBasis(5, 2)
-    liou = dephasing_liouvillian(spec, basis)
-    dense_kernel = steady_state_null_space(liou)
-    sparse_kernel = steady_state_null_space(liou, dense_limit=1, max_kernel_dim=20)
-    assert sparse_kernel.shape == dense_kernel.shape
-    # same subspace: projections agree
-    proj_dense = dense_kernel @ dense_kernel.conj().T
-    proj_sparse = sparse_kernel @ sparse_kernel.conj().T
-    assert np.abs(proj_dense - proj_sparse).max() < 1e-8
+def test_null_space_matches_dense_svd():
+    cases = [
+        (LatticeSpec(n_sites=3), 1),
+        (LatticeSpec(n_sites=5), 1),
+        (LatticeSpec(n_sites=5), 2),
+        (LatticeSpec(n_sites=5, dephasing_gamma=0.0), 2),
+        (LatticeSpec(n_sites=5, aa_amplitude=0.4), 2),
+        (LatticeSpec(n_sites=5, interaction=0.7), 2),
+        (LatticeSpec(n_sites=5, interaction=0.7, dephasing_gamma=0.0), 1),
+    ]
+    for spec, filling in cases:
+        liou = dephasing_liouvillian(spec, ManyBodyBasis(spec.n_sites, filling))
+        kernel = steady_state_null_space(liou)
+        dense = dense_kernel(liou.matrix.toarray())
+        assert kernel.shape == dense.shape, (spec, filling)
+        projector_gap = np.abs(kernel @ kernel.conj().T - dense @ dense.conj().T).max()
+        assert projector_gap < 1e-8, (spec, filling, projector_gap)
 
 
 def test_kernel_elements_are_physical():
+    # The kernel projection of every basis state is a density matrix, and
+    # the kernel holds the maximally mixed state.
     _, basis, liou = n3_problem()
     kernel = steady_state_null_space(liou)
-    kinds = set()
-    for col in kernel.T:
-        kind, matrix = normalize_kernel_element(col)
-        kinds.add(kind)
-        if kind == "density":
-            assert abs(np.trace(matrix) - 1.0) < 1e-9
-            assert np.linalg.eigvalsh(matrix).min() > -1e-8
-    assert "density" in kinds
+    for k in range(basis.size):
+        pure = np.zeros((basis.size, basis.size), dtype=complex)
+        pure[k, k] = 1.0
+        rho = unvectorize(kernel @ (kernel.conj().T @ vectorize(pure)))
+        assert abs(np.trace(rho) - 1.0) < 1e-9
+        assert np.abs(rho - rho.conj().T).max() < 1e-10
+        assert np.linalg.eigvalsh(rho).min() > -1e-8
+    identity = vectorize(maximally_mixed(basis.size))
+    assert np.linalg.norm(kernel @ (kernel.conj().T @ identity) - identity) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +509,7 @@ def test_x_form_of_even_sector_steady_state():
     basis = ManyBodyBasis(7, 1)
     liou = dephasing_liouvillian(spec, basis)
     rho0 = DensityMatrix.from_pure(even_mode_slater(basis, which=(2,)), basis)
-    result = steady_state_by_integration(rho0, liou)
+    result = steady_state(rho0, liou)
     flag, off = is_x_state(result.state.matrix, tol=1e-7)
     assert flag, f"off-pattern magnitude {off}"
 

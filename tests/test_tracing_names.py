@@ -2,7 +2,9 @@
 scipy kernels ``lindblad.expm``, ``lindblad.splinalg`` and
 ``fastpath.solve_ivp``. Removing one of those imports breaks
 ``dephbench/run.py --trace 1`` without failing any other test, so a traced
-run is made here, in a subprocess that keeps the wrapping out of this one."""
+run is made here, in a subprocess that keeps the wrapping out of this one.
+``correlation-map`` solves for its steady state without propagating, so a
+small ``evolve`` is traced as well."""
 
 import json
 import subprocess
@@ -25,6 +27,10 @@ tracing.install(tracer)
 payload = config_to_dict(default_config("correlation-map"))
 payload["lattice"]["n_sites"] = 5
 run(config_from_dict(payload))
+basis = dephchain.ManyBodyBasis(3, 1)
+dephchain.evolve(dephchain.DensityMatrix.from_pure(dephchain.fock_state(basis, "010"), basis),
+                 dephchain.dephasing_liouvillian(dephchain.LatticeSpec(n_sites=3), basis),
+                 [0.0, 1.0], method="expm")
 metrics, _ = tracing.layer_metrics(tracer.spans, tracer.counters)
 print(json.dumps({{name: value for name, (value, _unit) in metrics.items()}}))
 """
