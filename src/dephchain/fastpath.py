@@ -65,7 +65,7 @@ def evolve_with_hamiltonian(c0: np.ndarray, h: np.ndarray, gamma: float, center:
     """
     liouvillian, rho0, filling = _one_particle_problem(c0, np.asarray(h, dtype=float),
                                                        gamma, center)
-    trajectory = evolve(rho0, liouvillian, times, method="expm")
+    trajectory = evolve(rho0, liouvillian, times)
     return [filling * rho.T for rho in trajectory.states]
 
 

@@ -5,8 +5,8 @@ Basis states are occupation bitstrings with site 1 leftmost; the state
 creation operators sorted by ascending site index. Every fermionic sign in
 this module derives from that single ordering convention.
 
-Operators are returned as plain matrices: dense ``numpy`` arrays for sector
-dimension <= 64 and ``scipy.sparse`` CSR above that.
+Operators are returned as ``scipy.sparse`` CSR matrices at every sector
+dimension; states and density matrices are dense ``numpy`` arrays.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .model import (
     bare_mode_parity,
     build_single_particle_hamiltonian,
 )
-
-DENSE_LIMIT = 64
 
 
 class ManyBodyBasis:
@@ -87,14 +85,6 @@ def _parity_below(mask: int, n: int, site: int) -> int:
     return (mask >> (n - site + 1)).bit_count()
 
 
-def _finalize(rows, cols, vals, size):
-    if size <= DENSE_LIMIT:
-        out = np.zeros((size, size))
-        out[rows, cols] = vals
-        return out
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
-
-
 def bilinear_operator(basis: ManyBodyBasis, i: int, j: int):
     """Matrix of the hopping bilinear ``f!_i f_j`` in the sector basis.
 
@@ -102,25 +92,32 @@ def bilinear_operator(basis: ManyBodyBasis, i: int, j: int):
     anticommuting ``f_j`` and then ``f!_i`` through the canonically ordered
     creation-operator product.
     """
+    return _bilinear_sum(basis, [(i, j, 1.0)])
+
+
+def _bilinear_sum(basis: ManyBodyBasis, terms) -> sparse.csr_matrix:
+    """``sum_k c_k f!_{i_k} f_{j_k}`` over ``terms`` of (i, j, c), assembled
+    as one CSR matrix. Distinct off-diagonal terms never share an element."""
     n = basis.n_sites
-    for site in (i, j):
-        if not 1 <= site <= n:
-            raise ValueError(f"site index {site} outside 1..{n}")
-    bit_i, bit_j = 1 << (n - i), 1 << (n - j)
     rows, cols, vals = [], [], []
-    for q, mask in enumerate(basis.states):
-        if not mask & bit_j:
-            continue
-        sign = -1 if _parity_below(mask, n, j) & 1 else 1
-        interim = mask & ~bit_j
-        if interim & bit_i:
-            continue
-        if _parity_below(interim, n, i) & 1:
-            sign = -sign
-        rows.append(basis.index[interim | bit_i])
-        cols.append(q)
-        vals.append(float(sign))
-    return _finalize(rows, cols, vals, basis.size)
+    for i, j, coefficient in terms:
+        for site in (i, j):
+            if not 1 <= site <= n:
+                raise ValueError(f"site index {site} outside 1..{n}")
+        bit_i, bit_j = 1 << (n - i), 1 << (n - j)
+        for q, mask in enumerate(basis.states):
+            if not mask & bit_j:
+                continue
+            sign = -1 if _parity_below(mask, n, j) & 1 else 1
+            interim = mask & ~bit_j
+            if interim & bit_i:
+                continue
+            if _parity_below(interim, n, i) & 1:
+                sign = -sign
+            rows.append(basis.index[interim | bit_i])
+            cols.append(q)
+            vals.append(sign * coefficient)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(basis.size, basis.size))
 
 
 def number_operator(basis: ManyBodyBasis, i: int):
@@ -129,10 +126,7 @@ def number_operator(basis: ManyBodyBasis, i: int):
 
 
 def total_number_operator(basis: ManyBodyBasis):
-    n = basis.n_sites
     diag = np.array([float(bin(m).count("1")) for m in basis.states])
-    if basis.size <= DENSE_LIMIT:
-        return np.diag(diag)
     return sparse.diags(diag, format="csr")
 
 
@@ -149,27 +143,13 @@ def build_many_body_hamiltonian(spec: LatticeSpec, basis: ManyBodyBasis,
         )
     n = spec.n_sites
     h = build_single_particle_hamiltonian(spec, include_trap=include_trap)
-    out = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if h[i - 1, j - 1] == 0.0:
-                continue
-            term = h[i - 1, j - 1] * bilinear_operator(basis, i, j)
-            out = term if out is None else out + term
-    if out is None:
-        out = _finalize([], [], [], basis.size)
-    if spec.interaction:
-        bonds = np.array(
-            [
-                float(sum(_occ(m, n, i) * _occ(m, n, i + 1) for i in range(1, n)))
-                for m in basis.states
-            ]
-        )
-        if sparse.issparse(out):
-            out = (out + sparse.diags(spec.interaction * bonds)).tocsr()
-        else:
-            out = out + np.diag(spec.interaction * bonds)
-    return out
+    hopping = [(i + 1, j + 1, h[i, j]) for i, j in zip(*np.nonzero(h)) if i != j]
+    # Diagonal terms overlap, so they are summed here, site by site in
+    # ascending order, and not left to the CSR assembly.
+    diagonal = [sum(h[s - 1, s - 1] for s in basis.occupied_sites(m))
+                + spec.interaction * sum(_occ(m, n, i) * _occ(m, n, i + 1) for i in range(1, n))
+                for m in basis.states]
+    return _bilinear_sum(basis, hopping) + sparse.diags(diagonal, format="csr")
 
 
 def _reorder_parity(sequence) -> int:
@@ -200,7 +180,7 @@ def reflection_operator(basis: ManyBodyBasis):
         rows.append(basis.index[target])
         cols.append(q)
         vals.append(float(sign))
-    return _finalize(rows, cols, vals, basis.size)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(basis.size, basis.size))
 
 
 def charge_operator(basis: ManyBodyBasis):
@@ -212,13 +192,8 @@ def charge_operator(basis: ManyBodyBasis):
     occupations of even- and odd-parity modes.
     """
     n = basis.n_sites
-    out = None
-    for i in range(1, n + 1):
-        term = bilinear_operator(basis, i, n + 1 - i)
-        out = term if out is None else out + term
-    half = 0.5 * (sparse.identity(basis.size, format="csr")
-                  if sparse.issparse(out) else np.eye(basis.size))
-    return (out - half).tocsr() if sparse.issparse(out) else out - half
+    reversal = [(i, n + 1 - i, 1.0) for i in range(1, n + 1)]
+    return _bilinear_sum(basis, reversal) - 0.5 * sparse.identity(basis.size, format="csr")
 
 
 @dataclass(frozen=True)
@@ -314,11 +289,7 @@ def correlation_matrix(rho: np.ndarray, basis: ManyBodyBasis) -> np.ndarray:
     out = np.empty((n, n), dtype=complex)
     for j in range(1, n + 1):
         for k in range(1, n + 1):
-            op = bilinear_operator(basis, j, k)
-            if sparse.issparse(op):
-                out[j - 1, k - 1] = (op @ rho).diagonal().sum()
-            else:
-                out[j - 1, k - 1] = np.trace(op @ rho)
+            out[j - 1, k - 1] = (bilinear_operator(basis, j, k) @ rho).diagonal().sum()
     return out
 
 
@@ -337,9 +308,7 @@ def charge_sector_weights(state, basis: ManyBodyBasis, tol: float = 1e-9) -> dic
     so it works for arbitrary input states. Weights below ``tol`` are dropped.
     """
     rho = _as_density(state)
-    op = charge_operator(basis)
-    dense = op.toarray() if sparse.issparse(op) else op
-    evals, evecs = np.linalg.eigh(dense)
+    evals, evecs = np.linalg.eigh(charge_operator(basis).toarray())
     weights: dict[float, float] = {}
     for lam in sorted(set(np.round(evals * 2) / 2)):
         cols = evecs[:, np.abs(evals - lam) < 0.25]
@@ -352,12 +321,9 @@ def charge_sector_weights(state, basis: ManyBodyBasis, tol: float = 1e-9) -> dic
 def parity_sector_weights(state, basis: ManyBodyBasis) -> tuple[float, float]:
     """(even, odd) reflection-sector populations of a state."""
     rho = _as_density(state)
-    refl = reflection_operator(basis)
-    dense = refl.toarray() if sparse.issparse(refl) else refl
-    identity = np.eye(basis.size)
-    even = float(np.real(np.trace(0.5 * (identity + dense) @ rho)))
-    odd = float(np.real(np.trace(0.5 * (identity - dense) @ rho)))
-    return even, odd
+    reflected = float(np.real((reflection_operator(basis) @ rho).diagonal().sum()))
+    trace = float(np.real(np.trace(rho)))
+    return 0.5 * (trace + reflected), 0.5 * (trace - reflected)
 
 
 def even_mode_slater(basis: ManyBodyBasis, which: tuple[int, ...] | None = None,

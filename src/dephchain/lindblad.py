@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
-from scipy.integrate import DOP853
 from scipy.linalg import expm  # noqa: F401  (dephbench/tracing.py wraps it by name)
 
 from .fock import ManyBodyBasis, build_many_body_hamiltonian, number_operator
@@ -112,29 +111,36 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def expectation(self, operator) -> complex:
-        if sparse.issparse(operator):
-            return complex((operator @ self.matrix).diagonal().sum())
-        return complex(np.trace(np.asarray(operator) @ self.matrix))
+        return complex(_expectations(operator, [self.matrix])[0])
 
     def validate(self, trace_tol: float = TRACE_TOL, herm_tol: float = HERMITICITY_TOL,
                  psd_tol: float = POSITIVITY_TOL) -> None:
         deviations = invariant_deviations(self.matrix)
-        if deviations["trace"] > trace_tol:
-            raise InvariantViolation(f"|Tr rho - 1| = {deviations['trace']:.3e}")
-        if deviations["hermiticity"] > herm_tol:
-            raise InvariantViolation(f"||rho - rho!|| = {deviations['hermiticity']:.3e}")
+        if deviations["max_trace_dev"] > trace_tol:
+            raise InvariantViolation(f"|Tr rho - 1| = {deviations['max_trace_dev']:.3e}")
+        if deviations["max_herm_dev"] > herm_tol:
+            raise InvariantViolation(f"||rho - rho!|| = {deviations['max_herm_dev']:.3e}")
         if deviations["min_eigenvalue"] < -psd_tol:
             raise InvariantViolation(
                 f"min eigenvalue {deviations['min_eigenvalue']:.3e} below -{psd_tol}"
             )
 
 
+def _expectations(operator, states) -> np.ndarray:
+    """Tr[O rho] for each rho of ``states``, summed over the nonzero entries
+    of the (sparse or dense) operator O only."""
+    op = sparse.coo_matrix(operator)
+    return np.array([rho[op.col, op.row] @ op.data for rho in states], dtype=complex)
+
+
 def invariant_deviations(rho: np.ndarray) -> dict[str, float]:
-    """Trace, hermiticity, and positivity deviations of a density matrix."""
+    """Trace, hermiticity, and positivity deviations of a density matrix,
+    named as in a trajectory's diagnostics (the worst of its samples)."""
     herm = np.abs(rho - rho.conj().T).max()
     trace = abs(np.trace(rho) - 1.0)
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    return {"trace": float(trace), "hermiticity": float(herm), "min_eigenvalue": min_eig}
+    return {"max_trace_dev": float(trace), "max_herm_dev": float(herm),
+            "min_eigenvalue": min_eig}
 
 
 def maximally_mixed(dim: int) -> np.ndarray:
@@ -229,29 +235,24 @@ class Trajectory:
 
     times: np.ndarray
     states: list[np.ndarray]
-    basis: ManyBodyBasis | None = None
-    method: str = ""
     diagnostics: dict = field(default_factory=dict)
 
     def final(self) -> np.ndarray:
         return self.states[-1]
 
     def expectations(self, operator) -> np.ndarray:
-        dense = operator.toarray() if sparse.issparse(operator) else np.asarray(operator)
-        return np.array([np.trace(dense @ rho) for rho in self.states])
+        return _expectations(operator, self.states)
 
 
 def _check_sample(rho: np.ndarray, t: float, diagnostics: dict) -> None:
     dev = invariant_deviations(rho)
-    diagnostics["max_trace_dev"] = max(diagnostics.get("max_trace_dev", 0.0), dev["trace"])
-    diagnostics["max_herm_dev"] = max(diagnostics.get("max_herm_dev", 0.0), dev["hermiticity"])
-    diagnostics["min_eigenvalue"] = min(
-        diagnostics.get("min_eigenvalue", 0.0), dev["min_eigenvalue"]
-    )
-    if dev["trace"] > ABORT_FACTOR * TRACE_TOL:
-        raise InvariantViolation(f"trace deviation {dev['trace']:.3e} at t={t:g}")
-    if dev["hermiticity"] > ABORT_FACTOR * HERMITICITY_TOL:
-        raise InvariantViolation(f"hermiticity deviation {dev['hermiticity']:.3e} at t={t:g}")
+    for key, value in dev.items():
+        worst = min if key == "min_eigenvalue" else max
+        diagnostics[key] = worst(diagnostics.get(key, 0.0), value)
+    if dev["max_trace_dev"] > ABORT_FACTOR * TRACE_TOL:
+        raise InvariantViolation(f"trace deviation {dev['max_trace_dev']:.3e} at t={t:g}")
+    if dev["max_herm_dev"] > ABORT_FACTOR * HERMITICITY_TOL:
+        raise InvariantViolation(f"hermiticity deviation {dev['max_herm_dev']:.3e} at t={t:g}")
     if dev["min_eigenvalue"] < -ABORT_FACTOR * POSITIVITY_TOL:
         raise InvariantViolation(
             f"negative eigenvalue {dev['min_eigenvalue']:.3e} at t={t:g}"
@@ -287,9 +288,16 @@ def _expm_samples(generator, vec: np.ndarray, times: np.ndarray):
     return samples
 
 
-def evolve(rho0, liouvillian: Liouvillian, times, method: str = "adaptive",
-           rtol: float = 1e-9, atol: float = 1e-12, check: bool = True) -> Trajectory:
+def evolve(rho0, liouvillian: Liouvillian, times) -> Trajectory:
     """Propagate ``rho0`` under the Liouvillian and sample at ``times``.
+
+    Applies the exact exponential with scipy's ``expm_multiply`` (Al-Mohy &
+    Higham 2011) and never forms a dense matrix: a grid that is
+    ``np.linspace`` over its own ends (to a few ulps) is evaluated in one
+    interval call, any other grid one step per distinct time; the first
+    sample is reached by a separate call when it is later than 0. Every
+    sample is checked for trace, hermiticity and positivity, and the run
+    aborts when a deviation exceeds ten times its tolerance.
 
     Parameters
     ----------
@@ -298,22 +306,7 @@ def evolve(rho0, liouvillian: Liouvillian, times, method: str = "adaptive",
     times : array-like
         Non-decreasing sample times, first entry >= 0. A requested t = 0
         returns ``rho0`` exactly.
-    method : {"adaptive", "expm"}
-        "adaptive" is an explicit Runge-Kutta integrator (DOP853) with the
-        given tolerances, stepped exactly onto each sample time: every
-        sample is the state at an accepted step, never a dense-output
-        interpolation. "expm" applies the exact exponential with scipy's
-        ``expm_multiply`` (Al-Mohy & Higham 2011) and never forms a dense
-        matrix: a grid that is ``np.linspace`` over its own ends (to a few
-        ulps) is evaluated in one interval call, any other grid one step per
-        distinct time; the first sample is reached by a separate call when
-        it is later than 0. Both paths are exact; the test only picks the
-        faster.
-    check : bool
-        Validate trace/hermiticity/positivity at every sample and abort when
-        any deviation exceeds ten times its tolerance.
     """
-    basis = rho0.basis if isinstance(rho0, DensityMatrix) else None
     rho0 = _as_matrix(rho0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
@@ -325,40 +318,12 @@ def evolve(rho0, liouvillian: Liouvillian, times, method: str = "adaptive",
     if rho0.shape != (dim, dim):
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
 
-    states: list[np.ndarray] = []
-    if method == "expm":
-        samples = _expm_samples(liouvillian.matrix, vectorize(rho0), times)
-        states = [rho0.copy() if t == 0.0 else unvectorize(vec, dim)
-                  for t, vec in zip(times, samples)]
-    elif method == "adaptive":
-        generator = liouvillian.matrix
-
-        def rhs(_t, y):
-            return generator @ y
-
-        # The stepper's bound is each sample time in turn, so every sample is
-        # the end of an accepted step. DOP853's dense-output interpolant is
-        # never evaluated: at stiff rates it amplifies the anti-Hermitian part
-        # of rho far beyond what the accepted steps carry.
-        vec = vectorize(rho0)
-        t_prev, step = 0.0, None
-        for t in times:
-            if t > t_prev:
-                solver = DOP853(rhs, t_prev, vec, float(t), rtol=rtol, atol=atol,
-                                first_step=None if step is None else min(step, t - t_prev))
-                while solver.status == "running":
-                    message = solver.step()
-                    if solver.status == "failed":
-                        raise RuntimeError(f"integrator aborted: {message}")
-                vec, t_prev, step = solver.y, float(t), solver.step_size
-            states.append(rho0.copy() if t == 0.0 else unvectorize(vec, dim))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    trajectory = Trajectory(times=times, states=states, basis=basis, method=method)
-    if check:
-        for t, rho in zip(times, states):
-            _check_sample(rho, t, trajectory.diagnostics)
+    samples = _expm_samples(liouvillian.matrix, vectorize(rho0), times)
+    states = [rho0.copy() if t == 0.0 else unvectorize(vec, dim)
+              for t, vec in zip(times, samples)]
+    trajectory = Trajectory(times=times, states=states)
+    for t, rho in zip(times, states):
+        _check_sample(rho, t, trajectory.diagnostics)
     return trajectory
 
 

@@ -82,11 +82,10 @@ def test_criterion_02_full_trajectory_match_all_regimes():
         for gamma in (0.5, 1.0, 2.0, 4.0, 20.0):
             _, basis, liou = n3_setup(gamma)
             rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
-            for method in ("expm", "adaptive"):
-                traj = evolve(rho0, liou, times, method=method)
-                for t, rho in zip(times, traj.states):
-                    dev = np.abs(rho - analytic_n3_density_matrix(t, gamma)).max()
-                    worst = max(worst, dev)
+            traj = evolve(rho0, liou, times)
+            for t, rho in zip(times, traj.states):
+                dev = np.abs(rho - analytic_n3_density_matrix(t, gamma)).max()
+                worst = max(worst, dev)
         elapsed = time.perf_counter() - started
         assert worst < 1e-7, f"max trajectory error {worst:.3e}"
         assert elapsed < 10.0, f"runtime {elapsed:.2f}s exceeds 10 s"
@@ -190,7 +189,7 @@ def test_criterion_08_odd_sector_dark_states():
             basis = ManyBodyBasis(n, filling)
             liou = dephasing_liouvillian(spec, basis)
             rho0 = DensityMatrix.from_pure(odd_mode_slater(basis), basis)
-            traj = evolve(rho0, liou, np.linspace(0.0, 100.0, 21), method="expm")
+            traj = evolve(rho0, liou, np.linspace(0.0, 100.0, 21))
             deviation = max(np.abs(rho - rho0.matrix).max() for rho in traj.states)
             assert deviation < 1e-9, f"(N={n}, Np={filling}): {deviation:.3e}"
 
@@ -215,7 +214,7 @@ def test_criterion_09_conserved_charges_along_trajectories():
                 psi = odd_mode_slater(basis)
             liou = dephasing_liouvillian(spec, basis)
             traj = evolve(DensityMatrix.from_pure(psi, basis), liou,
-                          np.linspace(0.0, horizon, 21), method="expm")
+                          np.linspace(0.0, horizon, 21))
             charge = traj.expectations(charge_operator(basis)).real
             number = traj.expectations(total_number_operator(basis)).real
             parity = np.array([parity_sector_weights(r, basis)[0] for r in traj.states])
@@ -244,8 +243,7 @@ def test_criterion_10_fastpath_equals_liouvillian():
                           for w, k in zip(weights, parity.even))
                 c0 = np.outer(psi.conj(), psi)
                 fast = correlation_evolve(spec, c0, times)
-                traj = evolve(DensityMatrix.from_pure(psi, basis), liou, times,
-                              method="expm")
+                traj = evolve(DensityMatrix.from_pure(psi, basis), liou, times)
                 full = [correlation_matrix(rho, basis) for rho in traj.states]
                 worst = max(np.abs(a - b).max() for a, b in zip(fast, full))
                 assert worst < 1e-8, f"N={n}: max deviation {worst:.3e}"
@@ -320,8 +318,7 @@ def test_criterion_13_robustness_perturbations():
         basis = ManyBodyBasis(9, 1)
         liou = dephasing_liouvillian(spec, basis)
         psi = even_mode_slater(basis)     # bare ground state
-        rho = evolve(DensityMatrix.from_pure(psi, basis), liou, [100.0],
-                     method="expm").final()
+        rho = evolve(DensityMatrix.from_pure(psi, basis), liou, [100.0]).final()
         unperturbed = concurrence(reduce_to_pair(rho, basis, 1, 9))
         assert abs(by_amplitude[0.0] - unperturbed) < 1e-7
         assert by_amplitude[0.05] > 0.05, by_amplitude

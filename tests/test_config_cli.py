@@ -16,6 +16,7 @@ from dephchain.config import (
 )
 from dephchain import experiments
 from dephchain.experiments import run
+from dephchain.fock import fock_state
 from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, evolve
 from dephchain.oracle import analytic_steady_state
 
@@ -175,9 +176,29 @@ def test_fock_quench_state_matches_fresh_propagation(monkeypatch, quench_time, o
     assert len(starts) == (2 if on_grid else 3)
     basis, psi = experiments.build_initial_state(config.lattice, config.initial_state)
     fresh = evolve(DensityMatrix.from_pure(psi, basis),
-                   dephasing_liouvillian(config.lattice, basis), [quench_time],
-                   method="expm").final()
+                   dephasing_liouvillian(config.lattice, basis), [quench_time]).final()
     assert np.abs(starts[-1] - fresh).max() < 1e-12
+
+
+@pytest.mark.parametrize("key, value", [("min_eigenvalue", -5e-8), ("max_herm_dev", 5e-10)])
+def test_fock_quench_verdict_reads_the_post_quench_trajectory(monkeypatch, key, value):
+    # Each value lies past its limit but short of the abort level, and only
+    # the post-quench trajectory (the second of two on-grid calls) carries it.
+    config = _small_quench({"start": 0.0, "stop": 10.0, "num": 101}, 4.0)
+    calls = []
+
+    def breaking(*args, **kwargs):
+        trajectory = evolve(*args, **kwargs)
+        calls.append(trajectory)
+        if len(calls) == 2:
+            trajectory.diagnostics[key] = value
+        return trajectory
+
+    monkeypatch.setattr(experiments, "evolve", breaking)
+    result = run(config)
+    assert len(calls) == 2
+    assert result.summary["checks"][key] == value
+    assert result.invariants_ok is False
 
 
 def test_fock_quench_points_grid_uses_window_step():
@@ -222,7 +243,7 @@ def test_concurrence_scan_small(tmp_path):
 
 
 @pytest.mark.parametrize("kind, keys", [
-    ("steady", ("trace", "hermiticity", "min_eigenvalue")),
+    ("steady", ("max_trace_dev", "max_herm_dev", "min_eigenvalue")),
     ("correlation-map", ("trace_drift", "min_occupation", "max_occupation")),
     ("concurrence-scan", ("max_trace_dev", "max_herm_dev", "min_eigenvalue")),
 ])
@@ -374,3 +395,59 @@ def test_cli_correlation_map_nonconvergence_exit_code(tmp_path, capsys):
     ])
     assert code == 3
     assert "steady state not reached" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# conservation verdict
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("override, broken", [
+    ("lattice.aa_amplitude=0.5", ["charge_drift", "parity_even_drift"]),
+    ("lattice.interaction=0.5", ["charge_drift"]),
+], ids=["aa", "interaction"])
+def test_evolve_does_not_enforce_charges_the_model_breaks(tmp_path, override, broken):
+    # The drifts stay in the summary, but only the charges that commute with
+    # the jump and the Hamiltonian count toward the verdict.
+    code = main(["evolve", "--out", str(tmp_path), "--override", override,
+                 "--override", "lattice.n_sites=7", "--override", 'observables=["corr:1,7"]',
+                 "--override", 'initial_state={"type":"fock","bitstring":"1010101"}'])
+    assert code == 0
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert checks["not_enforced"] == broken
+    assert all(checks[key] > 1e-3 for key in broken)
+    assert checks["number_drift"] < 1e-8
+
+
+def test_fock_quench_does_not_enforce_charges_the_model_breaks():
+    payload = config_to_dict(_small_quench({"start": 0.0, "stop": 10.0, "num": 101}, 4.0))
+    payload["lattice"]["aa_amplitude"] = 0.3
+    result = run(config_from_dict(payload))
+    checks = result.summary["checks"]
+    assert checks["not_enforced"] == ["charge_drift", "parity_even_drift"]
+    assert checks["charge_drift"] > 1e-3
+    assert result.invariants_ok is True
+
+
+def test_bare_chain_charge_drift_fails_the_verdict(monkeypatch):
+    # The last sample is swapped for a state with the same particle number
+    # and reflection weight but the central site filled: only the charge
+    # drifts, and the bare chain conserves it, so the verdict fails.
+    payload = config_to_dict(default_config("evolve"))
+    payload["lattice"]["n_sites"] = 5
+    payload["initial_state"] = {"type": "fock", "bitstring": "11000"}
+    payload["time_grid"] = {"start": 0.0, "stop": 5.0, "num": 11}
+    payload["observables"] = ["charge"]
+
+    def drifting(rho0, *args, **kwargs):
+        trajectory = evolve(rho0, *args, **kwargs)
+        moved = fock_state(rho0.basis, "10100")
+        trajectory.states[-1] = np.outer(moved, moved.conj())
+        return trajectory
+
+    monkeypatch.setattr(experiments, "evolve", drifting)
+    result = run(config_from_dict(payload))
+    checks = result.summary["checks"]
+    assert checks["not_enforced"] == []
+    assert checks["charge_drift"] == pytest.approx(1.0)
+    assert checks["number_drift"] < 1e-8 and checks["parity_even_drift"] < 1e-8
+    assert result.invariants_ok is False

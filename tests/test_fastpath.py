@@ -23,7 +23,7 @@ from dephchain.oracle import analytic_steady_state
 def full_two_point(spec, basis, psi, times, include_trap=False):
     """Oracle route: full sector evolution, then Tr[rho f!_j f_k]."""
     liou = dephasing_liouvillian(spec, basis, include_trap=include_trap)
-    traj = evolve(DensityMatrix.from_pure(psi, basis), liou, times, method="expm")
+    traj = evolve(DensityMatrix.from_pure(psi, basis), liou, times)
     return [correlation_matrix(rho, basis) for rho in traj.states]
 
 

@@ -117,8 +117,9 @@ def test_bilinear_index_bounds():
 def test_sparse_storage_above_threshold():
     small = ManyBodyBasis(5, 2)      # dimension 10
     large = ManyBodyBasis(9, 3)      # dimension 84
-    assert isinstance(bilinear_operator(small, 1, 2), np.ndarray)
-    assert sparse.issparse(bilinear_operator(large, 1, 2))
+    for basis in (small, large):
+        op = bilinear_operator(basis, 1, 2)
+        assert sparse.issparse(op) and op.format == "csr"
 
 
 # ----------------------------------------------------------------------

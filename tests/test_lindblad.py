@@ -6,6 +6,7 @@ from scipy.linalg import expm
 import dephchain.lindblad as lindblad
 from dephchain.fock import (
     ManyBodyBasis,
+    bilinear_operator,
     charge_operator,
     even_mode_slater,
     fock_state,
@@ -20,6 +21,7 @@ from dephchain.lindblad import (
     InvariantViolation,
     Liouvillian,
     SteadyStateNotConverged,
+    Trajectory,
     build_liouvillian,
     conserved_charge_trace,
     dephasing_liouvillian,
@@ -96,12 +98,11 @@ def test_t_zero_returns_initial_state_exactly():
     assert np.array_equal(traj.states[0], rho0.matrix)
 
 
-@pytest.mark.parametrize("method", ["adaptive", "expm"])
-def test_n3_evolution_matches_appendix_closed_form(method):
+def test_n3_evolution_matches_appendix_closed_form():
     _, basis, liou = n3_problem(gamma=1.0)
     rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
     times = np.linspace(0.0, 10.0, 41)
-    traj = evolve(rho0, liou, times, method=method)
+    traj = evolve(rho0, liou, times)
     worst = max(
         np.abs(rho - analytic_n3_density_matrix(t, 1.0)).max()
         for t, rho in zip(times, traj.states)
@@ -109,38 +110,24 @@ def test_n3_evolution_matches_appendix_closed_form(method):
     assert worst < 1e-8
 
 
-@pytest.mark.parametrize("method", ["adaptive", "expm"])
 @pytest.mark.parametrize("times", [
     np.linspace(0.0, 40.0, 201),
     np.array([0.0, 40.0]),
     np.array([0.0, 0.3, 7.1, 7.1, 7.2, 40.0]),
 ], ids=["criterion-grid", "coarse", "repeated-time"])
-def test_n3_hermiticity_and_closed_form_up_to_stiff_gamma(method, times):
-    # gamma = 20 puts the central-site coherences at the explicit stability
-    # limit of DOP853; its samples must stay Hermitian to the tolerance itself,
-    # not merely to the abort level.
+def test_n3_hermiticity_and_closed_form_up_to_stiff_gamma(times):
+    # Up to the stiff gamma = 20 the samples must stay Hermitian to the
+    # tolerance itself, not merely to the abort level.
     for gamma in (0.5, 1.0, 2.0, 4.0, 20.0):
         _, basis, liou = n3_problem(gamma)
         rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
-        traj = evolve(rho0, liou, times, method=method)
+        traj = evolve(rho0, liou, times)
         assert traj.diagnostics["max_herm_dev"] < HERMITICITY_TOL, f"gamma={gamma}"
         worst = max(
             np.abs(rho - analytic_n3_density_matrix(t, gamma)).max()
             for t, rho in zip(times, traj.states)
         )
         assert worst < 1e-8, f"gamma={gamma}: closed-form error {worst:.3e}"
-
-
-def test_methods_agree():
-    spec = LatticeSpec(n_sites=5, dephasing_gamma=1.5)
-    basis = ManyBodyBasis(5, 2)
-    liou = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "10010"), basis)
-    times = np.linspace(0.0, 8.0, 17)
-    a = evolve(rho0, liou, times, method="adaptive")
-    b = evolve(rho0, liou, times, method="expm")
-    worst = max(np.abs(x - y).max() for x, y in zip(a.states, b.states))
-    assert worst < 1e-7
 
 
 def _jittered_arange():
@@ -168,7 +155,7 @@ def test_expm_matches_dense_exponential(n_sites, bits, grid):
     basis = ManyBodyBasis(n_sites, bits.count("1"))
     liou = dephasing_liouvillian(spec, basis)
     rho0 = DensityMatrix.from_pure(fock_state(basis, bits), basis)
-    traj = evolve(rho0, liou, times, method="expm")
+    traj = evolve(rho0, liou, times)
     generator, vec0 = liou.matrix.toarray(), vectorize(rho0.matrix)
     # every sample of a short grid; 30 spread over a long one, the last included
     checked = np.unique(np.linspace(0, len(times) - 1, 30).round().astype(int))
@@ -196,8 +183,7 @@ def test_expm_calls_per_grid(monkeypatch, times, calls):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(lindblad.splinalg, "expm_multiply", counting)
-    evolve(DensityMatrix.from_pure(fock_state(basis, "010"), basis), liou, times,
-           method="expm")
+    evolve(DensityMatrix.from_pure(fock_state(basis, "010"), basis), liou, times)
     assert len(seen) == calls
 
 
@@ -207,15 +193,29 @@ def test_dark_state_is_stationary():
     liou = dephasing_liouvillian(spec, basis)
     rho0 = DensityMatrix.from_pure(odd_mode_slater(basis), basis)
     times = np.linspace(0.0, 50.0, 11)
-    traj = evolve(rho0, liou, times, method="expm")
+    traj = evolve(rho0, liou, times)
     worst = max(np.abs(rho - rho0.matrix).max() for rho in traj.states)
     assert worst < 1e-9
+
+
+def test_expectations_match_dense_trace():
+    # Tr[O rho] read off O's nonzero entries equals the dense trace for CSR
+    # and dense O, including a non-symmetric O on a non-Hermitian matrix.
+    basis = ManyBodyBasis(5, 2)
+    rng = np.random.default_rng(3)
+    rho = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    for op in (charge_operator(basis), bilinear_operator(basis, 1, 4),
+               rng.normal(size=(10, 10))):
+        expected = np.trace((op.toarray() if sparse.issparse(op) else op) @ rho)
+        assert abs(DensityMatrix(rho).expectation(op) - expected) < 1e-12
+        values = Trajectory(times=np.zeros(2), states=[rho, 2.0 * rho]).expectations(op)
+        assert np.abs(values - [expected, 2.0 * expected]).max() < 1e-12
 
 
 def test_trajectory_invariants_recorded():
     _, basis, liou = n3_problem()
     rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
-    traj = evolve(rho0, liou, np.linspace(0, 20, 41), method="expm")
+    traj = evolve(rho0, liou, np.linspace(0, 20, 41))
     assert traj.diagnostics["max_trace_dev"] < 1e-9
     assert traj.diagnostics["max_herm_dev"] < 1e-10
     assert traj.diagnostics["min_eigenvalue"] > -1e-8
@@ -226,7 +226,7 @@ def test_invariant_violation_aborts():
     bad = Liouvillian(matrix=sparse.identity(9, format="csr") * -0.5, dim=3, gamma=1.0)
     rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
     with pytest.raises(InvariantViolation):
-        evolve(rho0, bad, [0.0, 5.0], method="expm")
+        evolve(rho0, bad, [0.0, 5.0])
 
 
 def test_evolve_validates_times_and_method():
@@ -236,8 +236,6 @@ def test_evolve_validates_times_and_method():
         evolve(rho0, liou, [1.0, 0.5])
     with pytest.raises(ValueError):
         evolve(rho0, liou, [-1.0])
-    with pytest.raises(ValueError):
-        evolve(rho0, liou, [0.0, 1.0], method="magic")
 
 
 def test_envelope_decay_rate_is_gamma_over_four():
@@ -248,7 +246,7 @@ def test_envelope_decay_rate_is_gamma_over_four():
         liou = dephasing_liouvillian(spec, basis)
         rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
         times = np.linspace(0.0, 40.0, 4001)
-        traj = evolve(rho0, liou, times, method="expm")
+        traj = evolve(rho0, liou, times)
         dev = np.array([abs(rho[1, 1].real - 0.5) for rho in traj.states])
         peaks_t, peaks_v = [], []
         for k in range(1, len(dev) - 1):
@@ -348,7 +346,7 @@ def test_steady_state_matches_long_time_evolution():
         liou = dephasing_liouvillian(spec, basis, include_trap=kind == "trap")
         a = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
         rho0 = a @ a.conj().T / np.trace(a @ a.conj().T)
-        late = evolve(rho0, liou, [600.0, 600.5], method="expm").states
+        late = evolve(rho0, liou, [600.0, 600.5]).states
         try:
             rho = steady_state(rho0, liou).state.matrix
         except SteadyStateNotConverged:
@@ -469,7 +467,7 @@ def test_conserved_traces_along_trajectory():
     liou = dephasing_liouvillian(spec, basis)
     rho0 = DensityMatrix.from_pure(even_mode_slater(basis), basis)
     times = np.linspace(0.0, 30.0, 31)
-    traj = evolve(rho0, liou, times, method="expm")
+    traj = evolve(rho0, liou, times)
     identity = np.eye(basis.size)
     ones = conserved_charge_trace(traj, identity)
     assert np.abs(ones - 1.0).max() < 1e-10
@@ -483,7 +481,7 @@ def test_conserved_traces_along_trajectory():
 def test_single_particle_charge_trace_is_half():
     _, basis, liou = n3_problem()
     rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
-    traj = evolve(rho0, liou, np.linspace(0, 10, 11), method="expm")
+    traj = evolve(rho0, liou, np.linspace(0, 10, 11))
     charge = conserved_charge_trace(traj, charge_operator(basis))
     assert np.abs(charge - 0.5).max() < 1e-8
 
@@ -494,7 +492,7 @@ def test_even_sector_protection():
     basis = ManyBodyBasis(5, 1)
     liou = dephasing_liouvillian(spec, basis)
     rho0 = DensityMatrix.from_pure(even_mode_slater(basis, which=(1,)), basis)
-    traj = evolve(rho0, liou, np.linspace(0, 25, 26), method="expm")
+    traj = evolve(rho0, liou, np.linspace(0, 25, 26))
     from dephchain.fock import charge_sector_weights
     for rho in traj.states:
         even, odd = parity_sector_weights(rho, basis)

@@ -30,7 +30,7 @@ run(config_from_dict(payload))
 basis = dephchain.ManyBodyBasis(3, 1)
 dephchain.evolve(dephchain.DensityMatrix.from_pure(dephchain.fock_state(basis, "010"), basis),
                  dephchain.dephasing_liouvillian(dephchain.LatticeSpec(n_sites=3), basis),
-                 [0.0, 1.0], method="expm")
+                 [0.0, 1.0])
 metrics, _ = tracing.layer_metrics(tracer.spans, tracer.counters)
 print(json.dumps({{name: value for name, (value, _unit) in metrics.items()}}))
 """
