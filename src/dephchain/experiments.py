@@ -58,14 +58,17 @@ LIMITS = {
 
 @dataclass
 class RunResult:
-    """Everything a run produced: tabular payloads keyed by output file stem,
-    a summary dictionary, and the overall invariant verdict."""
+    """Everything a run produced: tabular payloads keyed by output file stem
+    and a summary dictionary whose ``checks`` give the invariant verdict."""
 
     kind: str
     summary: dict
     tables: dict[str, tuple[list[str], list[list]]] = field(default_factory=dict)
     json_payloads: dict[str, dict] = field(default_factory=dict)
-    invariants_ok: bool = True
+
+    @property
+    def invariants_ok(self) -> bool:
+        return _checks_pass(self.summary["checks"])
 
 
 def _fmt(value) -> str:
@@ -226,7 +229,7 @@ def run_evolve(config: ExperimentConfig) -> RunResult:
     basis, psi = build_initial_state(spec, config.initial_state)
     liouvillian = dephasing_liouvillian(spec, basis)
     times = config.time_grid.values()
-    trajectory = evolve(DensityMatrix.from_pure(psi, basis), liouvillian, times)
+    trajectory = evolve(DensityMatrix.from_pure(psi), liouvillian, times)
     operators = _parse_observables(config.observables, basis, spec)
     series = _series(trajectory, operators)
     checks = _conservation_checks([trajectory], basis, [liouvillian])
@@ -237,7 +240,6 @@ def run_evolve(config: ExperimentConfig) -> RunResult:
             "checks": checks,
             "final_time": float(times[-1]),
         },
-        invariants_ok=_checks_pass(checks),
     )
     result.tables["timeseries"] = _timeseries_table(times, series)
     return result
@@ -248,7 +250,7 @@ def run_steady(config: ExperimentConfig) -> RunResult:
     basis, psi = build_initial_state(spec, config.initial_state)
     liouvillian = dephasing_liouvillian(spec, basis)
     steady = steady_state(
-        DensityMatrix.from_pure(psi, basis), liouvillian,
+        DensityMatrix.from_pure(psi), liouvillian,
         convergence_tol=config.convergence_tol,
     )
     rho = steady.state.matrix
@@ -268,7 +270,6 @@ def run_steady(config: ExperimentConfig) -> RunResult:
             "is_x_state": bool(x_state),
             **diagonal,
         },
-        invariants_ok=_checks_pass(checks),
     )
     result.json_payloads["density_matrix"] = _density_payload(rho)
     return result
@@ -290,7 +291,7 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
             else list(descriptor.modes)
         chosen = parity.modes[:, [m - 1 for m in modes]]
         c0 = (chosen @ chosen.T).astype(complex)
-    c_steady = fastpath.steady_correlation(spec, c0, tol=1e-10)
+    c_steady = fastpath.steady_correlation(spec, c0, tol=config.convergence_tol)
     reference = n_particles * oracle.analytic_steady_state(n)
     occupations = np.linalg.eigvalsh(0.5 * (c_steady + c_steady.conj().T))
     checks = {
@@ -308,7 +309,6 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
             "config": config_to_dict(config),
             "checks": checks,
         },
-        invariants_ok=_checks_pass(checks),
     )
     result.tables["correlation_map"] = (header, rows)
     return result
@@ -316,7 +316,6 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
 
 def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
     scan = config.scan
-    gamma = config.lattice.dephasing_gamma
     rows, deviations = [], []
     checks: dict = {"max_sector_residual": 0.0}
     conjecture_dev = 0.0
@@ -326,13 +325,13 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
         for filling in scan.fillings:
             if filling > (n + 1) // 2:
                 continue
-            spec = LatticeSpec(n_sites=n, dephasing_gamma=gamma)
+            spec = dataclasses.replace(config.lattice, n_sites=n)
             basis = fock.ManyBodyBasis(n, filling)
             if scan.dynamical:
                 psi = fock.even_mode_slater(basis)
                 liouvillian = dephasing_liouvillian(spec, basis)
                 steady = steady_state(
-                    DensityMatrix.from_pure(psi, basis), liouvillian,
+                    DensityMatrix.from_pure(psi), liouvillian,
                     convergence_tol=config.convergence_tol,
                 )
                 rho = steady.state.matrix
@@ -361,7 +360,6 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
     result = RunResult(
         kind="concurrence-scan",
         summary={"config": config_to_dict(config), "checks": checks},
-        invariants_ok=_checks_pass(checks),
     )
     result.tables["concurrence"] = (["n_sites", "n_particles", "site", "concurrence"], rows)
     return result
@@ -384,7 +382,7 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     n = spec.n_sites
     end_to_end = fock.bilinear_operator(basis, 1, n)
     liouvillian = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(psi, basis)
+    rho0 = DensityMatrix.from_pure(psi)
 
     grid = config.time_grid
     times = grid.values()
@@ -413,7 +411,7 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
         trajectories.append(evolve(rho_at_quench, liouvillian, [t_quench - t_base]))
         rho_at_quench = trajectories[-1].final()
     trap_spec = dataclasses.replace(spec, trap_amplitude=quench.trap_amplitude)
-    trapped = dephasing_liouvillian(trap_spec, basis, include_trap=True)
+    trapped = dephasing_liouvillian(trap_spec, basis)
     uniform = grid.points is None and grid.num > 1
     step = (grid.stop - grid.start) / (grid.num - 1) if uniform else quench.window / 400
     post_times = np.arange(0.0, quench.window + step / 2, step)
@@ -445,7 +443,6 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
             "checks": checks,
             "quench_time": t_quench,
         },
-        invariants_ok=_checks_pass(checks),
     )
     result.tables["fock_quench"] = (header, rows)
     return result
@@ -456,7 +453,7 @@ def run_robustness_aa(config: ExperimentConfig) -> RunResult:
     base = config.lattice
     n = base.n_sites
     basis, psi = build_initial_state(base, config.initial_state)
-    rho0 = DensityMatrix.from_pure(psi, basis)
+    rho0 = DensityMatrix.from_pure(psi)
     sample_times = np.asarray(scan.times, dtype=float)
     rows, diagnostics = [], []
     for amplitude in scan.grid():
@@ -476,7 +473,6 @@ def run_robustness_aa(config: ExperimentConfig) -> RunResult:
     result = RunResult(
         kind="robustness-aa",
         summary={"config": config_to_dict(config), "checks": checks},
-        invariants_ok=_checks_pass(checks),
     )
     result.tables["robustness_aa"] = (["aa_amplitude", "t", "concurrence_1N"], rows)
     return result
@@ -487,7 +483,7 @@ def run_robustness_int(config: ExperimentConfig) -> RunResult:
     base = config.lattice
     n = base.n_sites
     basis, psi = build_initial_state(base, config.initial_state)
-    rho0 = DensityMatrix.from_pure(psi, basis)
+    rho0 = DensityMatrix.from_pure(psi)
     t_sample = float(scan.times[0])
     end_to_end = fock.bilinear_operator(basis, 1, n)
     rows, diagnostics = [], []
@@ -517,7 +513,6 @@ def run_robustness_int(config: ExperimentConfig) -> RunResult:
     result = RunResult(
         kind="robustness-int",
         summary={"config": config_to_dict(config), "checks": checks},
-        invariants_ok=_checks_pass(checks),
     )
     result.tables["robustness_int"] = (
         ["interaction", "concurrence_1N", "corr_re", "corr_im"], rows

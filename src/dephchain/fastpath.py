@@ -77,18 +77,16 @@ def _refuse_interaction(spec: LatticeSpec) -> None:
         )
 
 
-def correlation_evolve(spec: LatticeSpec, c0: np.ndarray, times,
-                       include_trap: bool = False) -> list[np.ndarray]:
+def correlation_evolve(spec: LatticeSpec, c0: np.ndarray, times) -> list[np.ndarray]:
     """Two-point trajectory for a lattice spec; refuses interacting problems,
     where the two-point equation no longer closes."""
     _refuse_interaction(spec)
     validate_correlation_matrix(c0)
-    h = build_single_particle_hamiltonian(spec, include_trap=include_trap)
+    h = build_single_particle_hamiltonian(spec)
     return evolve_with_hamiltonian(c0, h, spec.dephasing_gamma, spec.central_site, times)
 
 
-def steady_correlation(spec: LatticeSpec, c0: np.ndarray, tol: float = 1e-10,
-                       include_trap: bool = False) -> np.ndarray:
+def steady_correlation(spec: LatticeSpec, c0: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """The t -> infinity limit of the two-point matrix, exactly.
 
     Raises :class:`dephchain.lindblad.SteadyStateNotConverged` when ``c0``
@@ -96,7 +94,7 @@ def steady_correlation(spec: LatticeSpec, c0: np.ndarray, tol: float = 1e-10,
     falls below ``tol``.
     """
     _refuse_interaction(spec)
-    h = build_single_particle_hamiltonian(spec, include_trap=include_trap)
+    h = build_single_particle_hamiltonian(spec)
     liouvillian, rho0, filling = _one_particle_problem(c0, h, spec.dephasing_gamma,
                                                        spec.central_site)
     steady = steady_state(rho0, liouvillian, convergence_tol=tol / filling)

@@ -130,8 +130,7 @@ def total_number_operator(basis: ManyBodyBasis):
     return sparse.diags(diag, format="csr")
 
 
-def build_many_body_hamiltonian(spec: LatticeSpec, basis: ManyBodyBasis,
-                                include_trap: bool = False):
+def build_many_body_hamiltonian(spec: LatticeSpec, basis: ManyBodyBasis):
     """Sector Hamiltonian ``sum_ij h_ij f!_i f_j + V_int sum_i n_i n_{i+1}``.
 
     The one-body matrix ``h`` comes from
@@ -142,7 +141,7 @@ def build_many_body_hamiltonian(spec: LatticeSpec, basis: ManyBodyBasis,
             f"basis has {basis.n_sites} sites but spec has {spec.n_sites}"
         )
     n = spec.n_sites
-    h = build_single_particle_hamiltonian(spec, include_trap=include_trap)
+    h = build_single_particle_hamiltonian(spec)
     hopping = [(i + 1, j + 1, h[i, j]) for i, j in zip(*np.nonzero(h)) if i != j]
     # Diagonal terms overlap, so they are summed here, site by site in
     # ascending order, and not left to the CSR assembly.

@@ -84,19 +84,15 @@ def _as_matrix(state) -> np.ndarray:
 
 @dataclass
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on a sector basis.
-
-    ``basis`` is optional metadata; all numerics operate on ``matrix``.
-    """
+    """Hermitian, unit-trace, positive-semidefinite matrix on a sector basis."""
 
     matrix: np.ndarray
-    basis: ManyBodyBasis | None = None
 
     @classmethod
-    def from_pure(cls, state: np.ndarray, basis: ManyBodyBasis | None = None) -> "DensityMatrix":
+    def from_pure(cls, state: np.ndarray) -> "DensityMatrix":
         state = np.asarray(state, dtype=complex)
         state = state / np.linalg.norm(state)
-        return cls(np.outer(state, state.conj()), basis)
+        return cls(np.outer(state, state.conj()))
 
     @property
     def dim(self) -> int:
@@ -113,17 +109,10 @@ class DensityMatrix:
     def expectation(self, operator) -> complex:
         return complex(_expectations(operator, [self.matrix])[0])
 
-    def validate(self, trace_tol: float = TRACE_TOL, herm_tol: float = HERMITICITY_TOL,
-                 psd_tol: float = POSITIVITY_TOL) -> None:
-        deviations = invariant_deviations(self.matrix)
-        if deviations["max_trace_dev"] > trace_tol:
-            raise InvariantViolation(f"|Tr rho - 1| = {deviations['max_trace_dev']:.3e}")
-        if deviations["max_herm_dev"] > herm_tol:
-            raise InvariantViolation(f"||rho - rho!|| = {deviations['max_herm_dev']:.3e}")
-        if deviations["min_eigenvalue"] < -psd_tol:
-            raise InvariantViolation(
-                f"min eigenvalue {deviations['min_eigenvalue']:.3e} below -{psd_tol}"
-            )
+    def validate(self) -> None:
+        """Raise :class:`InvariantViolation` when a deviation exceeds its
+        tolerance."""
+        _check_deviations(invariant_deviations(self.matrix), 1.0)
 
 
 def _expectations(operator, states) -> np.ndarray:
@@ -143,20 +132,49 @@ def invariant_deviations(rho: np.ndarray) -> dict[str, float]:
             "min_eigenvalue": min_eig}
 
 
+def _check_deviations(deviations: dict[str, float], factor: float, where: str = "") -> None:
+    """Raise :class:`InvariantViolation` when a deviation exceeds ``factor``
+    times its tolerance; ``where`` ends the message."""
+    if deviations["max_trace_dev"] > factor * TRACE_TOL:
+        raise InvariantViolation(f"trace deviation {deviations['max_trace_dev']:.3e}{where}")
+    if deviations["max_herm_dev"] > factor * HERMITICITY_TOL:
+        raise InvariantViolation(f"hermiticity deviation {deviations['max_herm_dev']:.3e}{where}")
+    if deviations["min_eigenvalue"] < -factor * POSITIVITY_TOL:
+        raise InvariantViolation(f"negative eigenvalue {deviations['min_eigenvalue']:.3e}{where}")
+
+
 def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
 @dataclass
 class Liouvillian:
-    """Sparse superoperator acting on column-vectorized density matrices,
-    with the Hamiltonian and jump operator it was built from."""
+    """The generator ``-i [H, rho] + gamma (L rho L - 1/2 {L^2, rho})`` of a
+    Hamiltonian H and one Hermitian jump operator L, both sparse d x d."""
 
-    matrix: sparse.csr_matrix
-    dim: int                       # density-matrix dimension d; superoperator is d^2 x d^2
+    hamiltonian: sparse.csr_matrix
+    jump: sparse.csr_matrix
     gamma: float
-    hamiltonian: sparse.csr_matrix | None = None
-    jump: sparse.csr_matrix | None = None
+
+    @property
+    def dim(self) -> int:
+        """Density-matrix dimension d; the superoperator is d^2 x d^2."""
+        return self.hamiltonian.shape[0]
+
+    @functools.cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """The superoperator on column-vectorized density matrices,
+        ``-i (I x H - H^T x I) + gamma (L^T x L - 1/2 (I x L^2 + (L^2)^T x I))``."""
+        h, jump = self.hamiltonian, self.jump
+        identity = sparse.identity(self.dim, format="csr", dtype=complex)
+        gen = -1j * (sparse.kron(identity, h) - sparse.kron(h.T, identity))
+        if self.gamma:
+            jump2 = (jump @ jump).tocsr()
+            gen = gen + self.gamma * (
+                sparse.kron(jump.T, jump)
+                - 0.5 * (sparse.kron(identity, jump2) + sparse.kron(jump2.T, identity))
+            )
+        return gen.tocsr()
 
     def residual(self, state) -> float:
         """Infinity norm of L vec(rho); zero exactly on steady states."""
@@ -173,8 +191,6 @@ class Liouvillian:
         """H's eigenbasis for the steady-state projection: level energy of
         each eigenvector, the eigenvectors, their level index, and the
         eigenvector rows where the jump is 1 (none when gamma = 0) and 0."""
-        if self.hamiltonian is None or self.jump is None:
-            raise ValueError("this Liouvillian does not carry its Hamiltonian and jump operator")
         occupation = self.jump.diagonal()
         if abs(self.jump - sparse.diags(occupation)).max() > 0 \
                 or not np.all((occupation == 0) | (occupation == 1)):
@@ -194,11 +210,8 @@ def _to_sparse(op) -> sparse.csr_matrix:
 
 
 def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
-    """Assemble the vectorized generator for one Hermitian jump operator.
-
-    ``-i (I x H - H^T x I) + gamma (L^T x L - 1/2 (I x L^2 + (L^2)^T x I))``
-    under column stacking. Both operators must be Hermitian.
-    """
+    """The generator of one Hermitian jump operator, checked: gamma >= 0 and
+    both operators Hermitian and of one square shape."""
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     h = _to_sparse(hamiltonian)
@@ -208,23 +221,12 @@ def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
     for name, op in (("hamiltonian", h), ("jump operator", jump)):
         if abs(op - op.conj().T).max() > 1e-10:
             raise ValueError(f"{name} is not Hermitian")
-    dim = h.shape[0]
-    identity = sparse.identity(dim, format="csr", dtype=complex)
-    gen = -1j * (sparse.kron(identity, h) - sparse.kron(h.T, identity))
-    if gamma:
-        jump2 = (jump @ jump).tocsr()
-        gen = gen + gamma * (
-            sparse.kron(jump.T, jump)
-            - 0.5 * (sparse.kron(identity, jump2) + sparse.kron(jump2.T, identity))
-        )
-    return Liouvillian(matrix=gen.tocsr(), dim=dim, gamma=float(gamma), hamiltonian=h,
-                       jump=jump)
+    return Liouvillian(h, jump, float(gamma))
 
 
-def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis,
-                          include_trap: bool = False) -> Liouvillian:
+def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis) -> Liouvillian:
     """Generator of the central-site dephasing problem for one sector."""
-    h = build_many_body_hamiltonian(spec, basis, include_trap=include_trap)
+    h = build_many_body_hamiltonian(spec, basis)
     n_c = number_operator(basis, spec.central_site)
     return build_liouvillian(h, spec.dephasing_gamma, n_c)
 
@@ -249,14 +251,7 @@ def _check_sample(rho: np.ndarray, t: float, diagnostics: dict) -> None:
     for key, value in dev.items():
         worst = min if key == "min_eigenvalue" else max
         diagnostics[key] = worst(diagnostics.get(key, 0.0), value)
-    if dev["max_trace_dev"] > ABORT_FACTOR * TRACE_TOL:
-        raise InvariantViolation(f"trace deviation {dev['max_trace_dev']:.3e} at t={t:g}")
-    if dev["max_herm_dev"] > ABORT_FACTOR * HERMITICITY_TOL:
-        raise InvariantViolation(f"hermiticity deviation {dev['max_herm_dev']:.3e} at t={t:g}")
-    if dev["min_eigenvalue"] < -ABORT_FACTOR * POSITIVITY_TOL:
-        raise InvariantViolation(
-            f"negative eigenvalue {dev['min_eigenvalue']:.3e} at t={t:g}"
-        )
+    _check_deviations(dev, ABORT_FACTOR, f" at t={t:g}")
 
 
 def _is_uniform(times: np.ndarray) -> bool:
@@ -373,20 +368,20 @@ def _dark_span(on: np.ndarray, off: np.ndarray, left: np.ndarray, right: np.ndar
     return vh[svals < tol].conj().T
 
 
-def steady_state_null_space(liouvillian: Liouvillian, tol: float = NULL_TOL) -> np.ndarray:
+def steady_state_null_space(liouvillian: Liouvillian) -> np.ndarray:
     """Orthonormal basis of the kernel of the superoperator, as columns of
     vectorized matrices.
 
     The jump is Hermitian, so ker L is the commutant {H, n_c}': the matrices
     block-diagonal in H's eigenspaces, X = sum_g V_g Y_g V_g^H, that also
     commute with the jump (Buča & Prosen, NJP 14, 073007 (2012)). The
-    Y_g are the null space of that constraint; singular values below ``tol``
-    count as zero. Every returned column satisfies ``||L v||_inf < 1e-10``.
+    Y_g are the null space of that constraint; singular values below
+    ``NULL_TOL`` count as zero. Every returned column satisfies ``||L v||_inf < 1e-10``.
     """
     _energies, vectors, level, on, off = liouvillian._spectrum
     dim = liouvillian.dim
     left, right = np.nonzero(level[:, None] == level[None, :])
-    coefficients = _dark_span(on, off, left, right, tol)
+    coefficients = _dark_span(on, off, left, right, NULL_TOL)
     kernel = np.empty((dim * dim, coefficients.shape[1]), dtype=vectors.dtype)
     block = np.zeros((dim, dim), dtype=vectors.dtype)
     for k, column in enumerate(coefficients.T):

@@ -89,12 +89,12 @@ class LatticeSpec:
         return self.central_site if self.trap_center is None else self.trap_center
 
 
-def build_single_particle_hamiltonian(spec: LatticeSpec, include_trap: bool = False) -> np.ndarray:
+def build_single_particle_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     """Build the real symmetric N x N single-particle Hamiltonian matrix.
 
     Off-diagonal entries are ``-J`` on nearest-neighbor bonds; the diagonal
-    carries the quasi-periodic potential and, when ``include_trap`` is set,
-    the harmonic trap ``V * (i - i_c)**2``. The nearest-neighbor interaction
+    carries the quasi-periodic potential and the harmonic trap
+    ``V * (i - i_c)**2``. The nearest-neighbor interaction
     is excluded here (it is not a one-body term).
     """
     n = spec.n_sites
@@ -106,7 +106,7 @@ def build_single_particle_hamiltonian(spec: LatticeSpec, include_trap: bool = Fa
         h[np.diag_indices(n)] += spec.aa_amplitude * np.cos(
             2.0 * np.pi * spec.aa_frequency * sites / n
         )
-    if include_trap and spec.trap_amplitude:
+    if spec.trap_amplitude:
         sites = np.arange(1, n + 1)
         h[np.diag_indices(n)] += spec.trap_amplitude * (sites - spec.effective_trap_center) ** 2
     return h

@@ -172,4 +172,4 @@ def even_sector_steady_state(n_sites: int, n_particles: int) -> DensityMatrix:
         amp = slater_state(basis, combo, orbitals=parity.modes)
         rho += np.outer(amp, amp.conj())
     rho /= len(combos)
-    return DensityMatrix(rho, basis)
+    return DensityMatrix(rho)

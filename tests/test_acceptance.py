@@ -64,7 +64,7 @@ def test_criterion_01_n3_steady_state_under_one_second():
     with criterion(1, "N=3 |010> steady state matches Appendix values, < 1 s"):
         started = time.perf_counter()
         _, basis, liou = n3_setup()
-        rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
+        rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
         steady = steady_state(rho0, liou, convergence_tol=1e-9)
         expected = np.array([[0.25, 0, 0.25], [0, 0.5, 0], [0.25, 0, 0.25]])
         deviation = np.abs(steady.state.matrix - expected).max()
@@ -81,7 +81,7 @@ def test_criterion_02_full_trajectory_match_all_regimes():
         worst = 0.0
         for gamma in (0.5, 1.0, 2.0, 4.0, 20.0):
             _, basis, liou = n3_setup(gamma)
-            rho0 = DensityMatrix.from_pure(fock_state(basis, "010"), basis)
+            rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
             traj = evolve(rho0, liou, times)
             for t, rho in zip(times, traj.states):
                 dev = np.abs(rho - analytic_n3_density_matrix(t, gamma)).max()
@@ -97,7 +97,7 @@ def test_criterion_03_n5_steady_state_appendix_values():
         spec = LatticeSpec(n_sites=5)
         basis = ManyBodyBasis(5, 1)
         liou = dephasing_liouvillian(spec, basis)
-        rho0 = DensityMatrix.from_pure(fock_state(basis, "00100"), basis)
+        rho0 = DensityMatrix.from_pure(fock_state(basis, "00100"))
         steady = steady_state(rho0, liou, convergence_tol=1e-10)
         rho = steady.state.matrix
         expected = analytic_steady_state(5)
@@ -125,7 +125,7 @@ def test_criterion_04_kernel_membership_and_uniqueness():
             ]
             for psi in initial_states:
                 steady = steady_state(
-                    DensityMatrix.from_pure(psi, basis), liou, convergence_tol=1e-10
+                    DensityMatrix.from_pure(psi), liou, convergence_tol=1e-10
                 )
                 deviation = np.abs(steady.state.matrix - target).max()
                 assert deviation < 1e-6, f"N={n} deviation {deviation:.3e}"
@@ -155,7 +155,7 @@ def test_criterion_06_multiparticle_scaling_law():
             liou = dephasing_liouvillian(spec, basis)
             psi = even_mode_slater(basis)
             steady = steady_state(
-                DensityMatrix.from_pure(psi, basis), liou, convergence_tol=1e-10
+                DensityMatrix.from_pure(psi), liou, convergence_tol=1e-10
             )
             exact = correlation_matrix(steady.state.matrix, basis)
             scaled = multiparticle_scaling(analytic_steady_state(n), filling)
@@ -172,7 +172,7 @@ def test_criterion_07_closed_shell_dark_states():
             basis = ManyBodyBasis(n, filling)
             liou = dephasing_liouvillian(spec, basis)
             psi = even_mode_slater(basis)    # all even modes filled
-            rho = DensityMatrix.from_pure(psi, basis)
+            rho = DensityMatrix.from_pure(psi)
             assert rho.purity > 1.0 - 1e-8
             assert liou.residual(rho) < 1e-10
             for i in range(1, (n - 1) // 2 + 1):
@@ -188,7 +188,7 @@ def test_criterion_08_odd_sector_dark_states():
             spec = LatticeSpec(n_sites=n)
             basis = ManyBodyBasis(n, filling)
             liou = dephasing_liouvillian(spec, basis)
-            rho0 = DensityMatrix.from_pure(odd_mode_slater(basis), basis)
+            rho0 = DensityMatrix.from_pure(odd_mode_slater(basis))
             traj = evolve(rho0, liou, np.linspace(0.0, 100.0, 21))
             deviation = max(np.abs(rho - rho0.matrix).max() for rho in traj.states)
             assert deviation < 1e-9, f"(N={n}, Np={filling}): {deviation:.3e}"
@@ -213,7 +213,7 @@ def test_criterion_09_conserved_charges_along_trajectories():
             else:
                 psi = odd_mode_slater(basis)
             liou = dephasing_liouvillian(spec, basis)
-            traj = evolve(DensityMatrix.from_pure(psi, basis), liou,
+            traj = evolve(DensityMatrix.from_pure(psi), liou,
                           np.linspace(0.0, horizon, 21))
             charge = traj.expectations(charge_operator(basis)).real
             number = traj.expectations(total_number_operator(basis)).real
@@ -243,7 +243,7 @@ def test_criterion_10_fastpath_equals_liouvillian():
                           for w, k in zip(weights, parity.even))
                 c0 = np.outer(psi.conj(), psi)
                 fast = correlation_evolve(spec, c0, times)
-                traj = evolve(DensityMatrix.from_pure(psi, basis), liou, times)
+                traj = evolve(DensityMatrix.from_pure(psi), liou, times)
                 full = [correlation_matrix(rho, basis) for rho in traj.states]
                 worst = max(np.abs(a - b).max() for a, b in zip(fast, full))
                 assert worst < 1e-8, f"N={n}: max deviation {worst:.3e}"
@@ -258,12 +258,13 @@ def test_criterion_11_concurrence_survey():
             fillings = [k for k in (1, 2, 3) if k <= (n + 1) // 2]
             for filling in fillings:
                 state = even_sector_steady_state(n, filling)
-                liou = dephasing_liouvillian(spec, state.basis)
+                basis = ManyBodyBasis(n, filling)
+                liou = dephasing_liouvillian(spec, basis)
                 residual = liou.residual(state.matrix)
                 assert residual < 1e-10, f"(N={n}, Np={filling}) residual {residual:.3e}"
                 values = []
                 for i in range(1, (n - 1) // 2 + 1):
-                    rdm = reduce_to_pair(state.matrix, state.basis, i, n + 1 - i)
+                    rdm = reduce_to_pair(state.matrix, basis, i, n + 1 - i)
                     values.append(concurrence(rdm))
                 conjecture = 2.0 * filling / (n + 1)
                 for i, value in enumerate(values, start=1):
@@ -318,7 +319,7 @@ def test_criterion_13_robustness_perturbations():
         basis = ManyBodyBasis(9, 1)
         liou = dephasing_liouvillian(spec, basis)
         psi = even_mode_slater(basis)     # bare ground state
-        rho = evolve(DensityMatrix.from_pure(psi, basis), liou, [100.0]).final()
+        rho = evolve(DensityMatrix.from_pure(psi), liou, [100.0]).final()
         unperturbed = concurrence(reduce_to_pair(rho, basis, 1, 9))
         assert abs(by_amplitude[0.0] - unperturbed) < 1e-7
         assert by_amplitude[0.05] > 0.05, by_amplitude

@@ -16,8 +16,9 @@ from dephchain.config import (
 )
 from dephchain import experiments
 from dephchain.experiments import run
-from dephchain.fock import fock_state
+from dephchain.fock import ManyBodyBasis, bilinear_operator, fock_state
 from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, evolve
+from dephchain.model import LatticeSpec
 from dephchain.oracle import analytic_steady_state
 
 
@@ -138,16 +139,67 @@ def test_evolve_with_t_zero_grid(tmp_path):
     assert rows[0][header.index("corr:1,3_re")] == pytest.approx(0.0)
 
 
+# One small config per experiment kind, as overrides of its default.
+SMALL_OVERRIDES = {
+    "evolve": ["lattice.n_sites=5", 'time_grid={"start": 0, "stop": 5, "num": 11}',
+               'observables=["corr:1,5"]'],
+    "steady": [],
+    "correlation-map": ["lattice.n_sites=5"],
+    "concurrence-scan": ["scan.sizes=[3, 5]", "scan.fillings=[1, 2]", "scan.dynamical=true"],
+    "fock-quench": ["lattice.n_sites=5", 'initial_state.bitstring="10101"',
+                    'time_grid={"start": 0, "stop": 10, "num": 101}',
+                    "quench.time=4.0", "quench.window=2.0"],
+    "robustness-aa": ["lattice.n_sites=5", "scan.n_values=3", "scan.times=[1.0, 2.0]"],
+    "robustness-int": ["lattice.n_sites=5", 'initial_state.bitstring="10101"',
+                       "scan.n_values=3", "scan.times=[2.0]"],
+}
+
+
+def _small(kind, *overrides):
+    payload = config_to_dict(default_config(kind))
+    return config_from_dict(apply_overrides(payload, [*SMALL_OVERRIDES[kind], *overrides]))
+
+
 def test_run_is_deterministic(tmp_path):
-    payload = config_to_dict(default_config("evolve"))
-    payload["lattice"]["n_sites"] = 5
-    payload["time_grid"] = {"start": 0.0, "stop": 5.0, "num": 11}
-    payload["observables"] = ["corr:1,5"]
-    config = config_from_dict(payload)
-    run(config, out_dir=tmp_path / "a")
-    run(config, out_dir=tmp_path / "b")
-    assert (tmp_path / "a" / "timeseries.csv").read_bytes() == \
-        (tmp_path / "b" / "timeseries.csv").read_bytes()
+    assert set(SMALL_OVERRIDES) == set(EXPERIMENT_KINDS)
+    for kind in EXPERIMENT_KINDS:
+        config = _small(kind)
+        first = run(config, out_dir=tmp_path / kind / "a")
+        run(config, out_dir=tmp_path / kind / "b")
+        names = sorted(p.name for p in (tmp_path / kind / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / kind / "b").iterdir())
+        assert "summary.json" in names and first.invariants_ok, kind
+        for name in names:
+            assert (tmp_path / kind / "a" / name).read_bytes() == \
+                (tmp_path / kind / "b" / name).read_bytes(), f"{kind}: {name}"
+
+
+def test_evolve_uses_the_lattice_trap():
+    config = _small("evolve", "lattice.trap_amplitude=2.0")
+    trapped = run(config).tables["timeseries"][1]
+    bare = run(_small("evolve")).tables["timeseries"][1]
+    basis, psi = experiments.build_initial_state(config.lattice, config.initial_state)
+    liouvillian = dephasing_liouvillian(LatticeSpec(n_sites=5, trap_amplitude=2.0), basis)
+    expected = evolve(DensityMatrix.from_pure(psi), liouvillian,
+                      config.time_grid.values()).expectations(bilinear_operator(basis, 1, 5))
+    assert np.allclose([row[1] for row in trapped], expected.real, rtol=0, atol=1e-12)
+    assert abs(bare[-1][1] - trapped[-1][1]) > 0.1
+
+
+def test_concurrence_scan_uses_the_lattice():
+    # The even-sector state is stationary only for the bare chain; the
+    # quasi-periodic potential of the config must reach the generator.
+    result = run(_small("concurrence-scan", "lattice.aa_amplitude=0.3", "scan.dynamical=false"))
+    assert result.summary["checks"]["max_sector_residual"] == pytest.approx(0.15, abs=0.01)
+    assert result.invariants_ok is False
+
+
+def test_correlation_map_reads_convergence_tol(tmp_path):
+    # |10000> has undamped weight whose residual is 0.25.
+    args = ["correlation-map", "--out", str(tmp_path), "--override", "lattice.n_sites=5",
+            "--override", 'initial_state={"type": "fock", "bitstring": "10000"}']
+    assert main(args) == 3
+    assert main(args + ["--override", "convergence_tol=1.0"]) == 0
 
 
 def _small_quench(time_grid, quench_time):
@@ -175,7 +227,7 @@ def test_fock_quench_state_matches_fresh_propagation(monkeypatch, quench_time, o
     # bare trajectory, [carry to t_quench,] post-quench window
     assert len(starts) == (2 if on_grid else 3)
     basis, psi = experiments.build_initial_state(config.lattice, config.initial_state)
-    fresh = evolve(DensityMatrix.from_pure(psi, basis),
+    fresh = evolve(DensityMatrix.from_pure(psi),
                    dephasing_liouvillian(config.lattice, basis), [quench_time]).final()
     assert np.abs(starts[-1] - fresh).max() < 1e-12
 
@@ -440,7 +492,7 @@ def test_bare_chain_charge_drift_fails_the_verdict(monkeypatch):
 
     def drifting(rho0, *args, **kwargs):
         trajectory = evolve(rho0, *args, **kwargs)
-        moved = fock_state(rho0.basis, "10100")
+        moved = fock_state(ManyBodyBasis(5, 2), "10100")
         trajectory.states[-1] = np.outer(moved, moved.conj())
         return trajectory
 

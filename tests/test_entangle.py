@@ -128,7 +128,7 @@ def test_closed_shell_pair_is_maximally_entangled():
     basis = ManyBodyBasis(3, 2)
     psi = even_mode_slater(basis)
     liou = dephasing_liouvillian(spec, basis)
-    steady = steady_state(DensityMatrix.from_pure(psi, basis), liou)
+    steady = steady_state(DensityMatrix.from_pure(psi), liou)
     rdm = reduce_to_pair(steady.state.matrix, basis, 1, 3)
     assert concurrence(rdm) == pytest.approx(1.0, abs=1e-7)
 
@@ -243,5 +243,5 @@ def test_x_state_mask_matches_loop(n):
 
 def test_multiparticle_even_sector_rdm_concurrence():
     state = even_sector_steady_state(5, 2)
-    rdm = reduce_to_pair(state.matrix, state.basis, 2, 4)
+    rdm = reduce_to_pair(state.matrix, ManyBodyBasis(5, 2), 2, 4)
     assert concurrence(rdm) == pytest.approx(2.0 * 2 / 6.0, abs=1e-9)

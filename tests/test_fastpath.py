@@ -20,10 +20,10 @@ from dephchain.model import LatticeSpec, bare_mode_parity, build_single_particle
 from dephchain.oracle import analytic_steady_state
 
 
-def full_two_point(spec, basis, psi, times, include_trap=False):
+def full_two_point(spec, basis, psi, times):
     """Oracle route: full sector evolution, then Tr[rho f!_j f_k]."""
-    liou = dephasing_liouvillian(spec, basis, include_trap=include_trap)
-    traj = evolve(DensityMatrix.from_pure(psi, basis), liou, times)
+    liou = dephasing_liouvillian(spec, basis)
+    traj = evolve(DensityMatrix.from_pure(psi), liou, times)
     return [correlation_matrix(rho, basis) for rho in traj.states]
 
 
@@ -235,7 +235,7 @@ def test_scaling_matches_exact_closed_shell():
     basis = ManyBodyBasis(3, 2)
     psi = even_mode_slater(basis)
     liou = dephasing_liouvillian(spec, basis)
-    steady = steady_state(DensityMatrix.from_pure(psi, basis), liou)
+    steady = steady_state(DensityMatrix.from_pure(psi), liou)
     exact = correlation_matrix(steady.state.matrix, basis)
     scaled = multiparticle_scaling(analytic_steady_state(3), 2)
     assert np.abs(exact - scaled).max() < 1e-7

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ def test_parity_is_sharp(n):
 
 def test_reflection_commutes_without_aa():
     spec = LatticeSpec(n_sites=7, trap_amplitude=2.0)
-    h = build_single_particle_hamiltonian(spec, include_trap=True)
+    h = build_single_particle_hamiltonian(spec)
     reflection = reflection_permutation(7)
     assert np.abs(h @ reflection - reflection @ h).max() == 0.0
 
@@ -97,15 +99,15 @@ def test_aa_diagonal_convention():
 
 def test_trap_diagonal_convention():
     spec = LatticeSpec(n_sites=5, trap_amplitude=2.0)
-    with_trap = build_single_particle_hamiltonian(spec, include_trap=True)
-    without = build_single_particle_hamiltonian(spec, include_trap=False)
+    with_trap = build_single_particle_hamiltonian(spec)
+    without = build_single_particle_hamiltonian(replace(spec, trap_amplitude=0.0))
     assert np.array_equal(np.diag(without), np.zeros(5))
     assert np.allclose(np.diag(with_trap), 2.0 * np.array([4, 1, 0, 1, 4]))
 
 
 def test_trap_center_override():
     spec = LatticeSpec(n_sites=5, trap_amplitude=1.0, trap_center=2)
-    h = build_single_particle_hamiltonian(spec, include_trap=True)
+    h = build_single_particle_hamiltonian(spec)
     assert np.allclose(np.diag(h), [1, 0, 1, 4, 9])
 
 

@@ -28,7 +28,7 @@ payload = config_to_dict(default_config("correlation-map"))
 payload["lattice"]["n_sites"] = 5
 run(config_from_dict(payload))
 basis = dephchain.ManyBodyBasis(3, 1)
-dephchain.evolve(dephchain.DensityMatrix.from_pure(dephchain.fock_state(basis, "010"), basis),
+dephchain.evolve(dephchain.DensityMatrix.from_pure(dephchain.fock_state(basis, "010")),
                  dephchain.dephasing_liouvillian(dephchain.LatticeSpec(n_sites=3), basis),
                  [0.0, 1.0])
 metrics, _ = tracing.layer_metrics(tracer.spans, tracer.counters)
