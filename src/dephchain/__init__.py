@@ -36,7 +36,6 @@ from .fock import (
     total_number_operator,
 )
 from .lindblad import (
-    DensityMatrix,
     InvariantViolation,
     Liouvillian,
     SteadyStateNotConverged,
@@ -46,9 +45,11 @@ from .lindblad import (
     dephasing_liouvillian,
     evolve,
     maximally_mixed,
+    pure_state,
     steady_state,
     steady_state_null_space,
     unvectorize,
+    validate_density,
     vectorize,
 )
 from .fastpath import (

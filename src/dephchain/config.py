@@ -144,6 +144,9 @@ class ExperimentConfig:
         if self.kind in ("robustness-aa", "robustness-int", "concurrence-scan") \
                 and self.scan is None:
             raise ConfigError(f"scan: block required for kind {self.kind!r}")
+        if self.kind == "concurrence-scan" and min(self.scan.sizes, default=3) < 3:
+            raise ConfigError(f"scan.sizes: {min(self.scan.sizes)} has no symmetric pair; "
+                              "sizes must be >= 3")
         if self.kind in ("robustness-aa", "robustness-int") \
                 and self.scan is not None and not self.scan.times:
             raise ConfigError(f"scan.times: required for kind {self.kind!r}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import ManyBodyBasis
-from .lindblad import _as_matrix
 
 # 4x4 basis ordering of a pair (i, j), i < j: |00>, |01>, |10>, |11> with the
 # occupation of i first.
@@ -33,7 +32,7 @@ def reduce_to_pair(rho, basis: ManyBodyBasis, i: int, j: int) -> np.ndarray:
     n = basis.n_sites
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    rho = _as_matrix(rho)
+    rho = np.asarray(rho)
     if rho.shape != (basis.size, basis.size):
         raise ValueError(f"state shape {rho.shape} does not match basis size {basis.size}")
 
@@ -69,7 +68,7 @@ def concurrence(rdm: np.ndarray, psd_tol: float = 1e-7) -> float:
     the non-normal product lose half their digits on rank-deficient states.
     For the X-form steady pair this reduces to ``2 max(0, |z| - sqrt(p00 p11))``.
     """
-    rdm = _as_matrix(rdm)
+    rdm = np.asarray(rdm)
     if rdm.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rdm.shape}")
     weights, vectors = np.linalg.eigh(0.5 * (rdm + rdm.conj().T))
@@ -86,7 +85,7 @@ def partial_transpose_eigenvalues(rdm: np.ndarray) -> np.ndarray:
     A negative eigenvalue certifies entanglement; for two qubits the PPT
     criterion is also sufficient, so a non-negative spectrum means separable.
     """
-    rdm = _as_matrix(rdm)
+    rdm = np.asarray(rdm)
     if rdm.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rdm.shape}")
     blocks = rdm.reshape(2, 2, 2, 2)
@@ -103,7 +102,7 @@ def negativity(rdm: np.ndarray) -> float:
 def is_x_state(rho, tol: float = 1e-7) -> tuple[bool, float]:
     """Whether all entries off the diagonal and anti-diagonal stay below
     ``tol``; also returns the largest off-pattern magnitude."""
-    rho = _as_matrix(rho)
+    rho = np.asarray(rho)
     n = rho.shape[0]
     if rho.shape != (n, n):
         raise ValueError("expected a square matrix")

@@ -21,7 +21,6 @@ import scipy.sparse as sparse
 from . import entangle, fastpath, fock, lindblad, oracle
 from .config import ExperimentConfig, InitialState, config_to_dict
 from .lindblad import (
-    DensityMatrix,
     Liouvillian,
     SteadyStateNotConverged,
     Trajectory,
@@ -124,16 +123,17 @@ def _density_payload(rho: np.ndarray) -> dict:
 
 def build_initial_state(spec: LatticeSpec, descriptor: InitialState
                         ) -> tuple[fock.ManyBodyBasis, np.ndarray]:
-    """Resolve a state descriptor into (sector basis, state vector)."""
-    n_particles = descriptor.n_particles()
-    basis = fock.ManyBodyBasis(spec.n_sites, n_particles)
+    """Resolve a state descriptor into (sector basis, density matrix)."""
+    basis = fock.ManyBodyBasis(spec.n_sites, descriptor.n_particles())
     if descriptor.type == "fock":
-        return basis, fock.fock_state(basis, descriptor.bitstring)
-    if descriptor.type == "slater":
-        return basis, fock.slater_state(basis, descriptor.modes)
-    parity = bare_mode_parity(spec.n_sites, spec.tunneling)
-    ground_mode = int(np.argmin(parity.energies)) + 1
-    return basis, fock.slater_state(basis, [ground_mode], orbitals=parity.modes)
+        psi = fock.fock_state(basis, descriptor.bitstring)
+    elif descriptor.type == "slater":
+        psi = fock.slater_state(basis, descriptor.modes)
+    else:
+        parity = bare_mode_parity(spec.n_sites, spec.tunneling)
+        ground_mode = int(np.argmin(parity.energies)) + 1
+        psi = fock.slater_state(basis, [ground_mode], orbitals=parity.modes)
+    return basis, lindblad.pure_state(psi)
 
 
 def _parse_observables(names, basis: fock.ManyBodyBasis, spec: LatticeSpec):
@@ -159,9 +159,8 @@ def _series(trajectory: Trajectory, operators) -> dict[str, np.ndarray]:
     series = {}
     for name, op in operators.items():
         if name == "purity":
-            series[name] = np.array(
-                [np.real(np.trace(r @ r)) for r in trajectory.states]
-            ).astype(complex)
+            states = trajectory.states
+            series[name] = np.einsum("tij,tji->t", states, states).real.astype(complex)
         else:
             series[name] = trajectory.expectations(op)
     return series
@@ -226,10 +225,10 @@ def _timeseries_table(times, series) -> tuple[list[str], list[list]]:
 
 def run_evolve(config: ExperimentConfig) -> RunResult:
     spec = config.lattice
-    basis, psi = build_initial_state(spec, config.initial_state)
+    basis, rho0 = build_initial_state(spec, config.initial_state)
     liouvillian = dephasing_liouvillian(spec, basis)
     times = config.time_grid.values()
-    trajectory = evolve(DensityMatrix.from_pure(psi), liouvillian, times)
+    trajectory = evolve(rho0, liouvillian, times)
     operators = _parse_observables(config.observables, basis, spec)
     series = _series(trajectory, operators)
     checks = _conservation_checks([trajectory], basis, [liouvillian])
@@ -247,13 +246,10 @@ def run_evolve(config: ExperimentConfig) -> RunResult:
 
 def run_steady(config: ExperimentConfig) -> RunResult:
     spec = config.lattice
-    basis, psi = build_initial_state(spec, config.initial_state)
+    basis, rho0 = build_initial_state(spec, config.initial_state)
     liouvillian = dephasing_liouvillian(spec, basis)
-    steady = steady_state(
-        DensityMatrix.from_pure(psi), liouvillian,
-        convergence_tol=config.convergence_tol,
-    )
-    rho = steady.state.matrix
+    steady = steady_state(rho0, liouvillian, convergence_tol=config.convergence_tol)
+    rho = steady.state
     x_state, off = entangle.is_x_state(rho, tol=1e-7)
     checks = {
         "residual": steady.residual,
@@ -328,17 +324,14 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
             spec = dataclasses.replace(config.lattice, n_sites=n)
             basis = fock.ManyBodyBasis(n, filling)
             if scan.dynamical:
-                psi = fock.even_mode_slater(basis)
+                rho0 = lindblad.pure_state(fock.even_mode_slater(basis))
                 liouvillian = dephasing_liouvillian(spec, basis)
-                steady = steady_state(
-                    DensityMatrix.from_pure(psi), liouvillian,
-                    convergence_tol=config.convergence_tol,
-                )
-                rho = steady.state.matrix
+                steady = steady_state(rho0, liouvillian,
+                                      convergence_tol=config.convergence_tol)
+                rho = steady.state
                 residual = steady.residual
             else:
-                state = oracle.even_sector_steady_state(n, filling)
-                rho = state.matrix
+                rho = oracle.even_sector_steady_state(n, filling)
                 liouvillian = dephasing_liouvillian(spec, basis)
                 residual = liouvillian.residual(rho)
             checks["max_sector_residual"] = max(checks["max_sector_residual"], residual)
@@ -378,11 +371,10 @@ def _local_maxima(times: np.ndarray, values: np.ndarray, after: float = 0.0):
 def run_fock_quench(config: ExperimentConfig) -> RunResult:
     spec = config.lattice
     quench = config.quench
-    basis, psi = build_initial_state(spec, config.initial_state)
+    basis, rho0 = build_initial_state(spec, config.initial_state)
     n = spec.n_sites
     end_to_end = fock.bilinear_operator(basis, 1, n)
     liouvillian = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(psi)
 
     grid = config.time_grid
     times = grid.values()
@@ -405,14 +397,14 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     # rho(t_quench) is the last bare sample at or before t_quench, carried the
     # rest of the way when t_quench falls between samples.
     k = int(np.searchsorted(times, t_quench, side="right")) - 1
-    rho_at_quench, t_base = (rho0.matrix, 0.0) if k < 0 else (bare.states[k], float(times[k]))
+    rho_at_quench, t_base = (rho0, 0.0) if k < 0 else (bare.states[k], float(times[k]))
     trajectories = [bare]
     if t_quench > t_base:
         trajectories.append(evolve(rho_at_quench, liouvillian, [t_quench - t_base]))
-        rho_at_quench = trajectories[-1].final()
+        rho_at_quench = trajectories[-1].states[-1]
     trap_spec = dataclasses.replace(spec, trap_amplitude=quench.trap_amplitude)
     trapped = dephasing_liouvillian(trap_spec, basis)
-    uniform = grid.points is None and grid.num > 1
+    uniform = grid.points is None and grid.num > 1 and grid.stop > grid.start
     step = (grid.stop - grid.start) / (grid.num - 1) if uniform else quench.window / 400
     post_times = np.arange(0.0, quench.window + step / 2, step)
     post = evolve(rho_at_quench, trapped, post_times)
@@ -452,8 +444,7 @@ def run_robustness_aa(config: ExperimentConfig) -> RunResult:
     scan = config.scan
     base = config.lattice
     n = base.n_sites
-    basis, psi = build_initial_state(base, config.initial_state)
-    rho0 = DensityMatrix.from_pure(psi)
+    basis, rho0 = build_initial_state(base, config.initial_state)
     sample_times = np.asarray(scan.times, dtype=float)
     rows, diagnostics = [], []
     for amplitude in scan.grid():
@@ -482,8 +473,7 @@ def run_robustness_int(config: ExperimentConfig) -> RunResult:
     scan = config.scan
     base = config.lattice
     n = base.n_sites
-    basis, psi = build_initial_state(base, config.initial_state)
-    rho0 = DensityMatrix.from_pure(psi)
+    basis, rho0 = build_initial_state(base, config.initial_state)
     t_sample = float(scan.times[0])
     end_to_end = fock.bilinear_operator(basis, 1, n)
     rows, diagnostics = [], []
@@ -492,7 +482,7 @@ def run_robustness_int(config: ExperimentConfig) -> RunResult:
         liouvillian = dephasing_liouvillian(spec, basis)
         trajectory = evolve(rho0, liouvillian, [t_sample])
         diagnostics.append(trajectory.diagnostics)
-        rho = trajectory.final()
+        rho = trajectory.states[-1]
         rdm = entangle.reduce_to_pair(rho, basis, 1, n)
         corr = trajectory.expectations(end_to_end)[-1]
         rows.append([float(strength), entangle.concurrence(rdm), corr.real, corr.imag])

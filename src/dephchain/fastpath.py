@@ -57,16 +57,17 @@ def _one_particle_problem(c0, h: np.ndarray, gamma: float,
 
 
 def evolve_with_hamiltonian(c0: np.ndarray, h: np.ndarray, gamma: float, center: int,
-                            times) -> list[np.ndarray]:
+                            times) -> np.ndarray:
     """Two-point trajectory for an explicit real symmetric one-body ``h``.
 
     ``center`` is the 1-based dephased site. Returns C(t) at each requested
-    time (non-decreasing, starting from 0 relative to ``c0``).
+    time (non-decreasing, starting from 0 relative to ``c0``) as one
+    (T, n, n) array.
     """
     liouvillian, rho0, filling = _one_particle_problem(c0, np.asarray(h, dtype=float),
                                                        gamma, center)
     trajectory = evolve(rho0, liouvillian, times)
-    return [filling * rho.T for rho in trajectory.states]
+    return filling * trajectory.states.transpose(0, 2, 1)
 
 
 def _refuse_interaction(spec: LatticeSpec) -> None:
@@ -77,7 +78,7 @@ def _refuse_interaction(spec: LatticeSpec) -> None:
         )
 
 
-def correlation_evolve(spec: LatticeSpec, c0: np.ndarray, times) -> list[np.ndarray]:
+def correlation_evolve(spec: LatticeSpec, c0: np.ndarray, times) -> np.ndarray:
     """Two-point trajectory for a lattice spec; refuses interacting problems,
     where the two-point equation no longer closes."""
     _refuse_interaction(spec)
@@ -98,7 +99,7 @@ def steady_correlation(spec: LatticeSpec, c0: np.ndarray, tol: float = 1e-10) ->
     liouvillian, rho0, filling = _one_particle_problem(c0, h, spec.dephasing_gamma,
                                                        spec.central_site)
     steady = steady_state(rho0, liouvillian, convergence_tol=tol / filling)
-    return filling * steady.state.matrix.T
+    return filling * steady.state.T
 
 
 def multiparticle_scaling(c_sp_steady: np.ndarray, n_particles: int) -> np.ndarray:

@@ -292,21 +292,14 @@ def correlation_matrix(rho: np.ndarray, basis: ManyBodyBasis) -> np.ndarray:
     return out
 
 
-def _as_density(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state)
-    if state.ndim == 1:
-        return np.outer(state, state.conj())
-    return state
-
-
-def charge_sector_weights(state, basis: ManyBodyBasis, tol: float = 1e-9) -> dict[float, float]:
-    """Weights Tr[rho P_lambda] of a state on the charge eigensectors.
+def charge_sector_weights(rho: np.ndarray, basis: ManyBodyBasis,
+                          tol: float = 1e-9) -> dict[float, float]:
+    """Weights Tr[rho P_lambda] of a density matrix on the charge eigensectors.
 
     Membership is decided by projecting onto numerically obtained eigenspaces
     of the charge operator (eigenvalues rounded to the nearest half-integer),
     so it works for arbitrary input states. Weights below ``tol`` are dropped.
     """
-    rho = _as_density(state)
     evals, evecs = np.linalg.eigh(charge_operator(basis).toarray())
     weights: dict[float, float] = {}
     for lam in sorted(set(np.round(evals * 2) / 2)):
@@ -317,9 +310,8 @@ def charge_sector_weights(state, basis: ManyBodyBasis, tol: float = 1e-9) -> dic
     return weights
 
 
-def parity_sector_weights(state, basis: ManyBodyBasis) -> tuple[float, float]:
-    """(even, odd) reflection-sector populations of a state."""
-    rho = _as_density(state)
+def parity_sector_weights(rho: np.ndarray, basis: ManyBodyBasis) -> tuple[float, float]:
+    """(even, odd) reflection-sector populations of a density matrix."""
     reflected = float(np.real((reflection_operator(basis) @ rho).diagonal().sum()))
     trace = float(np.real(np.trace(rho)))
     return 0.5 * (trace + reflected), 0.5 * (trace - reflected)

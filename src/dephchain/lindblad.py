@@ -76,50 +76,11 @@ def unvectorize(vec: np.ndarray, dim: int | None = None) -> np.ndarray:
     return np.asarray(vec).reshape((dim, dim), order="F")
 
 
-def _as_matrix(state) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    return np.asarray(state, dtype=complex)
-
-
-@dataclass
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on a sector basis."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_pure(cls, state: np.ndarray) -> "DensityMatrix":
-        state = np.asarray(state, dtype=complex)
-        state = state / np.linalg.norm(state)
-        return cls(np.outer(state, state.conj()))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    @property
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def expectation(self, operator) -> complex:
-        return complex(_expectations(operator, [self.matrix])[0])
-
-    def validate(self) -> None:
-        """Raise :class:`InvariantViolation` when a deviation exceeds its
-        tolerance."""
-        _check_deviations(invariant_deviations(self.matrix), 1.0)
-
-
-def _expectations(operator, states) -> np.ndarray:
-    """Tr[O rho] for each rho of ``states``, summed over the nonzero entries
-    of the (sparse or dense) operator O only."""
-    op = sparse.coo_matrix(operator)
-    return np.array([rho[op.col, op.row] @ op.data for rho in states], dtype=complex)
+def pure_state(psi: np.ndarray) -> np.ndarray:
+    """The density matrix |psi><psi| of a state vector, normalized."""
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
 
 
 def invariant_deviations(rho: np.ndarray) -> dict[str, float]:
@@ -141,6 +102,12 @@ def _check_deviations(deviations: dict[str, float], factor: float, where: str = 
         raise InvariantViolation(f"hermiticity deviation {deviations['max_herm_dev']:.3e}{where}")
     if deviations["min_eigenvalue"] < -factor * POSITIVITY_TOL:
         raise InvariantViolation(f"negative eigenvalue {deviations['min_eigenvalue']:.3e}{where}")
+
+
+def validate_density(rho: np.ndarray) -> None:
+    """Raise :class:`InvariantViolation` when the trace, hermiticity or
+    positivity deviation of ``rho`` exceeds its tolerance."""
+    _check_deviations(invariant_deviations(rho), 1.0)
 
 
 def maximally_mixed(dim: int) -> np.ndarray:
@@ -176,9 +143,9 @@ class Liouvillian:
             )
         return gen.tocsr()
 
-    def residual(self, state) -> float:
+    def residual(self, rho: np.ndarray) -> float:
         """Infinity norm of L vec(rho); zero exactly on steady states."""
-        return float(np.abs(self.matrix @ vectorize(_as_matrix(state))).max())
+        return float(np.abs(self.matrix @ vectorize(rho)).max())
 
     def trace_defect(self) -> float:
         """Norm of the identity acting from the left; zero when the generator
@@ -233,17 +200,18 @@ def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis) -> Liouvillia
 
 @dataclass
 class Trajectory:
-    """Density-matrix samples rho(t) at the requested times."""
+    """Density-matrix samples: ``states[k]`` is rho(``times[k]``), and
+    ``states`` is one (T, d, d) array."""
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
     def expectations(self, operator) -> np.ndarray:
-        return _expectations(operator, self.states)
+        """Tr[O rho(t)] at every sample, summed over the nonzero entries of
+        the (sparse or dense) operator O only."""
+        op = sparse.coo_matrix(operator)
+        return self.states[:, op.col, op.row] @ op.data
 
 
 def _check_sample(rho: np.ndarray, t: float, diagnostics: dict) -> None:
@@ -262,47 +230,59 @@ def _is_uniform(times: np.ndarray) -> bool:
     return bool(np.abs(times - grid).max() <= UNIFORM_GRID_ULPS * np.spacing(times[-1]))
 
 
-def _expm_samples(generator, vec: np.ndarray, times: np.ndarray):
-    """exp(L t) vec at each of the non-decreasing ``times``, by scipy's
-    ``expm_multiply``: one interval call for a uniform grid, otherwise one
-    call per distinct step."""
-    if times[0] > 0:
-        # The interval call sizes its Taylor steps by the interval length, not
-        # by ``start``, so the path up to the first sample is taken apart.
-        vec = splinalg.expm_multiply(generator * times[0], vec)
-    if _is_uniform(times):
-        return splinalg.expm_multiply(generator, vec, start=0.0,
-                                      stop=times[-1] - times[0], num=len(times),
-                                      endpoint=True)
-    samples, t_prev = [], times[0]
-    for t in times:
-        if t > t_prev:
-            vec = splinalg.expm_multiply(generator * (t - t_prev), vec)
-            t_prev = t
-        samples.append(vec)
-    return samples
+def _expm_samples(generator, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(L t) vec at each of the non-decreasing ``times``, one row each, by
+    scipy's ``expm_multiply``: one interval call for a uniform grid, otherwise
+    one call per distinct step.
+
+    scipy estimates 1-norms with numpy's global random generator, and at long
+    steps that estimate picks the Taylor steps. The generator is seeded for
+    the call and its state restored after it, so the samples are the same on
+    every run and the caller's random stream is left as it was.
+    """
+    random_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        if times[0] > 0:
+            # The interval call sizes its Taylor steps by the interval length,
+            # not by ``start``, so the path up to the first sample is taken apart.
+            vec = splinalg.expm_multiply(generator * times[0], vec)
+        if _is_uniform(times):
+            return splinalg.expm_multiply(generator, vec, start=0.0,
+                                          stop=times[-1] - times[0], num=len(times),
+                                          endpoint=True)
+        samples, t_prev = [], times[0]
+        for t in times:
+            if t > t_prev:
+                vec = splinalg.expm_multiply(generator * (t - t_prev), vec)
+                t_prev = t
+            samples.append(vec)
+        return np.array(samples)
+    finally:
+        np.random.set_state(random_state)
 
 
-def evolve(rho0, liouvillian: Liouvillian, times) -> Trajectory:
+def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     """Propagate ``rho0`` under the Liouvillian and sample at ``times``.
 
     Applies the exact exponential with scipy's ``expm_multiply`` (Al-Mohy &
     Higham 2011) and never forms a dense matrix: a grid that is
     ``np.linspace`` over its own ends (to a few ulps) is evaluated in one
     interval call, any other grid one step per distinct time; the first
-    sample is reached by a separate call when it is later than 0. Every
-    sample is checked for trace, hermiticity and positivity, and the run
-    aborts when a deviation exceeds ten times its tolerance.
+    sample is reached by a separate call when it is later than 0. The
+    samples are one (T, d, d) view of the (T, d^2) column-stacked vectors.
+    Every sample is checked for trace, hermiticity and positivity, and the
+    run aborts when a deviation exceeds ten times its tolerance.
 
     Parameters
     ----------
-    rho0 : array or DensityMatrix
+    rho0 : array
         Initial density matrix; time starts at 0 relative to it.
     times : array-like
         Non-decreasing sample times, first entry >= 0. A requested t = 0
         returns ``rho0`` exactly.
     """
-    rho0 = _as_matrix(rho0)
+    rho0 = np.asarray(rho0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("no sample times given")
@@ -314,8 +294,8 @@ def evolve(rho0, liouvillian: Liouvillian, times) -> Trajectory:
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
 
     samples = _expm_samples(liouvillian.matrix, vectorize(rho0), times)
-    states = [rho0.copy() if t == 0.0 else unvectorize(vec, dim)
-              for t, vec in zip(times, samples)]
+    states = samples.reshape(len(times), dim, dim).transpose(0, 2, 1)
+    states[times == 0.0] = rho0
     trajectory = Trajectory(times=times, states=states)
     for t, rho in zip(times, states):
         _check_sample(rho, t, trajectory.diagnostics)
@@ -332,7 +312,7 @@ def conserved_charge_trace(trajectory: Trajectory, operator) -> np.ndarray:
 
 @dataclass
 class SteadyStateResult:
-    state: DensityMatrix
+    state: np.ndarray
     residual: float
 
 
@@ -439,7 +419,7 @@ def _peripheral_part(rho: np.ndarray, liouvillian: Liouvillian,
     return vectors @ part @ vectors.conj().T, weight, omega
 
 
-def steady_state(rho0, liouvillian: Liouvillian,
+def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
                  convergence_tol: float = 1e-9) -> SteadyStateResult:
     """The exact t -> infinity limit of ``rho0`` under the given generator.
 
@@ -451,7 +431,7 @@ def steady_state(rho0, liouvillian: Liouvillian,
     all the same. Energies closer than ``DEGENERACY_TOL`` count as one level.
     A symmetry broken only slightly (dark states brightened, or levels split,
     by about 1e-11 to 1e-8) leaves the kernel ill-conditioned in double
-    precision; the result then fails :meth:`DensityMatrix.validate`.
+    precision; the result then fails :func:`validate_density`.
 
     The limit exists only when ``rho0`` has no weight on the purely imaginary
     eigenvalues i omega != 0 of L. When that part's residual
@@ -460,7 +440,7 @@ def steady_state(rho0, liouvillian: Liouvillian,
     :class:`SteadyStateNotConverged` naming omega and the weight. The result
     is validated as a density matrix and carries its residual.
     """
-    rho0 = _as_matrix(rho0)
+    rho0 = np.asarray(rho0)
     dim = liouvillian.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
@@ -475,6 +455,5 @@ def steady_state(rho0, liouvillian: Liouvillian,
         )
     kernel = steady_state_null_space(liouvillian)
     rho = unvectorize(kernel @ (kernel.conj().T @ vectorize(rho0)), dim)
-    state = DensityMatrix(rho)
-    state.validate()
-    return SteadyStateResult(state=state, residual=liouvillian.residual(rho))
+    validate_density(rho)
+    return SteadyStateResult(state=rho, residual=liouvillian.residual(rho))

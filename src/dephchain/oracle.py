@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import ManyBodyBasis, slater_state
-from .lindblad import DensityMatrix
 from .model import bare_mode_parity
 
 _REAL_TOL = 1e-12
@@ -151,7 +150,7 @@ def analytic_pair_rdm(n_sites: int) -> np.ndarray:
     return rdm
 
 
-def even_sector_steady_state(n_sites: int, n_particles: int) -> DensityMatrix:
+def even_sector_steady_state(n_sites: int, n_particles: int) -> np.ndarray:
     """Unique steady state of the fully even charge sector (nu_odd = 0).
 
     The uniform mixture of all Slater determinants of ``n_particles``
@@ -171,5 +170,4 @@ def even_sector_steady_state(n_sites: int, n_particles: int) -> DensityMatrix:
     for combo in combos:
         amp = slater_state(basis, combo, orbitals=parity.modes)
         rho += np.outer(amp, amp.conj())
-    rho /= len(combos)
-    return DensityMatrix(rho)
+    return rho / len(combos)

@@ -17,7 +17,7 @@ from dephchain.config import (
 from dephchain import experiments
 from dephchain.experiments import run
 from dephchain.fock import ManyBodyBasis, bilinear_operator, fock_state
-from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, evolve
+from dephchain.lindblad import dephasing_liouvillian, evolve
 from dephchain.model import LatticeSpec
 from dephchain.oracle import analytic_steady_state
 
@@ -178,9 +178,9 @@ def test_evolve_uses_the_lattice_trap():
     config = _small("evolve", "lattice.trap_amplitude=2.0")
     trapped = run(config).tables["timeseries"][1]
     bare = run(_small("evolve")).tables["timeseries"][1]
-    basis, psi = experiments.build_initial_state(config.lattice, config.initial_state)
+    basis, rho0 = experiments.build_initial_state(config.lattice, config.initial_state)
     liouvillian = dephasing_liouvillian(LatticeSpec(n_sites=5, trap_amplitude=2.0), basis)
-    expected = evolve(DensityMatrix.from_pure(psi), liouvillian,
+    expected = evolve(rho0, liouvillian,
                       config.time_grid.values()).expectations(bilinear_operator(basis, 1, 5))
     assert np.allclose([row[1] for row in trapped], expected.real, rtol=0, atol=1e-12)
     assert abs(bare[-1][1] - trapped[-1][1]) > 0.1
@@ -226,9 +226,9 @@ def test_fock_quench_state_matches_fresh_propagation(monkeypatch, quench_time, o
     run(config)
     # bare trajectory, [carry to t_quench,] post-quench window
     assert len(starts) == (2 if on_grid else 3)
-    basis, psi = experiments.build_initial_state(config.lattice, config.initial_state)
-    fresh = evolve(DensityMatrix.from_pure(psi),
-                   dephasing_liouvillian(config.lattice, basis), [quench_time]).final()
+    basis, rho0 = experiments.build_initial_state(config.lattice, config.initial_state)
+    fresh = evolve(rho0,
+                   dephasing_liouvillian(config.lattice, basis), [quench_time]).states[-1]
     assert np.abs(starts[-1] - fresh).max() < 1e-12
 
 
@@ -324,9 +324,7 @@ def test_steady_runners_flag_a_broken_invariant(monkeypatch, kind):
         real = experiments.oracle.even_sector_steady_state
 
         def skewed(n_sites, n_particles):
-            state = real(n_sites, n_particles)
-            state.matrix *= 1.0 + 1e-6
-            return state
+            return (1.0 + 1e-6) * real(n_sites, n_particles)
 
         monkeypatch.setattr(experiments.oracle, "even_sector_steady_state", skewed)
         payload["scan"] = {"sizes": [3], "fillings": [1]}
@@ -435,6 +433,26 @@ def test_cli_quench_time_before_grid_is_config_error(tmp_path, capsys):
     ])
     assert code == 2
     assert "quench.time" in capsys.readouterr().err
+
+
+def test_cli_fock_quench_on_a_grid_with_no_spacing(tmp_path):
+    # stop = start leaves no grid spacing: the window takes window / 400.
+    code = main([
+        "fock-quench", "--out", str(tmp_path),
+        "--override", "time_grid.stop=0",
+        "--override", "quench.time=0",
+    ])
+    assert code == 0
+    rows = (tmp_path / "fock_quench.csv").read_text().splitlines()[1:]
+    post_t = np.array([float(r.split(",")[0]) for r in rows if r.endswith(",1")])
+    assert np.abs(post_t - np.linspace(0.0, 20.0, 401)).max() < 1e-12
+
+
+def test_cli_concurrence_scan_size_without_a_pair_is_config_error(tmp_path, capsys):
+    code = main(["concurrence-scan", "--out", str(tmp_path),
+                 "--override", "scan.sizes=[1,3]"])
+    assert code == 2
+    assert "scan.sizes" in capsys.readouterr().err
 
 
 def test_cli_correlation_map_nonconvergence_exit_code(tmp_path, capsys):

@@ -11,7 +11,7 @@ from dephchain.entangle import (
     reduce_to_pair,
 )
 from dephchain.fock import ManyBodyBasis, even_mode_slater, fock_state
-from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, steady_state
+from dephchain.lindblad import dephasing_liouvillian, pure_state, steady_state
 from dephchain.model import LatticeSpec
 from dephchain.oracle import (
     analytic_n3_density_matrix,
@@ -128,8 +128,8 @@ def test_closed_shell_pair_is_maximally_entangled():
     basis = ManyBodyBasis(3, 2)
     psi = even_mode_slater(basis)
     liou = dephasing_liouvillian(spec, basis)
-    steady = steady_state(DensityMatrix.from_pure(psi), liou)
-    rdm = reduce_to_pair(steady.state.matrix, basis, 1, 3)
+    steady = steady_state(pure_state(psi), liou)
+    rdm = reduce_to_pair(steady.state, basis, 1, 3)
     assert concurrence(rdm) == pytest.approx(1.0, abs=1e-7)
 
 
@@ -243,5 +243,5 @@ def test_x_state_mask_matches_loop(n):
 
 def test_multiparticle_even_sector_rdm_concurrence():
     state = even_sector_steady_state(5, 2)
-    rdm = reduce_to_pair(state.matrix, ManyBodyBasis(5, 2), 2, 4)
+    rdm = reduce_to_pair(state, ManyBodyBasis(5, 2), 2, 4)
     assert concurrence(rdm) == pytest.approx(2.0 * 2 / 6.0, abs=1e-9)

@@ -15,7 +15,7 @@ from dephchain.fock import (
     even_mode_slater,
     fock_state,
 )
-from dephchain.lindblad import DensityMatrix, dephasing_liouvillian, evolve, steady_state
+from dephchain.lindblad import dephasing_liouvillian, evolve, pure_state, steady_state
 from dephchain.model import LatticeSpec, bare_mode_parity, build_single_particle_hamiltonian
 from dephchain.oracle import analytic_steady_state
 
@@ -23,7 +23,7 @@ from dephchain.oracle import analytic_steady_state
 def full_two_point(spec, basis, psi, times):
     """Oracle route: full sector evolution, then Tr[rho f!_j f_k]."""
     liou = dephasing_liouvillian(spec, basis)
-    traj = evolve(DensityMatrix.from_pure(psi), liou, times)
+    traj = evolve(pure_state(psi), liou, times)
     return [correlation_matrix(rho, basis) for rho in traj.states]
 
 
@@ -235,8 +235,8 @@ def test_scaling_matches_exact_closed_shell():
     basis = ManyBodyBasis(3, 2)
     psi = even_mode_slater(basis)
     liou = dephasing_liouvillian(spec, basis)
-    steady = steady_state(DensityMatrix.from_pure(psi), liou)
-    exact = correlation_matrix(steady.state.matrix, basis)
+    steady = steady_state(pure_state(psi), liou)
+    exact = correlation_matrix(steady.state, basis)
     scaled = multiparticle_scaling(analytic_steady_state(3), 2)
     assert np.abs(exact - scaled).max() < 1e-7
 

@@ -22,6 +22,7 @@ from dephchain.fock import (
     reflection_operator,
     slater_state,
 )
+from dephchain.lindblad import pure_state
 from dephchain.model import LatticeSpec, bare_mode_parity, build_single_particle_hamiltonian
 from oracles import (
     bruteforce_bilinear,
@@ -295,9 +296,9 @@ def test_sector_degeneracy_sums():
 
 def test_charge_sector_weights_projection():
     basis = ManyBodyBasis(3, 1)
-    weights = charge_sector_weights(fock_state(basis, "010"), basis)
+    weights = charge_sector_weights(pure_state(fock_state(basis, "010")), basis)
     assert weights == pytest.approx({0.5: 1.0})
-    mixed = fock_state(basis, "100")
+    mixed = pure_state(fock_state(basis, "100"))
     weights = charge_sector_weights(mixed, basis)
     assert weights[0.5] == pytest.approx(0.5)
     assert weights[-1.5] == pytest.approx(0.5)
@@ -369,9 +370,9 @@ def test_fock_state_examples():
 
 def test_parity_sector_weights():
     basis = ManyBodyBasis(3, 1)
-    even, odd = parity_sector_weights(fock_state(basis, "010"), basis)
+    even, odd = parity_sector_weights(pure_state(fock_state(basis, "010")), basis)
     assert even == pytest.approx(1.0) and odd == pytest.approx(0.0)
-    even, odd = parity_sector_weights(fock_state(basis, "100"), basis)
+    even, odd = parity_sector_weights(pure_state(fock_state(basis, "100")), basis)
     assert even == pytest.approx(0.5) and odd == pytest.approx(0.5)
 
 

@@ -13,11 +13,11 @@ from dephchain.fock import (
     number_operator,
     odd_mode_slater,
     parity_sector_weights,
+    slater_state,
     total_number_operator,
 )
 from dephchain.lindblad import (
     HERMITICITY_TOL,
-    DensityMatrix,
     InvariantViolation,
     SteadyStateNotConverged,
     Trajectory,
@@ -26,12 +26,13 @@ from dephchain.lindblad import (
     dephasing_liouvillian,
     evolve,
     maximally_mixed,
+    pure_state,
     steady_state,
     steady_state_null_space,
     unvectorize,
     vectorize,
 )
-from dephchain.model import LatticeSpec
+from dephchain.model import LatticeSpec, bare_mode_parity
 from dephchain.oracle import analytic_n3_density_matrix, analytic_steady_state
 from oracles import dense_kernel
 
@@ -92,14 +93,14 @@ def test_vectorization_round_trip():
 
 def test_t_zero_returns_initial_state_exactly():
     _, basis, liou = n3_problem()
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
+    rho0 = pure_state(fock_state(basis, "010"))
     traj = evolve(rho0, liou, [0.0])
-    assert np.array_equal(traj.states[0], rho0.matrix)
+    assert np.array_equal(traj.states[0], rho0)
 
 
 def test_n3_evolution_matches_appendix_closed_form():
     _, basis, liou = n3_problem(gamma=1.0)
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
+    rho0 = pure_state(fock_state(basis, "010"))
     times = np.linspace(0.0, 10.0, 41)
     traj = evolve(rho0, liou, times)
     worst = max(
@@ -119,7 +120,7 @@ def test_n3_hermiticity_and_closed_form_up_to_stiff_gamma(times):
     # tolerance itself, not merely to the abort level.
     for gamma in (0.5, 1.0, 2.0, 4.0, 20.0):
         _, basis, liou = n3_problem(gamma)
-        rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
+        rho0 = pure_state(fock_state(basis, "010"))
         traj = evolve(rho0, liou, times)
         assert traj.diagnostics["max_herm_dev"] < HERMITICITY_TOL, f"gamma={gamma}"
         worst = max(
@@ -153,9 +154,9 @@ def test_expm_matches_dense_exponential(n_sites, bits, grid):
     spec = LatticeSpec(n_sites=n_sites, dephasing_gamma=1.5)
     basis = ManyBodyBasis(n_sites, bits.count("1"))
     liou = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(fock_state(basis, bits))
+    rho0 = pure_state(fock_state(basis, bits))
     traj = evolve(rho0, liou, times)
-    generator, vec0 = liou.matrix.toarray(), vectorize(rho0.matrix)
+    generator, vec0 = liou.matrix.toarray(), vectorize(rho0)
     # every sample of a short grid; 30 spread over a long one, the last included
     checked = np.unique(np.linspace(0, len(times) - 1, 30).round().astype(int))
     worst = max(
@@ -182,7 +183,7 @@ def test_expm_calls_per_grid(monkeypatch, times, calls):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(lindblad.splinalg, "expm_multiply", counting)
-    evolve(DensityMatrix.from_pure(fock_state(basis, "010")), liou, times)
+    evolve(pure_state(fock_state(basis, "010")), liou, times)
     assert len(seen) == calls
 
 
@@ -190,10 +191,10 @@ def test_dark_state_is_stationary():
     spec = LatticeSpec(n_sites=5, dephasing_gamma=2.0)
     basis = ManyBodyBasis(5, 2)
     liou = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(odd_mode_slater(basis))
+    rho0 = pure_state(odd_mode_slater(basis))
     times = np.linspace(0.0, 50.0, 11)
     traj = evolve(rho0, liou, times)
-    worst = max(np.abs(rho - rho0.matrix).max() for rho in traj.states)
+    worst = max(np.abs(rho - rho0).max() for rho in traj.states)
     assert worst < 1e-9
 
 
@@ -206,14 +207,54 @@ def test_expectations_match_dense_trace():
     for op in (charge_operator(basis), bilinear_operator(basis, 1, 4),
                rng.normal(size=(10, 10))):
         expected = np.trace((op.toarray() if sparse.issparse(op) else op) @ rho)
-        assert abs(DensityMatrix(rho).expectation(op) - expected) < 1e-12
-        values = Trajectory(times=np.zeros(2), states=[rho, 2.0 * rho]).expectations(op)
+        values = Trajectory(times=np.zeros(2), states=np.array([rho, 2.0 * rho])).expectations(op)
         assert np.abs(values - [expected, 2.0 * expected]).max() < 1e-12
+
+
+def _long_step_problem():
+    # robustness-aa's longest steps: scipy's expm_multiply estimates 1-norms
+    # with numpy's global random generator there.
+    spec = LatticeSpec(n_sites=9, aa_amplitude=3.0 / 14.0)
+    basis = ManyBodyBasis(9, 1)
+    parity = bare_mode_parity(9)
+    ground = int(np.argmin(parity.energies)) + 1
+    rho0 = pure_state(slater_state(basis, [ground], orbitals=parity.modes))
+    return rho0, dephasing_liouvillian(spec, basis), [100.0, 1000.0]
+
+
+def test_evolve_does_not_depend_on_the_global_random_state():
+    rho0, liou, times = _long_step_problem()
+    runs = []
+    for seed in range(6):
+        np.random.seed(seed)
+        runs.append(evolve(rho0, liou, times).states)
+    for states in runs[1:]:
+        assert np.array_equal(states, runs[0])
+
+
+def test_evolve_leaves_the_global_random_stream_alone():
+    rho0, liou, times = _long_step_problem()
+    np.random.seed(7)
+    expected = np.random.random(4)
+    np.random.seed(7)
+    evolve(rho0, liou, times)
+    assert np.array_equal(np.random.random(4), expected)
+
+
+def test_trajectory_states_are_one_view_of_the_samples():
+    _, basis, liou = n3_problem()
+    rho0 = pure_state(fock_state(basis, "010"))
+    times = np.linspace(0.0, 2.0, 5)
+    traj = evolve(rho0, liou, times)
+    assert traj.states.shape == (5, 3, 3)
+    assert traj.states.base is not None and not traj.states.flags.owndata
+    for t, rho in zip(times, traj.states):
+        assert np.abs(rho - evolve(rho0, liou, [t]).states[0]).max() < 1e-13
 
 
 def test_trajectory_invariants_recorded():
     _, basis, liou = n3_problem()
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
+    rho0 = pure_state(fock_state(basis, "010"))
     traj = evolve(rho0, liou, np.linspace(0, 20, 41))
     assert traj.diagnostics["max_trace_dev"] < 1e-9
     assert traj.diagnostics["max_herm_dev"] < 1e-10
@@ -232,7 +273,7 @@ def test_invariant_violation_aborts():
 
 def test_evolve_validates_times_and_method():
     _, basis, liou = n3_problem()
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
+    rho0 = pure_state(fock_state(basis, "010"))
     with pytest.raises(ValueError):
         evolve(rho0, liou, [1.0, 0.5])
     with pytest.raises(ValueError):
@@ -245,7 +286,7 @@ def test_envelope_decay_rate_is_gamma_over_four():
         spec = LatticeSpec(n_sites=3, dephasing_gamma=gamma)
         basis = ManyBodyBasis(3, 1)
         liou = dephasing_liouvillian(spec, basis)
-        rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
+        rho0 = pure_state(fock_state(basis, "010"))
         times = np.linspace(0.0, 40.0, 4001)
         traj = evolve(rho0, liou, times)
         dev = np.array([abs(rho[1, 1].real - 0.5) for rho in traj.states])
@@ -264,9 +305,9 @@ def test_envelope_decay_rate_is_gamma_over_four():
 
 def test_steady_state_n3_x_form():
     _, basis, liou = n3_problem()
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
+    rho0 = pure_state(fock_state(basis, "010"))
     result = steady_state(rho0, liou)
-    rho = result.state.matrix
+    rho = result.state
     assert result.residual < 1e-9
     expected = np.array([[0.25, 0, 0.25], [0, 0.5, 0], [0.25, 0, 0.25]])
     assert np.abs(rho - expected).max() < 1e-7
@@ -276,9 +317,9 @@ def test_steady_state_n5_appendix_values():
     spec = LatticeSpec(n_sites=5)
     basis = ManyBodyBasis(5, 1)
     liou = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "00100"))
+    rho0 = pure_state(fock_state(basis, "00100"))
     result = steady_state(rho0, liou)
-    rho = result.state.matrix
+    rho = result.state
     sixth = 1.0 / 6.0
     assert rho[0, 0].real == pytest.approx(sixth, abs=1e-7)
     assert rho[0, 4].real == pytest.approx(sixth, abs=1e-7)
@@ -291,7 +332,7 @@ def test_mixed_parity_state_never_converges():
     spec = LatticeSpec(n_sites=7)
     basis = ManyBodyBasis(7, 4)
     liou = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "1010101"))
+    rho0 = pure_state(fock_state(basis, "1010101"))
     with pytest.raises(SteadyStateNotConverged) as info:
         steady_state(rho0, liou)
     assert info.value.residual > 1e-4
@@ -305,7 +346,7 @@ def test_mixed_parity_state_never_converges():
 def test_nonconvergence_names_undamped_gap_and_weight(n_sites, bits, omega, weight):
     basis = ManyBodyBasis(n_sites, bits.count("1"))
     liou = dephasing_liouvillian(LatticeSpec(n_sites=n_sites), basis)
-    rho0 = DensityMatrix.from_pure(fock_state(basis, bits))
+    rho0 = pure_state(fock_state(basis, bits))
     with pytest.raises(SteadyStateNotConverged) as info:
         steady_state(rho0, liou)
     assert info.value.omega == pytest.approx(omega, abs=1e-6)
@@ -318,11 +359,11 @@ def test_centre_site_input_has_no_undamped_weight(n_sites):
     basis = ManyBodyBasis(n_sites, 1)
     liou = dephasing_liouvillian(LatticeSpec(n_sites=n_sites), basis)
     centre = "0" * (n_sites // 2) + "1" + "0" * (n_sites // 2)
-    rho0 = DensityMatrix.from_pure(fock_state(basis, centre)).matrix
+    rho0 = pure_state(fock_state(basis, centre))
     _part, weight, _omega = lindblad._peripheral_part(rho0, liou, 1e-9)
     assert weight == 0.0
     result = steady_state(rho0, liou)
-    assert np.abs(result.state.matrix - analytic_steady_state(n_sites)).max() < 1e-10
+    assert np.abs(result.state - analytic_steady_state(n_sites)).max() < 1e-10
 
 
 def test_steady_state_matches_long_time_evolution():
@@ -349,7 +390,7 @@ def test_steady_state_matches_long_time_evolution():
         rho0 = a @ a.conj().T / np.trace(a @ a.conj().T)
         late = evolve(rho0, liou, [600.0, 600.5]).states
         try:
-            rho = steady_state(rho0, liou).state.matrix
+            rho = steady_state(rho0, liou).state
         except SteadyStateNotConverged:
             assert np.abs(late[1] - late[0]).max() > 1e-6, f"{kind}: {spec}"
             continue
@@ -369,8 +410,8 @@ def test_weak_aa_potential_relaxes_to_its_exact_limit(amplitude):
     basis = ManyBodyBasis(5, 2)
     liou = dephasing_liouvillian(LatticeSpec(n_sites=5, aa_amplitude=amplitude), basis)
     assert steady_state_null_space(liou).shape[1] == 1
-    rho0 = DensityMatrix.from_pure(even_mode_slater(basis))
-    rho = steady_state(rho0, liou).state.matrix
+    rho0 = pure_state(even_mode_slater(basis))
+    rho = steady_state(rho0, liou).state
     assert np.abs(rho - np.eye(basis.size) / basis.size).max() < 1e-8
 
 
@@ -378,12 +419,12 @@ def test_aa_splitting_below_degeneracy_tol_is_one_level():
     # A potential of 1e-13 splits the bare degenerate levels by less than
     # DEGENERACY_TOL: they stay one level and the bare chain's limit holds.
     basis = ManyBodyBasis(5, 2)
-    rho0 = DensityMatrix.from_pure(even_mode_slater(basis))
+    rho0 = pure_state(even_mode_slater(basis))
     bare = steady_state(rho0, dephasing_liouvillian(LatticeSpec(n_sites=5), basis))
     liou = dephasing_liouvillian(LatticeSpec(n_sites=5, aa_amplitude=1e-13), basis)
     assert steady_state_null_space(liou).shape[1] == 4
     result = steady_state(rho0, liou)
-    assert np.abs(result.state.matrix - bare.state.matrix).max() < 1e-11
+    assert np.abs(result.state - bare.state).max() < 1e-11
     assert result.residual < 1e-12
 
 
@@ -462,7 +503,7 @@ def test_conserved_traces_along_trajectory():
     spec = LatticeSpec(n_sites=5)
     basis = ManyBodyBasis(5, 2)
     liou = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(even_mode_slater(basis))
+    rho0 = pure_state(even_mode_slater(basis))
     times = np.linspace(0.0, 30.0, 31)
     traj = evolve(rho0, liou, times)
     identity = np.eye(basis.size)
@@ -477,7 +518,7 @@ def test_conserved_traces_along_trajectory():
 
 def test_single_particle_charge_trace_is_half():
     _, basis, liou = n3_problem()
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
+    rho0 = pure_state(fock_state(basis, "010"))
     traj = evolve(rho0, liou, np.linspace(0, 10, 11))
     charge = conserved_charge_trace(traj, charge_operator(basis))
     assert np.abs(charge - 0.5).max() < 1e-8
@@ -488,7 +529,7 @@ def test_even_sector_protection():
     spec = LatticeSpec(n_sites=5)
     basis = ManyBodyBasis(5, 1)
     liou = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(even_mode_slater(basis, which=(1,)))
+    rho0 = pure_state(even_mode_slater(basis, which=(1,)))
     traj = evolve(rho0, liou, np.linspace(0, 25, 26))
     from dephchain.fock import charge_sector_weights
     for rho in traj.states:
@@ -503,9 +544,9 @@ def test_x_form_of_even_sector_steady_state():
     spec = LatticeSpec(n_sites=7)
     basis = ManyBodyBasis(7, 1)
     liou = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(even_mode_slater(basis, which=(2,)))
+    rho0 = pure_state(even_mode_slater(basis, which=(2,)))
     result = steady_state(rho0, liou)
-    flag, off = is_x_state(result.state.matrix, tol=1e-7)
+    flag, off = is_x_state(result.state, tol=1e-7)
     assert flag, f"off-pattern magnitude {off}"
 
 

@@ -5,10 +5,11 @@ from scipy.linalg import expm
 from dephchain.entangle import partial_transpose_eigenvalues, reduce_to_pair
 from dephchain.fock import ManyBodyBasis, fock_state
 from dephchain.lindblad import (
-    DensityMatrix,
     dephasing_liouvillian,
     maximally_mixed,
+    pure_state,
     unvectorize,
+    validate_density,
     vectorize,
 )
 from dephchain.model import LatticeSpec
@@ -128,9 +129,9 @@ def test_cross_check_against_independent_integrator():
     spec = LatticeSpec(n_sites=3)
     basis = ManyBodyBasis(3, 1)
     liou = dephasing_liouvillian(spec, basis)
-    rho0 = DensityMatrix.from_pure(fock_state(basis, "010"))
+    rho0 = pure_state(fock_state(basis, "010"))
     # a dense exponential of the generator, independent of evolve's Krylov path
-    rho = unvectorize(expm(liou.matrix.toarray()) @ vectorize(rho0.matrix), 3)
+    rho = unvectorize(expm(liou.matrix.toarray()) @ vectorize(rho0), 3)
     assert np.abs(rho - analytic_n3_density_matrix(1.0, 1.0)).max() < 1e-7
 
 
@@ -211,7 +212,7 @@ def test_ppt_formula_rejects_bad_n():
 
 def test_even_sector_state_reduces_to_single_particle_form():
     state = even_sector_steady_state(5, 1)
-    assert np.abs(state.matrix - analytic_steady_state(5)).max() < 1e-12
+    assert np.abs(state - analytic_steady_state(5)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (7, 3), (9, 3)])
@@ -219,8 +220,8 @@ def test_even_sector_state_is_stationary(n, k):
     state = even_sector_steady_state(n, k)
     spec = LatticeSpec(n_sites=n)
     liou = dephasing_liouvillian(spec, ManyBodyBasis(n, k))
-    assert liou.residual(state.matrix) < 1e-10
-    state.validate()
+    assert liou.residual(state) < 1e-10
+    validate_density(state)
 
 
 def test_even_sector_state_rejects_overfilling():
