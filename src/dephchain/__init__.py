@@ -27,6 +27,7 @@ from .fock import (
     correlation_matrix,
     enumerate_charge_sectors,
     even_mode_slater,
+    expectation,
     fock_state,
     number_operator,
     odd_mode_slater,
@@ -41,7 +42,6 @@ from .lindblad import (
     SteadyStateNotConverged,
     Trajectory,
     build_liouvillian,
-    conserved_charge_trace,
     dephasing_liouvillian,
     evolve,
     maximally_mixed,

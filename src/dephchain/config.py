@@ -135,6 +135,12 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind: unknown experiment {self.kind!r}; "
                               f"choose from {', '.join(EXPERIMENT_KINDS)}")
+        modes = self.initial_state.modes
+        if self.initial_state.type == "slater" and (
+                not isinstance(modes, tuple) or len(set(modes)) != len(modes)
+                or not all(type(m) is int and 1 <= m <= self.lattice.n_sites for m in modes)):
+            raise ConfigError("initial_state.modes: need distinct integers in "
+                              f"1..{self.lattice.n_sites}, got {modes!r}")
         if self.kind == "fock-quench" and self.quench is None:
             raise ConfigError("quench: block required for kind 'fock-quench'")
         if self.kind == "fock-quench" and self.quench.time != "auto" \

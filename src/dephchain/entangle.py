@@ -1,19 +1,22 @@
 """Two-site reduced density matrices and bipartite entanglement measures.
 
-The reduced state of a pair of fermionic modes is computed with full
-Jordan-Wigner bookkeeping: the pair is moved to the end of the canonical mode
-ordering, accumulating permutation signs, and the rest is traced out. The
-coherence element of the result is exactly the two-point function
-<f!_i f_j>, string included. Concurrence is always evaluated on the exact
-reduced matrix, never through Wick factorization, because the steady states
-here need not be Gaussian.
+The states here are number-conserving, so the reduced state of a pair of
+fermionic modes (i, j) holds only the four pair populations and the
+coherence <f!_i f_j>. The populations are read off the diagonal and the
+coherence is one :func:`dephchain.fock.expectation` of the hopping bilinear,
+string included, so every fermionic sign comes from :mod:`dephchain.fock`.
+Concurrence is always evaluated on the exact reduced matrix, never through
+Wick factorization, because the steady states here need not be Gaussian.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import ManyBodyBasis
+from .fock import ManyBodyBasis, bilinear_operator, expectation
+
+# A 4x4 matrix whose smallest eigenvalue lies below minus this is not a state.
+PSD_TOL = 1e-7
 
 # 4x4 basis ordering of a pair (i, j), i < j: |00>, |01>, |10>, |11> with the
 # occupation of i first.
@@ -24,10 +27,10 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 def reduce_to_pair(rho, basis: ManyBodyBasis, i: int, j: int) -> np.ndarray:
     """Reduced density matrix of sites (i, j), i < j, from a sector state.
 
-    All other sites are traced out in the canonical mode ordering; fermionic
-    strings are resolved by reordering each configuration so the pair sits
-    adjacent at the end, with the permutation parity absorbed into the
-    amplitude.
+    Exact for any d x d matrix on the sector basis: a fixed particle number
+    leaves only the populations of |00>, |01>, |10>, |11>, summed from the
+    diagonal of ``rho``, and the |01> <-> |10> coherences <f!_i f_j> and
+    <f!_j f_i>.
     """
     n = basis.n_sites
     if not (1 <= i < j <= n):
@@ -36,28 +39,19 @@ def reduce_to_pair(rho, basis: ManyBodyBasis, i: int, j: int) -> np.ndarray:
     if rho.shape != (basis.size, basis.size):
         raise ValueError(f"state shape {rho.shape} does not match basis size {basis.size}")
 
-    bit_i, bit_j = 1 << (n - i), 1 << (n - j)
-    below_j = bit_j - 1          # bits of sites strictly right of j
-    below_i = bit_i - 1
-    grouped: dict[int, list[tuple[int, int, int]]] = {}
-    for q, mask in enumerate(basis.states):
-        env = mask & ~(bit_i | bit_j)
-        occ_i = 1 if mask & bit_i else 0
-        occ_j = 1 if mask & bit_j else 0
-        # parity of moving f!_j to the end, then f!_i next to it
-        swaps = occ_j * (env & below_j).bit_count() + occ_i * (env & below_i).bit_count()
-        sign = -1 if swaps & 1 else 1
-        grouped.setdefault(env, []).append((2 * occ_i + occ_j, q, sign))
-
+    occ_i, occ_j = basis.occupations[:, [i - 1, j - 1]].T
+    populations = rho.diagonal()
+    hop = bilinear_operator(basis, i, j)
     out = np.zeros((4, 4), dtype=complex)
-    for entries in grouped.values():
-        for ab, q, sign in entries:
-            for ab2, q2, sign2 in entries:
-                out[ab, ab2] += sign * sign2 * rho[q, q2]
+    for ab, weight in enumerate(((1 - occ_i) * (1 - occ_j), (1 - occ_i) * occ_j,
+                                 occ_i * (1 - occ_j), occ_i * occ_j)):
+        out[ab, ab] = populations @ weight
+    out[1, 2] = expectation(rho, hop)
+    out[2, 1] = expectation(rho, hop.T)
     return out
 
 
-def concurrence(rdm: np.ndarray, psd_tol: float = 1e-7) -> float:
+def concurrence(rdm: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
     The square roots l1 >= ... >= l4 of the eigenvalues of
@@ -72,7 +66,7 @@ def concurrence(rdm: np.ndarray, psd_tol: float = 1e-7) -> float:
     if rdm.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rdm.shape}")
     weights, vectors = np.linalg.eigh(0.5 * (rdm + rdm.conj().T))
-    if weights[0] < -psd_tol:
+    if weights[0] < -PSD_TOL:
         raise ValueError(f"input is not positive semidefinite (min eig {weights[0]:.3e})")
     w = vectors * np.sqrt(np.clip(weights, 0.0, None))
     roots = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)

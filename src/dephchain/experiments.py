@@ -162,7 +162,7 @@ def _series(trajectory: Trajectory, operators) -> dict[str, np.ndarray]:
             states = trajectory.states
             series[name] = np.einsum("tij,tji->t", states, states).real.astype(complex)
         else:
-            series[name] = trajectory.expectations(op)
+            series[name] = fock.expectation(trajectory.states, op)
     return series
 
 
@@ -185,7 +185,7 @@ def _conservation_checks(trajectories: list[Trajectory], basis: fock.ManyBodyBas
     generators = [op for liou in liouvillians for op in (liou.hamiltonian, liou.jump)]
     checks: dict = {"not_enforced": []}
     for key, operator in operators.items():
-        values = np.concatenate([t.expectations(operator) for t in trajectories])
+        values = np.concatenate([fock.expectation(t.states, operator) for t in trajectories])
         checks[key] = float(np.abs(values - values[0]).max())
         if any(abs(operator @ g - g @ operator).max() > COMMUTATOR_TOL for g in generators):
             checks["not_enforced"].append(key)
@@ -379,14 +379,14 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     grid = config.time_grid
     times = grid.values()
     bare = evolve(rho0, liouvillian, times)
-    corr = bare.expectations(end_to_end)
+    corr = fock.expectation(bare.states, end_to_end)
     abs_corr = np.abs(corr)
     residuals = np.array([liouvillian.residual(r) for r in bare.states])
 
     if quench.time == "auto":
         peaks = _local_maxima(times, abs_corr, after=quench.transient)
         if not peaks:
-            raise RuntimeError("no post-transient correlation maximum found for 'auto'")
+            raise ValueError("no post-transient correlation maximum found for 'auto'")
         t_quench = peaks[0][0]
     else:
         t_quench = float(quench.time)
@@ -409,7 +409,7 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     post_times = np.arange(0.0, quench.window + step / 2, step)
     post = evolve(rho_at_quench, trapped, post_times)
     trajectories.append(post)
-    post_corr = post.expectations(end_to_end)
+    post_corr = fock.expectation(post.states, end_to_end)
 
     header = ["t", "corr_re", "corr_im", "corr_abs", "residual", "post_quench"]
     rows = [[t, corr[k].real, corr[k].imag, abs_corr[k], residuals[k], 0]
@@ -484,7 +484,7 @@ def run_robustness_int(config: ExperimentConfig) -> RunResult:
         diagnostics.append(trajectory.diagnostics)
         rho = trajectory.states[-1]
         rdm = entangle.reduce_to_pair(rho, basis, 1, n)
-        corr = trajectory.expectations(end_to_end)[-1]
+        corr = fock.expectation(rho, end_to_end)
         rows.append([float(strength), entangle.concurrence(rdm), corr.real, corr.imag])
     strengths = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  (dephbench/tracing.py wraps it by name)
 
-from .lindblad import Liouvillian, build_liouvillian, evolve, steady_state
+from .lindblad import HERMITICITY_TOL, Liouvillian, build_liouvillian, evolve, steady_state
 from .model import LatticeSpec, build_single_particle_hamiltonian
 
 EIGENVALUE_SLACK = 1e-9
@@ -31,9 +31,9 @@ class ScalingDomainError(ValueError):
     (an occupation eigenvalue left [0, 1])."""
 
 
-def validate_correlation_matrix(c: np.ndarray, herm_tol: float = 1e-10) -> None:
+def validate_correlation_matrix(c: np.ndarray) -> None:
     c = np.asarray(c)
-    if np.abs(c - c.conj().T).max() > herm_tol:
+    if np.abs(c - c.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("correlation matrix is not Hermitian")
     eig = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
     if eig.min() < -EIGENVALUE_SLACK or eig.max() > 1.0 + EIGENVALUE_SLACK:

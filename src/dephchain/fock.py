@@ -3,7 +3,9 @@
 Basis states are occupation bitstrings with site 1 leftmost; the state
 ``|s1 s2 ... sN>`` is the canonical product ``f!_{i1} f!_{i2} ... |0>`` of
 creation operators sorted by ascending site index. Every fermionic sign in
-this module derives from that single ordering convention.
+the package derives from that single ordering convention, and only this
+module knows it: other modules read sector states through the operators
+built here and :func:`expectation`.
 
 Operators are returned as ``scipy.sparse`` CSR matrices at every sector
 dimension; states and density matrices are dense ``numpy`` arrays.
@@ -20,7 +22,6 @@ import scipy.sparse as sparse
 
 from .model import (
     LatticeSpec,
-    ModeParity,
     bare_mode_parity,
     build_single_particle_hamiltonian,
 )
@@ -64,6 +65,13 @@ class ManyBodyBasis:
     def index_of(self, state: int | str) -> int:
         mask = self.mask_of(state) if isinstance(state, str) else state
         return self.index[mask]
+
+    @property
+    def occupations(self) -> np.ndarray:
+        """(size, n_sites) array of 0/1: entry [q, s - 1] is the occupation
+        of site s in basis state q."""
+        shifts = np.arange(self.n_sites - 1, -1, -1)
+        return (np.array(self.states)[:, None] >> shifts) & 1
 
     def occupied_sites(self, mask: int) -> tuple[int, ...]:
         n = self.n_sites
@@ -126,8 +134,7 @@ def number_operator(basis: ManyBodyBasis, i: int):
 
 
 def total_number_operator(basis: ManyBodyBasis):
-    diag = np.array([float(bin(m).count("1")) for m in basis.states])
-    return sparse.diags(diag, format="csr")
+    return sparse.diags(basis.occupations.sum(axis=1).astype(float), format="csr")
 
 
 def build_many_body_hamiltonian(spec: LatticeSpec, basis: ManyBodyBasis):
@@ -151,35 +158,21 @@ def build_many_body_hamiltonian(spec: LatticeSpec, basis: ManyBodyBasis):
     return _bilinear_sum(basis, hopping) + sparse.diags(diagonal, format="csr")
 
 
-def _reorder_parity(sequence) -> int:
-    """Permutation parity (+1/-1) of sorting ``sequence`` ascending,
-    computed by explicit inversion counting."""
-    items = list(sequence)
-    swaps = 0
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if items[a] > items[b]:
-                swaps += 1
-    return -1 if swaps & 1 else 1
-
-
 def reflection_operator(basis: ManyBodyBasis):
     """Many-body site-reversal operator R with R^2 = identity.
 
-    Each basis state maps to the state with reflected occupations times the
-    parity of reordering the reflected creation-operator product back to
-    canonical ascending order.
+    Each basis state maps to the state with reflected occupations. Reordering
+    the reversed product of k sorted creation operators back to ascending
+    order takes k(k-1)/2 transpositions, so every entry carries the one sign
+    (-1)^(k(k-1)/2) of the sector.
     """
-    n = basis.n_sites
-    rows, cols, vals = [], [], []
-    for q, mask in enumerate(basis.states):
-        reflected = [n + 1 - s for s in basis.occupied_sites(mask)]
-        sign = _reorder_parity(reflected)
-        target = sum(1 << (n - s) for s in reflected)
-        rows.append(basis.index[target])
-        cols.append(q)
-        vals.append(float(sign))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(basis.size, basis.size))
+    k = basis.n_particles
+    sign = -1.0 if (k * (k - 1) // 2) & 1 else 1.0
+    # Site s sits on bit N - s, so its mirror N + 1 - s sits on bit s - 1.
+    rows = [basis.index[sum(1 << (s - 1) for s in basis.occupied_sites(mask))]
+            for mask in basis.states]
+    return sparse.csr_matrix((np.full(basis.size, sign), (rows, range(basis.size))),
+                             shape=(basis.size, basis.size))
 
 
 def charge_operator(basis: ManyBodyBasis):
@@ -282,13 +275,20 @@ def fock_state(basis: ManyBodyBasis, bitstring: str | int) -> np.ndarray:
     return vec
 
 
+def expectation(rho: np.ndarray, operator):
+    """Tr[O rho] of one d x d state, or one value per state of a (T, d, d)
+    stack, summed over the nonzero entries of the (sparse or dense) O only."""
+    op = sparse.coo_matrix(operator)
+    return np.asarray(rho)[..., op.col, op.row] @ op.data
+
+
 def correlation_matrix(rho: np.ndarray, basis: ManyBodyBasis) -> np.ndarray:
     """Two-point matrix C_jk = Tr[rho f!_j f_k] of a sector density matrix."""
     n = basis.n_sites
     out = np.empty((n, n), dtype=complex)
     for j in range(1, n + 1):
         for k in range(1, n + 1):
-            out[j - 1, k - 1] = (bilinear_operator(basis, j, k) @ rho).diagonal().sum()
+            out[j - 1, k - 1] = expectation(rho, bilinear_operator(basis, j, k))
     return out
 
 
@@ -312,33 +312,27 @@ def charge_sector_weights(rho: np.ndarray, basis: ManyBodyBasis,
 
 def parity_sector_weights(rho: np.ndarray, basis: ManyBodyBasis) -> tuple[float, float]:
     """(even, odd) reflection-sector populations of a density matrix."""
-    reflected = float(np.real((reflection_operator(basis) @ rho).diagonal().sum()))
+    reflected = float(np.real(expectation(rho, reflection_operator(basis))))
     trace = float(np.real(np.trace(rho)))
     return 0.5 * (trace + reflected), 0.5 * (trace - reflected)
 
 
-def even_mode_slater(basis: ManyBodyBasis, which: tuple[int, ...] | None = None,
-                     parity: ModeParity | None = None) -> np.ndarray:
-    """Slater state occupying even-parity modes only (dephasing-coupled
+def _bare_parity_slater(basis: ManyBodyBasis, even: bool, which) -> np.ndarray:
+    parity = bare_mode_parity(basis.n_sites)
+    pool = parity.even if even else parity.odd
+    if which is None:
+        which = tuple(range(basis.n_particles))
+    return slater_state(basis, [pool[w] for w in which], orbitals=parity.modes)
+
+
+def even_mode_slater(basis: ManyBodyBasis, which: tuple[int, ...] | None = None) -> np.ndarray:
+    """Slater state occupying even-parity bare modes only (dephasing-coupled
     sector); ``which`` selects positions in the even-mode list, defaulting to
     the lowest ones."""
-    if parity is None:
-        parity = bare_mode_parity(basis.n_sites)
-    pool = parity.even
-    if which is None:
-        which = tuple(range(basis.n_particles))
-    modes = [pool[w] for w in which]
-    return slater_state(basis, modes, orbitals=parity.modes)
+    return _bare_parity_slater(basis, True, which)
 
 
-def odd_mode_slater(basis: ManyBodyBasis, which: tuple[int, ...] | None = None,
-                    parity: ModeParity | None = None) -> np.ndarray:
-    """Slater state occupying odd-parity modes only (a dark state of the
+def odd_mode_slater(basis: ManyBodyBasis, which: tuple[int, ...] | None = None) -> np.ndarray:
+    """Slater state occupying odd-parity bare modes only (a dark state of the
     central dephasing)."""
-    if parity is None:
-        parity = bare_mode_parity(basis.n_sites)
-    pool = parity.odd
-    if which is None:
-        which = tuple(range(basis.n_particles))
-    modes = [pool[w] for w in which]
-    return slater_state(basis, modes, orbitals=parity.modes)
+    return _bare_parity_slater(basis, False, which)

@@ -207,12 +207,6 @@ class Trajectory:
     states: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def expectations(self, operator) -> np.ndarray:
-        """Tr[O rho(t)] at every sample, summed over the nonzero entries of
-        the (sparse or dense) operator O only."""
-        op = sparse.coo_matrix(operator)
-        return self.states[:, op.col, op.row] @ op.data
-
 
 def _check_sample(rho: np.ndarray, t: float, diagnostics: dict) -> None:
     dev = invariant_deviations(rho)
@@ -300,14 +294,6 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     for t, rho in zip(times, states):
         _check_sample(rho, t, trajectory.diagnostics)
     return trajectory
-
-
-def conserved_charge_trace(trajectory: Trajectory, operator) -> np.ndarray:
-    """Time series Tr[rho(t) O] for a Hermitian operator; returned real."""
-    values = trajectory.expectations(operator)
-    if np.abs(values.imag).max() > 1e-8:
-        raise ValueError("operator expectation has a large imaginary part; not Hermitian?")
-    return values.real
 
 
 @dataclass

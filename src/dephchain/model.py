@@ -21,6 +21,8 @@ import numpy as np
 
 # Irrational spatial frequency of the quasi-periodic potential.
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest entry of [h, R] for which h counts as reflection symmetric.
+REFLECTION_TOL = 1e-9
 
 
 class ReflectionSymmetryBroken(ValueError):
@@ -145,19 +147,19 @@ def _fix_mode_phases(modes: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def classify_mode_parity(h: np.ndarray, tol: float = 1e-9) -> ModeParity:
+def classify_mode_parity(h: np.ndarray) -> ModeParity:
     """Diagonalize ``h`` and classify each eigenmode as reflection-even or
     reflection-odd.
 
     Degenerate eigenvalues are resolved by projecting the degenerate block
     onto the two reflection eigenspaces before classification, which makes
     the returned modes deterministic. Raises
-    :class:`ReflectionSymmetryBroken` when ``[h, R]`` exceeds ``tol``.
+    :class:`ReflectionSymmetryBroken` when ``[h, R]`` exceeds ``REFLECTION_TOL``.
     """
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
     reflection = reflection_permutation(n)
-    if np.abs(h @ reflection - reflection @ h).max() > tol:
+    if np.abs(h @ reflection - reflection @ h).max() > REFLECTION_TOL:
         raise ReflectionSymmetryBroken(
             "Hamiltonian does not commute with site reversal; parity "
             "classification unavailable (is a symmetry-breaking potential on?)"

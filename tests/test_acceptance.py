@@ -19,6 +19,7 @@ from dephchain.fock import (
     charge_operator,
     correlation_matrix,
     even_mode_slater,
+    expectation,
     fock_state,
     odd_mode_slater,
     parity_sector_weights,
@@ -215,8 +216,8 @@ def test_criterion_09_conserved_charges_along_trajectories():
             liou = dephasing_liouvillian(spec, basis)
             traj = evolve(pure_state(psi), liou,
                           np.linspace(0.0, horizon, 21))
-            charge = traj.expectations(charge_operator(basis)).real
-            number = traj.expectations(total_number_operator(basis)).real
+            charge = expectation(traj.states, charge_operator(basis)).real
+            number = expectation(traj.states, total_number_operator(basis)).real
             parity = np.array([parity_sector_weights(r, basis)[0] for r in traj.states])
             for name, series in (("charge", charge), ("number", number),
                                  ("parity", parity)):

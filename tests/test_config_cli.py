@@ -16,7 +16,7 @@ from dephchain.config import (
 )
 from dephchain import experiments
 from dephchain.experiments import run
-from dephchain.fock import ManyBodyBasis, bilinear_operator, fock_state
+from dephchain.fock import ManyBodyBasis, bilinear_operator, expectation, fock_state
 from dephchain.lindblad import dephasing_liouvillian, evolve
 from dephchain.model import LatticeSpec
 from dephchain.oracle import analytic_steady_state
@@ -180,8 +180,8 @@ def test_evolve_uses_the_lattice_trap():
     bare = run(_small("evolve")).tables["timeseries"][1]
     basis, rho0 = experiments.build_initial_state(config.lattice, config.initial_state)
     liouvillian = dephasing_liouvillian(LatticeSpec(n_sites=5, trap_amplitude=2.0), basis)
-    expected = evolve(rho0, liouvillian,
-                      config.time_grid.values()).expectations(bilinear_operator(basis, 1, 5))
+    expected = expectation(evolve(rho0, liouvillian, config.time_grid.values()).states,
+                           bilinear_operator(basis, 1, 5))
     assert np.allclose([row[1] for row in trapped], expected.real, rtol=0, atol=1e-12)
     assert abs(bare[-1][1] - trapped[-1][1]) > 0.1
 
@@ -453,6 +453,31 @@ def test_cli_concurrence_scan_size_without_a_pair_is_config_error(tmp_path, caps
                  "--override", "scan.sizes=[1,3]"])
     assert code == 2
     assert "scan.sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modes", ["[0]", "[10]", "[1,1]"], ids=["zero", "past-n", "repeated"])
+def test_cli_correlation_map_bad_slater_modes_are_config_errors(tmp_path, capsys, modes):
+    # Mode 0 would wrap round to mode 9, mode 10 does not exist at N = 9, and
+    # a repeated mode breaks the Pauli principle.
+    code = main(["correlation-map", "--out", str(tmp_path),
+                 "--override", "initial_state.type=slater",
+                 "--override", f"initial_state.modes={modes}"])
+    assert code == 2
+    assert "initial_state.modes" in capsys.readouterr().err
+
+
+def test_cli_fock_quench_auto_without_a_maximum_is_an_error(tmp_path, capsys):
+    # No sample after the transient has a neighbour on both sides.
+    code = main([
+        "fock-quench", "--out", str(tmp_path),
+        "--override", "lattice.n_sites=5",
+        "--override", 'initial_state.bitstring="10101"',
+        "--override", 'time_grid={"start": 0.0, "stop": 10.0, "num": 101}',
+        "--override", "quench.time=auto",
+        "--override", "quench.transient=9.99",
+    ])
+    assert code == 2
+    assert "no post-transient correlation maximum" in capsys.readouterr().err
 
 
 def test_cli_correlation_map_nonconvergence_exit_code(tmp_path, capsys):

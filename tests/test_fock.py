@@ -56,9 +56,10 @@ def test_basis_sizes(n, k, size):
 
 def test_basis_popcounts_and_index():
     basis = ManyBodyBasis(5, 2)
-    for mask in basis.states:
+    for q, mask in enumerate(basis.states):
         assert bin(mask).count("1") == 2
         assert basis.states[basis.index_of(mask)] == mask
+        assert "".join(map(str, basis.occupations[q])) == basis.bitstring(mask)
     assert basis.index_of("01010") == basis.index[0b01010]
 
 
@@ -196,7 +197,9 @@ def test_reflection_examples():
     assert np.allclose(refl2 @ fock_state(basis2, "110"), -fock_state(basis2, "011"))
 
 
-@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (5, 2), (5, 3), (7, 3)])
+# The sign (-1)^(k(k-1)/2) has period 4 in k: every k at N = 7 covers it twice.
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (5, 2), (5, 3), (7, 3)]
+                         + [(7, k) for k in (0, 1, 2, 4, 5, 6, 7)])
 def test_reflection_matches_bruteforce(n, k):
     basis = ManyBodyBasis(n, k)
     assert np.array_equal(dense(reflection_operator(basis)), bruteforce_reflection(n, k))

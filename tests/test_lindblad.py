@@ -9,6 +9,7 @@ from dephchain.fock import (
     bilinear_operator,
     charge_operator,
     even_mode_slater,
+    expectation,
     fock_state,
     number_operator,
     odd_mode_slater,
@@ -20,9 +21,7 @@ from dephchain.lindblad import (
     HERMITICITY_TOL,
     InvariantViolation,
     SteadyStateNotConverged,
-    Trajectory,
     build_liouvillian,
-    conserved_charge_trace,
     dephasing_liouvillian,
     evolve,
     maximally_mixed,
@@ -200,14 +199,17 @@ def test_dark_state_is_stationary():
 
 def test_expectations_match_dense_trace():
     # Tr[O rho] read off O's nonzero entries equals the dense trace for CSR
-    # and dense O, including a non-symmetric O on a non-Hermitian matrix.
+    # and dense O, including a non-symmetric O on a non-Hermitian matrix, on
+    # one state and on a (T, d, d) stack.
     basis = ManyBodyBasis(5, 2)
     rng = np.random.default_rng(3)
     rho = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
     for op in (charge_operator(basis), bilinear_operator(basis, 1, 4),
                rng.normal(size=(10, 10))):
         expected = np.trace((op.toarray() if sparse.issparse(op) else op) @ rho)
-        values = Trajectory(times=np.zeros(2), states=np.array([rho, 2.0 * rho])).expectations(op)
+        assert abs(expectation(rho, op) - expected) < 1e-12
+        values = expectation(np.array([rho, 2.0 * rho]), op)
+        assert values.shape == (2,)
         assert np.abs(values - [expected, 2.0 * expected]).max() < 1e-12
 
 
@@ -507,12 +509,12 @@ def test_conserved_traces_along_trajectory():
     times = np.linspace(0.0, 30.0, 31)
     traj = evolve(rho0, liou, times)
     identity = np.eye(basis.size)
-    ones = conserved_charge_trace(traj, identity)
+    ones = expectation(traj.states, identity)
     assert np.abs(ones - 1.0).max() < 1e-10
-    charge = conserved_charge_trace(traj, charge_operator(basis))
+    charge = expectation(traj.states, charge_operator(basis))
     assert np.abs(charge - charge[0]).max() < 1e-8
     assert charge[0] == pytest.approx(1.5, abs=1e-9)    # -1/2 + nu_e = 2
-    number = conserved_charge_trace(traj, total_number_operator(basis))
+    number = expectation(traj.states, total_number_operator(basis))
     assert np.abs(number - 2.0).max() < 1e-8
 
 
@@ -520,7 +522,7 @@ def test_single_particle_charge_trace_is_half():
     _, basis, liou = n3_problem()
     rho0 = pure_state(fock_state(basis, "010"))
     traj = evolve(rho0, liou, np.linspace(0, 10, 11))
-    charge = conserved_charge_trace(traj, charge_operator(basis))
+    charge = expectation(traj.states, charge_operator(basis))
     assert np.abs(charge - 0.5).max() < 1e-8
 
 
