@@ -3,12 +3,12 @@
 For a quadratic Hamiltonian and the central-site occupation as jump operator
 the two-point matrix C_jk = <f!_j f_k> obeys
 
-    dC/dt = i (h C - C h) - (gamma / 2) * D o C,
-    D_jk = (delta_jc - delta_kc)^2,
+    dC/dt = i (h C - C h) - (gamma / 2) * M o C,
+    M_jk = (delta_jc - delta_kc)^2,
 
 which is the one-particle sector of :mod:`dephchain.lindblad` read as
 C = rho^T: the sector's generator, built from the one-body ``h`` and the
-projector e_c e_c^T, acting on rho = C^T / Tr C. Evolution and steady
+mask M of the dephased site c, acting on rho = C^T / Tr C. Evolution and steady
 states therefore go through ``lindblad.evolve`` and ``lindblad.steady_state``
 (the exact projection onto the kernel), with their invariant checks, and are
 scaled back by Tr C. The multi-fermion steady-state scaling law lives
@@ -44,15 +44,16 @@ def _one_particle_problem(c0, h: np.ndarray, gamma: float,
                           center: int) -> tuple[Liouvillian, np.ndarray, float]:
     """The one-particle sector seen through C = rho^T: its generator (``h``
     with the projector on the 1-based ``center`` site as jump operator),
-    rho0 = C0^T / Tr C0, and Tr C0."""
+    rho0 = C0^T / Tr C0, and Tr C0. Refuses a C0 that is not Hermitian or
+    has an occupation eigenvalue outside [0, 1]."""
     c0 = np.asarray(c0, dtype=complex)
     if c0.shape != h.shape:
         raise ValueError(f"correlation shape {c0.shape} does not match h {h.shape}")
+    validate_correlation_matrix(c0)
     filling = float(np.trace(c0).real)
     if filling <= 0:
         raise ValueError(f"correlation matrix needs a positive trace, got {filling:g}")
-    jump = np.zeros(h.shape)
-    jump[center - 1, center - 1] = 1.0
+    jump = np.diag(np.arange(len(h)) == center - 1)
     return build_liouvillian(h, gamma, jump), c0.T / filling, filling
 
 
@@ -82,7 +83,6 @@ def correlation_evolve(spec: LatticeSpec, c0: np.ndarray, times) -> np.ndarray:
     """Two-point trajectory for a lattice spec; refuses interacting problems,
     where the two-point equation no longer closes."""
     _refuse_interaction(spec)
-    validate_correlation_matrix(c0)
     h = build_single_particle_hamiltonian(spec)
     return evolve_with_hamiltonian(c0, h, spec.dephasing_gamma, spec.central_site, times)
 

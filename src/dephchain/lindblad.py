@@ -1,12 +1,12 @@
 """Liouvillian construction, master-equation evolution, and steady states.
 
-The generator implemented here is the Hermitian-jump form
+The one jump operator, the central-site occupation n_c, is a 0/1 diagonal
+in the Fock basis, so its dissipator is an entrywise mask:
 
-    d rho / dt = -i [H, rho] + gamma (L rho L - 1/2 {L^2, rho})
+    d rho / dt = -i [H, rho] - (gamma / 2) M o rho,    M_ab = (n_a - n_b)^2.
 
-with a single jump operator, the central-site occupation. Density matrices
-are vectorized by column stacking, under which ``A rho B`` maps to
-``kron(B.T, A) vec(rho)``; that convention is fixed here and used everywhere.
+Density matrices are vectorized by column stacking, under which ``A rho B``
+maps to ``kron(B.T, A) vec(rho)``; that convention is fixed here and used everywhere.
 """
 
 from __future__ import annotations
@@ -116,11 +116,12 @@ def maximally_mixed(dim: int) -> np.ndarray:
 
 @dataclass
 class Liouvillian:
-    """The generator ``-i [H, rho] + gamma (L rho L - 1/2 {L^2, rho})`` of a
-    Hamiltonian H and one Hermitian jump operator L, both sparse d x d."""
+    """The generator ``-i [H, rho] - (gamma / 2) M o rho`` of a sparse d x d
+    Hamiltonian H, where ``dephased`` is the boolean diagonal of the jump
+    operator and M_ab = 1 where exactly one of the states a, b is dephased."""
 
     hamiltonian: sparse.csr_matrix
-    jump: sparse.csr_matrix
+    dephased: np.ndarray
     gamma: float
 
     @property
@@ -131,16 +132,13 @@ class Liouvillian:
     @functools.cached_property
     def matrix(self) -> sparse.csr_matrix:
         """The superoperator on column-vectorized density matrices,
-        ``-i (I x H - H^T x I) + gamma (L^T x L - 1/2 (I x L^2 + (L^2)^T x I))``."""
-        h, jump = self.hamiltonian, self.jump
+        ``-i (I x H - H^T x I) - (gamma / 2) diag(vec M)``."""
+        h = self.hamiltonian
         identity = sparse.identity(self.dim, format="csr", dtype=complex)
         gen = -1j * (sparse.kron(identity, h) - sparse.kron(h.T, identity))
         if self.gamma:
-            jump2 = (jump @ jump).tocsr()
-            gen = gen + self.gamma * (
-                sparse.kron(jump.T, jump)
-                - 0.5 * (sparse.kron(identity, jump2) + sparse.kron(jump2.T, identity))
-            )
+            mask = self.dephased[:, None] != self.dephased[None, :]
+            gen = gen - sparse.diags(0.5 * self.gamma * mask.ravel(order="F"))
         return gen.tocsr()
 
     def residual(self, rho: np.ndarray) -> float:
@@ -157,38 +155,32 @@ class Liouvillian:
     def _spectrum(self):
         """H's eigenbasis for the steady-state projection: level energy of
         each eigenvector, the eigenvectors, their level index, and the
-        eigenvector rows where the jump is 1 (none when gamma = 0) and 0."""
-        occupation = self.jump.diagonal()
-        if abs(self.jump - sparse.diags(occupation)).max() > 0 \
-                or not np.all((occupation == 0) | (occupation == 1)):
-            raise ValueError("the steady-state projection needs a diagonal 0/1 jump operator")
+        eigenvector rows of the dephased states (none when gamma = 0) and of
+        the rest."""
         h = self.hamiltonian.toarray()
         energies, vectors = np.linalg.eigh(h if np.any(h.imag) else h.real)
         level = np.cumsum(np.diff(energies, prepend=energies[:1]) > DEGENERACY_TOL)
         energies = (np.bincount(level, weights=energies) / np.bincount(level))[level]
-        on = (occupation == 1) & (self.gamma > 0)
+        on = self.dephased & (self.gamma > 0)
         return energies, vectors, level, vectors[on], vectors[~on]
 
 
-def _to_sparse(op) -> sparse.csr_matrix:
-    if sparse.issparse(op):
-        return op.tocsr().astype(complex)
-    return sparse.csr_matrix(np.asarray(op, dtype=complex))
-
-
 def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
-    """The generator of one Hermitian jump operator, checked: gamma >= 0 and
-    both operators Hermitian and of one square shape."""
+    """The dephasing generator of a Hamiltonian and one jump operator,
+    checked: gamma >= 0, both operators of one square shape, the Hamiltonian
+    Hermitian, and the jump a 0/1 diagonal (a projector onto basis states)."""
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
-    h = _to_sparse(hamiltonian)
-    jump = _to_sparse(jump_operator)
+    h = sparse.csr_matrix(hamiltonian, dtype=complex)
+    jump = sparse.csr_matrix(jump_operator, dtype=complex)
     if h.shape != jump.shape or h.shape[0] != h.shape[1]:
         raise ValueError(f"operator shapes {h.shape} and {jump.shape} do not match")
-    for name, op in (("hamiltonian", h), ("jump operator", jump)):
-        if abs(op - op.conj().T).max() > 1e-10:
-            raise ValueError(f"{name} is not Hermitian")
-    return Liouvillian(h, jump, float(gamma))
+    if abs(h - h.conj().T).max() > 1e-10:
+        raise ValueError("hamiltonian is not Hermitian")
+    occupation = jump.diagonal()
+    if abs(jump - sparse.diags(occupation)).max() > 0 or not np.isin(occupation, (0, 1)).all():
+        raise ValueError("the generator needs a diagonal 0/1 jump operator")
+    return Liouvillian(h, occupation == 1, float(gamma))
 
 
 def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis) -> Liouvillian:

@@ -270,6 +270,10 @@ def test_fock_quench_points_grid_uses_window_step():
     ("robustness-int", {"type": "fock", "bitstring": "10101"}),
 ])
 def test_robustness_runs_report_invariants(kind, initial_state):
+    # The quasiperiodic potential breaks the charge and the reflection, the
+    # interaction only the charge; the particle number always holds.
+    broken = {"robustness-aa": ["charge_drift", "parity_even_drift"],
+              "robustness-int": ["charge_drift"]}[kind]
     payload = config_to_dict(default_config(kind))
     payload["lattice"]["n_sites"] = 5
     payload["initial_state"] = initial_state
@@ -279,7 +283,35 @@ def test_robustness_runs_report_invariants(kind, initial_state):
     assert checks["max_trace_dev"] < 1e-9
     assert checks["max_herm_dev"] < 1e-9
     assert checks["min_eigenvalue"] > -1e-8
+    assert checks["not_enforced"] == broken
+    for key in ("charge_drift", "number_drift", "parity_even_drift"):
+        assert key in broken or checks[key] < 1e-8, key
     assert result.invariants_ok is True
+
+
+def test_robustness_int_parity_drift_fails_the_verdict(monkeypatch):
+    # Every sample is swapped for a Fock state of the same particle number
+    # whose even-reflection weight is 1/2 where rho0's is a whole number.
+    # The interaction conserves that weight, so the verdict fails; a drift
+    # measured from the first sample instead of rho0 would read 0.
+    payload = config_to_dict(default_config("robustness-int"))
+    payload["lattice"]["n_sites"] = 5
+    payload["initial_state"] = {"type": "fock", "bitstring": "10101"}
+    payload["scan"].update({"n_values": 3, "times": [10.0]})
+
+    def drifting(rho0, *args, **kwargs):
+        trajectory = evolve(rho0, *args, **kwargs)
+        moved = fock_state(ManyBodyBasis(5, 3), "11100")
+        trajectory.states[:] = np.outer(moved, moved.conj())
+        return trajectory
+
+    monkeypatch.setattr(experiments, "evolve", drifting)
+    result = run(config_from_dict(payload))
+    checks = result.summary["checks"]
+    assert checks["not_enforced"] == ["charge_drift"]
+    assert checks["parity_even_drift"] == pytest.approx(0.5)
+    assert checks["number_drift"] < 1e-8
+    assert result.invariants_ok is False
 
 
 def test_concurrence_scan_small(tmp_path):

@@ -210,6 +210,18 @@ def test_validate_correlation_matrix():
         validate_correlation_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         validate_correlation_matrix(np.diag([1.5, 0.0]))
+    # Every entry point refuses the same bad C0 before it evolves anything.
+    spec = LatticeSpec(n_sites=3)
+    h = build_single_particle_hamiltonian(spec)
+    not_hermitian = np.array([[0.5, 0.2, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    for c0, message in ((not_hermitian, "not Hermitian"),
+                        (np.diag([1.5, 0.0, 0.0]), "outside")):
+        with pytest.raises(ValueError, match=message):
+            correlation_evolve(spec, c0, [0.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            steady_correlation(spec, c0)
+        with pytest.raises(ValueError, match=message):
+            evolve_with_hamiltonian(c0, h, 1.0, 2, [0.0, 1.0])
 
 
 # ----------------------------------------------------------------------

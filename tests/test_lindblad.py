@@ -7,6 +7,7 @@ import dephchain.lindblad as lindblad
 from dephchain.fock import (
     ManyBodyBasis,
     bilinear_operator,
+    build_many_body_hamiltonian,
     charge_operator,
     even_mode_slater,
     expectation,
@@ -431,11 +432,13 @@ def test_aa_splitting_below_degeneracy_tol_is_one_level():
 
 
 def test_steady_state_needs_diagonal_projector_jump():
+    # A projector off the diagonal and a diagonal that is not 0/1 are both
+    # refused when the generator is built, so no evolve or steady_state
+    # ever sees them.
     h = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
     for jump in (np.array([[0.5, 0.5], [0.5, 0.5]]), np.diag([2.0, 0.0])):
         with pytest.raises(ValueError, match="0/1 jump"):
-            steady_state(rho0, build_liouvillian(h, 1.0, jump))
+            build_liouvillian(h, 1.0, jump)
 
 
 def test_null_space_contains_analytic_steady_state():
@@ -462,23 +465,42 @@ def test_null_space_unitary_case_has_large_kernel():
     assert kernel.shape[1] >= 3   # one projector per nondegenerate level
 
 
+NULL_SPACE_CASES = [
+    (LatticeSpec(n_sites=3), 1),
+    (LatticeSpec(n_sites=5), 1),
+    (LatticeSpec(n_sites=5), 2),
+    (LatticeSpec(n_sites=5, dephasing_gamma=0.0), 2),
+    (LatticeSpec(n_sites=5, aa_amplitude=0.4), 2),
+    (LatticeSpec(n_sites=5, interaction=0.7), 2),
+    (LatticeSpec(n_sites=5, interaction=0.7, dephasing_gamma=0.0), 1),
+]
+
+
 def test_null_space_matches_dense_svd():
-    cases = [
-        (LatticeSpec(n_sites=3), 1),
-        (LatticeSpec(n_sites=5), 1),
-        (LatticeSpec(n_sites=5), 2),
-        (LatticeSpec(n_sites=5, dephasing_gamma=0.0), 2),
-        (LatticeSpec(n_sites=5, aa_amplitude=0.4), 2),
-        (LatticeSpec(n_sites=5, interaction=0.7), 2),
-        (LatticeSpec(n_sites=5, interaction=0.7, dephasing_gamma=0.0), 1),
-    ]
-    for spec, filling in cases:
+    for spec, filling in NULL_SPACE_CASES:
         liou = dephasing_liouvillian(spec, ManyBodyBasis(spec.n_sites, filling))
         kernel = steady_state_null_space(liou)
         dense = dense_kernel(liou.matrix.toarray())
         assert kernel.shape == dense.shape, (spec, filling)
         projector_gap = np.abs(kernel @ kernel.conj().T - dense @ dense.conj().T).max()
         assert projector_gap < 1e-8, (spec, filling, projector_gap)
+
+
+@pytest.mark.parametrize("spec, filling", NULL_SPACE_CASES + [
+    (LatticeSpec(n_sites=5, dephasing_gamma=20.0), 2),
+])
+def test_mask_matches_hermitian_jump_superoperator(spec, filling):
+    # The general Hermitian-jump form, assembled densely with J = n_c, is
+    # the reference for the mask form the generator is built from.
+    basis = ManyBodyBasis(spec.n_sites, filling)
+    liou = dephasing_liouvillian(spec, basis)
+    h = build_many_body_hamiltonian(spec, basis).toarray()
+    jump = number_operator(basis, spec.central_site).toarray()
+    eye = np.eye(basis.size)
+    expected = -1j * (np.kron(eye, h) - np.kron(h.T, eye)) + spec.dephasing_gamma * (
+        np.kron(jump.T, jump)
+        - 0.5 * (np.kron(eye, jump @ jump) + np.kron((jump @ jump).T, eye)))
+    assert np.abs(liou.matrix.toarray() - expected).max() < 1e-13
 
 
 def test_kernel_elements_are_physical():
