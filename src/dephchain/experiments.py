@@ -390,7 +390,7 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     bare = evolve(rho0, liouvillian, times)
     corr = fock.expectation(bare.states, end_to_end)
     abs_corr = np.abs(corr)
-    residuals = np.array([liouvillian.residual(r) for r in bare.states])
+    residuals = liouvillian.residual(bare.states)
 
     if quench.time == "auto":
         peaks = _local_maxima(times, abs_corr, after=quench.transient)
@@ -419,12 +419,13 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     post = evolve(rho_at_quench, trapped, post_times)
     trajectories.append(post)
     post_corr = fock.expectation(post.states, end_to_end)
+    post_residuals = trapped.residual(post.states)
 
     header = ["t", "corr_re", "corr_im", "corr_abs", "residual", "post_quench"]
     rows = [[t, corr[k].real, corr[k].imag, abs_corr[k], residuals[k], 0]
             for k, t in enumerate(times) if t <= t_quench]
     rows += [[t_quench + t, post_corr[k].real, post_corr[k].imag, abs(post_corr[k]),
-              trapped.residual(post.states[k]), 1]
+              post_residuals[k], 1]
              for k, t in enumerate(post_times)]
 
     window_mask = times >= min(quench.transient, times[-1])

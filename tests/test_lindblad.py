@@ -43,6 +43,39 @@ def n3_problem(gamma=1.0):
     return spec, basis, dephasing_liouvillian(spec, basis)
 
 
+def interacting_problem():
+    """N = 7, Np = 4 with interaction 0.3 and the Fock input 1010101: its
+    reflection sectors (16 and 19 states) make pairs beyond
+    DENSE_PAIR_LIMIT, so evolve takes the expm_multiply route."""
+    spec = LatticeSpec(n_sites=7, interaction=0.3)
+    basis = ManyBodyBasis(7, 4)
+    liou = dephasing_liouvillian(spec, basis)
+    assert lindblad._symmetry_blocks(liou)[1].max() ** 2 > lindblad.DENSE_PAIR_LIMIT
+    return liou, pure_state(fock_state(basis, "1010101"))
+
+
+def full_route(rho0, liou, times):
+    """The samples of the expm_multiply route on the whole superoperator."""
+    times = np.asarray(times, dtype=float)
+    samples = lindblad._expm_samples(liou.matrix, vectorize(rho0), times)
+    states = samples.reshape(len(times), liou.dim, liou.dim).transpose(0, 2, 1)
+    states[times == 0.0] = rho0
+    return states
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call."""
+    seen = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
+
+
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
@@ -64,6 +97,24 @@ def test_trace_preservation_left_null_vector():
 def test_maximally_mixed_is_stationary():
     _, _, liou = n3_problem(1.0)
     assert liou.residual(maximally_mixed(3)) < 1e-14
+
+
+@pytest.mark.parametrize("spec, filling", [
+    (LatticeSpec(n_sites=5, dephasing_gamma=0.0), 2),
+    (LatticeSpec(n_sites=5, trap_amplitude=1.3, interaction=0.7, dephasing_gamma=20.0), 2),
+])
+def test_residual_operator_form_matches_superoperator(spec, filling):
+    # The operator form -i[H, rho] - (gamma/2) M o rho on one matrix and on a
+    # stack gives the infinity norm of the superoperator's L vec(rho).
+    liou = dephasing_liouvillian(spec, ManyBodyBasis(spec.n_sites, filling))
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(3, liou.dim, liou.dim)) + 1j * rng.normal(size=(3, liou.dim, liou.dim))
+    expected = [np.abs(liou.matrix @ vectorize(rho)).max() for rho in stack]
+    norms = liou.residual(stack)
+    assert norms.shape == (3,)
+    assert np.abs(norms - expected).max() < 1e-13 * max(expected)
+    assert isinstance(liou.residual(stack[1]), float)
+    assert liou.residual(stack[1]) == pytest.approx(norms[1], rel=1e-14)
 
 
 def test_build_rejects_bad_inputs():
@@ -166,25 +217,38 @@ def test_expm_matches_dense_exponential(n_sites, bits, grid):
     assert worst < 1e-12
 
 
-@pytest.mark.parametrize("times, calls", [
-    (np.linspace(0.0, 60.0, 1201), 1),
-    (np.linspace(5.0, 25.0, 41), 2),
-    (np.array([0.0, 0.3, 0.3, 7.1]), 2),
-])
+GRID_CALLS = [
+    (np.linspace(0.0, 6.0, 121), 1),
+    (np.linspace(1.0, 3.0, 41), 2),
+    (np.array([0.0, 0.3, 0.3, 1.1]), 2),
+]
+
+
+@pytest.mark.parametrize("times, calls", GRID_CALLS)
 def test_expm_calls_per_grid(monkeypatch, times, calls):
-    # One interval call per uniform grid, plus one to reach a later first
-    # sample; one call per distinct step otherwise.
-    _, basis, liou = n3_problem()
-    seen = []
-    original = lindblad.splinalg.expm_multiply
-
-    def counting(*args, **kwargs):
-        seen.append(kwargs)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(lindblad.splinalg, "expm_multiply", counting)
-    evolve(pure_state(fock_state(basis, "010")), liou, times)
+    # Full route: one interval call per uniform grid, plus one to reach a
+    # later first sample; one call per distinct step otherwise.
+    liou, rho0 = interacting_problem()
+    seen = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
+    dense = counting(monkeypatch, lindblad, "expm")
+    evolve(rho0, liou, times)
     assert len(seen) == calls
+    assert dense == []
+
+
+@pytest.mark.parametrize("times, calls", [(np.linspace(0.0, 60.0, 1201), 1)] + GRID_CALLS[1:])
+def test_dense_exponentials_per_grid(monkeypatch, times, calls):
+    # Block route: the same number of propagators, each one dense expm call
+    # per pair size, and no expm_multiply.
+    _, basis, liou = n3_problem()
+    sizes = lindblad._symmetry_blocks(liou)[1]
+    pair_sizes = np.unique(np.outer(sizes, sizes)).size
+    seen = counting(monkeypatch, lindblad, "expm")
+    krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
+    evolve(pure_state(fock_state(basis, "010")), liou, times)
+    assert pair_sizes == 3      # pairs of the blocks {E = +-sqrt 2} and {E = 0}
+    assert len(seen) == calls * pair_sizes
+    assert krylov == []
 
 
 def test_dark_state_is_stationary():
@@ -216,7 +280,8 @@ def test_expectations_match_dense_trace():
 
 def _long_step_problem():
     # robustness-aa's longest steps: scipy's expm_multiply estimates 1-norms
-    # with numpy's global random generator there.
+    # with numpy's global random generator there. Its one block is small, so
+    # the full route is forced by a zero pair limit.
     spec = LatticeSpec(n_sites=9, aa_amplitude=3.0 / 14.0)
     basis = ManyBodyBasis(9, 1)
     parity = bare_mode_parity(9)
@@ -225,32 +290,46 @@ def _long_step_problem():
     return rho0, dephasing_liouvillian(spec, basis), [100.0, 1000.0]
 
 
-def test_evolve_does_not_depend_on_the_global_random_state():
+def test_evolve_does_not_depend_on_the_global_random_state(monkeypatch):
     rho0, liou, times = _long_step_problem()
-    runs = []
-    for seed in range(6):
-        np.random.seed(seed)
-        runs.append(evolve(rho0, liou, times).states)
-    for states in runs[1:]:
-        assert np.array_equal(states, runs[0])
+    for limit in (0, lindblad.DENSE_PAIR_LIMIT):      # the full route, then the block route
+        monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+        runs = []
+        for seed in range(6):
+            np.random.seed(seed)
+            runs.append(evolve(rho0, liou, times).states)
+        for states in runs[1:]:
+            assert np.array_equal(states, runs[0])
 
 
-def test_evolve_leaves_the_global_random_stream_alone():
+def test_evolve_leaves_the_global_random_stream_alone(monkeypatch):
     rho0, liou, times = _long_step_problem()
-    np.random.seed(7)
-    expected = np.random.random(4)
-    np.random.seed(7)
-    evolve(rho0, liou, times)
-    assert np.array_equal(np.random.random(4), expected)
+    for limit in (0, lindblad.DENSE_PAIR_LIMIT):      # the full route, then the block route
+        monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+        np.random.seed(7)
+        expected = np.random.random(4)
+        np.random.seed(7)
+        evolve(rho0, liou, times)
+        assert np.array_equal(np.random.random(4), expected)
 
 
 def test_trajectory_states_are_one_view_of_the_samples():
+    liou, rho0 = interacting_problem()
+    times = np.linspace(0.0, 2.0, 5)
+    traj = evolve(rho0, liou, times)
+    assert traj.states.shape == (5, 35, 35)
+    assert traj.states.base is not None and not traj.states.flags.owndata
+    for t, rho in zip(times, traj.states):
+        assert np.abs(rho - evolve(rho0, liou, [t]).states[0]).max() < 1e-13
+
+
+def test_block_route_writes_one_array_of_samples():
     _, basis, liou = n3_problem()
     rho0 = pure_state(fock_state(basis, "010"))
     times = np.linspace(0.0, 2.0, 5)
     traj = evolve(rho0, liou, times)
     assert traj.states.shape == (5, 3, 3)
-    assert traj.states.base is not None and not traj.states.flags.owndata
+    assert traj.states.flags.owndata and traj.states.flags.c_contiguous
     for t, rho in zip(times, traj.states):
         assert np.abs(rho - evolve(rho0, liou, [t]).states[0]).max() < 1e-13
 
@@ -267,11 +346,133 @@ def test_trajectory_invariants_recorded():
 def test_invariant_violation_aborts():
     # a generator that leaks trace: every generator built from operators
     # preserves it, so the superoperator is replaced by pure decay
-    bad = build_liouvillian(np.zeros((3, 3)), 0.0, np.zeros((3, 3)))
-    bad.matrix = sparse.identity(9, format="csr") * -0.5
-    rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
-    with pytest.raises(InvariantViolation):
+    bad, rho0 = interacting_problem()
+    bad.matrix = sparse.identity(35 * 35, format="csr") * -0.5
+    with pytest.raises(InvariantViolation, match="trace deviation"):
         evolve(rho0, bad, [0.0, 5.0])
+
+
+def test_invariant_violation_aborts_on_the_block_route(monkeypatch):
+    # a block exponential that leaks trace: half of each true propagator
+    _, basis, liou = n3_problem()
+    monkeypatch.setattr(lindblad, "expm", lambda a: 0.5 * expm(a))
+    with pytest.raises(InvariantViolation, match="trace deviation"):
+        evolve(pure_state(fock_state(basis, "010")), liou, [0.0, 5.0])
+
+
+CROSS_MODELS = [
+    {},
+    {"trap_amplitude": 0.7},
+    {"trap_amplitude": 2.0},
+    {"trap_amplitude": 1.0, "trap_center": 1},
+    {"aa_amplitude": 0.4},
+    {"interaction": 0.3},
+]
+CROSS_GAMMAS = [0.0, 0.1, 1.0, 20.0]
+CROSS_GRIDS = [
+    np.linspace(0.0, 8.0, 17),
+    np.linspace(0.0, 8.0, 9) + np.random.default_rng(5).uniform(0.0, 1e-3, 9),
+    np.array([0.0, 0.4, 0.4, 2.5, 2.5, 9.0]),
+    np.linspace(3.0, 9.0, 13),
+]
+
+
+def _cross_input(basis, kind, rng):
+    n, k = basis.n_sites, basis.n_particles
+    if kind == 0:
+        return pure_state(fock_state(basis, "".join(rng.permutation(["1"] * k + ["0"] * (n - k)))))
+    if kind == 1:
+        modes = sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False))
+        return pure_state(slater_state(basis, modes, orbitals=bare_mode_parity(n).modes))
+    a = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
+    return a @ a.conj().T / np.trace(a @ a.conj().T)
+
+
+def _assert_blocks_exact(liou):
+    """In the block basis, H and (for gamma > 0) the jump have no entry
+    above 1e-12 between blocks, and the jump is the returned 0/1 diagonal."""
+    basis, sizes, dephased = lindblad._symmetry_blocks(liou)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    between = label[:, None] != label[None, :]
+    h = basis.conj().T @ liou.hamiltonian.toarray() @ basis
+    assert np.abs(h[between]).max(initial=0.0) <= 1e-12
+    if liou.gamma > 0:
+        jump = basis.conj().T @ np.diag(liou.dephased.astype(float)) @ basis
+        assert np.abs(jump[between]).max(initial=0.0) <= 1e-12
+        assert np.abs(jump - np.diag(dephased.astype(float))).max() < 1e-10
+
+
+def test_block_route_matches_full_route():
+    # Every sector of N = 3, 5, 7; each case draws its rate, model, input and
+    # grid in turn, so each value of each meets every sector size.
+    rng = np.random.default_rng(2024)
+    block_runs = 0
+    case = 0
+    for n_sites in (3, 5, 7):
+        for filling in range(1, n_sites + 1):
+            for _ in range(2):
+                spec = LatticeSpec(n_sites=n_sites, dephasing_gamma=CROSS_GAMMAS[case % 4],
+                                   **CROSS_MODELS[case % 6])
+                basis = ManyBodyBasis(n_sites, filling)
+                liou = dephasing_liouvillian(spec, basis)
+                rho0 = _cross_input(basis, case % 3, rng)
+                times = CROSS_GRIDS[(case // 3) % 4]
+                case += 1
+                _assert_blocks_exact(liou)
+                if lindblad._symmetry_blocks(liou)[1].max() ** 2 > lindblad.DENSE_PAIR_LIMIT:
+                    continue        # evolve takes the full route itself
+                block_runs += 1
+                gap = np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max()
+                assert gap < 1e-12, f"{spec}, filling {filling}: {gap:.3e}"
+    assert block_runs >= 26
+
+
+def test_route_follows_the_pair_limit(monkeypatch):
+    # The trapped fock-quench sector: its largest pair (14 x 14 states) is
+    # propagated densely at that limit and by expm_multiply just below it.
+    basis = ManyBodyBasis(7, 4)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=7, trap_amplitude=2.0), basis)
+    rho0 = pure_state(fock_state(basis, "1010101"))
+    times = np.linspace(0.0, 2.0, 5)
+    assert lindblad._symmetry_blocks(liou)[1].max() ** 2 == 196
+    runs = {}
+    for limit in (196, 195):
+        monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+        dense = counting(monkeypatch, lindblad, "expm")
+        krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
+        runs[limit] = evolve(rho0, liou, times).states
+        assert (len(dense) > 0, len(krylov) > 0) == ((True, False) if limit == 196 else (False, True))
+        monkeypatch.undo()
+    assert np.abs(runs[196] - runs[195]).max() < 1e-12
+
+
+@pytest.mark.parametrize("coupling, blocks", [(1e-11, 1), (1e-13, 2)])
+def test_coupling_tolerance_joins_or_splits_blocks(coupling, blocks):
+    # A dephased and an undephased state coupled by about the given amount:
+    # above BLOCK_COUPLING_TOL they are one block, below it two, and either
+    # way the block route agrees with the full route.
+    h = np.array([[0.0, coupling], [coupling, 1.0]])
+    liou = build_liouvillian(h, 1.0, np.diag([1.0, 0.0]))
+    assert len(lindblad._symmetry_blocks(liou)[1]) == blocks
+    rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
+    times = np.linspace(0.0, 5.0, 11)
+    assert np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max() < 1e-12
+
+
+def test_block_with_a_fractional_jump_is_refused(monkeypatch):
+    # With the coupling tolerance raised to 1, N = 3's two bright levels each
+    # become a block on which the compressed jump is 1/2: the block route is
+    # refused, and evolve falls back to the full route.
+    _, basis, liou = n3_problem()
+    monkeypatch.setattr(lindblad, "BLOCK_COUPLING_TOL", 1.0)
+    assert lindblad._symmetry_blocks(liou) is None
+    krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
+    rho0 = pure_state(fock_state(basis, "010"))
+    times = np.linspace(0.0, 4.0, 9)
+    states = evolve(rho0, liou, times).states
+    assert len(krylov) == 1
+    assert max(np.abs(rho - analytic_n3_density_matrix(t, 1.0)).max()
+               for t, rho in zip(times, states)) < 1e-8
 
 
 def test_evolve_validates_times_and_method():
