@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -237,7 +238,7 @@ def _check_sample(rho: np.ndarray, t: float, diagnostics: dict) -> None:
     dev = invariant_deviations(rho)
     for key, value in dev.items():
         worst = min if key == "min_eigenvalue" else max
-        diagnostics[key] = worst(diagnostics.get(key, 0.0), value)
+        diagnostics[key] = worst(diagnostics[key], value) if key in diagnostics else value
     _check_deviations(dev, ABORT_FACTOR, f" at t={t:g}")
 
 
@@ -281,7 +282,21 @@ def _expm_samples(generator, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
         np.random.set_state(random_state)
 
 
-def _symmetry_blocks(liouvillian: Liouvillian):
+class SymmetryBlocks(NamedTuple):
+    """The blocks of :func:`_symmetry_blocks`: the unitary ``basis`` W, whose
+    columns are the block basis, block after block; the block ``sizes``; the
+    jump's 0/1 diagonal in W, ``dephased``; the indices of H's eigenvectors
+    V in each block, block after block, ``members``; and each block's
+    ``rotations``, so that block a of W is V[:, members_a] @ rotations[a]."""
+
+    basis: np.ndarray
+    sizes: np.ndarray
+    dephased: np.ndarray
+    members: np.ndarray
+    rotations: list
+
+
+def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks | None:
     """The finest blocks that H and the jump both leave invariant, or None
     when a block fails the check below.
 
@@ -290,39 +305,41 @@ def _symmetry_blocks(liouvillian: Liouvillian):
     a Frobenius norm above ``BLOCK_COUPLING_TOL``; a near-degeneracy can
     only merge blocks. Inside each block the basis is rotated to the
     eigenvectors of the compressed jump, which must be 0 or 1 to
-    ``BLOCK_JUMP_TOL``. Returns the unitary W whose columns are that basis,
-    block after block, the block sizes, and the jump's 0/1 diagonal in W
-    (Buča & Prosen, NJP 14, 073007 (2012)).
+    ``BLOCK_JUMP_TOL`` (Buča & Prosen, NJP 14, 073007 (2012)).
     """
     _energies, vectors, level, on, _off = liouvillian._spectrum
     jump = on.conj().T @ on
     label = level
     while True:
         member = (np.arange(label.max() + 1)[:, None] == label).astype(float)
-        weight = member @ np.abs(jump) ** 2 @ member.T
-        count, joined = csgraph.connected_components(weight > BLOCK_COUPLING_TOL ** 2,
-                                                     directed=False)
-        if count == len(member):
+        coupled = member @ np.abs(jump) ** 2 @ member.T > BLOCK_COUPLING_TOL ** 2
+        np.fill_diagonal(coupled, False)
+        if not coupled.any():
             break
-        label = joined[label]
+        label = csgraph.connected_components(coupled, directed=False)[1][label]
     members = np.argsort(label, kind="stable")
-    sizes = np.bincount(label, minlength=count)
+    sizes = np.bincount(label)
+    starts = np.cumsum(sizes) - sizes
     basis = np.empty_like(vectors)
     dephased = np.empty(liouvillian.dim, dtype=bool)
-    start = 0
-    for size in sizes:
-        block = members[start:start + size]
-        occupation, rotation = np.linalg.eigh(jump[np.ix_(block, block)])
+    rotations = [None] * len(sizes)
+    # Blocks of one size are rotated together: one stacked eigh, one stacked matmul.
+    for size in np.unique(sizes):
+        which = np.flatnonzero(sizes == size)
+        columns = starts[which, None] + np.arange(size)
+        block = members[columns]
+        occupation, rotation = np.linalg.eigh(jump[block[:, :, None], block[:, None, :]])
         if np.minimum(np.abs(occupation), np.abs(occupation - 1.0)).max() > BLOCK_JUMP_TOL:
             return None
-        basis[:, start:start + size] = vectors[:, block] @ rotation
-        dephased[start:start + size] = occupation > 0.5
-        start += size
-    return basis, sizes, dephased
+        rotated = np.ascontiguousarray(vectors[:, block].transpose(1, 0, 2)) @ rotation
+        basis[:, columns] = rotated.transpose(1, 0, 2)
+        dephased[columns] = occupation > 0.5
+        for j, r in zip(which, rotation):
+            rotations[j] = r
+    return SymmetryBlocks(basis, sizes, dephased, members, rotations)
 
 
-def _pair_generators(liouvillian: Liouvillian, basis: np.ndarray, sizes: np.ndarray,
-                     dephased: np.ndarray):
+def _pair_generators(liouvillian: Liouvillian, blocks: SymmetryBlocks):
     """The generator of every pair of blocks, in the block basis W.
 
     There the generator is ``Liouvillian.matrix`` of the block-diagonal H
@@ -334,6 +351,7 @@ def _pair_generators(liouvillian: Liouvillian, basis: np.ndarray, sizes: np.ndar
     after another, are the block-diagonal generator in that order.
     """
     dim = liouvillian.dim
+    basis, sizes, dephased = blocks.basis, blocks.sizes, blocks.dephased
     block = np.repeat(np.arange(len(sizes)), sizes)
     local = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     same = block[:, None] == block[None, :]
@@ -368,7 +386,7 @@ def _pair_generators(liouvillian: Liouvillian, basis: np.ndarray, sizes: np.ndar
 
 
 def _block_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
-                   blocks) -> np.ndarray:
+                   blocks: SymmetryBlocks) -> np.ndarray:
     """rho(t) at each of the non-decreasing ``times`` as one (T, d, d) array,
     each block pair rho_ab = P_a rho P_b propagated alone.
 
@@ -380,8 +398,8 @@ def _block_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray
     straight into the output.
     """
     dim = liouvillian.dim
-    basis = blocks[0]
-    order, stacks, indices, indptr = _pair_generators(liouvillian, *blocks)
+    basis = blocks.basis
+    order, stacks, indices, indptr = _pair_generators(liouvillian, blocks)
 
     def propagator(dt: float) -> sparse.csr_matrix:
         data = np.empty(indptr[-1], dtype=complex)
@@ -450,7 +468,7 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
 
     blocks = _symmetry_blocks(liouvillian)
-    if blocks is not None and blocks[1].max() ** 2 <= DENSE_PAIR_LIMIT:
+    if blocks is not None and blocks.sizes.max() ** 2 <= DENSE_PAIR_LIMIT:
         states = _block_samples(rho0, liouvillian, times, blocks)
     else:
         samples = _expm_samples(liouvillian.matrix, vectorize(rho0), times)
@@ -506,24 +524,50 @@ def steady_state_null_space(liouvillian: Liouvillian) -> np.ndarray:
 
     The jump is Hermitian, so ker L is the commutant {H, n_c}': the matrices
     block-diagonal in H's eigenspaces, X = sum_g V_g Y_g V_g^H, that also
-    commute with the jump (Buča & Prosen, NJP 14, 073007 (2012)). The
-    Y_g are the null space of that constraint; singular values below
-    ``NULL_TOL`` count as zero. Every returned column satisfies ``||L v||_inf < 1e-10``.
+    commute with the jump (Buča & Prosen, NJP 14, 073007 (2012)). Each
+    symmetry block of :func:`_symmetry_blocks` holds whole levels of H, so
+    no such X has entries between two blocks, and ker L is solved one block
+    at a time. Inside a block the jump is the 0/1 diagonal ``dephased`` of
+    the block basis W, so :func:`_dark_span` runs on the W-coordinates of the
+    block's eigenvectors (the conjugate transpose of its rotation), split into
+    dephased and undephased rows, with the level pairs inside the block as
+    unknowns. When the blocks are refused, the one block is the whole sector,
+    with the eigenvectors' rows in the Fock basis. Singular values below
+    ``NULL_TOL`` count as zero. Every returned column satisfies
+    ``||L v||_inf < 1e-10``, checked on all candidates by one
+    :meth:`Liouvillian.residual` call.
     """
     _energies, vectors, level, on, off = liouvillian._spectrum
     dim = liouvillian.dim
-    left, right = np.nonzero(level[:, None] == level[None, :])
-    coefficients = _dark_span(on, off, left, right, NULL_TOL)
-    kernel = np.empty((dim * dim, coefficients.shape[1]), dtype=vectors.dtype)
-    block = np.zeros((dim, dim), dtype=vectors.dtype)
-    for k, column in enumerate(coefficients.T):
-        block[left, right] = column
-        kernel[:, k] = vectorize(vectors @ block @ vectors.conj().T)
-    for col in kernel.T:
-        residual = liouvillian.residual(unvectorize(col, dim))
-        if residual > 1e-10:
-            raise RuntimeError(f"kernel candidate has residual {residual:.3e}")
-    return kernel
+    blocks = _symmetry_blocks(liouvillian)
+    if blocks is None:
+        pieces = [(np.arange(dim), on, off)]
+    else:
+        bounds = np.cumsum(blocks.sizes)[:-1]
+        pieces = [(members, rotation.conj().T[dephased], rotation.conj().T[~dephased])
+                  for members, rotation, dephased in zip(np.split(blocks.members, bounds),
+                                                         blocks.rotations,
+                                                         np.split(blocks.dephased, bounds))]
+    spans = []
+    for members, block_on, block_off in pieces:
+        block_level = level[members]
+        left, right = np.nonzero(block_level[:, None] == block_level[None, :])
+        z = _dark_span(block_on, block_off, left, right, NULL_TOL)
+        spans.append((members, left, right, z))
+    # Candidate k is stored transposed, so that candidates[k].ravel() is its
+    # column-stacked vector and the kernel is a view of the stack.
+    candidates = np.empty((sum(z.shape[1] for *_, z in spans), dim, dim), dtype=vectors.dtype)
+    start = 0
+    for members, left, right, z in spans:
+        v = vectors[:, members]
+        y = np.zeros((z.shape[1], len(members), len(members)), dtype=z.dtype)
+        y[:, left, right] = z.T
+        np.matmul(v.conj() @ y.transpose(0, 2, 1), v.T, out=candidates[start:start + len(y)])
+        start += len(y)
+    residual = np.max(liouvillian.residual(candidates.transpose(0, 2, 1)), initial=0.0)
+    if residual > 1e-10:
+        raise RuntimeError(f"kernel candidate has residual {residual:.3e}")
+    return candidates.reshape(len(candidates), dim * dim).T
 
 
 def _peripheral_part(rho: np.ndarray, liouvillian: Liouvillian,

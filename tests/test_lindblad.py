@@ -343,6 +343,16 @@ def test_trajectory_invariants_recorded():
     assert traj.diagnostics["min_eigenvalue"] > -1e-8
 
 
+def test_positive_minimum_eigenvalue_is_reported():
+    # The maximally mixed state is stationary, so every sample's smallest
+    # eigenvalue is 1/5; the running minimum starts from the first sample,
+    # not from 0.
+    basis = ManyBodyBasis(5, 1)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=5, aa_amplitude=0.4), basis)
+    traj = evolve(maximally_mixed(basis.size), liou, [1.0, 2.0])
+    assert abs(traj.diagnostics["min_eigenvalue"] - 0.2) < 1e-12
+
+
 def test_invariant_violation_aborts():
     # a generator that leaks trace: every generator built from operators
     # preserves it, so the superoperator is replaced by pure decay
@@ -391,7 +401,8 @@ def _cross_input(basis, kind, rng):
 def _assert_blocks_exact(liou):
     """In the block basis, H and (for gamma > 0) the jump have no entry
     above 1e-12 between blocks, and the jump is the returned 0/1 diagonal."""
-    basis, sizes, dephased = lindblad._symmetry_blocks(liou)
+    blocks = lindblad._symmetry_blocks(liou)
+    basis, sizes, dephased = blocks.basis, blocks.sizes, blocks.dephased
     label = np.repeat(np.arange(len(sizes)), sizes)
     between = label[:, None] != label[None, :]
     h = basis.conj().T @ liou.hamiltonian.toarray() @ basis
@@ -674,6 +685,8 @@ NULL_SPACE_CASES = [
     (LatticeSpec(n_sites=5, aa_amplitude=0.4), 2),
     (LatticeSpec(n_sites=5, interaction=0.7), 2),
     (LatticeSpec(n_sites=5, interaction=0.7, dephasing_gamma=0.0), 1),
+    (LatticeSpec(n_sites=5, aa_amplitude=1e-13), 2),   # levels split below DEGENERACY_TOL
+    (LatticeSpec(n_sites=7), 2),                       # blocks of several levels
 ]
 
 
@@ -685,6 +698,40 @@ def test_null_space_matches_dense_svd():
         assert kernel.shape == dense.shape, (spec, filling)
         projector_gap = np.abs(kernel @ kernel.conj().T - dense @ dense.conj().T).max()
         assert projector_gap < 1e-8, (spec, filling, projector_gap)
+
+
+def test_null_space_without_blocks_is_the_dense_kernel(monkeypatch):
+    # With the coupling tolerance raised to 1, N = 3's blocks are refused,
+    # and the kernel is solved as one block: the whole sector in the Fock basis.
+    _, _, liou = n3_problem()
+    monkeypatch.setattr(lindblad, "BLOCK_COUPLING_TOL", 1.0)
+    assert lindblad._symmetry_blocks(liou) is None
+    kernel = steady_state_null_space(liou)
+    dense = dense_kernel(liou.matrix.toarray())
+    assert kernel.shape == dense.shape
+    assert np.abs(kernel @ kernel.conj().T - dense @ dense.conj().T).max() < 1e-8
+
+
+def test_null_space_residual_guard_fires(monkeypatch):
+    # A null-space tolerance of 1 admits combinations that are not in the
+    # kernel, and the residual guard refuses them.
+    _, _, liou = n3_problem()
+    monkeypatch.setattr(lindblad, "NULL_TOL", 1.0)
+    with pytest.raises(RuntimeError, match="kernel candidate has residual"):
+        steady_state_null_space(liou)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "lindblad.steady_state_null_space misses kernel elements at N = 7, Np = 4 with "
+    "trap 2.0: it returns 5 kernel vectors, but the three odd-mode number operators "
+    "commute with H and n_c to 3.9e-13, so the kernel holds at least the 8 odd-pattern "
+    "projectors; H has levels 4.2e-6 apart whose eigh eigenvectors mix at about 1e-9, "
+    "above NULL_TOL"))
+def test_trapped_half_filling_kernel_matches_dense_svd():
+    spec = LatticeSpec(n_sites=7, trap_amplitude=2.0)
+    liou = dephasing_liouvillian(spec, ManyBodyBasis(7, 4))
+    svals = np.linalg.svd(liou.matrix.toarray(), compute_uv=False)
+    assert steady_state_null_space(liou).shape[1] == np.sum(svals < 1e-10)
 
 
 @pytest.mark.parametrize("spec, filling", NULL_SPACE_CASES + [
