@@ -22,7 +22,6 @@ from . import entangle, fastpath, fock, lindblad, oracle
 from .config import ExperimentConfig, InitialState, config_to_dict
 from .lindblad import (
     Liouvillian,
-    SteadyStateNotConverged,
     Trajectory,
     dephasing_liouvillian,
     evolve,

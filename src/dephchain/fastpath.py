@@ -18,12 +18,23 @@ here as well.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  (dephbench/tracing.py wraps it by name)
 
 from .lindblad import HERMITICITY_TOL, Liouvillian, build_liouvillian, evolve, steady_state
 from .model import LatticeSpec, build_single_particle_hamiltonian
 
 EIGENVALUE_SLACK = 1e-9
+
+
+def __getattr__(name: str):
+    """``fastpath.solve_ivp`` is scipy's own, imported on first access, so
+    that importing the package does not load ``scipy.integrate`` (and with
+    it ``scipy.optimize`` and ``scipy.special``). Nothing here calls it; only
+    ``dephbench/tracing.py`` reads it by name. This goes away together with
+    that wrap, in the benchmark catch-up of ROADMAP item 1."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ScalingDomainError(ValueError):

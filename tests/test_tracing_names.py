@@ -1,6 +1,8 @@
 """The benchmark's tracer wraps dephchain's names in place, among them the
 scipy kernels ``lindblad.expm``, ``lindblad.splinalg`` and
-``fastpath.solve_ivp``. Removing one of those imports breaks
+``fastpath.solve_ivp``. The first two are imported because ``evolve`` calls
+them; ``fastpath.solve_ivp`` is now resolved lazily, on the tracer's first
+read, by the module's ``__getattr__``. Losing any of the three names breaks
 ``dephbench/run.py --trace 1`` without failing any other test, so a traced
 run is made here, in a subprocess that keeps the wrapping out of this one.
 ``correlation-map`` solves for its steady state without propagating, so two
