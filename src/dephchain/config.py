@@ -74,9 +74,8 @@ class TimeGrid:
             pts = np.asarray(self.points, dtype=float)
             if pts.size == 0 or np.any(np.diff(pts) <= 0) or pts[0] < 0:
                 raise ConfigError("time_grid.points: must be strictly increasing and >= 0")
-        else:
-            if self.stop < self.start or self.start < 0 or self.num < 1:
-                raise ConfigError("time_grid: need 0 <= start <= stop and num >= 1")
+        elif type(self.num) is not int or not 0 <= self.start <= self.stop or self.num < 1:
+            raise ConfigError("time_grid: need 0 <= start <= stop and an integer num >= 1")
 
     def values(self) -> np.ndarray:
         if self.points is not None:
@@ -150,6 +149,8 @@ class ExperimentConfig:
         if self.kind in ("robustness-aa", "robustness-int", "concurrence-scan") \
                 and self.scan is None:
             raise ConfigError(f"scan: block required for kind {self.kind!r}")
+        if self.scan is not None and type(self.scan.n_values) is not int:
+            raise ConfigError(f"scan.n_values: need an integer, got {self.scan.n_values!r}")
         if self.kind == "concurrence-scan" and min(self.scan.sizes, default=3) < 3:
             raise ConfigError(f"scan.sizes: {min(self.scan.sizes)} has no symmetric pair; "
                               "sizes must be >= 3")
@@ -198,6 +199,9 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     grid = build(TimeGrid, "time_grid") or TimeGrid()
     quench = build(QuenchSpec, "quench")
     scan = build(ScanSpec, "scan")
+    tol = payload.get("convergence_tol", 1e-9)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
+        raise ConfigError(f"convergence_tol: need a positive finite number, got {tol!r}")
     return ExperimentConfig(
         kind=payload.get("kind", ""),
         lattice=lattice,
@@ -206,7 +210,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         observables=tuple(payload.get("observables", ())),
         quench=quench,
         scan=scan,
-        convergence_tol=float(payload.get("convergence_tol", 1e-9)),
+        convergence_tol=float(tol),
     )
 
 

@@ -128,10 +128,9 @@ def build_initial_state(spec: LatticeSpec, descriptor: InitialState
         psi = fock.fock_state(basis, descriptor.bitstring)
     elif descriptor.type == "slater":
         psi = fock.slater_state(basis, descriptor.modes)
-    else:
+    else:   # the ground state fills mode 1, as eigh sorts the mode energies ascending
         parity = bare_mode_parity(spec.n_sites, spec.tunneling)
-        ground_mode = int(np.argmin(parity.energies)) + 1
-        psi = fock.slater_state(basis, [ground_mode], orbitals=parity.modes)
+        psi = fock.slater_state(basis, [1], orbitals=parity.modes)
     return basis, lindblad.pure_state(psi)
 
 
@@ -291,8 +290,7 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
         occupations = np.array([float(b) for b in descriptor.bitstring])
         c0 = np.diag(occupations).astype(complex)
     else:
-        modes = [int(np.argmin(parity.energies)) + 1] if descriptor.type == "ground" \
-            else list(descriptor.modes)
+        modes = [1] if descriptor.type == "ground" else list(descriptor.modes)
         chosen = parity.modes[:, [m - 1 for m in modes]]
         c0 = (chosen @ chosen.T).astype(complex)
     c_steady = fastpath.steady_correlation(spec, c0, tol=config.convergence_tol)
@@ -391,15 +389,14 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     abs_corr = np.abs(corr)
     residuals = liouvillian.residual(bare.states)
 
+    peaks = _local_maxima(times, abs_corr, after=quench.transient)
     if quench.time == "auto":
-        peaks = _local_maxima(times, abs_corr, after=quench.transient)
         if not peaks:
             raise ValueError("no post-transient correlation maximum found for 'auto'")
         t_quench = peaks[0][0]
     else:
         t_quench = float(quench.time)
-    pre_peaks = _local_maxima(times, abs_corr, after=quench.transient)
-    pre_peaks = [p for p in pre_peaks if p[0] <= t_quench + 1e-9]
+    pre_peaks = [p for p in peaks if p[0] <= t_quench + 1e-9]
     pre_local_max = pre_peaks[-1][1] if pre_peaks else float(abs_corr[times <= t_quench].max())
 
     # rho(t_quench) is the last bare sample at or before t_quench, carried the

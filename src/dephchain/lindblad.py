@@ -41,7 +41,7 @@ UNIFORM_GRID_ULPS = 4
 DEGENERACY_TOL = 1e-11
 # Singular values of the dark-subspace constraint below this count as zero.
 NULL_TOL = 1e-10
-# A gap whose constraint Gram matrix has all eigenvalues above this (all
+# A group whose constraint Gram matrix has all eigenvalues above this (all
 # singular values above 1e-4) has no dark combination and is not solved.
 _GRAM_SCREEN = 1e-8
 # Row blocks of the dark-subspace constraint are about this many bytes.
@@ -55,7 +55,7 @@ _SAMPLE_CHUNK_BYTES = 1 << 20
 # the largest entry, bounds every entry after the rotation inside a block.
 BLOCK_COUPLING_TOL = 1e-12
 # A block whose compressed jump has an eigenvalue farther than this from both
-# 0 and 1 is not invariant under the jump, and the block route is refused.
+# 0 and 1 is not left invariant by the jump, and _symmetry_blocks raises.
 BLOCK_JUMP_TOL = 1e-10
 # The largest pair generator, (block size)^2, propagated by dense exponentials.
 # Measured on N = 7, Np = 4: dense won at pair size 196 (the trapped
@@ -187,16 +187,14 @@ class Liouvillian:
 
     @functools.cached_property
     def _spectrum(self):
-        """H's eigenbasis for the steady-state projection and the symmetry
-        blocks: level energy of each eigenvector, the eigenvectors, their
-        level index, and the eigenvector rows of the dephased states (none
-        when gamma = 0) and of the rest."""
+        """H's eigenbasis for the dark-space solve and the symmetry blocks:
+        level energy of each eigenvector, the eigenvectors, and their level
+        index."""
         h = self.hamiltonian.toarray()
         energies, vectors = np.linalg.eigh(h if np.any(h.imag) else h.real)
         level = np.cumsum(np.diff(energies, prepend=energies[:1]) > DEGENERACY_TOL)
         energies = (np.bincount(level, weights=energies) / np.bincount(level))[level]
-        on = self.dephased & (self.gamma > 0)
-        return energies, vectors, level, vectors[on], vectors[~on]
+        return energies, vectors, level
 
 
 def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
@@ -285,29 +283,29 @@ def _expm_samples(generator, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
 class SymmetryBlocks(NamedTuple):
     """The blocks of :func:`_symmetry_blocks`: the unitary ``basis`` W, whose
     columns are the block basis, block after block; the block ``sizes``; the
-    jump's 0/1 diagonal in W, ``dephased``; the indices of H's eigenvectors
-    V in each block, block after block, ``members``; and each block's
-    ``rotations``, so that block a of W is V[:, members_a] @ rotations[a]."""
+    jump's 0/1 diagonal in W, ``dephased``; and the block of each of H's
+    eigenvectors, ``label``."""
 
     basis: np.ndarray
     sizes: np.ndarray
     dephased: np.ndarray
-    members: np.ndarray
-    rotations: list
+    label: np.ndarray
 
 
-def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks | None:
-    """The finest blocks that H and the jump both leave invariant, or None
-    when a block fails the check below.
+def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
+    """The finest blocks that H and the jump both leave invariant.
 
     The blocks start as H's degenerate levels and are joined, until none
     changes, wherever the compressed jump V^H n_c V between two of them has
     a Frobenius norm above ``BLOCK_COUPLING_TOL``; a near-degeneracy can
     only merge blocks. Inside each block the basis is rotated to the
-    eigenvectors of the compressed jump, which must be 0 or 1 to
-    ``BLOCK_JUMP_TOL`` (Buča & Prosen, NJP 14, 073007 (2012)).
+    eigenvectors of the compressed jump J, whose eigenvalues are 0 or 1 to
+    ``BLOCK_JUMP_TOL`` (Buča & Prosen, NJP 14, 073007 (2012)), or else
+    ``RuntimeError`` is raised: J_a - J_a^2 is the sum of the couplings
+    C_ab C_ba of block a to the others, below (number of blocks) * 1e-24.
     """
-    _energies, vectors, level, on, _off = liouvillian._spectrum
+    _energies, vectors, level = liouvillian._spectrum
+    on = vectors[liouvillian.dephased] if liouvillian.gamma > 0 else vectors[:0]
     jump = on.conj().T @ on
     label = level
     while True:
@@ -322,7 +320,6 @@ def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks | None:
     starts = np.cumsum(sizes) - sizes
     basis = np.empty_like(vectors)
     dephased = np.empty(liouvillian.dim, dtype=bool)
-    rotations = [None] * len(sizes)
     # Blocks of one size are rotated together: one stacked eigh, one stacked matmul.
     for size in np.unique(sizes):
         which = np.flatnonzero(sizes == size)
@@ -330,13 +327,11 @@ def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks | None:
         block = members[columns]
         occupation, rotation = np.linalg.eigh(jump[block[:, :, None], block[:, None, :]])
         if np.minimum(np.abs(occupation), np.abs(occupation - 1.0)).max() > BLOCK_JUMP_TOL:
-            return None
+            raise RuntimeError("a symmetry block's compressed jump is not 0/1")
         rotated = np.ascontiguousarray(vectors[:, block].transpose(1, 0, 2)) @ rotation
         basis[:, columns] = rotated.transpose(1, 0, 2)
         dephased[columns] = occupation > 0.5
-        for j, r in zip(which, rotation):
-            rotations[j] = r
-    return SymmetryBlocks(basis, sizes, dephased, members, rotations)
+    return SymmetryBlocks(basis, sizes, dephased, label)
 
 
 def _pair_generators(liouvillian: Liouvillian, blocks: SymmetryBlocks):
@@ -432,7 +427,8 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     """Propagate ``rho0`` under the Liouvillian and sample at ``times``.
 
     Applies the exact exponential by one of two routes, chosen from the
-    generator's symmetry blocks (:func:`_symmetry_blocks`):
+    generator's symmetry blocks (:func:`_symmetry_blocks`; a block that the
+    jump does not leave invariant raises ``RuntimeError``):
 
     - when the largest pair of blocks has a generator of at most
       ``DENSE_PAIR_LIMIT`` entries a side, each pair rho_ab evolves alone
@@ -468,7 +464,7 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
 
     blocks = _symmetry_blocks(liouvillian)
-    if blocks is not None and blocks.sizes.max() ** 2 <= DENSE_PAIR_LIMIT:
+    if blocks.sizes.max() ** 2 <= DENSE_PAIR_LIMIT:
         states = _block_samples(rho0, liouvillian, times, blocks)
     else:
         samples = _expm_samples(liouvillian.matrix, vectorize(rho0), times)
@@ -486,133 +482,132 @@ class SteadyStateResult:
     residual: float
 
 
-def _dark_span(on: np.ndarray, off: np.ndarray, left: np.ndarray, right: np.ndarray,
-               tol: float) -> np.ndarray:
+def _dark_span(left_on: np.ndarray, left_off: np.ndarray, right_on: np.ndarray,
+               right_off: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal coefficient vectors z, one per column, such that
-    X = sum_k z_k v_{left_k} v_{right_k}^H commutes with the jump.
+    X = sum_k z_k u_k w_k^H commutes with the jump, where u_k is column k of
+    ``left_on`` over ``left_off`` (the rows where the jump is 1 and 0) and
+    w_k likewise of ``right_on`` over ``right_off``.
 
-    ``on`` and ``off`` are the rows of the eigenvectors v where the jump is 1
-    and 0. X commutes with the jump when P1 X P0 = 0 = P0 X P1; those blocks
-    are the rows of a constraint matrix. It is never held whole: row blocks
-    of about ``_CHUNK_BYTES`` are stacked under the triangular factor so far
-    and factored again by QR, and the null space is read from the singular
-    values of the final triangle (an SVD of the constraint itself, not of its
-    Gram matrix, whose conditioning is squared).
+    X commutes with the jump when P1 X P0 = 0 = P0 X P1; those blocks are the
+    rows of a constraint matrix, which has no null vector when all
+    eigenvalues of its Gram matrix exceed ``_GRAM_SCREEN``. Row blocks of
+    about ``_CHUNK_BYTES`` are stacked under the triangular factor so far and
+    factored again by QR, and the null space is read from the singular
+    values of the final triangle (not from the Gram matrix, whose
+    conditioning is squared).
     """
-    k = len(left)
-    if len(on) == 0 or len(off) == 0:
-        return np.eye(k)
-    rows = max(1, _CHUNK_BYTES // (2 * on.itemsize * len(off) * k))
-    off_left, off_right = off[:, left], off[:, right].conj()
-    triangle = np.zeros((0, k), dtype=on.dtype)
-    for start in range(0, len(on), rows):
-        on_left = on[start:start + rows, left]
-        on_right = on[start:start + rows, right].conj()
+    k = left_on.shape[1]
+    gram = (left_on.conj().T @ left_on) * (right_off.conj().T @ right_off).conj() \
+        + (left_off.conj().T @ left_off) * (right_on.conj().T @ right_on).conj()
+    if np.linalg.eigvalsh(gram)[0] > _GRAM_SCREEN:
+        return np.zeros((k, 0))
+    rows = max(1, _CHUNK_BYTES // (left_on.itemsize * k * max(1, len(left_off) + len(right_off))))
+    triangle = np.zeros((0, k), dtype=left_on.dtype)
+    for start in range(0, max(len(left_on), len(right_on)), rows):
         triangle = np.linalg.qr(np.concatenate([
             triangle,
-            (on_left[:, None, :] * off_right[None, :, :]).reshape(-1, k),   # P1 X P0
-            (off_left[:, None, :] * on_right[None, :, :]).reshape(-1, k),   # P0 X P1
+            (left_on[start:start + rows, None, :] * right_off[None, :, :].conj()).reshape(-1, k),
+            (right_on[start:start + rows, None, :].conj() * left_off[None, :, :]).reshape(-1, k),
         ]), mode="r")
     _, svals, vh = np.linalg.svd(triangle)
     svals = np.concatenate([svals, np.zeros(k - len(svals))])
     return vh[svals < tol].conj().T
 
 
+def _dark_spans(liouvillian: Liouvillian, in_eigenbasis: np.ndarray | None = None,
+                tol: float = 0.0):
+    """The X = sum_k z_k v_{a_k} v_{b_k}^H over H's eigenvectors with
+    L X = i omega X, one group of pairs at a time: yields omega, the pairs
+    ``a`` and ``b``, and the orthonormal z, one column per X (maybe none).
+
+    Such an X is dark (in ker D) and lies in one eigenspace of [H, .], a
+    cluster of gaps E_a - E_b within ``DEGENERACY_TOL``; gap 0 (pairs inside
+    a level) gives ker L = {H, n_c}' (Buča & Prosen, NJP 14, 073007 (2012)).
+    The projectors of :func:`_symmetry_blocks` commute with H and the jump,
+    so P_alpha X P_beta is dark again: a group is one cluster and one pair of
+    blocks, one :func:`_dark_span` on their rows in the block basis. Gaps are
+    clustered before pairs are grouped, so no cluster is split. Gap 0 is
+    solved, and with a state ``in_eigenbasis`` each cluster on which its
+    Frobenius norm w has |omega| w >= tol / 1000 (less cannot move a
+    residual of ``tol``).
+    """
+    energies, vectors, _level = liouvillian._spectrum
+    blocks = _symmetry_blocks(liouvillian)
+    dim, count = liouvillian.dim, len(blocks.sizes)
+    # H's eigenvectors in the block basis: each block's dephased and undephased rows.
+    bounds = np.cumsum(blocks.sizes)[:-1]
+    coordinates = [(c[d], c[~d]) for c, d in zip(np.split(blocks.basis.conj().T @ vectors, bounds),
+                                                  np.split(blocks.dephased, bounds))]
+    gaps = np.subtract.outer(energies, energies).ravel()
+    order = np.argsort(gaps, kind="stable")
+    cluster = np.cumsum(np.diff(gaps[order], prepend=gaps[order[0]]) > DEGENERACY_TOL)
+    omega = gaps[order][np.flatnonzero(np.diff(cluster, prepend=-1))]   # smallest of each
+    solved = omega == 0
+    if in_eigenbasis is not None:
+        weights = np.bincount(cluster, weights=np.abs(in_eigenbasis.ravel()[order]) ** 2)
+        solved |= np.abs(omega) * np.sqrt(weights) >= 1e-3 * tol
+    left, right = np.divmod(order, dim)
+    key = (cluster * count + blocks.label[left]) * count + blocks.label[right]
+    group = np.flatnonzero(solved[cluster])
+    group = group[np.argsort(key[group], kind="stable")]
+    left, right, cluster, key = left[group], right[group], cluster[group], key[group]
+    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a, b = left[lo:hi], right[lo:hi]
+        (left_on, left_off), (right_on, right_off) = (coordinates[blocks.label[a[0]]],
+                                                      coordinates[blocks.label[b[0]]])
+        z = _dark_span(left_on[:, a], left_off[:, a], right_on[:, b], right_off[:, b], NULL_TOL)
+        yield float(omega[cluster[lo]]), a, b, z
+
+
 def steady_state_null_space(liouvillian: Liouvillian) -> np.ndarray:
     """Orthonormal basis of the kernel of the superoperator, as columns of
-    vectorized matrices.
+    vectorized matrices: the gap-0 groups of :func:`_dark_spans`, one per
+    symmetry block.
 
     The jump is Hermitian, so ker L is the commutant {H, n_c}': the matrices
-    block-diagonal in H's eigenspaces, X = sum_g V_g Y_g V_g^H, that also
-    commute with the jump (Buča & Prosen, NJP 14, 073007 (2012)). Each
-    symmetry block of :func:`_symmetry_blocks` holds whole levels of H, so
-    no such X has entries between two blocks, and ker L is solved one block
-    at a time. Inside a block the jump is the 0/1 diagonal ``dephased`` of
-    the block basis W, so :func:`_dark_span` runs on the W-coordinates of the
-    block's eigenvectors (the conjugate transpose of its rotation), split into
-    dephased and undephased rows, with the level pairs inside the block as
-    unknowns. When the blocks are refused, the one block is the whole sector,
-    with the eigenvectors' rows in the Fock basis. Singular values below
-    ``NULL_TOL`` count as zero. Every returned column satisfies
-    ``||L v||_inf < 1e-10``, checked on all candidates by one
-    :meth:`Liouvillian.residual` call.
+    block-diagonal in H's eigenspaces that also commute with the jump (Buča &
+    Prosen, NJP 14, 073007 (2012)). Singular values below ``NULL_TOL`` count
+    as zero. Every returned column satisfies ``||L v||_inf < 1e-10``,
+    checked on all candidates by one :meth:`Liouvillian.residual` call.
     """
-    _energies, vectors, level, on, off = liouvillian._spectrum
-    dim = liouvillian.dim
-    blocks = _symmetry_blocks(liouvillian)
-    if blocks is None:
-        pieces = [(np.arange(dim), on, off)]
-    else:
-        bounds = np.cumsum(blocks.sizes)[:-1]
-        pieces = [(members, rotation.conj().T[dephased], rotation.conj().T[~dephased])
-                  for members, rotation, dephased in zip(np.split(blocks.members, bounds),
-                                                         blocks.rotations,
-                                                         np.split(blocks.dephased, bounds))]
-    spans = []
-    for members, block_on, block_off in pieces:
-        block_level = level[members]
-        left, right = np.nonzero(block_level[:, None] == block_level[None, :])
-        z = _dark_span(block_on, block_off, left, right, NULL_TOL)
-        spans.append((members, left, right, z))
-    # Candidate k is stored transposed, so that candidates[k].ravel() is its
-    # column-stacked vector and the kernel is a view of the stack.
-    candidates = np.empty((sum(z.shape[1] for *_, z in spans), dim, dim), dtype=vectors.dtype)
-    start = 0
-    for members, left, right, z in spans:
-        v = vectors[:, members]
+    vectors = liouvillian._spectrum[1]
+    candidates = []
+    for _omega, a, b, z in _dark_spans(liouvillian):
+        members = np.unique(a)      # the block's eigenvectors
         y = np.zeros((z.shape[1], len(members), len(members)), dtype=z.dtype)
-        y[:, left, right] = z.T
-        np.matmul(v.conj() @ y.transpose(0, 2, 1), v.T, out=candidates[start:start + len(y)])
-        start += len(y)
-    residual = np.max(liouvillian.residual(candidates.transpose(0, 2, 1)), initial=0.0)
+        y[:, np.searchsorted(members, a), np.searchsorted(members, b)] = z.T
+        candidates.append(vectors[:, members] @ y @ vectors[:, members].conj().T)
+    candidates = np.concatenate(candidates)
+    residual = np.max(liouvillian.residual(candidates), initial=0.0)
     if residual > 1e-10:
         raise RuntimeError(f"kernel candidate has residual {residual:.3e}")
-    return candidates.reshape(len(candidates), dim * dim).T
+    # Column-stacked vectors: vec(X) is the row-major ravel of X^T.
+    return candidates.transpose(0, 2, 1).reshape(len(candidates), -1).T
 
 
-def _peripheral_part(rho: np.ndarray, liouvillian: Liouvillian,
-                     tol: float) -> tuple[np.ndarray, float, float]:
-    """The part of ``rho`` that never decays: its projection on the
-    eigenvectors of L with eigenvalue i omega, omega != 0.
-
-    Those lie in ker D and in one eigenspace of [H, .], the gap
-    omega = E_a - E_b, and are HS-orthogonal to the decaying part, so ``rho``
-    is projected gap by gap. Only gaps where ``rho`` has weight are visited:
-    a gap whose weight w has |omega| w below a thousandth of ``tol`` cannot
-    move the residual. Gaps whose constraint Gram matrix is well conditioned
-    (smallest eigenvalue above ``_GRAM_SCREEN``) have no dark combination and
-    are skipped; the rest are solved by :func:`_dark_span`. Returns the part,
-    the largest weight (Frobenius norm) of one gap, and that gap.
-    """
-    energies, vectors, level, on, off = liouvillian._spectrum
+def _dark_parts(rho: np.ndarray, liouvillian: Liouvillian,
+                tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The parts of ``rho`` that never decay, projected group by group of
+    :func:`_dark_spans` (HS-orthogonal to the decaying part): on ker L, on
+    the eigenvalues i omega != 0 of L, the latter's largest weight
+    (Frobenius norm) on one gap, and that gap."""
+    _energies, vectors, _level = liouvillian._spectrum
     in_eigenbasis = vectors.conj().T @ rho @ vectors
-    left, right = np.nonzero(level[:, None] != level[None, :])
-    gaps = energies[left] - energies[right]
-    order = np.argsort(gaps, kind="stable")
-    left, right, gaps = left[order], right[order], gaps[order]
-    gap_index = np.cumsum(np.diff(gaps, prepend=gaps[:1]) > DEGENERACY_TOL)
-    bounds = np.flatnonzero(np.diff(gap_index, prepend=-1, append=-1))
-    weights = np.sqrt(np.bincount(gap_index, weights=np.abs(in_eigenbasis[left, right]) ** 2))
-    gram_on = on.conj().T @ on
-    gram_off = np.eye(len(vectors)) - gram_on
-    part = np.zeros_like(in_eigenbasis)
-    found = []      # (|omega|, weight) of each gap with undamped weight
-    for g in np.flatnonzero(np.abs(gaps[bounds[:-1]]) * weights >= 1e-3 * tol):
-        pairs = slice(bounds[g], bounds[g + 1])
-        a, b = left[pairs], right[pairs]
-        gram = gram_on[np.ix_(a, a)] * gram_off[np.ix_(b, b)].T \
-            + gram_off[np.ix_(a, a)] * gram_on[np.ix_(b, b)].T
-        if np.linalg.eigvalsh(gram)[0] > _GRAM_SCREEN:
-            continue
-        z = _dark_span(on, off, a, b, NULL_TOL)
+    kernel_part, undamped = np.zeros_like(in_eigenbasis), np.zeros_like(in_eigenbasis)
+    found = {}      # squared undamped weight of each gap omega != 0
+    for omega, a, b, z in _dark_spans(liouvillian, in_eigenbasis, tol):
         coefficients = z.conj().T @ in_eigenbasis[a, b]
-        part[a, b] = z @ coefficients
-        found.append((abs(float(gaps[bounds[g]])), float(np.linalg.norm(coefficients))))
+        (undamped if omega else kernel_part)[a, b] = z @ coefficients
+        if omega:
+            found[omega] = found.get(omega, 0.0) + float(np.vdot(coefficients, coefficients).real)
     # Gaps related by symmetry carry equal weights; of the heaviest, the
     # slowest is named, so rounding cannot change the choice.
-    weight = max((w for _, w in found), default=0.0)
-    omega = min((o for o, w in found if w >= weight * (1.0 - 1e-9)), default=0.0)
-    return vectors @ part @ vectors.conj().T, weight, omega
+    heaviest = max(found.values(), default=0.0)
+    omega = min((abs(o) for o, w in found.items() if w >= heaviest * (1.0 - 2e-9)), default=0.0)
+    return (vectors @ kernel_part @ vectors.conj().T, vectors @ undamped @ vectors.conj().T,
+            math.sqrt(heaviest), omega)
 
 
 def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
@@ -621,13 +616,15 @@ def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
 
     "Steady" means that limit and nothing looser: it is the HS-orthogonal
     projection of ``rho0`` onto ker L (ker L = ker L^dagger for a Hermitian
-    jump; Albert & Jiang, PRA 89, 022118 (2014)), built from
-    :func:`steady_state_null_space`. Where levels are split by very little,
-    relaxation toward that limit can take very long; the limit is returned
-    all the same. Energies closer than ``DEGENERACY_TOL`` count as one level.
-    A symmetry broken only slightly (dark states brightened, or levels split,
-    by about 1e-11 to 1e-8) leaves the kernel ill-conditioned in double
-    precision; the result then fails :func:`validate_density`.
+    jump; Albert & Jiang, PRA 89, 022118 (2014)), from the per-block solve
+    that also finds the undamped part (:func:`_dark_parts`); a limit with
+    ``||L rho||_inf > 1e-10`` raises ``RuntimeError``. Where levels are split
+    by very little, relaxation toward that limit can take very long; the
+    limit is returned all the same. Energies closer than ``DEGENERACY_TOL``
+    count as one level. A symmetry broken only slightly (dark states
+    brightened, or levels split, by about 1e-11 to 1e-8) leaves the kernel
+    ill-conditioned in double precision; the result then fails
+    :func:`validate_density`.
 
     The limit exists only when ``rho0`` has no weight on the purely imaginary
     eigenvalues i omega != 0 of L. When that part's residual
@@ -640,8 +637,8 @@ def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
     dim = liouvillian.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
-    peripheral, weight, omega = _peripheral_part(rho0, liouvillian, convergence_tol)
-    residual = liouvillian.residual(peripheral)
+    rho, undamped, weight, omega = _dark_parts(rho0, liouvillian, convergence_tol)
+    residual = liouvillian.residual(undamped)
     if residual >= convergence_tol:
         raise SteadyStateNotConverged(
             f"weight {weight:.6g} on the undamped eigenvalues +-i{omega:.6g} of L gives "
@@ -649,7 +646,8 @@ def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
             "state straddles symmetry sectors with undamped coherences",
             residual=residual, omega=omega, weight=weight,
         )
-    kernel = steady_state_null_space(liouvillian)
-    rho = unvectorize(kernel @ (kernel.conj().T @ vectorize(rho0)), dim)
+    residual = liouvillian.residual(rho)
+    if residual > 1e-10:
+        raise RuntimeError(f"steady state has residual {residual:.3e}")
     validate_density(rho)
-    return SteadyStateResult(state=rho, residual=liouvillian.residual(rho))
+    return SteadyStateResult(state=rho, residual=residual)

@@ -416,10 +416,18 @@ def test_cli_kind_mismatch(tmp_path, capsys):
 
 
 def test_cli_bad_config_value(tmp_path, capsys):
-    code = main(["steady", "--out", str(tmp_path),
-                 "--override", "lattice.n_sites=4"])
-    assert code == 2
-    assert "lattice" in capsys.readouterr().err
+    # Each bad value is a config error (exit 2) that names its field, not a
+    # traceback from the run it would have reached.
+    for kind, override, field in [
+        ("steady", "lattice.n_sites=4", "lattice"),
+        ("evolve", "time_grid.num=2.5", "integer num"),
+        ("robustness-aa", "scan.n_values=2.5", "scan.n_values"),
+        ("steady", 'convergence_tol="x"', "convergence_tol"),
+        ("steady", "convergence_tol=-1", "convergence_tol"),
+    ]:
+        code = main([kind, "--out", str(tmp_path), "--override", override])
+        assert code == 2, override
+        assert field in capsys.readouterr().err, override
 
 
 def test_cli_nonconvergence_exit_code(tmp_path, capsys):

@@ -470,20 +470,17 @@ def test_coupling_tolerance_joins_or_splits_blocks(coupling, blocks):
     assert np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max() < 1e-12
 
 
-def test_block_with_a_fractional_jump_is_refused(monkeypatch):
+def test_block_with_a_fractional_jump_raises(monkeypatch):
     # With the coupling tolerance raised to 1, N = 3's two bright levels each
-    # become a block on which the compressed jump is 1/2: the block route is
-    # refused, and evolve falls back to the full route.
+    # become a block on which the compressed jump is 1/2: such a block is not
+    # left invariant by the jump, and evolve and steady_state both raise.
     _, basis, liou = n3_problem()
     monkeypatch.setattr(lindblad, "BLOCK_COUPLING_TOL", 1.0)
-    assert lindblad._symmetry_blocks(liou) is None
-    krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
     rho0 = pure_state(fock_state(basis, "010"))
-    times = np.linspace(0.0, 4.0, 9)
-    states = evolve(rho0, liou, times).states
-    assert len(krylov) == 1
-    assert max(np.abs(rho - analytic_n3_density_matrix(t, 1.0)).max()
-               for t, rho in zip(times, states)) < 1e-8
+    with pytest.raises(RuntimeError, match="compressed jump"):
+        evolve(rho0, liou, [0.0, 1.0])
+    with pytest.raises(RuntimeError, match="compressed jump"):
+        steady_state(rho0, liou)
 
 
 def test_evolve_validates_times_and_method():
@@ -575,7 +572,7 @@ def test_centre_site_input_has_no_undamped_weight(n_sites):
     liou = dephasing_liouvillian(LatticeSpec(n_sites=n_sites), basis)
     centre = "0" * (n_sites // 2) + "1" + "0" * (n_sites // 2)
     rho0 = pure_state(fock_state(basis, centre))
-    _part, weight, _omega = lindblad._peripheral_part(rho0, liou, 1e-9)
+    _kernel_part, _undamped, weight, _omega = lindblad._dark_parts(rho0, liou, 1e-9)
     assert weight == 0.0
     result = steady_state(rho0, liou)
     assert np.abs(result.state - analytic_steady_state(n_sites)).max() < 1e-10
@@ -700,18 +697,6 @@ def test_null_space_matches_dense_svd():
         assert projector_gap < 1e-8, (spec, filling, projector_gap)
 
 
-def test_null_space_without_blocks_is_the_dense_kernel(monkeypatch):
-    # With the coupling tolerance raised to 1, N = 3's blocks are refused,
-    # and the kernel is solved as one block: the whole sector in the Fock basis.
-    _, _, liou = n3_problem()
-    monkeypatch.setattr(lindblad, "BLOCK_COUPLING_TOL", 1.0)
-    assert lindblad._symmetry_blocks(liou) is None
-    kernel = steady_state_null_space(liou)
-    dense = dense_kernel(liou.matrix.toarray())
-    assert kernel.shape == dense.shape
-    assert np.abs(kernel @ kernel.conj().T - dense @ dense.conj().T).max() < 1e-8
-
-
 def test_null_space_residual_guard_fires(monkeypatch):
     # A null-space tolerance of 1 admits combinations that are not in the
     # kernel, and the residual guard refuses them.
@@ -719,6 +704,53 @@ def test_null_space_residual_guard_fires(monkeypatch):
     monkeypatch.setattr(lindblad, "NULL_TOL", 1.0)
     with pytest.raises(RuntimeError, match="kernel candidate has residual"):
         steady_state_null_space(liou)
+
+
+def test_steady_state_residual_guard_fires(monkeypatch):
+    # A dark span tilted out of the kernel gives a limit that L does not
+    # annihilate, and steady_state refuses it.
+    _, basis, liou = n3_problem()
+    dark_span = lindblad._dark_span
+
+    def tilted(*args):
+        z = dark_span(*args)
+        return np.linalg.qr(z + 1e-6 * np.arange(len(z))[:, None])[0] if z.shape[1] else z
+
+    monkeypatch.setattr(lindblad, "_dark_span", tilted)
+    with pytest.raises(RuntimeError, match="steady state has residual"):
+        steady_state(pure_state(fock_state(basis, "010")), liou)
+
+
+def test_dark_parts_match_dense_eigenspaces():
+    # On random small specs and random states, the kernel part is the
+    # projection on the dense kernel of L, and the undamped part the
+    # projection on the dense null spaces of L - i omega, over the purely
+    # imaginary eigenvalues i omega != 0 of L.
+    rng = np.random.default_rng(15)
+    models = ({}, {"trap_amplitude": 0.7}, {"aa_amplitude": 0.4}, {"interaction": 0.5},
+              {"dephasing_gamma": 20.0})
+    undamped_cases = 0
+    for model in models:
+        for n_sites, filling in ((3, 1), (5, 1), (5, 2)):
+            spec = LatticeSpec(n_sites=n_sites, **model)
+            basis = ManyBodyBasis(n_sites, filling)
+            liou = dephasing_liouvillian(spec, basis)
+            a = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
+            rho0 = a @ a.conj().T / np.trace(a @ a.conj().T)
+            kernel_part, undamped, _weight, _omega = lindblad._dark_parts(rho0, liou, 1e-9)
+            superop = liou.matrix.toarray()
+            kernel = dense_kernel(superop)
+            assert np.abs(vectorize(kernel_part) - kernel @ (kernel.conj().T @ vectorize(rho0))
+                          ).max() < 1e-8, spec
+            eigenvalues = np.linalg.eigvals(superop)
+            omegas = np.unique(np.round(eigenvalues.imag[np.abs(eigenvalues.real) < 1e-9], 6))
+            expected = np.zeros(basis.size ** 2, dtype=complex)
+            for omega in omegas[omegas != 0]:
+                space = dense_kernel(superop - 1j * omega * np.eye(len(superop)), tol=1e-6)
+                expected += space @ (space.conj().T @ vectorize(rho0))
+            assert np.abs(vectorize(undamped) - expected).max() < 1e-8, spec
+            undamped_cases += np.abs(expected).max() > 1e-3
+    assert undamped_cases >= 3
 
 
 @pytest.mark.xfail(strict=True, reason=(

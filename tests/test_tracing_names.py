@@ -8,7 +8,9 @@ run is made here, in a subprocess that keeps the wrapping out of this one.
 ``correlation-map`` solves for its steady state without propagating, so two
 small ``evolve`` calls are traced as well: N = 3, whose symmetry blocks are
 propagated by dense ``expm``, and N = 7, Np = 4 with interaction 0.3, whose
-blocks are too large for that and go to ``expm_multiply``."""
+blocks are too large for that and go to ``expm_multiply``. ``steady_state``
+does not call ``steady_state_null_space``, the name the tracer books as
+steady work, so that is called directly once as well."""
 
 import json
 import subprocess
@@ -38,6 +40,8 @@ for spec, bits in ((dephchain.LatticeSpec(n_sites=3), "010"),
     basis = dephchain.ManyBodyBasis(spec.n_sites, bits.count("1"))
     dephchain.evolve(dephchain.pure_state(dephchain.fock_state(basis, bits)),
                      dephchain.dephasing_liouvillian(spec, basis), [0.0, 1.0])
+dephchain.steady_state_null_space(dephchain.dephasing_liouvillian(
+    dephchain.LatticeSpec(n_sites=3), dephchain.ManyBodyBasis(3, 1)))
 metrics, _ = tracing.layer_metrics(tracer.spans, tracer.counters)
 print(json.dumps({{name: value for name, (value, _unit) in metrics.items()}}))
 """
