@@ -7,8 +7,9 @@ the two-point matrix C_jk = <f!_j f_k> obeys
     M_jk = (delta_jc - delta_kc)^2,
 
 which is the one-particle sector of :mod:`dephchain.lindblad` read as
-C = rho^T: the sector's generator, built from the one-body ``h`` and the
-mask M of the dephased site c, acting on rho = C^T / Tr C. Evolution and steady
+C = rho^T: the sector's generator (``lindblad.dephasing_liouvillian`` of a
+spec, with its symmetry sectors, or one built from an explicit one-body ``h``
+and the mask M of the dephased site c), acting on rho = C^T / Tr C. Evolution and steady
 states therefore go through ``lindblad.evolve`` and ``lindblad.steady_state``
 (the exact projection onto the kernel), with their invariant checks, and are
 scaled back by Tr C. The multi-fermion steady-state scaling law lives
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lindblad import HERMITICITY_TOL, Liouvillian, build_liouvillian, evolve, steady_state
-from .model import LatticeSpec, build_single_particle_hamiltonian
+from .fock import ManyBodyBasis
+from .lindblad import (HERMITICITY_TOL, Liouvillian, build_liouvillian, dephasing_liouvillian,
+                       evolve, steady_state)
+from .model import LatticeSpec
 
 EIGENVALUE_SLACK = 1e-9
 
@@ -51,51 +54,53 @@ def validate_correlation_matrix(c: np.ndarray) -> None:
         raise ValueError(f"occupation eigenvalues outside [0, 1]: [{eig.min()}, {eig.max()}]")
 
 
-def _one_particle_problem(c0, h: np.ndarray, gamma: float,
-                          center: int) -> tuple[Liouvillian, np.ndarray, float]:
-    """The one-particle sector seen through C = rho^T: its generator (``h``
-    with the projector on the 1-based ``center`` site as jump operator),
+def _one_particle_state(c0, liouvillian: Liouvillian) -> tuple[np.ndarray, float]:
+    """The one-particle sector's state seen through C = rho^T:
     rho0 = C0^T / Tr C0, and Tr C0. Refuses a C0 that is not Hermitian or
     has an occupation eigenvalue outside [0, 1]."""
     c0 = np.asarray(c0, dtype=complex)
-    if c0.shape != h.shape:
-        raise ValueError(f"correlation shape {c0.shape} does not match h {h.shape}")
+    if c0.shape != (liouvillian.dim,) * 2:
+        raise ValueError(f"correlation shape {c0.shape} does not match {liouvillian.dim} sites")
     validate_correlation_matrix(c0)
     filling = float(np.trace(c0).real)
     if filling <= 0:
         raise ValueError(f"correlation matrix needs a positive trace, got {filling:g}")
-    jump = np.diag(np.arange(len(h)) == center - 1)
-    return build_liouvillian(h, gamma, jump), c0.T / filling, filling
+    return c0.T / filling, filling
+
+
+def _evolve(c0, liouvillian: Liouvillian, times) -> np.ndarray:
+    rho0, filling = _one_particle_state(c0, liouvillian)
+    return filling * evolve(rho0, liouvillian, times).states.transpose(0, 2, 1)
 
 
 def evolve_with_hamiltonian(c0: np.ndarray, h: np.ndarray, gamma: float, center: int,
                             times) -> np.ndarray:
-    """Two-point trajectory for an explicit real symmetric one-body ``h``.
+    """Two-point trajectory for an explicit real symmetric one-body ``h``,
+    with the projector on the 1-based ``center`` site as jump operator.
 
-    ``center`` is the 1-based dephased site. Returns C(t) at each requested
-    time (non-decreasing, starting from 0 relative to ``c0``) as one
-    (T, n, n) array.
+    Returns C(t) at each requested time (non-decreasing, starting from 0
+    relative to ``c0``) as one (T, n, n) array.
     """
-    liouvillian, rho0, filling = _one_particle_problem(c0, np.asarray(h, dtype=float),
-                                                       gamma, center)
-    trajectory = evolve(rho0, liouvillian, times)
-    return filling * trajectory.states.transpose(0, 2, 1)
+    h = np.asarray(h, dtype=float)
+    return _evolve(c0, build_liouvillian(h, gamma, np.diag(np.arange(len(h)) == center - 1)),
+                   times)
 
 
-def _refuse_interaction(spec: LatticeSpec) -> None:
+def _one_particle_liouvillian(spec: LatticeSpec) -> Liouvillian:
+    """The spec's one-particle generator, with its symmetry sectors; refuses
+    an interacting spec."""
     if spec.interaction != 0.0:
         raise ValueError(
             "two-point fastpath is exact only for quadratic Hamiltonians; "
             f"interaction={spec.interaction} requires the full Liouvillian"
         )
+    return dephasing_liouvillian(spec, ManyBodyBasis(spec.n_sites, 1))
 
 
 def correlation_evolve(spec: LatticeSpec, c0: np.ndarray, times) -> np.ndarray:
     """Two-point trajectory for a lattice spec; refuses interacting problems,
     where the two-point equation no longer closes."""
-    _refuse_interaction(spec)
-    h = build_single_particle_hamiltonian(spec)
-    return evolve_with_hamiltonian(c0, h, spec.dephasing_gamma, spec.central_site, times)
+    return _evolve(c0, _one_particle_liouvillian(spec), times)
 
 
 def steady_correlation(spec: LatticeSpec, c0: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -105,10 +110,8 @@ def steady_correlation(spec: LatticeSpec, c0: np.ndarray, tol: float = 1e-10) ->
     has weight on undamped oscillations large enough that max |dC/dt| never
     falls below ``tol``.
     """
-    _refuse_interaction(spec)
-    h = build_single_particle_hamiltonian(spec)
-    liouvillian, rho0, filling = _one_particle_problem(c0, h, spec.dephasing_gamma,
-                                                       spec.central_site)
+    liouvillian = _one_particle_liouvillian(spec)
+    rho0, filling = _one_particle_state(c0, liouvillian)
     steady = steady_state(rho0, liouvillian, convergence_tol=tol / filling)
     return filling * steady.state.T
 

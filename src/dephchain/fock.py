@@ -227,6 +227,14 @@ def enumerate_charge_sectors(n_sites: int, n_particles: int | None = None) -> li
     return sectors
 
 
+def slater_determinants(basis: ManyBodyBasis, orbitals: np.ndarray) -> np.ndarray:
+    """Unnormalized Slater amplitudes of an (..., N, Np) stack of orbital
+    columns, in creation order: the (..., d) determinants of their rows at
+    the occupied sites of each basis state, ascending as this module orders."""
+    rows = np.nonzero(basis.occupations)[1].reshape(basis.size, basis.n_particles)
+    return np.linalg.det(np.asarray(orbitals)[..., rows, :])
+
+
 def slater_state(basis: ManyBodyBasis, mode_indices, orbitals: np.ndarray | None = None) -> np.ndarray:
     """Normalized Slater determinant of distinct single-particle modes.
 
@@ -246,11 +254,7 @@ def slater_state(basis: ManyBodyBasis, mode_indices, orbitals: np.ndarray | None
     cols = [k - 1 for k in modes]
     if min(cols, default=0) < 0 or max(cols, default=0) >= orbitals.shape[1]:
         raise ValueError(f"mode indices {modes} outside 1..{orbitals.shape[1]}")
-    chosen = orbitals[:, cols]
-    amplitudes = np.empty(basis.size, dtype=complex)
-    for q, mask in enumerate(basis.states):
-        rows = [s - 1 for s in basis.occupied_sites(mask)]
-        amplitudes[q] = np.linalg.det(chosen[rows, :]) if rows else 1.0
+    amplitudes = slater_determinants(basis, orbitals[:, cols]).astype(complex)
     norm = np.linalg.norm(amplitudes)
     if norm < 1e-12:
         raise ValueError("Slater determinant vanished; modes not independent?")

@@ -12,18 +12,19 @@ maps to ``kron(B.T, A) vec(rho)``; that convention is fixed here and used everyw
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 from scipy.linalg import expm
-from scipy.sparse import csgraph
 
-from .fock import ManyBodyBasis, build_many_body_hamiltonian, number_operator
-from .model import LatticeSpec
+from .fock import (ManyBodyBasis, build_many_body_hamiltonian, number_operator,
+                   reflection_operator, slater_determinants)
+from .model import LatticeSpec, build_single_particle_hamiltonian, classify_mode_parity
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
@@ -50,18 +51,16 @@ _CHUNK_BYTES = 1 << 22
 # taken, at once are about this many bytes.
 _SAMPLE_CHUNK_BYTES = 1 << 20
 
-# Two sets of eigenvectors of H between which the compressed jump V^H n_c V
-# has a Frobenius norm above this lie in one symmetry block. The norm, not
-# the largest entry, bounds every entry after the rotation inside a block.
-BLOCK_COUPLING_TOL = 1e-12
-# A block whose compressed jump has an eigenvalue farther than this from both
-# 0 and 1 is not left invariant by the jump, and _symmetry_blocks raises.
+# Sectors are symmetry blocks to this: H's eigen-residual on each, the compressed
+# jump between two, and its eigenvalues' distance from 0 or 1 on one; beyond it
+# the spectrum or _symmetry_blocks raises.
 BLOCK_JUMP_TOL = 1e-10
 # The largest pair generator, (block size)^2, propagated by dense exponentials.
-# Measured on N = 7, Np = 4: dense won at pair size 196 (the trapped
-# fock-quench, 0.42 s against 0.62 s for its 401 samples and 0.22 s against
-# 0.32 s for one step to t = 31.1) and lost at 361 (the interacting
-# reflection sectors, 0.86 s against 0.10 s for that one step).
+# Measured on N = 7, Np = 4: dense won at 196 (trapped fock-quench sectors of 10
+# and 4 states taken as one block: 0.42 s against 0.62 s for 401 samples, 0.22 s
+# against 0.32 s for one step to t = 31.1) and lost at 361 (the interacting
+# reflection sectors: 0.86 s against 0.10 s for that step). The default runs'
+# odd-pattern sectors give pairs of at most 36.
 DENSE_PAIR_LIMIT = 196
 
 
@@ -137,11 +136,14 @@ def maximally_mixed(dim: int) -> np.ndarray:
 class Liouvillian:
     """The generator ``-i [H, rho] - (gamma / 2) M o rho`` of a sparse d x d
     Hamiltonian H, where ``dephased`` is the boolean diagonal of the jump
-    operator and M_ab = 1 where exactly one of the states a, b is dephased."""
+    operator and M_ab = 1 where exactly one of the states a, b is dephased.
+    ``sectors`` are orthonormal (d, k) column blocks that together span the
+    space and that H and the jump both leave invariant; none means one."""
 
     hamiltonian: sparse.csr_matrix
     dephased: np.ndarray
     gamma: float
+    sectors: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -187,14 +189,22 @@ class Liouvillian:
 
     @functools.cached_property
     def _spectrum(self):
-        """H's eigenbasis for the dark-space solve and the symmetry blocks:
-        level energy of each eigenvector, the eigenvectors, and their level
-        index."""
-        h = self.hamiltonian.toarray()
-        energies, vectors = np.linalg.eigh(h if np.any(h.imag) else h.real)
-        level = np.cumsum(np.diff(energies, prepend=energies[:1]) > DEGENERACY_TOL)
+        """H's eigenbasis, one ``eigh`` per sector: each eigenvector's level
+        energy (the mean over its level, across sectors), the eigenvectors,
+        sector after sector, and the sector of each. Raises ``RuntimeError``
+        when H's eigen-residual on a sector exceeds ``BLOCK_JUMP_TOL``."""
+        h = self.hamiltonian if np.any(self.hamiltonian.data.imag) else self.hamiltonian.real
+        sectors = self.sectors or (np.eye(self.dim),)
+        parts = [np.linalg.eigh(q.conj().T @ (h @ q)) for q in sectors]
+        energies = np.concatenate([e for e, _ in parts])
+        vectors = np.concatenate([q @ u for q, (_, u) in zip(sectors, parts)], axis=1)
+        if np.abs(h @ vectors - vectors * energies).max(initial=0.0) > BLOCK_JUMP_TOL:
+            raise RuntimeError("H does not leave a symmetry sector invariant")
+        ascending = np.sort(energies)
+        lowest = ascending[np.diff(ascending, prepend=-np.inf) > DEGENERACY_TOL]   # of each level
+        level = np.searchsorted(lowest, energies, side="right") - 1
         energies = (np.bincount(level, weights=energies) / np.bincount(level))[level]
-        return energies, vectors, level
+        return energies, vectors, np.repeat(np.arange(len(sectors)), [q.shape[1] for q in sectors])
 
 
 def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
@@ -215,11 +225,35 @@ def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
     return Liouvillian(h, occupation == 1, float(gamma))
 
 
+def _symmetry_sectors(spec: LatticeSpec, basis: ManyBodyBasis) -> tuple:
+    """The subspaces that H and n_c both leave invariant, decided exactly
+    from the spec (Buča & Prosen, NJP 14, 073007 (2012)): none when a
+    quasi-periodic potential or an off-centre trap breaks site reflection;
+    with interaction, the +-1 eigenspaces of the many-body reflection; else
+    one per occupation pattern of the odd modes, which vanish at the central
+    site, spanned by the Slater determinants of that pattern and every
+    choice of even modes."""
+    if spec.aa_amplitude or spec.trap_amplitude and spec.effective_trap_center != spec.central_site:
+        return ()
+    if spec.interaction:
+        signs, vectors = np.linalg.eigh(reflection_operator(basis).toarray())
+        return tuple(v for v in (vectors[:, signs > 0], vectors[:, signs < 0]) if v.size)
+    parity = classify_mode_parity(build_single_particle_hamiltonian(spec))
+    k, sectors = basis.n_particles, []
+    for size in range(max(0, k - len(parity.even)), k + 1):
+        fills = list(itertools.combinations(parity.even, k - size))
+        for pattern in itertools.combinations(parity.odd, size):
+            modes = np.array([pattern + fill for fill in fills], dtype=int) - 1
+            sectors.append(slater_determinants(basis, parity.modes[:, modes].transpose(1, 0, 2)).T)
+    return tuple(sectors)
+
+
 def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis) -> Liouvillian:
-    """Generator of the central-site dephasing problem for one sector."""
-    h = build_many_body_hamiltonian(spec, basis)
-    n_c = number_operator(basis, spec.central_site)
-    return build_liouvillian(h, spec.dephasing_gamma, n_c)
+    """Generator of the central-site dephasing problem for one sector, with
+    the symmetry sectors of :func:`_symmetry_sectors`."""
+    liouvillian = build_liouvillian(build_many_body_hamiltonian(spec, basis), spec.dephasing_gamma,
+                                    number_operator(basis, spec.central_site))
+    return replace(liouvillian, sectors=_symmetry_sectors(spec, basis))
 
 
 @dataclass
@@ -282,40 +316,26 @@ def _expm_samples(generator, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 class SymmetryBlocks(NamedTuple):
     """The blocks of :func:`_symmetry_blocks`: the unitary ``basis`` W, whose
-    columns are the block basis, block after block; the block ``sizes``; the
-    jump's 0/1 diagonal in W, ``dephased``; and the block of each of H's
-    eigenvectors, ``label``."""
+    columns are the block basis, block after block; the block ``sizes``; and
+    the jump's 0/1 diagonal in W, ``dephased``."""
 
     basis: np.ndarray
     sizes: np.ndarray
     dephased: np.ndarray
-    label: np.ndarray
 
 
 def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
-    """The finest blocks that H and the jump both leave invariant.
-
-    The blocks start as H's degenerate levels and are joined, until none
-    changes, wherever the compressed jump V^H n_c V between two of them has
-    a Frobenius norm above ``BLOCK_COUPLING_TOL``; a near-degeneracy can
-    only merge blocks. Inside each block the basis is rotated to the
-    eigenvectors of the compressed jump J, whose eigenvalues are 0 or 1 to
-    ``BLOCK_JUMP_TOL`` (Buča & Prosen, NJP 14, 073007 (2012)), or else
-    ``RuntimeError`` is raised: J_a - J_a^2 is the sum of the couplings
-    C_ab C_ba of block a to the others, below (number of blocks) * 1e-24.
-    """
-    _energies, vectors, level = liouvillian._spectrum
+    """The Liouvillian's symmetry sectors (one block when it has none), each
+    rotated from H's eigenvectors to the eigenvectors of the compressed jump
+    J = V^H n_c V on it (Buča & Prosen, NJP 14, 073007 (2012)). Raises
+    ``RuntimeError`` when J couples two sectors by an entry above
+    ``BLOCK_JUMP_TOL``, or has an eigenvalue on one that is farther than that
+    from both 0 and 1: the jump does not leave the sectors invariant."""
+    _energies, vectors, label = liouvillian._spectrum
     on = vectors[liouvillian.dephased] if liouvillian.gamma > 0 else vectors[:0]
     jump = on.conj().T @ on
-    label = level
-    while True:
-        member = (np.arange(label.max() + 1)[:, None] == label).astype(float)
-        coupled = member @ np.abs(jump) ** 2 @ member.T > BLOCK_COUPLING_TOL ** 2
-        np.fill_diagonal(coupled, False)
-        if not coupled.any():
-            break
-        label = csgraph.connected_components(coupled, directed=False)[1][label]
-    members = np.argsort(label, kind="stable")
+    if np.abs(jump[label[:, None] != label]).max(initial=0.0) > BLOCK_JUMP_TOL:
+        raise RuntimeError("the compressed jump couples two symmetry sectors")
     sizes = np.bincount(label)
     starts = np.cumsum(sizes) - sizes
     basis = np.empty_like(vectors)
@@ -324,14 +344,13 @@ def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
     for size in np.unique(sizes):
         which = np.flatnonzero(sizes == size)
         columns = starts[which, None] + np.arange(size)
-        block = members[columns]
-        occupation, rotation = np.linalg.eigh(jump[block[:, :, None], block[:, None, :]])
+        occupation, rotation = np.linalg.eigh(jump[columns[:, :, None], columns[:, None, :]])
         if np.minimum(np.abs(occupation), np.abs(occupation - 1.0)).max() > BLOCK_JUMP_TOL:
             raise RuntimeError("a symmetry block's compressed jump is not 0/1")
-        rotated = np.ascontiguousarray(vectors[:, block].transpose(1, 0, 2)) @ rotation
+        rotated = np.ascontiguousarray(vectors[:, columns].transpose(1, 0, 2)) @ rotation
         basis[:, columns] = rotated.transpose(1, 0, 2)
         dephased[columns] = occupation > 0.5
-    return SymmetryBlocks(basis, sizes, dephased, label)
+    return SymmetryBlocks(basis, sizes, dephased)
 
 
 def _pair_generators(liouvillian: Liouvillian, blocks: SymmetryBlocks):
@@ -427,8 +446,8 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     """Propagate ``rho0`` under the Liouvillian and sample at ``times``.
 
     Applies the exact exponential by one of two routes, chosen from the
-    generator's symmetry blocks (:func:`_symmetry_blocks`; a block that the
-    jump does not leave invariant raises ``RuntimeError``):
+    generator's symmetry blocks (:func:`_symmetry_blocks`; sectors that H or
+    the jump does not leave invariant raise ``RuntimeError``):
 
     - when the largest pair of blocks has a generator of at most
       ``DENSE_PAIR_LIMIT`` entries a side, each pair rho_ab evolves alone
@@ -532,7 +551,7 @@ def _dark_spans(liouvillian: Liouvillian, in_eigenbasis: np.ndarray | None = Non
     Frobenius norm w has |omega| w >= tol / 1000 (less cannot move a
     residual of ``tol``).
     """
-    energies, vectors, _level = liouvillian._spectrum
+    energies, vectors, label = liouvillian._spectrum
     blocks = _symmetry_blocks(liouvillian)
     dim, count = liouvillian.dim, len(blocks.sizes)
     # H's eigenvectors in the block basis: each block's dephased and undephased rows.
@@ -548,15 +567,19 @@ def _dark_spans(liouvillian: Liouvillian, in_eigenbasis: np.ndarray | None = Non
         weights = np.bincount(cluster, weights=np.abs(in_eigenbasis.ravel()[order]) ** 2)
         solved |= np.abs(omega) * np.sqrt(weights) >= 1e-3 * tol
     left, right = np.divmod(order, dim)
-    key = (cluster * count + blocks.label[left]) * count + blocks.label[right]
+    key = (cluster * count + label[left]) * count + label[right]
     group = np.flatnonzero(solved[cluster])
     group = group[np.argsort(key[group], kind="stable")]
     left, right, cluster, key = left[group], right[group], cluster[group], key[group]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    # One-pair groups are screened at once: _dark_span's Gram is p_a (1 - p_b) + (1 - p_a) p_b.
+    p = sum(np.sum(np.abs(on) ** 2, axis=0) for on, _ in coordinates)     # <v_a|n_c|v_a>
+    a, b = left[bounds[:-1]], right[bounds[:-1]]
+    bright = (np.diff(bounds) == 1) & (p[a] * (1 - p[b]) + (1 - p[a]) * p[b] > _GRAM_SCREEN)
+    for lo, hi in zip(bounds[:-1][~bright], bounds[1:][~bright]):
         a, b = left[lo:hi], right[lo:hi]
-        (left_on, left_off), (right_on, right_off) = (coordinates[blocks.label[a[0]]],
-                                                      coordinates[blocks.label[b[0]]])
+        (left_on, left_off), (right_on, right_off) = (coordinates[label[a[0]]],
+                                                      coordinates[label[b[0]]])
         z = _dark_span(left_on[:, a], left_off[:, a], right_on[:, b], right_off[:, b], NULL_TOL)
         yield float(omega[cluster[lo]]), a, b, z
 
@@ -564,7 +587,7 @@ def _dark_spans(liouvillian: Liouvillian, in_eigenbasis: np.ndarray | None = Non
 def steady_state_null_space(liouvillian: Liouvillian) -> np.ndarray:
     """Orthonormal basis of the kernel of the superoperator, as columns of
     vectorized matrices: the gap-0 groups of :func:`_dark_spans`, one per
-    symmetry block.
+    pair of symmetry blocks (two blocks that share a level have intertwiners).
 
     The jump is Hermitian, so ker L is the commutant {H, n_c}': the matrices
     block-diagonal in H's eigenspaces that also commute with the jump (Buča &
@@ -575,10 +598,10 @@ def steady_state_null_space(liouvillian: Liouvillian) -> np.ndarray:
     vectors = liouvillian._spectrum[1]
     candidates = []
     for _omega, a, b, z in _dark_spans(liouvillian):
-        members = np.unique(a)      # the block's eigenvectors
-        y = np.zeros((z.shape[1], len(members), len(members)), dtype=z.dtype)
-        y[:, np.searchsorted(members, a), np.searchsorted(members, b)] = z.T
-        candidates.append(vectors[:, members] @ y @ vectors[:, members].conj().T)
+        rows, cols = np.unique(a), np.unique(b)     # of blocks alpha and beta
+        y = np.zeros((z.shape[1], len(rows), len(cols)), dtype=z.dtype)
+        y[:, np.searchsorted(rows, a), np.searchsorted(cols, b)] = z.T
+        candidates.append(vectors[:, rows] @ y @ vectors[:, cols].conj().T)
     candidates = np.concatenate(candidates)
     residual = np.max(liouvillian.residual(candidates), initial=0.0)
     if residual > 1e-10:

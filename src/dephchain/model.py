@@ -138,24 +138,18 @@ class ModeParity:
 def _fix_mode_phases(modes: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: the largest-magnitude component of each
     mode is made positive (ties broken by lowest site index)."""
-    fixed = modes.copy()
-    for k in range(fixed.shape[1]):
-        col = fixed[:, k]
-        pivot = np.argmax(np.abs(col) - 1e-12 * np.arange(len(col)))
-        if col[pivot] < 0:
-            fixed[:, k] = -col
-    return fixed
+    pivot = np.argmax(np.abs(modes) - 1e-12 * np.arange(len(modes))[:, None], axis=0)
+    return np.where(modes[pivot, np.arange(modes.shape[1])] < 0, -modes, modes)
 
 
 def classify_mode_parity(h: np.ndarray) -> ModeParity:
-    """Diagonalize ``h`` and classify each eigenmode as reflection-even or
-    reflection-odd.
-
-    Degenerate eigenvalues are resolved by projecting the degenerate block
-    onto the two reflection eigenspaces before classification, which makes
-    the returned modes deterministic. Raises
-    :class:`ReflectionSymmetryBroken` when ``[h, R]`` exceeds ``REFLECTION_TOL``.
-    """
+    """Diagonalize ``h`` by one ``eigh`` on each reflection eigenspace, the
+    even one spanned by (e_i + e_{N+1-i})/sqrt 2 and e_c, the odd one by
+    (e_i - e_{N+1-i})/sqrt 2, so every mode is an eigenvector of ``h`` with
+    sharp parity, also where an even and an odd level lie close together.
+    Modes are numbered by ascending energy, an even mode first on an exact
+    tie. Raises :class:`ReflectionSymmetryBroken` when ``[h, R]`` exceeds
+    ``REFLECTION_TOL``."""
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
     reflection = reflection_permutation(n)
@@ -164,44 +158,20 @@ def classify_mode_parity(h: np.ndarray) -> ModeParity:
             "Hamiltonian does not commute with site reversal; parity "
             "classification unavailable (is a symmetry-breaking potential on?)"
         )
-
-    energies, vecs = np.linalg.eigh(h)
-
-    # Group (near-)degenerate levels, then split each group by parity.
-    groups: list[list[int]] = [[0]]
-    for k in range(1, n):
-        if energies[k] - energies[groups[-1][0]] < 1e-9:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-
-    columns = np.zeros_like(vecs)
-    parity_sign = np.zeros(n, dtype=int)
-    for group in groups:
-        block = vecs[:, group]
-        filled = 0
-        for sign in (+1, -1):
-            projected = 0.5 * (block + sign * (reflection @ block))
-            q, r = np.linalg.qr(projected)
-            keep = np.abs(np.diag(r)) > 1e-8
-            kept = q[:, keep]
-            for col in kept.T:
-                columns[:, group[filled]] = col
-                parity_sign[group[filled]] = sign
-                filled += 1
-        if filled != len(group):
-            raise ReflectionSymmetryBroken(
-                "degenerate block could not be resolved into parity sectors"
-            )
-
-    columns = _fix_mode_phases(columns)
-    even = tuple(k + 1 for k in range(n) if parity_sign[k] == +1)
-    odd = tuple(k + 1 for k in range(n) if parity_sign[k] == -1)
-    if len(even) != (n + 1) // 2 or len(odd) != (n - 1) // 2:
-        raise ReflectionSymmetryBroken(
-            f"unexpected parity counts: {len(even)} even, {len(odd)} odd for N={n}"
-        )
-    return ModeParity(energies=energies, modes=columns, even=even, odd=odd)
+    half = n // 2
+    left = np.arange(half)
+    even, odd = np.zeros((n, half + 1)), np.zeros((n, half))
+    even[left, left] = even[n - 1 - left, left] = odd[left, left] = math.sqrt(0.5)
+    odd[n - 1 - left, left] = -math.sqrt(0.5)
+    even[half, half] = 1.0
+    parts = [np.linalg.eigh(b.T @ h @ b) for b in (even, odd)]
+    energies = np.concatenate([e for e, _ in parts])
+    order = np.argsort(energies, kind="stable")
+    modes = np.concatenate([b @ u for b, (_, u) in zip((even, odd), parts)], axis=1)[:, order]
+    is_even = order <= half
+    return ModeParity(energies=energies[order], modes=_fix_mode_phases(modes),
+                      even=tuple(int(k) + 1 for k in np.flatnonzero(is_even)),
+                      odd=tuple(int(k) + 1 for k in np.flatnonzero(~is_even)))
 
 
 @lru_cache(maxsize=None)

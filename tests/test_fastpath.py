@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dephchain.fastpath as fastpath
 from dephchain.fastpath import (
     ScalingDomainError,
     correlation_evolve,
@@ -172,6 +173,26 @@ def test_steady_correlation_scales_with_filling():
     c = steady_correlation(LatticeSpec(n_sites=9), c0)
     expected = multiparticle_scaling(analytic_steady_state(9), 3)
     assert np.abs(c - expected).max() < 1e-8
+
+
+def test_spec_entry_points_use_the_spec_generator(monkeypatch):
+    # At N = 41 the spec's generator splits the one-particle sector into the
+    # 21 even modes and each of the 20 odd modes alone; both entry points
+    # propagate or project with it, and match the generator built from h.
+    spec = LatticeSpec(n_sites=41)
+    basis = ManyBodyBasis(41, 1)
+    psi = even_mode_slater(basis)
+    c0 = correlation_matrix(np.outer(psi, psi.conj()), basis)
+    seen = []
+    for name in ("evolve", "steady_state"):
+        original = getattr(fastpath, name)
+        monkeypatch.setattr(fastpath, name, lambda rho, liou, *args, _f=original, **kwargs:
+                            seen.append(liou) or _f(rho, liou, *args, **kwargs))
+    trajectory = correlation_evolve(spec, c0, [0.0, 3.0])
+    steady_correlation(spec, c0)
+    assert [sorted(q.shape[1] for q in liou.sectors) for liou in seen] == [[1] * 20 + [21]] * 2
+    h = build_single_particle_hamiltonian(spec)
+    assert np.abs(trajectory - evolve_with_hamiltonian(c0, h, 1.0, 21, [0.0, 3.0])).max() < 1e-12
 
 
 def test_steady_correlation_needs_positive_trace():

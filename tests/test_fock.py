@@ -20,11 +20,13 @@ from dephchain.fock import (
     odd_mode_slater,
     parity_sector_weights,
     reflection_operator,
+    slater_determinants,
     slater_state,
 )
 from dephchain.lindblad import pure_state
 from dephchain.model import LatticeSpec, bare_mode_parity, build_single_particle_hamiltonian
 from oracles import (
+    apply_creation,
     bruteforce_bilinear,
     bruteforce_reflection,
     embed_sector_density,
@@ -333,6 +335,36 @@ def test_full_filling_slater_is_unit_amplitude():
     psi = slater_state(basis, [1, 2, 3])
     assert psi.shape == (1,)
     assert psi[0] == pytest.approx(1.0)
+
+
+def _created(orbitals):
+    """b!_1 ... b!_k |0> with b!_a = sum_i orbitals[i - 1, a] f!_i, by the
+    ordered-sequence algebra: {occupied sites: amplitude}."""
+    state = {(): 1.0}
+    for column in orbitals.T[::-1]:
+        terms = [{seq: c * amp for seq, amp in apply_creation(state, i + 1).items()}
+                 for i, c in enumerate(column)]
+        state = {seq: sum(t.get(seq, 0.0) for t in terms) for t in terms for seq in t}
+    return state
+
+
+@pytest.mark.parametrize("n, k", [(3, 0), (5, 2), (7, 3)])
+def test_slater_determinants_match_created_states(n, k):
+    # One stacked determinant per orbital set, against the creation
+    # operators applied one by one; slater_state is the normalized first.
+    rng = np.random.default_rng(n + k)
+    basis = ManyBodyBasis(n, k)
+    stack = rng.normal(size=(3, n, k))
+    amplitudes = slater_determinants(basis, stack)
+    assert amplitudes.shape == (3, basis.size)
+    for orbitals, row in zip(stack, amplitudes):
+        state = _created(orbitals)
+        expected = [state.get(basis.occupied_sites(mask), 0.0) for mask in basis.states]
+        assert np.abs(row - expected).max() < 1e-12
+    modes = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    psi = slater_state(basis, range(1, k + 1), orbitals=modes)
+    row = slater_determinants(basis, modes[:, :k])
+    assert np.abs(psi - row * np.sign(row[np.abs(row) > 1e-12][0])).max() < 1e-14
 
 
 def test_slater_rejects_repeats_and_mismatch():

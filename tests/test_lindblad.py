@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -30,9 +33,15 @@ from dephchain.lindblad import (
     steady_state,
     steady_state_null_space,
     unvectorize,
+    validate_density,
     vectorize,
 )
-from dephchain.model import LatticeSpec, bare_mode_parity
+from dephchain.model import (
+    LatticeSpec,
+    bare_mode_parity,
+    build_single_particle_hamiltonian,
+    classify_mode_parity,
+)
 from dephchain.oracle import analytic_n3_density_matrix, analytic_steady_state
 from oracles import dense_kernel
 
@@ -439,48 +448,68 @@ def test_block_route_matches_full_route():
 
 
 def test_route_follows_the_pair_limit(monkeypatch):
-    # The trapped fock-quench sector: its largest pair (14 x 14 states) is
-    # propagated densely at that limit and by expm_multiply just below it.
+    # The trapped fock-quench sector: its largest pair (6 x 6 states, the
+    # odd-pattern sectors of one odd mode) is propagated densely at that
+    # limit and by expm_multiply just below it.
     basis = ManyBodyBasis(7, 4)
     liou = dephasing_liouvillian(LatticeSpec(n_sites=7, trap_amplitude=2.0), basis)
     rho0 = pure_state(fock_state(basis, "1010101"))
     times = np.linspace(0.0, 2.0, 5)
-    assert lindblad._symmetry_blocks(liou)[1].max() ** 2 == 196
+    assert lindblad._symmetry_blocks(liou).sizes.max() ** 2 == 36
     runs = {}
-    for limit in (196, 195):
+    for limit in (36, 35):
         monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
         dense = counting(monkeypatch, lindblad, "expm")
         krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
         runs[limit] = evolve(rho0, liou, times).states
-        assert (len(dense) > 0, len(krylov) > 0) == ((True, False) if limit == 196 else (False, True))
+        assert (len(dense) > 0, len(krylov) > 0) == ((True, False) if limit == 36 else (False, True))
         monkeypatch.undo()
-    assert np.abs(runs[196] - runs[195]).max() < 1e-12
+    assert np.abs(runs[36] - runs[35]).max() < 1e-12
 
 
-@pytest.mark.parametrize("coupling, blocks", [(1e-11, 1), (1e-13, 2)])
-def test_coupling_tolerance_joins_or_splits_blocks(coupling, blocks):
-    # A dephased and an undephased state coupled by about the given amount:
-    # above BLOCK_COUPLING_TOL they are one block, below it two, and either
-    # way the block route agrees with the full route.
-    h = np.array([[0.0, coupling], [coupling, 1.0]])
-    liou = build_liouvillian(h, 1.0, np.diag([1.0, 0.0]))
-    assert len(lindblad._symmetry_blocks(liou)[1]) == blocks
-    rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-    times = np.linspace(0.0, 5.0, 11)
-    assert np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max() < 1e-12
-
-
-def test_block_with_a_fractional_jump_raises(monkeypatch):
-    # With the coupling tolerance raised to 1, N = 3's two bright levels each
-    # become a block on which the compressed jump is 1/2: such a block is not
-    # left invariant by the jump, and evolve and steady_state both raise.
+def test_block_with_a_fractional_jump_raises():
+    # N = 3's sectors cut into one per mode: each bright mode alone is a
+    # sector on which the compressed jump is 1/2, and the two are coupled by
+    # it, so the jump does not leave them invariant; evolve and steady_state
+    # both raise.
     _, basis, liou = n3_problem()
-    monkeypatch.setattr(lindblad, "BLOCK_COUPLING_TOL", 1.0)
+    modes = bare_mode_parity(3).modes
+    split = replace(liou, sectors=(modes[:, [0]], modes[:, [2]], modes[:, [1]]))
     rho0 = pure_state(fock_state(basis, "010"))
     with pytest.raises(RuntimeError, match="compressed jump"):
-        evolve(rho0, liou, [0.0, 1.0])
+        evolve(rho0, split, [0.0, 1.0])
     with pytest.raises(RuntimeError, match="compressed jump"):
-        steady_state(rho0, liou)
+        steady_state(rho0, split)
+
+
+def test_sectors_that_h_does_not_keep_raise():
+    # The site basis cut one state per sector: H hops out of each, and its
+    # eigen-residual on a sector fails before any block is formed.
+    _, basis, liou = n3_problem()
+    sites = replace(liou, sectors=tuple(np.eye(3)[:, [k]] for k in range(3)))
+    rho0 = pure_state(fock_state(basis, "010"))
+    with pytest.raises(RuntimeError, match="symmetry sector invariant"):
+        evolve(rho0, sites, [0.0, 1.0])
+    with pytest.raises(RuntimeError, match="symmetry sector invariant"):
+        steady_state(rho0, sites)
+
+
+@pytest.mark.parametrize("spec, sizes", [
+    (LatticeSpec(n_sites=7), [1, 4, 4, 4, 6, 6, 6, 4]),
+    (LatticeSpec(n_sites=7, trap_amplitude=2.0), [1, 4, 4, 4, 6, 6, 6, 4]),
+    (LatticeSpec(n_sites=7, trap_amplitude=2.0, dephasing_gamma=0.0), [1, 4, 4, 4, 6, 6, 6, 4]),
+    (LatticeSpec(n_sites=7, interaction=0.3), [19, 16]),
+    (LatticeSpec(n_sites=7, interaction=0.3, trap_amplitude=0.7), [19, 16]),
+    (LatticeSpec(n_sites=7, trap_amplitude=1.0, trap_center=3), [35]),
+    (LatticeSpec(n_sites=7, aa_amplitude=1e-13), [35]),
+])
+def test_sectors_follow_the_spec(spec, sizes):
+    # Half filling at N = 7: the odd-mode patterns without interaction, the
+    # two reflection sectors with it, and one block once reflection is
+    # broken, however slightly.
+    liou = dephasing_liouvillian(spec, ManyBodyBasis(7, 4))
+    assert [q.shape[1] for q in liou.sectors or (np.eye(35),)] == sizes
+    assert list(lindblad._symmetry_blocks(liou).sizes) == sizes
 
 
 def test_evolve_validates_times_and_method():
@@ -684,6 +713,7 @@ NULL_SPACE_CASES = [
     (LatticeSpec(n_sites=5, interaction=0.7, dephasing_gamma=0.0), 1),
     (LatticeSpec(n_sites=5, aa_amplitude=1e-13), 2),   # levels split below DEGENERACY_TOL
     (LatticeSpec(n_sites=7), 2),                       # blocks of several levels
+    (LatticeSpec(n_sites=9), 2),                       # two intertwiners between blocks
 ]
 
 
@@ -753,17 +783,77 @@ def test_dark_parts_match_dense_eigenspaces():
     assert undamped_cases >= 3
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "lindblad.steady_state_null_space misses kernel elements at N = 7, Np = 4 with "
-    "trap 2.0: it returns 5 kernel vectors, but the three odd-mode number operators "
-    "commute with H and n_c to 3.9e-13, so the kernel holds at least the 8 odd-pattern "
-    "projectors; H has levels 4.2e-6 apart whose eigh eigenvectors mix at about 1e-9, "
-    "above NULL_TOL"))
 def test_trapped_half_filling_kernel_matches_dense_svd():
+    # H has levels 4.2e-6 apart here; the odd-mode patterns keep its kernel
+    # of 8 odd-pattern projectors whole.
     spec = LatticeSpec(n_sites=7, trap_amplitude=2.0)
     liou = dephasing_liouvillian(spec, ManyBodyBasis(7, 4))
     svals = np.linalg.svd(liou.matrix.toarray(), compute_uv=False)
-    assert steady_state_null_space(liou).shape[1] == np.sum(svals < 1e-10)
+    assert steady_state_null_space(liou).shape[1] == np.sum(svals < 1e-10) == 8
+
+
+@pytest.mark.parametrize("filling", [3, 4])
+def test_trapped_kernel_states_are_their_own_limit(filling):
+    # A random state projected onto the dense kernel of L is steady, so
+    # steady_state must return it.
+    spec = LatticeSpec(n_sites=7, trap_amplitude=2.0)
+    liou = dephasing_liouvillian(spec, ManyBodyBasis(7, filling))
+    kernel = dense_kernel(liou.matrix.toarray())
+    rng = np.random.default_rng(filling)
+    a = rng.normal(size=(liou.dim,) * 2) + 1j * rng.normal(size=(liou.dim,) * 2)
+    rho0 = unvectorize(kernel @ (kernel.conj().T @ vectorize(a @ a.conj().T)))
+    rho0 /= np.trace(rho0)
+    assert np.abs(steady_state(rho0, liou).state - rho0).max() < 1e-9
+
+
+def test_trapped_odd_pattern_slater_inputs_reach_the_closed_form():
+    # N = 9, Np = 4, trap 2.0: every pattern S of the four odd trapped modes,
+    # filled up with the lowest even ones, relaxes to the pure pattern times
+    # the uniform mixture of the m = 4 - |S| even-mode particles, whose
+    # two-point matrix is sum_{k in S} phi_k phi_k^T + (m / n_e) Pi, with Pi
+    # the projector on the even modes and n_e = 5 of them.
+    spec = LatticeSpec(n_sites=9, trap_amplitude=2.0)
+    basis = ManyBodyBasis(9, 4)
+    liou = dephasing_liouvillian(spec, basis)
+    parity = classify_mode_parity(build_single_particle_hamiltonian(spec))
+    phi = parity.modes
+    even = phi[:, np.array(parity.even) - 1]
+    bilinears = [[bilinear_operator(basis, j, k) for k in range(1, 10)] for j in range(1, 10)]
+    worst = 0.0
+    for size in range(5):
+        for pattern in itertools.combinations(parity.odd, size):
+            m = 4 - size
+            modes = list(pattern) + list(parity.even[:m])
+            rho = steady_state(pure_state(slater_state(basis, modes, orbitals=phi)), liou).state
+            c = np.array([[expectation(rho, op) for op in row] for row in bilinears])
+            odd = phi[:, np.array(pattern, dtype=int) - 1]
+            expected = odd @ odd.T + (m / 5) * even @ even.T
+            worst = max(worst, np.abs(c - expected).max())
+    assert worst < 1e-10
+
+
+@pytest.mark.parametrize("bits, weight", [
+    ("111100000", None),
+    ("101010100", 0.0354130897),
+    ("010101000", 0.0434266857),
+])
+def test_trapped_fock_inputs_name_odd_mode_gaps(bits, weight):
+    # N = 9, trap 2.0: a Fock input either relaxes, or its undamped part
+    # oscillates at a difference of odd-mode energy sums, here the gap
+    # between the two lowest odd modes.
+    spec = LatticeSpec(n_sites=9, trap_amplitude=2.0)
+    basis = ManyBodyBasis(9, bits.count("1"))
+    liou = dephasing_liouvillian(spec, basis)
+    rho0 = pure_state(fock_state(basis, bits))
+    if weight is None:
+        validate_density(steady_state(rho0, liou).state)
+        return
+    parity = classify_mode_parity(build_single_particle_hamiltonian(spec))
+    odd = parity.energies[np.array(parity.odd) - 1]
+    with pytest.raises(SteadyStateNotConverged) as info:
+        steady_state(rho0, liou)
+    assert info.value.omega == pytest.approx(odd[1] - odd[0], abs=1e-9)
+    assert info.value.weight == pytest.approx(weight, abs=1e-9)
 
 
 @pytest.mark.parametrize("spec, filling", NULL_SPACE_CASES + [

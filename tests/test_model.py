@@ -123,6 +123,21 @@ def test_degenerate_levels_resolved_by_parity():
         assert np.abs(reflection @ vec - vec).max() < 1e-12
 
 
+@pytest.mark.parametrize("n, trap", [(9, 2.0), (11, 0.7), (11, 2.0)])
+def test_trapped_modes_are_eigenvectors_of_sharp_parity(n, trap):
+    # Traps whose even and odd levels lie close together: every mode is an
+    # eigenvector of h, of sharp parity, numbered by ascending energy.
+    h = build_single_particle_hamiltonian(LatticeSpec(n_sites=n, trap_amplitude=trap))
+    parity = classify_mode_parity(h)
+    assert np.abs(h @ parity.modes - parity.modes * parity.energies).max() < 1e-13
+    assert np.all(np.diff(parity.energies) >= 0)
+    assert np.abs(parity.modes.T @ parity.modes - np.eye(n)).max() < 1e-13
+    reflection = reflection_permutation(n)
+    for modes, sign in ((parity.even, 1.0), (parity.odd, -1.0)):
+        vecs = parity.modes[:, np.array(modes) - 1]
+        assert np.abs(reflection @ vecs - sign * vecs).max() < 1e-13
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
