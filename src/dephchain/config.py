@@ -154,9 +154,17 @@ class ExperimentConfig:
         if self.kind == "concurrence-scan" and min(self.scan.sizes, default=3) < 3:
             raise ConfigError(f"scan.sizes: {min(self.scan.sizes)} has no symmetric pair; "
                               "sizes must be >= 3")
-        if self.kind in ("robustness-aa", "robustness-int") \
-                and self.scan is not None and not self.scan.times:
-            raise ConfigError(f"scan.times: required for kind {self.kind!r}")
+        if self.kind in ("robustness-aa", "robustness-int"):
+            times = self.scan.times
+            if not times:
+                raise ConfigError(f"scan.times: required for kind {self.kind!r}")
+            if not isinstance(times, tuple) or not all(
+                    type(t) in (int, float) and np.isfinite(t) and t >= 0 for t in times):
+                raise ConfigError(f"scan.times: need a list of finite times >= 0, got {times!r}")
+            if any(later < earlier for earlier, later in zip(times, times[1:])):
+                raise ConfigError(f"scan.times: need non-decreasing times, got {times!r}")
+            if self.kind == "robustness-int" and len(times) > 1:
+                raise ConfigError(f"scan.times: robustness-int samples one time, got {times!r}")
 
 
 def _tupled(value):

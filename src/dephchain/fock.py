@@ -300,15 +300,20 @@ def charge_sector_weights(rho: np.ndarray, basis: ManyBodyBasis,
                           tol: float = 1e-9) -> dict[float, float]:
     """Weights Tr[rho P_lambda] of a density matrix on the charge eigensectors.
 
-    Membership is decided by projecting onto numerically obtained eigenspaces
-    of the charge operator (eigenvalues rounded to the nearest half-integer),
-    so it works for arbitrary input states. Weights below ``tol`` are dropped.
+    The bare-mode Slater determinants, over every choice of modes, are an
+    orthonormal basis of the sector in which the charge is diagonal, with
+    the exact label -1/2 + nu_even - nu_odd; a sector's weight is the sum of
+    its determinants' populations, so it works for arbitrary input states.
+    Weights below ``tol`` are dropped.
     """
-    evals, evecs = np.linalg.eigh(charge_operator(basis).toarray())
+    parity = bare_mode_parity(basis.n_sites)
+    choices = np.array(list(itertools.combinations(range(basis.n_sites), basis.n_particles)), dtype=int)
+    states = slater_determinants(basis, parity.modes[:, choices].transpose(1, 0, 2))
+    populations = np.sum(states.conj() * (states @ np.asarray(rho).T), axis=1).real
+    charge = basis.n_particles - 0.5 - 2 * np.isin(choices + 1, parity.odd).sum(axis=1)
     weights: dict[float, float] = {}
-    for lam in sorted(set(np.round(evals * 2) / 2)):
-        cols = evecs[:, np.abs(evals - lam) < 0.25]
-        w = float(np.real(np.trace(cols.conj().T @ rho @ cols)))
+    for lam in np.unique(charge):
+        w = float(populations[charge == lam].sum())
         if w > tol:
             weights[float(lam)] = w
     return weights

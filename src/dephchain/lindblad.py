@@ -153,7 +153,8 @@ class Liouvillian:
     @functools.cached_property
     def matrix(self) -> sparse.csr_matrix:
         """The superoperator on column-vectorized density matrices,
-        ``-i (I x H - H^T x I) - (gamma / 2) diag(vec M)``."""
+        ``-i (I x H - H^T x I) - (gamma / 2) diag(vec M)``; per pair of
+        symmetry blocks, the same formula is :func:`_pair_generators`."""
         h = self.hamiltonian
         identity = sparse.identity(self.dim, format="csr", dtype=complex)
         gen = -1j * (sparse.kron(identity, h) - sparse.kron(h.T, identity))
@@ -354,49 +355,39 @@ def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
 
 
 def _pair_generators(liouvillian: Liouvillian, blocks: SymmetryBlocks):
-    """The generator of every pair of blocks, in the block basis W.
+    """The generator of every pair of blocks (a, b), in the block basis W.
 
-    There the generator is ``Liouvillian.matrix`` of the block-diagonal H
-    with the 0/1 jump, and it is block diagonal in the pairs of blocks.
-    Returns ``order``, the row-major indices of the block-basis entries (a, b)
-    sorted by pair size, pair and column-stacked position inside the pair;
-    one (n, m, m) stack of the generators of the n pairs of each size m; and
-    the CSR ``indices`` and ``indptr`` under which the stacks, raveled one
-    after another, are the block-diagonal generator in that order.
+    On the column-stacked entries of rho_ab it is the formula of
+    ``Liouvillian.matrix`` on the two blocks,
+    ``-i (I x H_a - H_b^T x I) - (gamma / 2) diag(vec M_ab)``, with H_a and
+    H_b the blocks of W^H H W and M_ab = 1 where exactly one of the two
+    states is dephased. The pairs of one shape are built in one broadcast.
+    Returns ``order``, the row-major indices of the block-basis entries of
+    each pair, pair after pair and column-stacked inside a pair, and one
+    (n, m, m) stack of the generators of the n pairs of each size m, by
+    ascending m, in that order.
     """
-    dim = liouvillian.dim
-    basis, sizes, dephased = blocks.basis, blocks.sizes, blocks.dephased
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    local = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    same = block[:, None] == block[None, :]
-    h_blocks = np.where(same, basis.conj().T @ (liouvillian.hamiltonian @ basis), 0.0)
-    generator = Liouvillian(sparse.csr_matrix(h_blocks), dephased, liouvillian.gamma).matrix
-
-    a, b = np.divmod(np.arange(dim * dim), dim)
-    pair_size = sizes[block[a]] * sizes[block[b]]
-    order = np.lexsort((local[a] + sizes[block[a]] * local[b],
-                        block[a] * len(sizes) + block[b], pair_size))
-    pair_size = pair_size[order]
-    # Row r of the reordered generator holds the pair_size[r] columns of its
-    # pair, from first[r] on.
-    row = np.arange(dim * dim)
-    first = row - (row - np.searchsorted(pair_size, pair_size)) % pair_size
-    index = np.int32 if pair_size.sum() < 2 ** 31 else np.int64
-    indptr = np.concatenate([[0], np.cumsum(pair_size)]).astype(index)
-    indices = np.repeat((first - indptr[:-1]).astype(index), pair_size)
-    indices += np.arange(indptr[-1], dtype=index)
-    position = np.empty(dim * dim, dtype=int)
-    position[a[order] + dim * b[order]] = row
-    entries = generator.tocoo()
-    entries.eliminate_zeros()    # kron stores zeros across pairs; nothing else lies there
-    r, c = position[entries.row], position[entries.col]
-    data = np.zeros(indptr[-1], dtype=complex)
-    data[indptr[r] + c - first[r]] = entries.data
-    starts = np.flatnonzero(np.diff(pair_size, prepend=0))
-    bounds = indptr[np.append(starts, dim * dim)]
-    stacks = [data[lo:hi].reshape(-1, m, m)
-              for lo, hi, m in zip(bounds, bounds[1:], pair_size[starts])]
-    return order, stacks, indices, indptr
+    dim, gamma = liouvillian.dim, liouvillian.gamma
+    basis, sizes, dephased = blocks
+    h = basis.conj().T @ (liouvillian.hamiltonian @ basis)
+    starts = np.cumsum(sizes) - sizes
+    parts = {}      # pair size -> the (indices, generators) of each shape
+    for size_a, size_b in itertools.product(np.unique(sizes), repeat=2):
+        rows = starts[sizes == size_a, None] + np.arange(size_a)     # one row per block a
+        cols = starts[sizes == size_b, None] + np.arange(size_b)
+        h_a = h[rows[:, :, None], rows[:, None, :]]
+        h_b = h[cols[:, :, None], cols[:, None, :]]
+        m = size_a * size_b
+        generators = -1j * (np.kron(np.eye(size_b)[None], h_a)[:, None]
+                            - np.kron(h_b.transpose(0, 2, 1), np.eye(size_a)[None])[None])
+        generators = generators.reshape(-1, m, m)
+        if gamma:
+            mask = dephased[rows][:, None, None, :] != dephased[cols][None, :, :, None]
+            generators.reshape(-1, m * m)[:, ::m + 1] -= 0.5 * gamma * mask.reshape(-1, m)
+        index = rows[:, None, None, :] * dim + cols[None, :, :, None]
+        parts.setdefault(m, []).append((index.ravel(), generators))
+    order = np.concatenate([index for m in sorted(parts) for index, _ in parts[m]])
+    return order, [np.concatenate([g for _, g in parts[m]]) for m in sorted(parts)]
 
 
 def _block_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
@@ -407,25 +398,18 @@ def _block_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray
     Pairs of one size are stacked and exponentiated by one dense ``expm``
     call (:func:`_pair_generators`), and all pairs are stepped together by
     one block-diagonal propagator: one per uniform grid, plus one to reach a
-    later first sample; otherwise one per distinct step. Samples are
-    gathered in the block basis a chunk at a time and rotated back with W
-    straight into the output.
+    later first sample; otherwise one per distinct step. Each sample is
+    written into the output in the block basis, and all are rotated back
+    with W a chunk at a time after the last step.
     """
     dim = liouvillian.dim
     basis = blocks.basis
-    order, stacks, indices, indptr = _pair_generators(liouvillian, blocks)
+    order, stacks = _pair_generators(liouvillian, blocks)
 
     def propagator(dt: float) -> sparse.csr_matrix:
-        data = np.empty(indptr[-1], dtype=complex)
-        start = 0
-        for stack in stacks:
-            data[start:start + stack.size] = expm(stack * dt).ravel()
-            start += stack.size
-        return sparse.csr_matrix((data, indices, indptr), shape=(dim * dim,) * 2)
+        return sparse.block_diag([p for stack in stacks for p in expm(stack * dt)], format="csr")
 
     states = np.empty((len(times), dim, dim), dtype=complex)
-    chunk = min(len(times), max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim)))
-    gathered = np.empty((chunk, dim, dim), dtype=complex)
     vec = (basis.conj().T @ rho0 @ basis).ravel()[order]
     uniform = _is_uniform(times)
     if uniform:
@@ -435,10 +419,10 @@ def _block_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray
         if t > t_prev:
             vec = (step if uniform and k > 0 else propagator(t - t_prev)) @ vec
             t_prev = t
-        gathered.reshape(chunk, dim * dim)[k % chunk, order] = vec
-        if k % chunk == chunk - 1 or k == len(times) - 1:
-            done = k % chunk + 1
-            np.matmul(basis @ gathered[:done], basis.conj().T, out=states[k + 1 - done:k + 1])
+        states.reshape(len(times), dim * dim)[k, order] = vec
+    chunk = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
+    for k in range(0, len(times), chunk):
+        np.matmul(basis @ states[k:k + chunk], basis.conj().T, out=states[k:k + chunk])
     return states
 
 
@@ -451,7 +435,8 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
 
     - when the largest pair of blocks has a generator of at most
       ``DENSE_PAIR_LIMIT`` entries a side, each pair rho_ab evolves alone
-      under dense exponentials (:func:`_block_samples`);
+      under the dense exponential of its own generator, built from its two
+      blocks (:func:`_pair_generators`, :func:`_block_samples`);
     - otherwise scipy's ``expm_multiply`` (Al-Mohy & Higham 2011) acts on
       the whole d^2 x d^2 superoperator, with a fixed seed for its norm
       estimate (:func:`_expm_samples`).

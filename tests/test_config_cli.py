@@ -424,6 +424,14 @@ def test_cli_bad_config_value(tmp_path, capsys):
         ("robustness-aa", "scan.n_values=2.5", "scan.n_values"),
         ("steady", 'convergence_tol="x"', "convergence_tol"),
         ("steady", "convergence_tol=-1", "convergence_tol"),
+        ("robustness-aa", "scan.times=[5.0,-1.0]", "scan.times"),
+        ("robustness-aa", "scan.times=[1.0,NaN]", "scan.times"),
+        ("robustness-aa", "scan.times=[100.0,10.0]", "scan.times"),
+        ("robustness-int", "scan.times=[-1.0]", "scan.times"),
+        ("robustness-int", "scan.times=[Infinity]", "scan.times"),
+        ("robustness-int", "scan.times=[5.0,-1.0]", "scan.times"),
+        ("robustness-int", "scan.times=[10.0,5.0]", "scan.times"),
+        ("robustness-int", "scan.times=[5.0,10.0]", "scan.times"),
     ]:
         code = main([kind, "--out", str(tmp_path), "--override", override])
         assert code == 2, override

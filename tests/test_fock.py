@@ -309,6 +309,22 @@ def test_charge_sector_weights_projection():
     assert weights[-1.5] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("n, k", [(3, 0), (3, 1), (7, 3), (9, 4)])
+def test_charge_sector_weights_match_charge_eigenspaces(n, k):
+    # The label sums equal the weights on the eigenspaces of the charge
+    # operator, on a random mixed state, in ascending charge.
+    basis = ManyBodyBasis(n, k)
+    rng = np.random.default_rng(n + k)
+    a = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    evals, evecs = np.linalg.eigh(dense(charge_operator(basis)))
+    weights = charge_sector_weights(rho, basis, tol=0.0)
+    assert list(weights) == sorted(set(np.round(evals * 2) / 2))
+    for lam, w in weights.items():
+        cols = evecs[:, np.abs(evals - lam) < 0.25]
+        assert abs(w - np.trace(cols.conj().T @ rho @ cols).real) < 1e-13
+
+
 # ----------------------------------------------------------------------
 # state constructors
 # ----------------------------------------------------------------------

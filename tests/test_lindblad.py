@@ -422,6 +422,20 @@ def _assert_blocks_exact(liou):
         assert np.abs(jump - np.diag(dephased.astype(float))).max() < 1e-10
 
 
+def _routes_agree(spec, filling, kind, times, rng) -> bool:
+    """Whether evolve takes the block route on ``spec`` at ``filling``; if so
+    its samples from a drawn input of ``kind`` match the full route to 1e-12."""
+    basis = ManyBodyBasis(spec.n_sites, filling)
+    liou = dephasing_liouvillian(spec, basis)
+    rho0 = _cross_input(basis, kind, rng)
+    _assert_blocks_exact(liou)
+    if lindblad._symmetry_blocks(liou).sizes.max() ** 2 > lindblad.DENSE_PAIR_LIMIT:
+        return False        # evolve takes the full route itself
+    gap = np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max()
+    assert gap < 1e-12, f"{spec}, filling {filling}: {gap:.3e}"
+    return True
+
+
 def test_block_route_matches_full_route():
     # Every sector of N = 3, 5, 7; each case draws its rate, model, input and
     # grid in turn, so each value of each meets every sector size.
@@ -433,18 +447,15 @@ def test_block_route_matches_full_route():
             for _ in range(2):
                 spec = LatticeSpec(n_sites=n_sites, dephasing_gamma=CROSS_GAMMAS[case % 4],
                                    **CROSS_MODELS[case % 6])
-                basis = ManyBodyBasis(n_sites, filling)
-                liou = dephasing_liouvillian(spec, basis)
-                rho0 = _cross_input(basis, case % 3, rng)
-                times = CROSS_GRIDS[(case // 3) % 4]
+                block_runs += _routes_agree(spec, filling, case % 3,
+                                            CROSS_GRIDS[(case // 3) % 4], rng)
                 case += 1
-                _assert_blocks_exact(liou)
-                if lindblad._symmetry_blocks(liou)[1].max() ** 2 > lindblad.DENSE_PAIR_LIMIT:
-                    continue        # evolve takes the full route itself
-                block_runs += 1
-                gap = np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max()
-                assert gap < 1e-12, f"{spec}, filling {filling}: {gap:.3e}"
     assert block_runs >= 26
+    # N = 9 with a mixed input: bare at two particles, whose blocks share
+    # levels, and a centred trap at three.
+    assert _routes_agree(LatticeSpec(n_sites=9, dephasing_gamma=1.0), 2, 2, CROSS_GRIDS[2], rng)
+    assert _routes_agree(LatticeSpec(n_sites=9, dephasing_gamma=1.0, trap_amplitude=2.0), 3, 2,
+                         CROSS_GRIDS[0], rng)
 
 
 def test_route_follows_the_pair_limit(monkeypatch):
