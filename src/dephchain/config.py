@@ -70,6 +70,14 @@ class TimeGrid:
     points: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("start", "stop", "points"):
+            value = getattr(self, name)
+            try:
+                finite = value is None or bool(np.isfinite(np.asarray(value, dtype=float)).all())
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise ConfigError(f"time_grid.{name}: need finite numbers, got {value!r}")
         if self.points is not None:
             pts = np.asarray(self.points, dtype=float)
             if pts.size == 0 or np.any(np.diff(pts) <= 0) or pts[0] < 0:

@@ -166,13 +166,47 @@ def reflection_operator(basis: ManyBodyBasis):
     order takes k(k-1)/2 transpositions, so every entry carries the one sign
     (-1)^(k(k-1)/2) of the sector.
     """
-    k = basis.n_particles
-    sign = -1.0 if (k * (k - 1) // 2) & 1 else 1.0
-    # Site s sits on bit N - s, so its mirror N + 1 - s sits on bit s - 1.
-    rows = [basis.index[sum(1 << (s - 1) for s in basis.occupied_sites(mask))]
-            for mask in basis.states]
-    return sparse.csr_matrix((np.full(basis.size, sign), (rows, range(basis.size))),
+    mirror, sign = _mirror(basis)
+    return sparse.csr_matrix((np.full(basis.size, sign), (mirror, range(basis.size))),
                              shape=(basis.size, basis.size))
+
+
+def _mirror(basis: ManyBodyBasis) -> tuple[np.ndarray, float]:
+    """The index of each basis state's mirror image, and the sector sign of R."""
+    n, k = basis.n_sites, basis.n_particles
+    sign = -1.0 if (k * (k - 1) // 2) & 1 else 1.0
+    # Reversing the N bits of a mask reverses its sites.
+    masks = np.array(basis.states, dtype=np.int64)
+    mirrored = sum(((masks >> bit) & 1) << (n - 1 - bit) for bit in range(n))
+    return np.array([basis.index[m] for m in mirrored.tolist()], dtype=int), sign
+
+
+def reflection_orbits(basis: ManyBodyBasis) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
+    """Orthonormal bases of the +1 and -1 eigenspaces of R, exact and sparse.
+
+    R maps e_s to sign * e_m, with m the mirror image of s. A state that is
+    its own mirror image is an eigenvector, e_s, of eigenvalue ``sign``;
+    every other orbit {s, m} gives (e_s + R e_s) / sqrt 2 to the +1 space and
+    (e_s - R e_s) / sqrt 2 to the -1 space. Columns follow the lower state of
+    each orbit; a space may have no column. A diagonal operator that
+    commutes with R, such as the central occupation, is equal on s and m,
+    so it stays diagonal in these bases.
+    """
+    mirror, sign = _mirror(basis)
+    lower = np.flatnonzero(np.arange(basis.size) <= mirror)
+    spaces = []
+    for eigenvalue in (1.0, -1.0):
+        s = lower[(mirror[lower] != lower) | (sign == eigenvalue)]
+        pair = mirror[s] != s
+        # Column by column: row s, then row m below it for a two-state orbit.
+        indptr = np.concatenate([[0], np.cumsum(1 + pair)])
+        first, second = indptr[:-1], indptr[:-1][pair] + 1
+        indices, data = np.empty(indptr[-1], dtype=int), np.empty(indptr[-1])
+        indices[first], indices[second] = s, mirror[s[pair]]
+        data[first] = np.where(pair, math.sqrt(0.5), 1.0)
+        data[second] = eigenvalue * sign * math.sqrt(0.5)
+        spaces.append(sparse.csc_matrix((data, indices, indptr), shape=(basis.size, len(s))))
+    return spaces[0], spaces[1]
 
 
 def charge_operator(basis: ManyBodyBasis):

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as splinalg
 from scipy.linalg import expm
 
 from .fock import (ManyBodyBasis, build_many_body_hamiltonian, number_operator,
-                   reflection_operator, slater_determinants)
+                   reflection_orbits, slater_determinants)
 from .model import LatticeSpec, build_single_particle_hamiltonian, classify_mode_parity
 
 TRACE_TOL = 1e-9
@@ -138,12 +138,16 @@ class Liouvillian:
     Hamiltonian H, where ``dephased`` is the boolean diagonal of the jump
     operator and M_ab = 1 where exactly one of the states a, b is dephased.
     ``sectors`` are orthonormal (d, k) column blocks that together span the
-    space and that H and the jump both leave invariant; none means one."""
+    space and that H and the jump both leave invariant; none means one.
+    ``orbits`` are such blocks too, sparse and coarser: the reflection
+    eigenspaces of :func:`fock.reflection_orbits`, in which the jump stays a
+    0/1 diagonal; none means one identity block."""
 
     hamiltonian: sparse.csr_matrix
     dephased: np.ndarray
     gamma: float
     sectors: tuple = ()
+    orbits: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -153,15 +157,10 @@ class Liouvillian:
     @functools.cached_property
     def matrix(self) -> sparse.csr_matrix:
         """The superoperator on column-vectorized density matrices,
-        ``-i (I x H - H^T x I) - (gamma / 2) diag(vec M)``; per pair of
-        symmetry blocks, the same formula is :func:`_pair_generators`."""
-        h = self.hamiltonian
-        identity = sparse.identity(self.dim, format="csr", dtype=complex)
-        gen = -1j * (sparse.kron(identity, h) - sparse.kron(h.T, identity))
-        if self.gamma:
-            mask = self.dephased[:, None] != self.dephased[None, :]
-            gen = gen - sparse.diags(0.5 * self.gamma * mask.ravel(order="F"))
-        return gen.tocsr()
+        ``-i (I x H - H^T x I) - (gamma / 2) diag(vec M)``
+        (:func:`_pair_superoperator` of H with itself)."""
+        return _pair_superoperator(self.hamiltonian, self.hamiltonian, self.dephased,
+                                   self.dephased, self.gamma)
 
     def residual(self, rho: np.ndarray) -> float | np.ndarray:
         """Infinity norm of L(rho) = -i [H, rho] - (gamma / 2) M o rho; zero
@@ -208,6 +207,21 @@ class Liouvillian:
         return energies, vectors, np.repeat(np.arange(len(sectors)), [q.shape[1] for q in sectors])
 
 
+def _pair_superoperator(h_a, h_b, dephased_a: np.ndarray, dephased_b: np.ndarray,
+                        gamma: float) -> sparse.csr_matrix:
+    """The generator of rho_ab = P_a rho P_b on its column-stacked entries,
+    ``-i (I x H_a - H_b^T x I) - (gamma / 2) diag(vec M_ab)``, from the
+    sparse blocks H_a and H_b of H and the jump's 0/1 diagonals on them;
+    M_ab = 1 where exactly one of the two states is dephased. With a = b the
+    whole space, it is ``Liouvillian.matrix``."""
+    gen = -1j * (sparse.kron(sparse.identity(h_b.shape[0], format="csr", dtype=complex), h_a)
+                 - sparse.kron(h_b.T, sparse.identity(h_a.shape[0], format="csr", dtype=complex)))
+    if gamma:
+        mask = dephased_a[:, None] != dephased_b[None, :]
+        gen = gen - sparse.diags(0.5 * gamma * mask.ravel(order="F"))
+    return gen.tocsr()
+
+
 def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
     """The dephasing generator of a Hamiltonian and one jump operator,
     checked: gamma >= 0, both operators of one square shape, the Hamiltonian
@@ -226,19 +240,18 @@ def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
     return Liouvillian(h, occupation == 1, float(gamma))
 
 
-def _symmetry_sectors(spec: LatticeSpec, basis: ManyBodyBasis) -> tuple:
+def _symmetry_sectors(spec: LatticeSpec, basis: ManyBodyBasis, orbits: tuple) -> tuple:
     """The subspaces that H and n_c both leave invariant, decided exactly
     from the spec (Buča & Prosen, NJP 14, 073007 (2012)): none when a
-    quasi-periodic potential or an off-centre trap breaks site reflection;
-    with interaction, the +-1 eigenspaces of the many-body reflection; else
-    one per occupation pattern of the odd modes, which vanish at the central
-    site, spanned by the Slater determinants of that pattern and every
-    choice of even modes."""
-    if spec.aa_amplitude or spec.trap_amplitude and spec.effective_trap_center != spec.central_site:
+    quasi-periodic potential or an off-centre trap breaks site reflection
+    (no ``orbits``); with interaction, the reflection ``orbits`` themselves;
+    else one per occupation pattern of the odd modes, which vanish at the
+    central site, spanned by the Slater determinants of that pattern and
+    every choice of even modes."""
+    if not orbits:
         return ()
     if spec.interaction:
-        signs, vectors = np.linalg.eigh(reflection_operator(basis).toarray())
-        return tuple(v for v in (vectors[:, signs > 0], vectors[:, signs < 0]) if v.size)
+        return tuple(q.toarray() for q in orbits)
     parity = classify_mode_parity(build_single_particle_hamiltonian(spec))
     k, sectors = basis.n_particles, []
     for size in range(max(0, k - len(parity.even)), k + 1):
@@ -251,10 +264,15 @@ def _symmetry_sectors(spec: LatticeSpec, basis: ManyBodyBasis) -> tuple:
 
 def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis) -> Liouvillian:
     """Generator of the central-site dephasing problem for one sector, with
-    the symmetry sectors of :func:`_symmetry_sectors`."""
+    the symmetry sectors of :func:`_symmetry_sectors` and, when site
+    reflection is unbroken (no quasi-periodic potential, any trap centred),
+    the nonempty reflection orbits."""
     liouvillian = build_liouvillian(build_many_body_hamiltonian(spec, basis), spec.dephasing_gamma,
                                     number_operator(basis, spec.central_site))
-    return replace(liouvillian, sectors=_symmetry_sectors(spec, basis))
+    off_centre = spec.trap_amplitude and spec.effective_trap_center != spec.central_site
+    orbits = () if spec.aa_amplitude or off_centre else tuple(
+        q for q in reflection_orbits(basis) if q.shape[1])
+    return replace(liouvillian, sectors=_symmetry_sectors(spec, basis, orbits), orbits=orbits)
 
 
 @dataclass
@@ -354,18 +372,32 @@ def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
     return SymmetryBlocks(basis, sizes, dephased)
 
 
-def _pair_generators(liouvillian: Liouvillian, blocks: SymmetryBlocks):
-    """The generator of every pair of blocks (a, b), in the block basis W.
+def _occupied_pairs(in_blocks: np.ndarray, sizes: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """Which pairs (a, b) of blocks ``rho0`` occupies, one boolean per pair:
+    those with ||P_a rho0 P_b||_F > eps ||rho0||_F, read from ``in_blocks``,
+    rho0 in the block basis. Every pair generator contracts the Frobenius
+    norm, so a pair left out moves no sample by more than the rounding of
+    the basis change itself; a pair that starts at zero stays zero. A zero
+    rho0 keeps every pair, so its samples still reach the invariant checks."""
+    starts = np.cumsum(sizes) - sizes
+    weights = np.add.reduceat(np.add.reduceat(np.abs(in_blocks) ** 2, starts, axis=0),
+                              starts, axis=1)
+    floor = (np.finfo(float).eps * np.linalg.norm(rho0)) ** 2
+    return weights > floor if floor else np.full(weights.shape, True)
+
+
+def _pair_generators(liouvillian: Liouvillian, blocks: SymmetryBlocks, occupied: np.ndarray):
+    """The generator of every occupied pair of blocks (a, b), in the block
+    basis W; ``occupied`` is the boolean matrix of :func:`_occupied_pairs`.
 
     On the column-stacked entries of rho_ab it is the formula of
-    ``Liouvillian.matrix`` on the two blocks,
+    :func:`_pair_superoperator`,
     ``-i (I x H_a - H_b^T x I) - (gamma / 2) diag(vec M_ab)``, with H_a and
-    H_b the blocks of W^H H W and M_ab = 1 where exactly one of the two
-    states is dephased. The pairs of one shape are built in one broadcast.
-    Returns ``order``, the row-major indices of the block-basis entries of
-    each pair, pair after pair and column-stacked inside a pair, and one
-    (n, m, m) stack of the generators of the n pairs of each size m, by
-    ascending m, in that order.
+    H_b the blocks of W^H H W, built densely: the occupied pairs of one
+    shape in one broadcast. Returns ``order``, the row-major indices of the
+    block-basis entries of each occupied pair, pair after pair and
+    column-stacked inside a pair, and one (n, m, m) stack of the generators
+    of the n occupied pairs of each size m, by ascending m, in that order.
     """
     dim, gamma = liouvillian.dim, liouvillian.gamma
     basis, sizes, dephased = blocks
@@ -373,18 +405,20 @@ def _pair_generators(liouvillian: Liouvillian, blocks: SymmetryBlocks):
     starts = np.cumsum(sizes) - sizes
     parts = {}      # pair size -> the (indices, generators) of each shape
     for size_a, size_b in itertools.product(np.unique(sizes), repeat=2):
-        rows = starts[sizes == size_a, None] + np.arange(size_a)     # one row per block a
-        cols = starts[sizes == size_b, None] + np.arange(size_b)
+        a, b = np.nonzero(occupied[np.ix_(sizes == size_a, sizes == size_b)])
+        if not len(a):
+            continue
+        rows = (starts[sizes == size_a, None] + np.arange(size_a))[a]     # block a of each pair
+        cols = (starts[sizes == size_b, None] + np.arange(size_b))[b]     # block b of each pair
         h_a = h[rows[:, :, None], rows[:, None, :]]
         h_b = h[cols[:, :, None], cols[:, None, :]]
         m = size_a * size_b
-        generators = -1j * (np.kron(np.eye(size_b)[None], h_a)[:, None]
-                            - np.kron(h_b.transpose(0, 2, 1), np.eye(size_a)[None])[None])
-        generators = generators.reshape(-1, m, m)
+        generators = -1j * (np.kron(np.eye(size_b)[None], h_a)
+                            - np.kron(h_b.transpose(0, 2, 1), np.eye(size_a)[None]))
         if gamma:
-            mask = dephased[rows][:, None, None, :] != dephased[cols][None, :, :, None]
+            mask = dephased[rows][:, None, :] != dephased[cols][:, :, None]
             generators.reshape(-1, m * m)[:, ::m + 1] -= 0.5 * gamma * mask.reshape(-1, m)
-        index = rows[:, None, None, :] * dim + cols[None, :, :, None]
+        index = rows[:, None, :] * dim + cols[:, :, None]
         parts.setdefault(m, []).append((index.ravel(), generators))
     order = np.concatenate([index for m in sorted(parts) for index, _ in parts[m]])
     return order, [np.concatenate([g for _, g in parts[m]]) for m in sorted(parts)]
@@ -393,24 +427,28 @@ def _pair_generators(liouvillian: Liouvillian, blocks: SymmetryBlocks):
 def _block_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
                    blocks: SymmetryBlocks) -> np.ndarray:
     """rho(t) at each of the non-decreasing ``times`` as one (T, d, d) array,
-    each block pair rho_ab = P_a rho P_b propagated alone.
+    each occupied block pair rho_ab = P_a rho P_b (:func:`_occupied_pairs`)
+    propagated alone.
 
-    Pairs of one size are stacked and exponentiated by one dense ``expm``
-    call (:func:`_pair_generators`), and all pairs are stepped together by
-    one block-diagonal propagator: one per uniform grid, plus one to reach a
-    later first sample; otherwise one per distinct step. Each sample is
-    written into the output in the block basis, and all are rotated back
-    with W a chunk at a time after the last step.
+    Occupied pairs of one size are stacked and exponentiated by one dense
+    ``expm`` call (:func:`_pair_generators`), and all are stepped together
+    by one block-diagonal propagator: one per uniform grid, plus one to
+    reach a later first sample; otherwise one per distinct step. Each sample
+    is written into a zeroed output in the block basis, only the occupied
+    pairs' entries, and all are rotated back with W a chunk at a time after
+    the last step.
     """
     dim = liouvillian.dim
     basis = blocks.basis
-    order, stacks = _pair_generators(liouvillian, blocks)
+    in_blocks = basis.conj().T @ rho0 @ basis
+    order, stacks = _pair_generators(liouvillian, blocks,
+                                     _occupied_pairs(in_blocks, blocks.sizes, rho0))
 
     def propagator(dt: float) -> sparse.csr_matrix:
         return sparse.block_diag([p for stack in stacks for p in expm(stack * dt)], format="csr")
 
-    states = np.empty((len(times), dim, dim), dtype=complex)
-    vec = (basis.conj().T @ rho0 @ basis).ravel()[order]
+    states = np.zeros((len(times), dim, dim), dtype=complex)
+    vec = in_blocks.ravel()[order]
     uniform = _is_uniform(times)
     if uniform:
         step = propagator((times[-1] - times[0]) / (len(times) - 1))
@@ -426,20 +464,66 @@ def _block_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray
     return states
 
 
+def _orbit_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray) -> np.ndarray:
+    """rho(t) at each of the non-decreasing ``times`` as one (T, d, d) array,
+    by scipy's ``expm_multiply`` on the occupied pairs of reflection orbits.
+
+    Each occupied pair (:func:`_occupied_pairs`) of the orbit bases Q_a gets
+    its sparse generator (:func:`_pair_superoperator` of Q_a^T H Q_a and
+    Q_b^T H Q_b); these are concatenated block-diagonally and propagated by
+    one :func:`_expm_samples` call. The samples are written into a zeroed
+    output in the orbit basis and rotated back. Without orbits the one pair
+    is the whole superoperator, ``Liouvillian.matrix``, and its samples are
+    returned as a view.
+    """
+    dim = liouvillian.dim
+    if not liouvillian.orbits:
+        samples = _expm_samples(liouvillian.matrix, vectorize(rho0), times)
+        return samples.reshape(len(times), dim, dim).transpose(0, 2, 1)
+    orbits = liouvillian.orbits
+    basis = sparse.hstack(orbits, format="csr")
+    sizes = np.array([q.shape[1] for q in orbits])
+    columns = np.split(np.arange(dim), np.cumsum(sizes)[:-1])      # of each orbit basis
+    in_orbits = (basis.T @ (basis.T @ rho0).T).T        # Q^T rho0 Q; Q is real
+    hamiltonians = [(q.T @ liouvillian.hamiltonian @ q).tocsr() for q in orbits]
+    dephased = [abs(q).T @ liouvillian.dephased > 0 for q in orbits]
+    pairs = np.argwhere(_occupied_pairs(in_orbits, sizes, rho0))
+    generator = sparse.block_diag([
+        _pair_superoperator(hamiltonians[a], hamiltonians[b], dephased[a], dephased[b],
+                            liouvillian.gamma) for a, b in pairs], format="csr")
+    # The row-major indices of each pair's entries, column-stacked inside the pair.
+    order = np.concatenate([(columns[a] * dim + columns[b][:, None]).ravel() for a, b in pairs])
+    samples = _expm_samples(generator, in_orbits.ravel()[order], times)
+    states = np.zeros((len(times), dim, dim), dtype=complex)
+    states.reshape(len(times), dim * dim)[:, order] = samples
+    chunk = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
+    for k in range(0, len(times), chunk):
+        # Q x_t for the chunk, one row per (i, t); then Q (Q x_t)^T = (Q x_t Q^T)^T.
+        part = states[k:k + chunk]
+        left = (basis @ part.transpose(1, 0, 2).reshape(dim, -1)).reshape(-1, dim)
+        part[...] = (basis @ left.T).reshape(dim, dim, -1).transpose(2, 1, 0)
+    return states
+
+
 def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     """Propagate ``rho0`` under the Liouvillian and sample at ``times``.
 
-    Applies the exact exponential by one of two routes, chosen from the
-    generator's symmetry blocks (:func:`_symmetry_blocks`; sectors that H or
-    the jump does not leave invariant raise ``RuntimeError``):
+    Applies the exact exponential to the block pairs rho_ab = P_a rho P_b
+    that ``rho0`` occupies (:func:`_occupied_pairs`); each evolves alone
+    (Buča & Prosen, NJP 14, 073007 (2012)), so a pair that starts at zero
+    stays zero. One of two routes, chosen from the generator's symmetry
+    blocks (:func:`_symmetry_blocks`; sectors that H or the jump does not
+    leave invariant raise ``RuntimeError``):
 
     - when the largest pair of blocks has a generator of at most
-      ``DENSE_PAIR_LIMIT`` entries a side, each pair rho_ab evolves alone
-      under the dense exponential of its own generator, built from its two
-      blocks (:func:`_pair_generators`, :func:`_block_samples`);
+      ``DENSE_PAIR_LIMIT`` entries a side, each occupied pair evolves under
+      the dense exponential of its own generator, built from its two blocks
+      (:func:`_pair_generators`, :func:`_block_samples`);
     - otherwise scipy's ``expm_multiply`` (Al-Mohy & Higham 2011) acts on
-      the whole d^2 x d^2 superoperator, with a fixed seed for its norm
-      estimate (:func:`_expm_samples`).
+      the occupied pairs of the reflection orbits, one sparse block-diagonal
+      generator, or on the whole d^2 x d^2 superoperator when reflection is
+      broken, with a fixed seed for its norm estimate
+      (:func:`_orbit_samples`, :func:`_expm_samples`).
 
     Either way a grid that is ``np.linspace`` over its own ends (to a few
     ulps) is stepped by one propagator, any other grid by one per distinct
@@ -453,13 +537,15 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     rho0 : array
         Initial density matrix; time starts at 0 relative to it.
     times : array-like
-        Non-decreasing sample times, first entry >= 0. A requested t = 0
-        returns ``rho0`` exactly.
+        Finite, non-decreasing sample times, first entry >= 0. A requested
+        t = 0 returns ``rho0`` exactly.
     """
     rho0 = np.asarray(rho0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("no sample times given")
+    if not np.isfinite(times).all():
+        raise ValueError(f"sample times must be finite, got {times[~np.isfinite(times)][0]}")
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("sample times must be non-decreasing and non-negative")
 
@@ -471,8 +557,7 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     if blocks.sizes.max() ** 2 <= DENSE_PAIR_LIMIT:
         states = _block_samples(rho0, liouvillian, times, blocks)
     else:
-        samples = _expm_samples(liouvillian.matrix, vectorize(rho0), times)
-        states = samples.reshape(len(times), dim, dim).transpose(0, 2, 1)
+        states = _orbit_samples(rho0, liouvillian, times)
     states[times == 0.0] = rho0
     trajectory = Trajectory(times=times, states=states)
     for t, rho in zip(times, states):

@@ -421,6 +421,11 @@ def test_cli_bad_config_value(tmp_path, capsys):
     for kind, override, field in [
         ("steady", "lattice.n_sites=4", "lattice"),
         ("evolve", "time_grid.num=2.5", "integer num"),
+        ("evolve", "time_grid.points=[0.0,NaN]", "time_grid.points"),
+        ("evolve", "time_grid.points=[0.0,Infinity]", "time_grid.points"),
+        ("evolve", "time_grid.start=NaN", "time_grid.start"),
+        ("evolve", "time_grid.stop=Infinity", "time_grid.stop"),
+        ("evolve", 'time_grid.stop="x"', "time_grid.stop"),
         ("robustness-aa", "scan.n_values=2.5", "scan.n_values"),
         ("steady", 'convergence_tol="x"', "convergence_tol"),
         ("steady", "convergence_tol=-1", "convergence_tol"),

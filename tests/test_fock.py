@@ -20,6 +20,7 @@ from dephchain.fock import (
     odd_mode_slater,
     parity_sector_weights,
     reflection_operator,
+    reflection_orbits,
     slater_determinants,
     slater_state,
 )
@@ -218,6 +219,37 @@ def test_reflection_algebra(n, k):
     assert np.abs(refl @ refl.T - np.eye(basis.size)).max() < 1e-12
     assert np.abs(comm(refl, h0)).max() < 1e-12
     assert np.abs(comm(refl, n_c)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_reflection_orbits_are_exact_eigenbases(n):
+    # Every filling, k = 0 included, whose one state is its own mirror image
+    # and leaves the -1 space empty. The orbit bases are orthonormal, R maps
+    # them to +-themselves exactly, their entries are 0, +-1 and +-1/sqrt 2,
+    # and the central occupation stays diagonal in them, with no entry off
+    # it; its diagonal is 0/1 up to the one rounding of 2 (1/sqrt 2)^2,
+    # which is 1 + 2^-52 in floating point.
+    allowed = {0.0, 1.0, -1.0, math.sqrt(0.5), -math.sqrt(0.5)}
+    for k in range(n + 1):
+        basis = ManyBodyBasis(n, k)
+        refl = reflection_operator(basis)
+        plus, minus = reflection_orbits(basis)
+        q = np.hstack([dense(plus), dense(minus)])
+        assert q.shape == (basis.size, basis.size)
+        assert np.abs(q.T @ q - np.eye(basis.size)).max() <= 2 * np.finfo(float).eps
+        assert np.array_equal(dense(refl @ plus), dense(plus))
+        assert np.array_equal(dense(refl @ minus), -dense(minus))
+        assert set(np.unique(q)) <= allowed
+        if k == 0:
+            assert minus.shape == (1, 0)
+        if n % 2:
+            n_c = number_operator(basis, (n + 1) // 2)
+            for space in (plus, minus):
+                jump = dense(space.T @ n_c @ space)
+                assert np.array_equal(jump, np.diag(np.diag(jump)))
+                assert np.abs(np.diag(jump) - np.round(np.diag(jump))).max(initial=0.0) \
+                    <= np.finfo(float).eps
+                assert set(np.round(np.diag(jump))) <= {0.0, 1.0}
 
 
 def test_reflection_fixes_symmetric_fock_state():

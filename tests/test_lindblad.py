@@ -248,13 +248,14 @@ def test_expm_calls_per_grid(monkeypatch, times, calls):
 @pytest.mark.parametrize("times, calls", [(np.linspace(0.0, 60.0, 1201), 1)] + GRID_CALLS[1:])
 def test_dense_exponentials_per_grid(monkeypatch, times, calls):
     # Block route: the same number of propagators, each one dense expm call
-    # per pair size, and no expm_multiply.
+    # per pair size, and no expm_multiply. The input is a pure state with a
+    # weight on every basis state, so it occupies every pair of blocks.
     _, basis, liou = n3_problem()
     sizes = lindblad._symmetry_blocks(liou)[1]
     pair_sizes = np.unique(np.outer(sizes, sizes)).size
     seen = counting(monkeypatch, lindblad, "expm")
     krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
-    evolve(pure_state(fock_state(basis, "010")), liou, times)
+    evolve(pure_state([0.6, 0.48j, 0.64]), liou, times)
     assert pair_sizes == 3      # pairs of the blocks {E = +-sqrt 2} and {E = 0}
     assert len(seen) == calls * pair_sizes
     assert krylov == []
@@ -322,11 +323,25 @@ def test_evolve_leaves_the_global_random_stream_alone(monkeypatch):
         assert np.array_equal(np.random.random(4), expected)
 
 
-def test_trajectory_states_are_one_view_of_the_samples():
+def test_orbit_route_writes_one_array_of_samples():
     liou, rho0 = interacting_problem()
     times = np.linspace(0.0, 2.0, 5)
     traj = evolve(rho0, liou, times)
     assert traj.states.shape == (5, 35, 35)
+    assert traj.states.flags.owndata and traj.states.flags.c_contiguous
+    for t, rho in zip(times, traj.states):
+        assert np.abs(rho - evolve(rho0, liou, [t]).states[0]).max() < 1e-13
+
+
+def test_trajectory_states_are_one_view_of_the_samples(monkeypatch):
+    # Without reflection the one orbit pair is the whole superoperator, and
+    # the samples of its expm_multiply call are returned as a view.
+    rho0, liou, _ = _long_step_problem()
+    assert liou.orbits == ()
+    monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", 0)
+    times = np.linspace(0.0, 2.0, 5)
+    traj = evolve(rho0, liou, times)
+    assert traj.states.shape == (5, 9, 9)
     assert traj.states.base is not None and not traj.states.flags.owndata
     for t, rho in zip(times, traj.states):
         assert np.abs(rho - evolve(rho0, liou, [t]).states[0]).max() < 1e-13
@@ -362,13 +377,15 @@ def test_positive_minimum_eigenvalue_is_reported():
     assert abs(traj.diagnostics["min_eigenvalue"] - 0.2) < 1e-12
 
 
-def test_invariant_violation_aborts():
+def test_invariant_violation_aborts(monkeypatch):
     # a generator that leaks trace: every generator built from operators
-    # preserves it, so the superoperator is replaced by pure decay
-    bad, rho0 = interacting_problem()
-    bad.matrix = sparse.identity(35 * 35, format="csr") * -0.5
+    # preserves it, so each orbit pair's superoperator is replaced by pure decay
+    liou, rho0 = interacting_problem()
+    monkeypatch.setattr(lindblad, "_pair_superoperator",
+                        lambda h_a, h_b, *_: sparse.identity(h_a.shape[0] * h_b.shape[0],
+                                                             format="csr") * -0.5)
     with pytest.raises(InvariantViolation, match="trace deviation"):
-        evolve(rho0, bad, [0.0, 5.0])
+        evolve(rho0, liou, [0.0, 5.0])
 
 
 def test_invariant_violation_aborts_on_the_block_route(monkeypatch):
@@ -430,7 +447,7 @@ def _routes_agree(spec, filling, kind, times, rng) -> bool:
     rho0 = _cross_input(basis, kind, rng)
     _assert_blocks_exact(liou)
     if lindblad._symmetry_blocks(liou).sizes.max() ** 2 > lindblad.DENSE_PAIR_LIMIT:
-        return False        # evolve takes the full route itself
+        return False        # the orbit route, tested on its own
     gap = np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max()
     assert gap < 1e-12, f"{spec}, filling {filling}: {gap:.3e}"
     return True
@@ -456,6 +473,67 @@ def test_block_route_matches_full_route():
     assert _routes_agree(LatticeSpec(n_sites=9, dephasing_gamma=1.0), 2, 2, CROSS_GRIDS[2], rng)
     assert _routes_agree(LatticeSpec(n_sites=9, dephasing_gamma=1.0, trap_amplitude=2.0), 3, 2,
                          CROSS_GRIDS[0], rng)
+
+
+def _interacting_inputs():
+    """N = 7, Np = 4, interaction 0.3: inputs named by the reflection pairs
+    they occupy. 1010101 is its own mirror image, so it lies in the +1
+    orbits alone; 1101010 straddles both; so does a random mixed state. The
+    last is 1010101 with weight 1e-17 moved to a -1 state: its (-, -) block
+    has norm 1e-17 < eps and is dropped."""
+    liou, symmetric = interacting_problem()
+    basis = ManyBodyBasis(7, 4)
+    minus = liou.orbits[1][:, 0].toarray().ravel()
+    return liou, [
+        ("mirror-symmetric", symmetric, 1),
+        ("straddling", pure_state(fock_state(basis, "1101010")), 4),
+        ("random-mixed", _cross_input(basis, 2, np.random.default_rng(11)), 4),
+        ("tiny-block", (1.0 - 1e-17) * symmetric + 1e-17 * np.outer(minus, minus), 1),
+    ]
+
+
+@pytest.mark.parametrize("times", [CROSS_GRIDS[0], CROSS_GRIDS[2]], ids=["uniform", "repeated"])
+def test_orbit_route_matches_full_route(monkeypatch, times):
+    # The orbit route propagates only the occupied reflection pairs, one
+    # sparse generator each, in one expm_multiply call per step.
+    liou, inputs = _interacting_inputs()
+    assert [q.shape[1] for q in liou.orbits] == [19, 16]
+    for name, rho0, pairs in inputs:
+        built = counting(monkeypatch, lindblad, "_pair_superoperator")
+        states = evolve(rho0, liou, times).states
+        assert len(built) == pairs, name
+        gap = np.abs(states - full_route(rho0, liou, times)).max()
+        assert gap < 1e-12, f"{name}: {gap:.3e}"
+        monkeypatch.undo()
+
+
+def test_block_route_propagates_only_occupied_pairs(monkeypatch):
+    # The trapped fock-quench sector at N = 7: 1010101 occupies 9 of the 64
+    # pairs of its odd-pattern blocks, and one propagator exponentiates
+    # those 9 alone.
+    basis = ManyBodyBasis(7, 4)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=7, trap_amplitude=2.0), basis)
+    rho0 = pure_state(fock_state(basis, "1010101"))
+    blocks = lindblad._symmetry_blocks(liou)
+    occupied = lindblad._occupied_pairs(blocks.basis.conj().T @ rho0 @ blocks.basis,
+                                        blocks.sizes, rho0)
+    assert (occupied.sum(), occupied.size) == (9, 64)
+    seen = counting(monkeypatch, lindblad, "expm")
+    evolve(rho0, liou, [0.0, 2.0])
+    assert sum(len(stack) for stack, in seen) == 9
+    times = CROSS_GRIDS[1]
+    gap = np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max()
+    assert gap < 1e-12
+
+
+def test_zero_state_still_reaches_the_checks():
+    # A zero rho0 occupies no pair; it is propagated whole and refused.
+    _, basis, liou = n3_problem()
+    with pytest.raises(InvariantViolation, match="trace deviation"):
+        evolve(np.zeros((3, 3)), liou, [0.0, 1.0])
+    liou, _ = interacting_problem()
+    with pytest.raises(InvariantViolation, match="trace deviation"):
+        evolve(np.zeros((35, 35)), liou, [0.0, 1.0])
 
 
 def test_route_follows_the_pair_limit(monkeypatch):
@@ -517,19 +595,28 @@ def test_sectors_that_h_does_not_keep_raise():
 def test_sectors_follow_the_spec(spec, sizes):
     # Half filling at N = 7: the odd-mode patterns without interaction, the
     # two reflection sectors with it, and one block once reflection is
-    # broken, however slightly.
+    # broken, however slightly. The reflection orbits are kept exactly when
+    # reflection is unbroken.
     liou = dephasing_liouvillian(spec, ManyBodyBasis(7, 4))
     assert [q.shape[1] for q in liou.sectors or (np.eye(35),)] == sizes
     assert list(lindblad._symmetry_blocks(liou).sizes) == sizes
+    assert [q.shape[1] for q in liou.orbits] == ([] if sizes == [35] else [19, 16])
 
 
-def test_evolve_validates_times_and_method():
+def test_evolve_validates_times_and_method(monkeypatch):
     _, basis, liou = n3_problem()
     rho0 = pure_state(fock_state(basis, "010"))
     with pytest.raises(ValueError):
         evolve(rho0, liou, [1.0, 0.5])
     with pytest.raises(ValueError):
         evolve(rho0, liou, [-1.0])
+    # A NaN passes every order comparison, and an infinite step fails only
+    # deep inside the exponential; both are refused before any work.
+    work = counting(monkeypatch, lindblad, "_symmetry_blocks")
+    for times in ([0.0, np.nan], [np.nan], [0.0, np.inf], [0.0, 1.0, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(rho0, liou, times)
+    assert work == []
 
 
 def test_envelope_decay_rate_is_gamma_over_four():
