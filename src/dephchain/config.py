@@ -159,9 +159,19 @@ class ExperimentConfig:
             raise ConfigError(f"scan: block required for kind {self.kind!r}")
         if self.scan is not None and type(self.scan.n_values) is not int:
             raise ConfigError(f"scan.n_values: need an integer, got {self.scan.n_values!r}")
-        if self.kind == "concurrence-scan" and min(self.scan.sizes, default=3) < 3:
-            raise ConfigError(f"scan.sizes: {min(self.scan.sizes)} has no symmetric pair; "
-                              "sizes must be >= 3")
+        if self.kind == "concurrence-scan":
+            sizes, fillings = self.scan.sizes, self.scan.fillings
+            if not sizes or not isinstance(sizes, tuple) or not all(
+                    type(n) is int and n >= 3 and n % 2 for n in sizes):
+                raise ConfigError(f"scan.sizes: need a non-empty list of odd integers >= 3 "
+                                  f"(a centre site and a symmetric pair), got {sizes!r}")
+            if not fillings or not isinstance(fillings, tuple) or not all(
+                    type(k) is int and k >= 1 for k in fillings):
+                raise ConfigError("scan.fillings: need a non-empty list of integers >= 1, "
+                                  f"got {fillings!r}")
+            if not any(2 * k <= n + 1 for n in sizes for k in fillings):
+                raise ConfigError(f"scan.fillings: none of {fillings!r} is at most (size + 1) / 2 "
+                                  f"for a size in {sizes!r}; nothing to scan")
         if self.kind in ("robustness-aa", "robustness-int"):
             times = self.scan.times
             if not times:

@@ -79,9 +79,12 @@ def evolve_with_hamiltonian(c0: np.ndarray, h: np.ndarray, gamma: float, center:
     with the projector on the 1-based ``center`` site as jump operator.
 
     Returns C(t) at each requested time (non-decreasing, starting from 0
-    relative to ``c0``) as one (T, n, n) array.
+    relative to ``c0``) as one (T, n, n) array. Raises ``ValueError``
+    unless ``center`` is an integer in 1..n.
     """
     h = np.asarray(h, dtype=float)
+    if not isinstance(center, (int, np.integer)) or not 1 <= center <= len(h):
+        raise ValueError(f"center must be an integer site in 1..{len(h)}, got {center!r}")
     return _evolve(c0, build_liouvillian(h, gamma, np.diag(np.arange(len(h)) == center - 1)),
                    times)
 

@@ -47,8 +47,7 @@ NULL_TOL = 1e-10
 _GRAM_SCREEN = 1e-8
 # Row blocks of the dark-subspace constraint are about this many bytes.
 _CHUNK_BYTES = 1 << 22
-# Chunks of samples rotated back from the block basis, or whose residual is
-# taken, at once are about this many bytes.
+# Chunks of samples whose residual is taken at once are about this many bytes.
 _SAMPLE_CHUNK_BYTES = 1 << 20
 
 # Sectors are symmetry blocks to this: H's eigen-residual on each, the compressed
@@ -212,7 +211,8 @@ def _pair_superoperator(h_a, h_b, dephased_a: np.ndarray, dephased_b: np.ndarray
     """The generator of rho_ab = P_a rho P_b on its column-stacked entries,
     ``-i (I x H_a - H_b^T x I) - (gamma / 2) diag(vec M_ab)``, from the
     sparse blocks H_a and H_b of H and the jump's 0/1 diagonals on them;
-    M_ab = 1 where exactly one of the two states is dephased. With a = b the
+    M_ab = 1 where exactly one of the two states is dephased. Every pair that
+    :func:`_pair_samples` propagates gets its generator here; with a = b the
     whole space, it is ``Liouvillian.matrix``."""
     gen = -1j * (sparse.kron(sparse.identity(h_b.shape[0], format="csr", dtype=complex), h_a)
                  - sparse.kron(h_b.T, sparse.identity(h_a.shape[0], format="csr", dtype=complex)))
@@ -334,11 +334,12 @@ def _expm_samples(generator, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 class SymmetryBlocks(NamedTuple):
-    """The blocks of :func:`_symmetry_blocks`: the unitary ``basis`` W, whose
-    columns are the block basis, block after block; the block ``sizes``; and
-    the jump's 0/1 diagonal in W, ``dephased``."""
+    """A block decomposition: the unitary ``basis``, whose columns are the
+    block basis, block after block (dense W of :func:`_symmetry_blocks` or
+    the sparse real Q of :func:`_orbit_blocks`); the block ``sizes``; and the
+    jump's 0/1 diagonal in that basis, ``dephased``."""
 
-    basis: np.ndarray
+    basis: np.ndarray | sparse.csr_matrix
     sizes: np.ndarray
     dephased: np.ndarray
 
@@ -386,122 +387,77 @@ def _occupied_pairs(in_blocks: np.ndarray, sizes: np.ndarray, rho0: np.ndarray) 
     return weights > floor if floor else np.full(weights.shape, True)
 
 
-def _pair_generators(liouvillian: Liouvillian, blocks: SymmetryBlocks, occupied: np.ndarray):
-    """The generator of every occupied pair of blocks (a, b), in the block
-    basis W; ``occupied`` is the boolean matrix of :func:`_occupied_pairs`.
+def _orbit_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
+    """The reflection orbits (``Liouvillian.orbits``) as blocks, or one
+    sparse identity block when reflection is broken. A state and its mirror
+    image have the same central occupation, so the jump stays a 0/1
+    diagonal on the orbit basis."""
+    orbits = liouvillian.orbits or (sparse.identity(liouvillian.dim, format="csr"),)
+    basis = sparse.hstack(orbits, format="csr")
+    return SymmetryBlocks(basis, np.array([q.shape[1] for q in orbits]),
+                          abs(basis).T @ liouvillian.dephased > 0)
 
-    On the column-stacked entries of rho_ab it is the formula of
-    :func:`_pair_superoperator`,
-    ``-i (I x H_a - H_b^T x I) - (gamma / 2) diag(vec M_ab)``, with H_a and
-    H_b the blocks of W^H H W, built densely: the occupied pairs of one
-    shape in one broadcast. Returns ``order``, the row-major indices of the
-    block-basis entries of each occupied pair, pair after pair and
-    column-stacked inside a pair, and one (n, m, m) stack of the generators
-    of the n occupied pairs of each size m, by ascending m, in that order.
+
+def _pair_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
+                  blocks: SymmetryBlocks) -> np.ndarray:
+    """rho(t) at each of the non-decreasing ``times`` as one (T, d, d) array,
+    each block pair rho_ab = P_a rho P_b that ``rho0`` occupies
+    (:func:`_occupied_pairs`) propagated alone under its generator
+    (:func:`_pair_superoperator` of the blocks H_a and H_b of B^H H B, for
+    the decomposition's basis B).
+
+    When the largest pair of the decomposition's blocks has a generator of at
+    most ``DENSE_PAIR_LIMIT`` entries a side, the occupied pairs of one size are stacked and exponentiated by
+    one dense ``expm`` call, and all are stepped together by one
+    block-diagonal propagator: one per uniform grid, plus one to reach a
+    later first sample; otherwise one per distinct step. Else the pairs'
+    generators are concatenated block-diagonally and propagated by one
+    :func:`_expm_samples` call. Each sample is written into a zeroed output
+    in the block basis, only the occupied pairs' entries, and rotated back
+    with B.
     """
     dim, gamma = liouvillian.dim, liouvillian.gamma
     basis, sizes, dephased = blocks
-    h = basis.conj().T @ (liouvillian.hamiltonian @ basis)
-    starts = np.cumsum(sizes) - sizes
-    parts = {}      # pair size -> the (indices, generators) of each shape
-    for size_a, size_b in itertools.product(np.unique(sizes), repeat=2):
-        a, b = np.nonzero(occupied[np.ix_(sizes == size_a, sizes == size_b)])
-        if not len(a):
-            continue
-        rows = (starts[sizes == size_a, None] + np.arange(size_a))[a]     # block a of each pair
-        cols = (starts[sizes == size_b, None] + np.arange(size_b))[b]     # block b of each pair
-        h_a = h[rows[:, :, None], rows[:, None, :]]
-        h_b = h[cols[:, :, None], cols[:, None, :]]
-        m = size_a * size_b
-        generators = -1j * (np.kron(np.eye(size_b)[None], h_a)
-                            - np.kron(h_b.transpose(0, 2, 1), np.eye(size_a)[None]))
-        if gamma:
-            mask = dephased[rows][:, None, :] != dephased[cols][:, :, None]
-            generators.reshape(-1, m * m)[:, ::m + 1] -= 0.5 * gamma * mask.reshape(-1, m)
-        index = rows[:, None, :] * dim + cols[:, :, None]
-        parts.setdefault(m, []).append((index.ravel(), generators))
-    order = np.concatenate([index for m in sorted(parts) for index, _ in parts[m]])
-    return order, [np.concatenate([g for _, g in parts[m]]) for m in sorted(parts)]
-
-
-def _block_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
-                   blocks: SymmetryBlocks) -> np.ndarray:
-    """rho(t) at each of the non-decreasing ``times`` as one (T, d, d) array,
-    each occupied block pair rho_ab = P_a rho P_b (:func:`_occupied_pairs`)
-    propagated alone.
-
-    Occupied pairs of one size are stacked and exponentiated by one dense
-    ``expm`` call (:func:`_pair_generators`), and all are stepped together
-    by one block-diagonal propagator: one per uniform grid, plus one to
-    reach a later first sample; otherwise one per distinct step. Each sample
-    is written into a zeroed output in the block basis, only the occupied
-    pairs' entries, and all are rotated back with W a chunk at a time after
-    the last step.
-    """
-    dim = liouvillian.dim
-    basis = blocks.basis
-    in_blocks = basis.conj().T @ rho0 @ basis
-    order, stacks = _pair_generators(liouvillian, blocks,
-                                     _occupied_pairs(in_blocks, blocks.sizes, rho0))
-
-    def propagator(dt: float) -> sparse.csr_matrix:
-        return sparse.block_diag([p for stack in stacks for p in expm(stack * dt)], format="csr")
-
-    states = np.zeros((len(times), dim, dim), dtype=complex)
-    vec = in_blocks.ravel()[order]
-    uniform = _is_uniform(times)
-    if uniform:
-        step = propagator((times[-1] - times[0]) / (len(times) - 1))
-    t_prev = 0.0
-    for k, t in enumerate(times):
-        if t > t_prev:
-            vec = (step if uniform and k > 0 else propagator(t - t_prev)) @ vec
-            t_prev = t
-        states.reshape(len(times), dim * dim)[k, order] = vec
-    chunk = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
-    for k in range(0, len(times), chunk):
-        np.matmul(basis @ states[k:k + chunk], basis.conj().T, out=states[k:k + chunk])
-    return states
-
-
-def _orbit_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray) -> np.ndarray:
-    """rho(t) at each of the non-decreasing ``times`` as one (T, d, d) array,
-    by scipy's ``expm_multiply`` on the occupied pairs of reflection orbits.
-
-    Each occupied pair (:func:`_occupied_pairs`) of the orbit bases Q_a gets
-    its sparse generator (:func:`_pair_superoperator` of Q_a^T H Q_a and
-    Q_b^T H Q_b); these are concatenated block-diagonally and propagated by
-    one :func:`_expm_samples` call. The samples are written into a zeroed
-    output in the orbit basis and rotated back. Without orbits the one pair
-    is the whole superoperator, ``Liouvillian.matrix``, and its samples are
-    returned as a view.
-    """
-    dim = liouvillian.dim
-    if not liouvillian.orbits:
-        samples = _expm_samples(liouvillian.matrix, vectorize(rho0), times)
-        return samples.reshape(len(times), dim, dim).transpose(0, 2, 1)
-    orbits = liouvillian.orbits
-    basis = sparse.hstack(orbits, format="csr")
-    sizes = np.array([q.shape[1] for q in orbits])
-    columns = np.split(np.arange(dim), np.cumsum(sizes)[:-1])      # of each orbit basis
-    in_orbits = (basis.T @ (basis.T @ rho0).T).T        # Q^T rho0 Q; Q is real
-    hamiltonians = [(q.T @ liouvillian.hamiltonian @ q).tocsr() for q in orbits]
-    dephased = [abs(q).T @ liouvillian.dephased > 0 for q in orbits]
-    pairs = np.argwhere(_occupied_pairs(in_orbits, sizes, rho0))
-    generator = sparse.block_diag([
-        _pair_superoperator(hamiltonians[a], hamiltonians[b], dephased[a], dephased[b],
-                            liouvillian.gamma) for a, b in pairs], format="csr")
+    adjoint = basis.conj().T
+    in_blocks = adjoint @ rho0 @ basis
+    h = adjoint @ (liouvillian.hamiltonian @ basis)
+    span = [slice(start, start + size) for start, size in zip(np.cumsum(sizes) - sizes, sizes)]
+    pairs = np.argwhere(_occupied_pairs(in_blocks, sizes, rho0))
+    generators = [_pair_superoperator(h[span[a], span[a]], h[span[b], span[b]],
+                                      dephased[span[a]], dephased[span[b]], gamma)
+                  for a, b in pairs]
     # The row-major indices of each pair's entries, column-stacked inside the pair.
-    order = np.concatenate([(columns[a] * dim + columns[b][:, None]).ravel() for a, b in pairs])
-    samples = _expm_samples(generator, in_orbits.ravel()[order], times)
+    index = np.arange(dim)
+    order = np.concatenate([(index[span[a]] * dim + index[span[b], None]).ravel()
+                            for a, b in pairs])
+    vec = in_blocks.ravel()[order]
+    if sizes.max() ** 2 <= DENSE_PAIR_LIMIT:
+        shapes = np.array([g.shape[0] for g in generators])
+        stacks = [(which, np.array([generators[k].toarray() for k in which]))
+                  for which in (np.flatnonzero(shapes == m) for m in np.unique(shapes))]
+
+        def propagator(dt: float) -> sparse.csr_matrix:
+            steps = {k: p for which, stack in stacks for k, p in zip(which, expm(stack * dt))}
+            return sparse.block_diag([steps[k] for k in range(len(generators))], format="csr")
+
+        def stepped(vec: np.ndarray):
+            uniform = _is_uniform(times)
+            if uniform:
+                step = propagator((times[-1] - times[0]) / (len(times) - 1))
+            t_prev = 0.0
+            for k, t in enumerate(times):
+                if t > t_prev:
+                    vec = (step if uniform and k > 0 else propagator(t - t_prev)) @ vec
+                    t_prev = t
+                yield vec
+
+        samples = stepped(vec)
+    else:
+        samples = _expm_samples(sparse.block_diag(generators, format="csr"), vec, times)
     states = np.zeros((len(times), dim, dim), dtype=complex)
-    states.reshape(len(times), dim * dim)[:, order] = samples
-    chunk = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
-    for k in range(0, len(times), chunk):
-        # Q x_t for the chunk, one row per (i, t); then Q (Q x_t)^T = (Q x_t Q^T)^T.
-        part = states[k:k + chunk]
-        left = (basis @ part.transpose(1, 0, 2).reshape(dim, -1)).reshape(-1, dim)
-        part[...] = (basis @ left.T).reshape(dim, dim, -1).transpose(2, 1, 0)
+    for rho, sample in zip(states, samples):
+        rho.reshape(-1)[order] = sample
+        rho[...] = basis @ rho @ adjoint
     return states
 
 
@@ -511,19 +467,18 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     Applies the exact exponential to the block pairs rho_ab = P_a rho P_b
     that ``rho0`` occupies (:func:`_occupied_pairs`); each evolves alone
     (Buča & Prosen, NJP 14, 073007 (2012)), so a pair that starts at zero
-    stays zero. One of two routes, chosen from the generator's symmetry
-    blocks (:func:`_symmetry_blocks`; sectors that H or the jump does not
-    leave invariant raise ``RuntimeError``):
+    stays zero. Every pair gets its generator from :func:`_pair_superoperator`
+    and is stepped by :func:`_pair_samples`; only the kernel depends on the
+    generator's symmetry blocks (:func:`_symmetry_blocks`; sectors that H or
+    the jump does not leave invariant raise ``RuntimeError``):
 
     - when the largest pair of blocks has a generator of at most
-      ``DENSE_PAIR_LIMIT`` entries a side, each occupied pair evolves under
-      the dense exponential of its own generator, built from its two blocks
-      (:func:`_pair_generators`, :func:`_block_samples`);
-    - otherwise scipy's ``expm_multiply`` (Al-Mohy & Higham 2011) acts on
-      the occupied pairs of the reflection orbits, one sparse block-diagonal
-      generator, or on the whole d^2 x d^2 superoperator when reflection is
-      broken, with a fixed seed for its norm estimate
-      (:func:`_orbit_samples`, :func:`_expm_samples`).
+      ``DENSE_PAIR_LIMIT`` entries a side, dense exponentials of the pairs
+      of those blocks, one stacked ``expm`` call per pair size;
+    - otherwise scipy's ``expm_multiply`` (Al-Mohy & Higham 2011), with a
+      fixed seed for its norm estimate (:func:`_expm_samples`), on the pairs
+      of the reflection orbits (:func:`_orbit_blocks`), which are one
+      identity block when reflection is broken.
 
     Either way a grid that is ``np.linspace`` over its own ends (to a few
     ulps) is stepped by one propagator, any other grid by one per distinct
@@ -554,10 +509,9 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
 
     blocks = _symmetry_blocks(liouvillian)
-    if blocks.sizes.max() ** 2 <= DENSE_PAIR_LIMIT:
-        states = _block_samples(rho0, liouvillian, times, blocks)
-    else:
-        states = _orbit_samples(rho0, liouvillian, times)
+    if blocks.sizes.max() ** 2 > DENSE_PAIR_LIMIT:
+        blocks = _orbit_blocks(liouvillian)
+    states = _pair_samples(rho0, liouvillian, times, blocks)
     states[times == 0.0] = rho0
     trajectory = Trajectory(times=times, states=states)
     for t, rho in zip(times, states):
@@ -579,18 +533,12 @@ def _dark_span(left_on: np.ndarray, left_off: np.ndarray, right_on: np.ndarray,
     w_k likewise of ``right_on`` over ``right_off``.
 
     X commutes with the jump when P1 X P0 = 0 = P0 X P1; those blocks are the
-    rows of a constraint matrix, which has no null vector when all
-    eigenvalues of its Gram matrix exceed ``_GRAM_SCREEN``. Row blocks of
-    about ``_CHUNK_BYTES`` are stacked under the triangular factor so far and
-    factored again by QR, and the null space is read from the singular
-    values of the final triangle (not from the Gram matrix, whose
-    conditioning is squared).
+    rows of a constraint matrix. Row blocks of about ``_CHUNK_BYTES`` are
+    stacked under the triangular factor so far and factored again by QR, and
+    the null space is read from the singular values of the final triangle
+    (not from the Gram matrix, whose conditioning is squared).
     """
     k = left_on.shape[1]
-    gram = (left_on.conj().T @ left_on) * (right_off.conj().T @ right_off).conj() \
-        + (left_off.conj().T @ left_off) * (right_on.conj().T @ right_on).conj()
-    if np.linalg.eigvalsh(gram)[0] > _GRAM_SCREEN:
-        return np.zeros((k, 0))
     rows = max(1, _CHUNK_BYTES // (left_on.itemsize * k * max(1, len(left_off) + len(right_off))))
     triangle = np.zeros((0, k), dtype=left_on.dtype)
     for start in range(0, max(len(left_on), len(right_on)), rows):
@@ -608,14 +556,17 @@ def _dark_spans(liouvillian: Liouvillian, in_eigenbasis: np.ndarray | None = Non
                 tol: float = 0.0):
     """The X = sum_k z_k v_{a_k} v_{b_k}^H over H's eigenvectors with
     L X = i omega X, one group of pairs at a time: yields omega, the pairs
-    ``a`` and ``b``, and the orthonormal z, one column per X (maybe none).
+    ``a`` and ``b``, and the orthonormal z, one column per X (maybe none),
+    for each group that may hold such an X.
 
     Such an X is dark (in ker D) and lies in one eigenspace of [H, .], a
     cluster of gaps E_a - E_b within ``DEGENERACY_TOL``; gap 0 (pairs inside
     a level) gives ker L = {H, n_c}' (Buča & Prosen, NJP 14, 073007 (2012)).
     The projectors of :func:`_symmetry_blocks` commute with H and the jump,
     so P_alpha X P_beta is dark again: a group is one cluster and one pair of
-    blocks, one :func:`_dark_span` on their rows in the block basis. Gaps are
+    blocks. Groups whose constraint has a Gram matrix with all eigenvalues
+    above ``_GRAM_SCREEN`` hold no X; each other group is solved by one
+    :func:`_dark_span` on their rows in the block basis. Gaps are
     clustered before pairs are grouped, so no cluster is split. Gap 0 is
     solved, and with a state ``in_eigenbasis`` each cluster on which its
     Frobenius norm w has |omega| w >= tol / 1000 (less cannot move a
@@ -624,10 +575,14 @@ def _dark_spans(liouvillian: Liouvillian, in_eigenbasis: np.ndarray | None = Non
     energies, vectors, label = liouvillian._spectrum
     blocks = _symmetry_blocks(liouvillian)
     dim, count = liouvillian.dim, len(blocks.sizes)
-    # H's eigenvectors in the block basis: each block's dephased and undephased rows.
-    bounds = np.cumsum(blocks.sizes)[:-1]
-    coordinates = [(c[d], c[~d]) for c, d in zip(np.split(blocks.basis.conj().T @ vectors, bounds),
-                                                  np.split(blocks.dephased, bounds))]
+    # H's eigenvectors in the block basis: each block's dephased and undephased
+    # rows; the eigenvectors of a block are its columns of V.
+    edges = np.cumsum(blocks.sizes)[:-1]
+    coordinates = [(c[d], c[~d]) for c, d in zip(np.split(blocks.basis.conj().T @ vectors, edges),
+                                                  np.split(blocks.dephased, edges))]
+    jump = np.zeros((dim, dim), dtype=vectors.dtype)     # J = V^H n_c V, one block at a time
+    for (on, _), start, stop in zip(coordinates, np.append(0, edges), np.append(edges, dim)):
+        jump[start:stop, start:stop] = on[:, start:stop].conj().T @ on[:, start:stop]
     gaps = np.subtract.outer(energies, energies).ravel()
     order = np.argsort(gaps, kind="stable")
     cluster = np.cumsum(np.diff(gaps[order], prepend=gaps[order[0]]) > DEGENERACY_TOL)
@@ -642,11 +597,21 @@ def _dark_spans(liouvillian: Liouvillian, in_eigenbasis: np.ndarray | None = Non
     group = group[np.argsort(key[group], kind="stable")]
     left, right, cluster, key = left[group], right[group], cluster[group], key[group]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
-    # One-pair groups are screened at once: _dark_span's Gram is p_a (1 - p_b) + (1 - p_a) p_b.
-    p = sum(np.sum(np.abs(on) ** 2, axis=0) for on, _ in coordinates)     # <v_a|n_c|v_a>
-    a, b = left[bounds[:-1]], right[bounds[:-1]]
-    bright = (np.diff(bounds) == 1) & (p[a] * (1 - p[b]) + (1 - p[a]) * p[b] > _GRAM_SCREEN)
-    for lo, hi in zip(bounds[:-1][~bright], bounds[1:][~bright]):
+    # A group has no dark combination when all eigenvalues of _dark_span's Gram
+    # matrix exceed _GRAM_SCREEN: J_aa o conj(1 - J_bb) + (1 - J_aa) o conj(J_bb),
+    # 1 the identity on the group's pairs; p_a (1 - p_b) + (1 - p_a) p_b for one
+    # pair. One stacked eigvalsh per group size.
+    sizes = np.diff(bounds)
+    dark = np.zeros(len(sizes), dtype=bool)
+    for size in np.unique(sizes):
+        which = np.flatnonzero(sizes == size)
+        members = bounds[which, None] + np.arange(size)
+        a, b = left[members], right[members]
+        j_a, j_b = jump[a[:, :, None], a[:, None, :]], jump[b[:, :, None], b[:, None, :]]
+        gram = (j_a * ((b[:, :, None] == b[:, None, :]) - j_b).conj()
+                + ((a[:, :, None] == a[:, None, :]) - j_a) * j_b.conj())
+        dark[which] = np.linalg.eigvalsh(gram)[:, 0] <= _GRAM_SCREEN
+    for lo, hi in zip(bounds[:-1][dark], bounds[1:][dark]):
         a, b = left[lo:hi], right[lo:hi]
         (left_on, left_off), (right_on, right_off) = (coordinates[label[a[0]]],
                                                       coordinates[label[b[0]]])

@@ -437,8 +437,18 @@ def test_cli_bad_config_value(tmp_path, capsys):
         ("robustness-int", "scan.times=[5.0,-1.0]", "scan.times"),
         ("robustness-int", "scan.times=[10.0,5.0]", "scan.times"),
         ("robustness-int", "scan.times=[5.0,10.0]", "scan.times"),
+        ("concurrence-scan", "scan.fillings=[1.5]", "scan.fillings"),
+        ("concurrence-scan", "scan.fillings=[]", "scan.fillings"),
+        ("concurrence-scan", "scan.fillings=[0]", "scan.fillings"),
+        ("concurrence-scan", "scan.sizes=[]", "scan.sizes"),
+        ("concurrence-scan", "scan.sizes=[4]", "scan.sizes"),
+        ("concurrence-scan", "scan.sizes=[3.0]", "scan.sizes"),
+        ("concurrence-scan", "scan.sizes=5", "scan.sizes"),
+        ("concurrence-scan", "scan.sizes=[3] scan.fillings=[3]", "scan.fillings"),
     ]:
-        code = main([kind, "--out", str(tmp_path), "--override", override])
+        # Space-separated overrides go in together.
+        code = main([kind, "--out", str(tmp_path),
+                     *[arg for item in override.split() for arg in ("--override", item)]])
         assert code == 2, override
         assert field in capsys.readouterr().err, override
 

@@ -101,6 +101,15 @@ def test_center_occupation_not_damped_directly():
     assert np.abs(out - expected).max() < 1e-10
 
 
+@pytest.mark.parametrize("center", [0, 4, 2.5])
+def test_evolve_with_hamiltonian_refuses_a_bad_center(center):
+    # A centre off the chain or between sites would give a zero jump and a
+    # run without dephasing.
+    h = -(np.eye(3, k=1) + np.eye(3, k=-1))
+    with pytest.raises(ValueError, match="center"):
+        evolve_with_hamiltonian(np.diag([0.0, 1.0, 0.0]), h, 1.0, center, [50.0])
+
+
 def test_n3_steady_correlation_values():
     spec = LatticeSpec(n_sites=3)
     c0 = np.diag([0.0, 1.0, 0.0]).astype(complex)

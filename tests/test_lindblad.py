@@ -333,16 +333,17 @@ def test_orbit_route_writes_one_array_of_samples():
         assert np.abs(rho - evolve(rho0, liou, [t]).states[0]).max() < 1e-13
 
 
-def test_trajectory_states_are_one_view_of_the_samples(monkeypatch):
-    # Without reflection the one orbit pair is the whole superoperator, and
-    # the samples of its expm_multiply call are returned as a view.
+def test_identity_block_writes_one_array_of_samples(monkeypatch):
+    # Without reflection the orbits are one sparse identity block; its
+    # samples are scattered and rotated like any other pair's, into one
+    # owned array.
     rho0, liou, _ = _long_step_problem()
     assert liou.orbits == ()
     monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", 0)
     times = np.linspace(0.0, 2.0, 5)
     traj = evolve(rho0, liou, times)
     assert traj.states.shape == (5, 9, 9)
-    assert traj.states.base is not None and not traj.states.flags.owndata
+    assert traj.states.flags.owndata and traj.states.flags.c_contiguous
     for t, rho in zip(times, traj.states):
         assert np.abs(rho - evolve(rho0, liou, [t]).states[0]).max() < 1e-13
 
@@ -473,6 +474,60 @@ def test_block_route_matches_full_route():
     assert _routes_agree(LatticeSpec(n_sites=9, dephasing_gamma=1.0), 2, 2, CROSS_GRIDS[2], rng)
     assert _routes_agree(LatticeSpec(n_sites=9, dephasing_gamma=1.0, trap_amplitude=2.0), 3, 2,
                          CROSS_GRIDS[0], rng)
+
+
+def _decomposition(kind):
+    """A problem, an input and the decomposition of ``kind``: the Slater
+    blocks of a centred trap, the reflection orbits of the interacting chain
+    for an input straddling both, or the one identity block of a broken
+    reflection; each with a grid of its own."""
+    rng = np.random.default_rng(17)
+    if kind == "slater":
+        basis = ManyBodyBasis(7, 3)
+        liou = dephasing_liouvillian(LatticeSpec(n_sites=7, trap_amplitude=2.0), basis)
+        return liou, _cross_input(basis, 2, rng), lindblad._symmetry_blocks(liou), CROSS_GRIDS[2]
+    if kind == "orbits":
+        liou, _ = interacting_problem()
+        rho0 = pure_state(fock_state(ManyBodyBasis(7, 4), "1101010"))
+        return liou, rho0, lindblad._orbit_blocks(liou), CROSS_GRIDS[0]
+    basis = ManyBodyBasis(5, 2)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=5, aa_amplitude=0.4, dephasing_gamma=20.0),
+                                 basis)
+    return liou, _cross_input(basis, 2, rng), lindblad._orbit_blocks(liou), CROSS_GRIDS[3]
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    ("slater", [4, 6, 6, 6, 4, 4, 4, 1]),
+    ("orbits", [19, 16]),
+    ("identity", [10]),
+])
+def test_every_decomposition_matches_full_route_on_both_kernels(monkeypatch, kind, sizes):
+    # Each decomposition goes through one propagation function; the pair
+    # limit picks the kernel, so both kernels run on every decomposition.
+    liou, rho0, blocks, times = _decomposition(kind)
+    assert list(blocks.sizes) == sizes
+    expected = full_route(rho0, liou, times)
+    for limit, kernel in ((10 ** 6, "expm"), (0, "expm_multiply")):
+        monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+        dense = counting(monkeypatch, lindblad, "expm")
+        krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
+        gap = np.abs(lindblad._pair_samples(rho0, liou, times, blocks) - expected).max()
+        assert gap < 1e-12, f"{kind} on {kernel}: {gap:.3e}"
+        assert (len(dense) > 0, len(krylov) > 0) == (kernel == "expm", kernel == "expm_multiply")
+        monkeypatch.undo()
+
+
+def test_interacting_mirror_symmetric_input_builds_one_orbit_pair(monkeypatch):
+    # robustness-int's input 1010101 lies in the +1 orbits alone: one pair
+    # generator, 19^2 wide, with the nonzeros of its two orbit Hamiltonians.
+    liou, rho0 = interacting_problem()
+    built = counting(monkeypatch, lindblad, "_pair_superoperator")
+    propagated = counting(monkeypatch, lindblad, "_expm_samples")
+    evolve(rho0, liou, [0.0, 1.0])
+    assert len(built) == 1 and len(propagated) == 1
+    generator = propagated[0][0]
+    assert generator.shape == (361, 361)
+    assert generator.nnz == 2580
 
 
 def _interacting_inputs():
