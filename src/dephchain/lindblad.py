@@ -51,8 +51,8 @@ _CHUNK_BYTES = 1 << 22
 _SAMPLE_CHUNK_BYTES = 1 << 20
 
 # Sectors are symmetry blocks to this: H's eigen-residual on each, the compressed
-# jump between two, and its eigenvalues' distance from 0 or 1 on one; beyond it
-# the spectrum or _symmetry_blocks raises.
+# jump between two, its eigenvalues' distance from 0 or 1 on one, and the block
+# basis's distance from unitary; beyond it the spectrum or _symmetry_blocks raises.
 BLOCK_JUMP_TOL = 1e-10
 # The largest pair generator, (block size)^2, propagated by dense exponentials.
 # Measured on N = 7, Np = 4: dense won at 196 (trapped fock-quench sectors of 10
@@ -102,7 +102,8 @@ def pure_state(psi: np.ndarray) -> np.ndarray:
 
 def invariant_deviations(rho: np.ndarray) -> dict[str, float]:
     """Trace, hermiticity, and positivity deviations of a density matrix,
-    named as in a trajectory's diagnostics (the worst of its samples)."""
+    named as in a trajectory's diagnostics, which hold the worst of its
+    samples. All three are read from the whole d x d matrix."""
     herm = np.abs(rho - rho.conj().T).max()
     trace = abs(np.trace(rho) - 1.0)
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
@@ -110,15 +111,21 @@ def invariant_deviations(rho: np.ndarray) -> dict[str, float]:
             "min_eigenvalue": min_eig}
 
 
-def _check_deviations(deviations: dict[str, float], factor: float, where: str = "") -> None:
+def _check_deviations(deviations: dict, factor: float, times: np.ndarray | None = None) -> None:
     """Raise :class:`InvariantViolation` when a deviation exceeds ``factor``
-    times its tolerance; ``where`` ends the message."""
-    if deviations["max_trace_dev"] > factor * TRACE_TOL:
-        raise InvariantViolation(f"trace deviation {deviations['max_trace_dev']:.3e}{where}")
-    if deviations["max_herm_dev"] > factor * HERMITICITY_TOL:
-        raise InvariantViolation(f"hermiticity deviation {deviations['max_herm_dev']:.3e}{where}")
-    if deviations["min_eigenvalue"] < -factor * POSITIVITY_TOL:
-        raise InvariantViolation(f"negative eigenvalue {deviations['min_eigenvalue']:.3e}{where}")
+    times its tolerance. Each deviation is one float, or one value per
+    sample at ``times``: then the first failing sample, in order, is
+    reported and the message ends with its time."""
+    values = np.array([deviations["max_trace_dev"], deviations["max_herm_dev"],
+                       np.negative(deviations["min_eigenvalue"])]).reshape(3, -1)
+    failed = values > factor * np.array([[TRACE_TOL], [HERMITICITY_TOL], [POSITIVITY_TOL]])
+    if failed.any():
+        sample = int(np.argmax(failed.any(axis=0)))
+        check = int(np.argmax(failed[:, sample]))
+        name = ("trace deviation", "hermiticity deviation", "negative eigenvalue")[check]
+        value = -values[check, sample] if check == 2 else values[check, sample]
+        where = "" if times is None else f" at t={times[sample]:g}"
+        raise InvariantViolation(f"{name} {value:.3e}{where}")
 
 
 def validate_density(rho: np.ndarray) -> None:
@@ -278,19 +285,12 @@ def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis) -> Liouvillia
 @dataclass
 class Trajectory:
     """Density-matrix samples: ``states[k]`` is rho(``times[k]``), and
-    ``states`` is one (T, d, d) array."""
+    ``states`` is one (T, d, d) array. ``diagnostics`` holds the worst of the
+    samples' deviations, named as by :func:`invariant_deviations`."""
 
     times: np.ndarray
     states: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-
-def _check_sample(rho: np.ndarray, t: float, diagnostics: dict) -> None:
-    dev = invariant_deviations(rho)
-    for key, value in dev.items():
-        worst = min if key == "min_eigenvalue" else max
-        diagnostics[key] = worst(diagnostics[key], value) if key in diagnostics else value
-    _check_deviations(dev, ABORT_FACTOR, f" at t={t:g}")
 
 
 def _is_uniform(times: np.ndarray) -> bool:
@@ -350,7 +350,10 @@ def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
     J = V^H n_c V on it (Buča & Prosen, NJP 14, 073007 (2012)). Raises
     ``RuntimeError`` when J couples two sectors by an entry above
     ``BLOCK_JUMP_TOL``, or has an eigenvalue on one that is farther than that
-    from both 0 and 1: the jump does not leave the sectors invariant."""
+    from both 0 and 1: the jump does not leave the sectors invariant. Also
+    raises when an entry of B^H B - I, for the returned basis B, exceeds
+    ``BLOCK_JUMP_TOL``: :func:`_pair_samples` reads the spectrum of each
+    sample in the block basis, which equals spec(rho) only for a unitary B."""
     _energies, vectors, label = liouvillian._spectrum
     on = vectors[liouvillian.dephased] if liouvillian.gamma > 0 else vectors[:0]
     jump = on.conj().T @ on
@@ -370,6 +373,8 @@ def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
         rotated = np.ascontiguousarray(vectors[:, columns].transpose(1, 0, 2)) @ rotation
         basis[:, columns] = rotated.transpose(1, 0, 2)
         dephased[columns] = occupation > 0.5
+    if np.abs(basis.conj().T @ basis - np.eye(liouvillian.dim)).max() > BLOCK_JUMP_TOL:
+        raise RuntimeError("the symmetry block basis is not unitary")
     return SymmetryBlocks(basis, sizes, dephased)
 
 
@@ -399,12 +404,14 @@ def _orbit_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
 
 
 def _pair_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
-                  blocks: SymmetryBlocks) -> np.ndarray:
+                  blocks: SymmetryBlocks) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """rho(t) at each of the non-decreasing ``times`` as one (T, d, d) array,
     each block pair rho_ab = P_a rho P_b that ``rho0`` occupies
     (:func:`_occupied_pairs`) propagated alone under its generator
     (:func:`_pair_superoperator` of the blocks H_a and H_b of B^H H B, for
-    the decomposition's basis B).
+    the decomposition's basis B), with each sample's invariant deviations,
+    one array per key of :func:`invariant_deviations`. A t = 0 sample is
+    ``rho0`` itself.
 
     When the largest pair of the decomposition's blocks has a generator of at
     most ``DENSE_PAIR_LIMIT`` entries a side, the occupied pairs of one size are stacked and exponentiated by
@@ -412,9 +419,16 @@ def _pair_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
     block-diagonal propagator: one per uniform grid, plus one to reach a
     later first sample; otherwise one per distinct step. Else the pairs'
     generators are concatenated block-diagonally and propagated by one
-    :func:`_expm_samples` call. Each sample is written into a zeroed output
-    in the block basis, only the occupied pairs' entries, and rotated back
-    with B.
+    :func:`_expm_samples` call.
+
+    The samples are written, a chunk of about ``_SAMPLE_CHUNK_BYTES`` at a
+    time, into a zeroed output in the block basis, only the occupied pairs'
+    entries. Each sample's smallest eigenvalue is read there, from the
+    Hermitian part of its rows and columns of the blocks that the occupied
+    pairs touch (``rho0``'s own at t = 0); every other entry is an exact
+    zero, so when those blocks leave out k < d dimensions the spectrum also
+    holds zeros and the value reported is at most 0. The chunk is then
+    rotated back with B, and trace and hermiticity are read in the site basis.
     """
     dim, gamma = liouvillian.dim, liouvillian.gamma
     basis, sizes, dephased = blocks
@@ -453,12 +467,45 @@ def _pair_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
 
         samples = stepped(vec)
     else:
-        samples = _expm_samples(sparse.block_diag(generators, format="csr"), vec, times)
+        # An iterator, so that each chunk resumes where the last one stopped.
+        samples = iter(_expm_samples(sparse.block_diag(generators, format="csr"), vec, times))
+    keep = np.flatnonzero(np.repeat(np.isin(np.arange(len(sizes)), pairs), sizes))
+
+    def checked(chunk: np.ndarray, initial: np.ndarray) -> np.ndarray:
+        """The trace, hermiticity and positivity deviations, one row each, of
+        a chunk of block-basis samples, which is rotated back in place. The
+        scratch arrays live only in this call, so none is held while the
+        kernel makes the next samples."""
+        chunk[initial] = in_blocks
+        hermitian = chunk[:, keep[:, None], keep]
+        hermitian += hermitian.conj().transpose(0, 2, 1)
+        hermitian *= 0.5
+        smallest = np.linalg.eigvalsh(hermitian)[:, 0]
+        del hermitian       # freed before the rotation's scratch is taken
+        work = np.empty_like(chunk)
+        if sparse.issparse(basis):
+            for rho in chunk:
+                rho[...] = basis @ rho @ adjoint
+        else:
+            np.matmul(basis, chunk, out=work)
+            np.matmul(work, adjoint, out=chunk)
+        chunk[initial] = rho0
+        np.conjugate(chunk.transpose(0, 2, 1), out=work)
+        work -= chunk
+        return np.array([np.abs(np.trace(chunk, axis1=1, axis2=2) - 1.0),
+                         np.abs(work).max(axis=(1, 2)), smallest])
+
     states = np.zeros((len(times), dim, dim), dtype=complex)
-    for rho, sample in zip(states, samples):
-        rho.reshape(-1)[order] = sample
-        rho[...] = basis @ rho @ adjoint
-    return states
+    deviations = np.empty((3, len(times)))
+    rows = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
+    for start in range(0, len(times), rows):
+        chunk = states[start:start + rows]
+        for rho, sample in zip(chunk, samples):
+            rho.reshape(-1)[order] = sample
+        deviations[:, start:start + rows] = checked(chunk, times[start:start + rows] == 0.0)
+    if len(keep) < dim:
+        np.minimum(deviations[2], 0.0, out=deviations[2])
+    return states, dict(zip(("max_trace_dev", "max_herm_dev", "min_eigenvalue"), deviations))
 
 
 def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
@@ -470,7 +517,8 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     stays zero. Every pair gets its generator from :func:`_pair_superoperator`
     and is stepped by :func:`_pair_samples`; only the kernel depends on the
     generator's symmetry blocks (:func:`_symmetry_blocks`; sectors that H or
-    the jump does not leave invariant raise ``RuntimeError``):
+    the jump does not leave invariant, or a block basis that is not unitary,
+    raise ``RuntimeError``):
 
     - when the largest pair of blocks has a generator of at most
       ``DENSE_PAIR_LIMIT`` entries a side, dense exponentials of the pairs
@@ -483,8 +531,12 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     Either way a grid that is ``np.linspace`` over its own ends (to a few
     ulps) is stepped by one propagator, any other grid by one per distinct
     step, and a first sample later than 0 is reached by one more. The
-    samples are one (T, d, d) array. Every sample is checked for trace,
-    hermiticity and positivity, and the run aborts when a deviation exceeds
+    samples are one (T, d, d) array. Every sample is checked for trace and
+    hermiticity in the site basis, and for positivity in the block basis, on
+    the rows and columns of the blocks its occupied pairs touch: the block
+    basis is unitary, so that spectrum, with zeros for the blocks left out,
+    is spec(rho). The worst values are the trajectory's ``diagnostics``. The
+    run aborts at the first sample, in time order, whose deviation exceeds
     ten times its tolerance.
 
     Parameters
@@ -511,12 +563,11 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     blocks = _symmetry_blocks(liouvillian)
     if blocks.sizes.max() ** 2 > DENSE_PAIR_LIMIT:
         blocks = _orbit_blocks(liouvillian)
-    states = _pair_samples(rho0, liouvillian, times, blocks)
-    states[times == 0.0] = rho0
-    trajectory = Trajectory(times=times, states=states)
-    for t, rho in zip(times, states):
-        _check_sample(rho, t, trajectory.diagnostics)
-    return trajectory
+    states, deviations = _pair_samples(rho0, liouvillian, times, blocks)
+    _check_deviations(deviations, ABORT_FACTOR, times)
+    diagnostics = {key: float(values.min() if key == "min_eigenvalue" else values.max())
+                   for key, values in deviations.items()}
+    return Trajectory(times=times, states=states, diagnostics=diagnostics)
 
 
 @dataclass

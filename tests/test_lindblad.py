@@ -511,7 +511,7 @@ def test_every_decomposition_matches_full_route_on_both_kernels(monkeypatch, kin
         monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
         dense = counting(monkeypatch, lindblad, "expm")
         krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
-        gap = np.abs(lindblad._pair_samples(rho0, liou, times, blocks) - expected).max()
+        gap = np.abs(lindblad._pair_samples(rho0, liou, times, blocks)[0] - expected).max()
         assert gap < 1e-12, f"{kind} on {kernel}: {gap:.3e}"
         assert (len(dense) > 0, len(krylov) > 0) == (kernel == "expm", kernel == "expm_multiply")
         monkeypatch.undo()
@@ -589,6 +589,109 @@ def test_zero_state_still_reaches_the_checks():
     liou, _ = interacting_problem()
     with pytest.raises(InvariantViolation, match="trace deviation"):
         evolve(np.zeros((35, 35)), liou, [0.0, 1.0])
+
+
+KERNELS = [pytest.param(lindblad.DENSE_PAIR_LIMIT, id="dense"), pytest.param(0, id="orbits")]
+
+
+@pytest.mark.parametrize("limit", KERNELS)
+def test_negative_eigenvalue_aborts_at_the_first_sample(monkeypatch, limit):
+    # Hermitian with trace 1 but an eigenvalue -1/2, on states that occupy
+    # some of the blocks only: positivity is read on those blocks' rows and
+    # columns, and rho0 itself is the t = 0 sample.
+    monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+    basis = ManyBodyBasis(5, 2)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=5), basis)
+    rho0 = (1.5 * pure_state(fock_state(basis, "10001"))
+            - 0.5 * pure_state(fock_state(basis, "01010")))
+    assert _occupied_dimension(rho0, liou) < liou.dim
+    with pytest.raises(InvariantViolation, match="negative eigenvalue -5.000e-01 at t=0$"):
+        evolve(rho0, liou, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("limit", KERNELS)
+def test_hermiticity_deviation_aborts(monkeypatch, limit):
+    # Every pair generator is turned by a small complex factor: the trace is
+    # still kept, but each sample after t = 0 gains an anti-Hermitian part.
+    monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+    _, basis, liou = n3_problem()
+    original = lindblad._pair_superoperator
+    monkeypatch.setattr(lindblad, "_pair_superoperator",
+                        lambda *args: (1.0 + 1e-6j) * original(*args))
+    with pytest.raises(InvariantViolation, match="hermiticity deviation .* at t=5$"):
+        evolve(pure_state(fock_state(basis, "010")), liou, [0.0, 5.0])
+
+
+@pytest.mark.parametrize("limit", KERNELS)
+def test_block_basis_that_is_not_unitary_raises(monkeypatch, limit):
+    # H's eigenvectors scaled by 1 + 1e-8; without dephasing the jump checks
+    # see nothing, so only the unitarity guard can refuse the basis.
+    monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+    basis = ManyBodyBasis(5, 2)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=5, dephasing_gamma=0.0), basis)
+    energies, vectors, label = liou._spectrum
+    liou.__dict__["_spectrum"] = (energies, (1.0 + 1e-8) * vectors, label)
+    with pytest.raises(RuntimeError, match="not unitary"):
+        lindblad._symmetry_blocks(liou)
+    with pytest.raises(RuntimeError, match="not unitary"):
+        evolve(pure_state(fock_state(basis, "10100")), liou, [0.0, 1.0])
+
+
+def _occupied_dimension(rho0, liou) -> int:
+    """The number of block-basis dimensions that the blocks of evolve's
+    occupied pairs span, on the decomposition that DENSE_PAIR_LIMIT picks."""
+    blocks = lindblad._symmetry_blocks(liou)
+    if blocks.sizes.max() ** 2 > lindblad.DENSE_PAIR_LIMIT:
+        blocks = lindblad._orbit_blocks(liou)
+    occupied = lindblad._occupied_pairs(blocks.basis.conj().T @ rho0 @ blocks.basis,
+                                        blocks.sizes, rho0)
+    return int(blocks.sizes[occupied.any(axis=0) | occupied.any(axis=1)].sum())
+
+
+def test_recorded_diagnostics_equal_a_full_space_check(monkeypatch):
+    # Trace and hermiticity are read in the site basis, positivity in the
+    # block basis on the occupied blocks; the worst values must be those of
+    # invariant_deviations on the returned samples.
+    covered = set()
+
+    def check(rho0, liou, grid, name):
+        traj = evolve(rho0, liou, CROSS_GRIDS[grid])
+        full = [lindblad.invariant_deviations(rho) for rho in traj.states]
+        for key in ("max_trace_dev", "max_herm_dev"):
+            worst = max(d[key] for d in full)
+            assert abs(traj.diagnostics[key] - worst) <= 1e-15, f"{name}: {key}"
+        worst = min(d["min_eigenvalue"] for d in full)
+        assert abs(traj.diagnostics["min_eigenvalue"] - worst) <= 1e-14, name
+        dense = lindblad._symmetry_blocks(liou).sizes.max() ** 2 <= lindblad.DENSE_PAIR_LIMIT
+        partial = _occupied_dimension(rho0, liou) < liou.dim
+        covered.update({"dense" if dense else "orbits", "k < d" if partial else "k = d",
+                        ("uniform", "jittered", "repeated", "no t = 0")[grid]})
+        return traj.diagnostics
+
+    rng = np.random.default_rng(21)
+    models = [{}, {"trap_amplitude": 2.0}, {"interaction": 0.3}, {"aa_amplitude": 0.4}]
+    case = 0
+    for n_sites in (3, 5, 7):
+        for model in models:
+            for limit in (lindblad.DENSE_PAIR_LIMIT, 0):
+                monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+                basis = ManyBodyBasis(n_sites, int(rng.integers(1, (n_sites + 1) // 2 + 1)))
+                liou = dephasing_liouvillian(LatticeSpec(n_sites=n_sites, **model), basis)
+                check(_cross_input(basis, case % 3, rng), liou, case % 4,
+                      f"N={n_sites} {model} filling {basis.n_particles} limit {limit}")
+                case += 1
+    assert covered == {"dense", "orbits", "k < d", "k = d", "uniform", "jittered", "repeated",
+                       "no t = 0"}
+    # The mirror-even states mixed evenly: positive on the blocks they
+    # occupy, so only the zeros of the other blocks give the smallest
+    # eigenvalue, exactly 0.
+    basis = ManyBodyBasis(5, 2)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=5), basis)
+    even = liou.orbits[0].toarray()
+    for limit in (lindblad.DENSE_PAIR_LIMIT, 0):
+        monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+        diagnostics = check(even @ even.T / even.shape[1], liou, 0, f"mirror-even, limit {limit}")
+        assert diagnostics["min_eigenvalue"] == 0.0
 
 
 def test_route_follows_the_pair_limit(monkeypatch):
