@@ -18,14 +18,11 @@ from .model import (
     reflection_permutation,
 )
 from .fock import (
-    ChargeSector,
     ManyBodyBasis,
     bilinear_operator,
     build_many_body_hamiltonian,
     charge_operator,
-    charge_sector_weights,
     correlation_matrix,
-    enumerate_charge_sectors,
     even_mode_slater,
     expectation,
     fock_state,
@@ -44,11 +41,9 @@ from .lindblad import (
     build_liouvillian,
     dephasing_liouvillian,
     evolve,
-    maximally_mixed,
     pure_state,
     steady_state,
     steady_state_null_space,
-    unvectorize,
     validate_density,
     vectorize,
 )
@@ -62,7 +57,6 @@ from .fastpath import (
 from .entangle import (
     concurrence,
     is_x_state,
-    negativity,
     partial_transpose_eigenvalues,
     reduce_to_pair,
 )

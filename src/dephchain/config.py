@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GOLDEN_MEAN, LatticeSpec
+from .model import GOLDEN_MEAN, LatticeSpec, is_finite_number
 
 EXPERIMENT_KINDS = (
     "evolve",
@@ -70,14 +70,10 @@ class TimeGrid:
     points: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("start", "stop", "points"):
-            value = getattr(self, name)
-            try:
-                finite = value is None or bool(np.isfinite(np.asarray(value, dtype=float)).all())
-            except (TypeError, ValueError):
-                finite = False
-            if not finite:
-                raise ConfigError(f"time_grid.{name}: need finite numbers, got {value!r}")
+        points = () if self.points is None else self.points
+        for name, values in (("start", (self.start,)), ("stop", (self.stop,)), ("points", points)):
+            if not isinstance(values, tuple) or not all(map(is_finite_number, values)):
+                raise ConfigError(f"time_grid.{name}: need finite numbers, got {getattr(self, name)!r}")
         if self.points is not None:
             pts = np.asarray(self.points, dtype=float)
             if pts.size == 0 or np.any(np.diff(pts) <= 0) or pts[0] < 0:
@@ -103,8 +99,11 @@ class QuenchSpec:
     transient: float = 20.0
 
     def __post_init__(self):
-        if isinstance(self.time, str) and self.time != "auto":
-            raise ConfigError(f"quench.time: number or 'auto', got {self.time!r}")
+        if self.time != "auto" and not is_finite_number(self.time):
+            raise ConfigError(f"quench.time: finite number or 'auto', got {self.time!r}")
+        for name in ("trap_amplitude", "window", "transient"):
+            if not is_finite_number(getattr(self, name)):
+                raise ConfigError(f"quench.{name}: need a finite number, got {getattr(self, name)!r}")
         if self.trap_amplitude < 0 or self.window <= 0:
             raise ConfigError("quench: trap_amplitude >= 0 and window > 0 required")
 
@@ -120,6 +119,18 @@ class ScanSpec:
     sizes: tuple[int, ...] = (3, 5, 7, 9)
     fillings: tuple[int, ...] = (1, 2, 3)
     dynamical: bool = False
+
+    def __post_init__(self):
+        if type(self.n_values) is not int or self.n_values < 1:
+            raise ConfigError(f"scan.n_values: need an integer >= 1, got {self.n_values!r}")
+        if not is_finite_number(self.max_value) or self.max_value < 0:
+            raise ConfigError(f"scan.max_value: need a finite number >= 0, got {self.max_value!r}")
+        if self.values is not None and (not self.values or not isinstance(self.values, tuple) or not all(
+                is_finite_number(v) and v >= 0 for v in self.values)):
+            raise ConfigError("scan.values: need a non-empty list of finite numbers >= 0, "
+                              f"got {self.values!r}")
+        if type(self.dynamical) is not bool:
+            raise ConfigError(f"scan.dynamical: need true or false, got {self.dynamical!r}")
 
     def grid(self) -> np.ndarray:
         if self.values is not None:
@@ -157,8 +168,6 @@ class ExperimentConfig:
         if self.kind in ("robustness-aa", "robustness-int", "concurrence-scan") \
                 and self.scan is None:
             raise ConfigError(f"scan: block required for kind {self.kind!r}")
-        if self.scan is not None and type(self.scan.n_values) is not int:
-            raise ConfigError(f"scan.n_values: need an integer, got {self.scan.n_values!r}")
         if self.kind == "concurrence-scan":
             sizes, fillings = self.scan.sizes, self.scan.fillings
             if not sizes or not isinstance(sizes, tuple) or not all(

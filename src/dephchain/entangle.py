@@ -87,12 +87,6 @@ def partial_transpose_eigenvalues(rdm: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(transposed))
 
 
-def negativity(rdm: np.ndarray) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose."""
-    eig = partial_transpose_eigenvalues(rdm)
-    return float(-eig[eig < 0].sum())
-
-
 def is_x_state(rho, tol: float = 1e-7) -> tuple[bool, float]:
     """Whether all entries off the diagonal and anti-diagonal stay below
     ``tol``; also returns the largest off-pattern magnitude."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
@@ -222,45 +221,6 @@ def charge_operator(basis: ManyBodyBasis):
     return _bilinear_sum(basis, reversal) - 0.5 * sparse.identity(basis.size, format="csr")
 
 
-@dataclass(frozen=True)
-class ChargeSector:
-    """One eigensector of the conserved charge: occupation split
-    (nu_even, nu_odd), eigenvalue -1/2 + nu_even - nu_odd, and degeneracy
-    C((N+1)/2, nu_even) * C((N-1)/2, nu_odd)."""
-
-    eigenvalue: float
-    nu_even: int
-    nu_odd: int
-    degeneracy: int
-
-
-def enumerate_charge_sectors(n_sites: int, n_particles: int | None = None) -> list[ChargeSector]:
-    """All charge sectors of an N-site lattice.
-
-    With ``n_particles`` given, only the splits with
-    ``nu_even + nu_odd = n_particles`` are returned; otherwise every
-    (nu_even, nu_odd) pair, across all particle numbers. Sectors are sorted
-    by descending eigenvalue (positively charged first).
-    """
-    n_even = (n_sites + 1) // 2
-    n_odd = (n_sites - 1) // 2
-    sectors = []
-    for nu_e in range(n_even + 1):
-        for nu_o in range(n_odd + 1):
-            if n_particles is not None and nu_e + nu_o != n_particles:
-                continue
-            sectors.append(
-                ChargeSector(
-                    eigenvalue=-0.5 + nu_e - nu_o,
-                    nu_even=nu_e,
-                    nu_odd=nu_o,
-                    degeneracy=math.comb(n_even, nu_e) * math.comb(n_odd, nu_o),
-                )
-            )
-    sectors.sort(key=lambda s: (-s.eigenvalue, s.nu_even))
-    return sectors
-
-
 def slater_determinants(basis: ManyBodyBasis, orbitals: np.ndarray) -> np.ndarray:
     """Unnormalized Slater amplitudes of an (..., N, Np) stack of orbital
     columns, in creation order: the (..., d) determinants of their rows at
@@ -328,29 +288,6 @@ def correlation_matrix(rho: np.ndarray, basis: ManyBodyBasis) -> np.ndarray:
         for k in range(1, n + 1):
             out[j - 1, k - 1] = expectation(rho, bilinear_operator(basis, j, k))
     return out
-
-
-def charge_sector_weights(rho: np.ndarray, basis: ManyBodyBasis,
-                          tol: float = 1e-9) -> dict[float, float]:
-    """Weights Tr[rho P_lambda] of a density matrix on the charge eigensectors.
-
-    The bare-mode Slater determinants, over every choice of modes, are an
-    orthonormal basis of the sector in which the charge is diagonal, with
-    the exact label -1/2 + nu_even - nu_odd; a sector's weight is the sum of
-    its determinants' populations, so it works for arbitrary input states.
-    Weights below ``tol`` are dropped.
-    """
-    parity = bare_mode_parity(basis.n_sites)
-    choices = np.array(list(itertools.combinations(range(basis.n_sites), basis.n_particles)), dtype=int)
-    states = slater_determinants(basis, parity.modes[:, choices].transpose(1, 0, 2))
-    populations = np.sum(states.conj() * (states @ np.asarray(rho).T), axis=1).real
-    charge = basis.n_particles - 0.5 - 2 * np.isin(choices + 1, parity.odd).sum(axis=1)
-    weights: dict[float, float] = {}
-    for lam in np.unique(charge):
-        w = float(populations[charge == lam].sum())
-        if w > tol:
-            weights[float(lam)] = w
-    return weights
 
 
 def parity_sector_weights(rho: np.ndarray, basis: ManyBodyBasis) -> tuple[float, float]:

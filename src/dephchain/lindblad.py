@@ -87,12 +87,6 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho).flatten(order="F")
 
 
-def unvectorize(vec: np.ndarray, dim: int | None = None) -> np.ndarray:
-    if dim is None:
-        dim = math.isqrt(len(vec))
-    return np.asarray(vec).reshape((dim, dim), order="F")
-
-
 def pure_state(psi: np.ndarray) -> np.ndarray:
     """The density matrix |psi><psi| of a state vector, normalized."""
     psi = np.asarray(psi, dtype=complex)
@@ -118,7 +112,7 @@ def _check_deviations(deviations: dict, factor: float, times: np.ndarray | None 
     reported and the message ends with its time."""
     values = np.array([deviations["max_trace_dev"], deviations["max_herm_dev"],
                        np.negative(deviations["min_eigenvalue"])]).reshape(3, -1)
-    failed = values > factor * np.array([[TRACE_TOL], [HERMITICITY_TOL], [POSITIVITY_TOL]])
+    failed = ~(values <= factor * np.array([[TRACE_TOL], [HERMITICITY_TOL], [POSITIVITY_TOL]]))
     if failed.any():
         sample = int(np.argmax(failed.any(axis=0)))
         check = int(np.argmax(failed[:, sample]))
@@ -132,10 +126,6 @@ def validate_density(rho: np.ndarray) -> None:
     """Raise :class:`InvariantViolation` when the trace, hermiticity or
     positivity deviation of ``rho`` exceeds its tolerance."""
     _check_deviations(invariant_deviations(rho), 1.0)
-
-
-def maximally_mixed(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
 
 
 @dataclass
@@ -187,12 +177,6 @@ class Liouvillian:
             norms[k:k + rows] = np.abs(image).max(axis=(1, 2))
         return float(norms[0]) if rho.ndim == 2 else norms
 
-    def trace_defect(self) -> float:
-        """Norm of the identity acting from the left; zero when the generator
-        is trace preserving."""
-        left = vectorize(np.eye(self.dim)).conj() @ self.matrix
-        return float(np.abs(left).max())
-
     @functools.cached_property
     def _spectrum(self):
         """H's eigenbasis, one ``eigh`` per sector: each eigenvector's level
@@ -231,14 +215,17 @@ def _pair_superoperator(h_a, h_b, dephased_a: np.ndarray, dephased_b: np.ndarray
 
 def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
     """The dephasing generator of a Hamiltonian and one jump operator,
-    checked: gamma >= 0, both operators of one square shape, the Hamiltonian
-    Hermitian, and the jump a 0/1 diagonal (a projector onto basis states)."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    checked: gamma finite and >= 0, both operators of one square shape, the
+    Hamiltonian finite and Hermitian, and the jump a 0/1 diagonal (a
+    projector onto basis states)."""
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     h = sparse.csr_matrix(hamiltonian, dtype=complex)
     jump = sparse.csr_matrix(jump_operator, dtype=complex)
     if h.shape != jump.shape or h.shape[0] != h.shape[1]:
         raise ValueError(f"operator shapes {h.shape} and {jump.shape} do not match")
+    if not np.isfinite(h.data).all():
+        raise ValueError("hamiltonian has a non-finite entry")
     if abs(h - h.conj().T).max() > 1e-10:
         raise ValueError("hamiltonian is not Hermitian")
     occupation = jump.diagonal()
@@ -542,7 +529,8 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     Parameters
     ----------
     rho0 : array
-        Initial density matrix; time starts at 0 relative to it.
+        Initial density matrix, with finite entries; time starts at 0
+        relative to it.
     times : array-like
         Finite, non-decreasing sample times, first entry >= 0. A requested
         t = 0 returns ``rho0`` exactly.
@@ -559,6 +547,8 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     dim = liouvillian.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
+    if not np.isfinite(rho0).all():
+        raise ValueError("rho0 has a non-finite entry")
 
     blocks = _symmetry_blocks(liouvillian)
     if blocks.sizes.max() ** 2 > DENSE_PAIR_LIMIT:
@@ -690,7 +680,7 @@ def steady_state_null_space(liouvillian: Liouvillian) -> np.ndarray:
         candidates.append(vectors[:, rows] @ y @ vectors[:, cols].conj().T)
     candidates = np.concatenate(candidates)
     residual = np.max(liouvillian.residual(candidates), initial=0.0)
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise RuntimeError(f"kernel candidate has residual {residual:.3e}")
     # Column-stacked vectors: vec(X) is the row-major ravel of X^T.
     return candidates.transpose(0, 2, 1).reshape(len(candidates), -1).T
@@ -740,15 +730,18 @@ def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
     ``||L X_per||_inf`` reaches ``convergence_tol`` (it never decays, so the
     residual of rho(t) never falls below it), raises
     :class:`SteadyStateNotConverged` naming omega and the weight. The result
-    is validated as a density matrix and carries its residual.
+    is validated as a density matrix and carries its residual. A ``rho0``
+    with a non-finite entry raises ``ValueError``.
     """
     rho0 = np.asarray(rho0)
     dim = liouvillian.dim
     if rho0.shape != (dim, dim):
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
+    if not np.isfinite(rho0).all():
+        raise ValueError("rho0 has a non-finite entry")
     rho, undamped, weight, omega = _dark_parts(rho0, liouvillian, convergence_tol)
     residual = liouvillian.residual(undamped)
-    if residual >= convergence_tol:
+    if not residual < convergence_tol:
         raise SteadyStateNotConverged(
             f"weight {weight:.6g} on the undamped eigenvalues +-i{omega:.6g} of L gives "
             f"residual {residual:.3e}, never below tol {convergence_tol:g}; the initial "
@@ -756,7 +749,7 @@ def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
             residual=residual, omega=omega, weight=weight,
         )
     residual = liouvillian.residual(rho)
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise RuntimeError(f"steady state has residual {residual:.3e}")
     validate_density(rho)
     return SteadyStateResult(state=rho, residual=residual)

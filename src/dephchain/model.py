@@ -14,6 +14,7 @@ bra-ket notation for occupation strings such as ``|010>``; matrix row/column
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,11 @@ import numpy as np
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest entry of [h, R] for which h counts as reflection symmetric.
 REFLECTION_TOL = 1e-9
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class ReflectionSymmetryBroken(ValueError):
@@ -56,6 +62,9 @@ class LatticeSpec:
     interaction : float
         Nearest-neighbor density-density coupling V_int >= 0. Not part of the
         single-particle Hamiltonian.
+
+    Every float parameter must be a finite number and every integer an
+    ``int``; bools are refused.
     """
 
     n_sites: int
@@ -69,8 +78,13 @@ class LatticeSpec:
 
     def __post_init__(self) -> None:
         n = self.n_sites
-        if not isinstance(n, int) or n < 1 or n % 2 == 0:
+        if type(n) is not int or n < 1 or n % 2 == 0:
             raise ValueError(f"n_sites must be an odd integer >= 1, got {n!r}")
+        for name in ("tunneling", "dephasing_gamma", "aa_amplitude", "aa_frequency",
+                     "trap_amplitude", "interaction"):
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.tunneling <= 0:
             raise ValueError(f"tunneling must be positive, got {self.tunneling}")
         if self.dephasing_gamma < 0:
@@ -79,8 +93,9 @@ class LatticeSpec:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.trap_center is not None and not 1 <= self.trap_center <= n:
-            raise ValueError(f"trap_center must lie in 1..{n}, got {self.trap_center}")
+        center = self.trap_center
+        if center is not None and (type(center) is not int or not 1 <= center <= n):
+            raise ValueError(f"trap_center must be an integer in 1..{n}, got {center!r}")
 
     @property
     def central_site(self) -> int:

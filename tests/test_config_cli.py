@@ -445,6 +445,33 @@ def test_cli_bad_config_value(tmp_path, capsys):
         ("concurrence-scan", "scan.sizes=[3.0]", "scan.sizes"),
         ("concurrence-scan", "scan.sizes=5", "scan.sizes"),
         ("concurrence-scan", "scan.sizes=[3] scan.fillings=[3]", "scan.fillings"),
+        # Bools and non-finite numbers are refused in every numeric field.
+        ("evolve", "lattice.n_sites=true", "n_sites"),
+        ("steady", "lattice.trap_center=true", "trap_center"),
+        ("steady", "lattice.trap_center=2.0", "trap_center"),
+        ("steady", "lattice.dephasing_gamma=NaN", "dephasing_gamma"),
+        ("steady", "lattice.dephasing_gamma=Infinity", "dephasing_gamma"),
+        ("correlation-map", "lattice.dephasing_gamma=NaN", "dephasing_gamma"),
+        ("correlation-map", "lattice.dephasing_gamma=Infinity", "dephasing_gamma"),
+        ("concurrence-scan", "lattice.dephasing_gamma=NaN", "dephasing_gamma"),
+        ("concurrence-scan", "lattice.dephasing_gamma=Infinity", "dephasing_gamma"),
+        ("evolve", "lattice.tunneling=NaN", "tunneling"),
+        ("evolve", "lattice.aa_amplitude=NaN", "aa_amplitude"),
+        ("evolve", "lattice.aa_frequency=Infinity", "aa_frequency"),
+        ("evolve", "lattice.trap_amplitude=true", "trap_amplitude"),
+        ("robustness-int", "lattice.interaction=NaN", "interaction"),
+        ("evolve", "time_grid.stop=true", "time_grid.stop"),
+        ("fock-quench", "quench.window=NaN", "quench.window"),
+        ("fock-quench", "quench.time=NaN", "quench.time"),
+        ("fock-quench", "quench.time=true", "quench.time"),
+        ("fock-quench", "quench.trap_amplitude=Infinity", "quench.trap_amplitude"),
+        ("fock-quench", "quench.transient=NaN", "quench.transient"),
+        ("robustness-aa", "scan.n_values=0", "scan.n_values"),
+        ("robustness-aa", "scan.n_values=true", "scan.n_values"),
+        ("robustness-aa", "scan.max_value=NaN", "scan.max_value"),
+        ("robustness-int", "scan.values=[0.1,NaN]", "scan.values"),
+        ("robustness-int", "scan.values=[]", "scan.values"),
+        ("concurrence-scan", "scan.dynamical=1", "scan.dynamical"),
     ]:
         # Space-separated overrides go in together.
         code = main([kind, "--out", str(tmp_path),

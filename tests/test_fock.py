@@ -11,9 +11,7 @@ from dephchain.fock import (
     bilinear_operator,
     build_many_body_hamiltonian,
     charge_operator,
-    charge_sector_weights,
     correlation_matrix,
-    enumerate_charge_sectors,
     even_mode_slater,
     fock_state,
     number_operator,
@@ -291,8 +289,12 @@ def test_charge_spectrum_n3_single_particle():
 def test_charge_spectrum_matches_sector_enumeration(n, k):
     basis = ManyBodyBasis(n, k)
     evals = np.sort(np.linalg.eigvalsh(dense(charge_operator(basis))))
+    # Sector (nu_e, nu_o) with nu_e + nu_o = k has eigenvalue -1/2 + nu_e - nu_o
+    # and degeneracy C(n_e, nu_e) C(n_o, nu_o) over the n_e even and n_o odd modes.
+    n_even, n_odd = (n + 1) // 2, (n - 1) // 2
     expected = np.sort(np.concatenate([
-        np.full(s.degeneracy, s.eigenvalue) for s in enumerate_charge_sectors(n, k)
+        np.full(math.comb(n_even, nu_e) * math.comb(n_odd, k - nu_e), -0.5 + nu_e - (k - nu_e))
+        for nu_e in range(max(0, k - n_odd), min(k, n_even) + 1)
     ]))
     assert np.allclose(evals, expected, atol=1e-10)
 
@@ -302,59 +304,6 @@ def test_single_even_mode_has_charge_half():
     psi = even_mode_slater(basis)
     charge = dense(charge_operator(basis))
     assert np.abs(charge @ psi - 0.5 * psi).max() < 1e-12
-
-
-def test_sector_enumeration_all_fillings():
-    sectors = enumerate_charge_sectors(3)
-    eigenvalues = sorted(set(s.eigenvalue for s in sectors))
-    assert eigenvalues == [-1.5, -0.5, 0.5, 1.5]       # N + 1 distinct values
-    # aggregated degeneracy of +-(i - 1/2) is C(N, (N+1)/2 - i)
-    for i in (1, 2):
-        for lam in (i - 0.5, -(i - 0.5)):
-            total = sum(s.degeneracy for s in sectors if s.eigenvalue == lam)
-            assert total == math.comb(3, 2 - i)
-
-
-def test_sector_enumeration_vacuum():
-    sectors = enumerate_charge_sectors(3, 0)
-    assert len(sectors) == 1
-    assert sectors[0].eigenvalue == -0.5 and sectors[0].degeneracy == 1
-
-
-def test_sector_degeneracy_sums():
-    assert sum(s.degeneracy for s in enumerate_charge_sectors(5, 2)) == 10
-    for n in (3, 5, 7, 9, 11):
-        for k in range(n + 1):
-            total = sum(s.degeneracy for s in enumerate_charge_sectors(n, k))
-            assert total == math.comb(n, k)
-    for s in enumerate_charge_sectors(9, 4):
-        assert s.eigenvalue == -0.5 + s.nu_even - s.nu_odd
-
-
-def test_charge_sector_weights_projection():
-    basis = ManyBodyBasis(3, 1)
-    weights = charge_sector_weights(pure_state(fock_state(basis, "010")), basis)
-    assert weights == pytest.approx({0.5: 1.0})
-    mixed = pure_state(fock_state(basis, "100"))
-    weights = charge_sector_weights(mixed, basis)
-    assert weights[0.5] == pytest.approx(0.5)
-    assert weights[-1.5] == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("n, k", [(3, 0), (3, 1), (7, 3), (9, 4)])
-def test_charge_sector_weights_match_charge_eigenspaces(n, k):
-    # The label sums equal the weights on the eigenspaces of the charge
-    # operator, on a random mixed state, in ascending charge.
-    basis = ManyBodyBasis(n, k)
-    rng = np.random.default_rng(n + k)
-    a = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
-    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
-    evals, evecs = np.linalg.eigh(dense(charge_operator(basis)))
-    weights = charge_sector_weights(rho, basis, tol=0.0)
-    assert list(weights) == sorted(set(np.round(evals * 2) / 2))
-    for lam, w in weights.items():
-        cols = evecs[:, np.abs(evals - lam) < 0.25]
-        assert abs(w - np.trace(cols.conj().T @ rho @ cols).real) < 1e-13
 
 
 # ----------------------------------------------------------------------

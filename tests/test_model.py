@@ -150,6 +150,15 @@ def test_trapped_modes_are_eigenvectors_of_sharp_parity(n, trap):
         {"n_sites": 3, "trap_amplitude": -1.0},
         {"n_sites": 3, "interaction": -2.0},
         {"n_sites": 3, "trap_center": 4},
+        {"n_sites": True},
+        {"n_sites": 3, "trap_center": True},
+        {"n_sites": 3, "trap_center": 2.0},
+        {"n_sites": 3, "dephasing_gamma": float("nan")},
+        {"n_sites": 3, "dephasing_gamma": float("inf")},
+        {"n_sites": 3, "tunneling": float("nan")},
+        {"n_sites": 3, "aa_frequency": float("nan")},
+        {"n_sites": 3, "interaction": True},
+        {"n_sites": 3, "trap_amplitude": "1"},
     ],
 )
 def test_spec_validation(kwargs):
