@@ -41,6 +41,7 @@ from .lindblad import (
     build_liouvillian,
     dephasing_liouvillian,
     evolve,
+    evolve_scan,
     pure_state,
     steady_state,
     steady_state_null_space,

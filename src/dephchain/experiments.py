@@ -25,6 +25,7 @@ from .lindblad import (
     Trajectory,
     dephasing_liouvillian,
     evolve,
+    evolve_scan,
     steady_state,
 )
 from .model import LatticeSpec, bare_mode_parity
@@ -452,18 +453,19 @@ def run_robustness_aa(config: ExperimentConfig) -> RunResult:
     n = base.n_sites
     basis, rho0 = build_initial_state(base, config.initial_state)
     sample_times = np.asarray(scan.times, dtype=float)
-    rows, trajectories, liouvillians = [], [], []
-    for amplitude in scan.grid():
-        spec = dataclasses.replace(base, aa_amplitude=float(amplitude))
-        liouvillians.append(dephasing_liouvillian(spec, basis))
-        trajectories.append(evolve(rho0, liouvillians[-1], sample_times))
-        for t, rho in zip(sample_times, trajectories[-1].states):
+    grid = scan.grid()
+    liouvillians = [dephasing_liouvillian(dataclasses.replace(base, aa_amplitude=float(amplitude)),
+                                          basis) for amplitude in grid]
+    trajectories = evolve_scan(rho0, liouvillians, sample_times)
+    rows = []
+    for amplitude, trajectory in zip(grid, trajectories):
+        for t, rho in zip(sample_times, trajectory.states):
             rdm = entangle.reduce_to_pair(rho, basis, 1, n)
             rows.append([float(amplitude), float(t), entangle.concurrence(rdm)])
     unperturbed = {t: c for a, t, c in rows if a == 0.0}
     checks = {
         "value_at_zero_amplitude": unperturbed,
-        "n_grid_points": len(scan.grid()),
+        "n_grid_points": len(grid),
         **_conservation_checks(rho0, trajectories, basis, liouvillians),
     }
     result = RunResult(
@@ -481,12 +483,13 @@ def run_robustness_int(config: ExperimentConfig) -> RunResult:
     basis, rho0 = build_initial_state(base, config.initial_state)
     t_sample = float(scan.times[0])
     end_to_end = fock.bilinear_operator(basis, 1, n)
-    rows, trajectories, liouvillians = [], [], []
-    for strength in scan.grid():
-        spec = dataclasses.replace(base, interaction=float(strength))
-        liouvillians.append(dephasing_liouvillian(spec, basis))
-        trajectories.append(evolve(rho0, liouvillians[-1], [t_sample]))
-        rho = trajectories[-1].states[-1]
+    grid = scan.grid()
+    liouvillians = [dephasing_liouvillian(dataclasses.replace(base, interaction=float(strength)),
+                                          basis) for strength in grid]
+    trajectories = evolve_scan(rho0, liouvillians, [t_sample])
+    rows = []
+    for strength, trajectory in zip(grid, trajectories):
+        rho = trajectory.states[-1]
         rdm = entangle.reduce_to_pair(rho, basis, 1, n)
         corr = fock.expectation(rho, end_to_end)
         rows.append([float(strength), entangle.concurrence(rdm), corr.real, corr.imag])

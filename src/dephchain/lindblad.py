@@ -204,13 +204,33 @@ def _pair_superoperator(h_a, h_b, dephased_a: np.ndarray, dephased_b: np.ndarray
     sparse blocks H_a and H_b of H and the jump's 0/1 diagonals on them;
     M_ab = 1 where exactly one of the two states is dephased. Every pair that
     :func:`_pair_samples` propagates gets its generator here; with a = b the
-    whole space, it is ``Liouvillian.matrix``."""
-    gen = -1j * (sparse.kron(sparse.identity(h_b.shape[0], format="csr", dtype=complex), h_a)
-                 - sparse.kron(h_b.T, sparse.identity(h_a.shape[0], format="csr", dtype=complex)))
+    whole space, it is ``Liouvillian.matrix``.
+
+    The entries are written by index arithmetic. Entry (i, k) of H_a sits at
+    (i + m j, k + m j) for every column j of the pair, and entry (r, c) of H_b
+    at (i + m c, i + m r) for every row i (m = dim H_a). The two meet only on
+    the diagonal, H_a[i, i] - H_b[j, j]. Each value is computed as sparse
+    kron and subtraction compute it, -1j (a - b) minus the damping, with
+    absent entries as complex zeros and zero results dropped."""
+    m, n = h_a.shape[0], h_b.shape[0]
+    a, b = sparse.coo_array(h_a), sparse.coo_array(h_b)
+    a_data, b_data = (1 + 0j) * a.data, b.data * (1 + 0j)     # kron's products with I
+    on_a, on_b = a.row == a.col, b.row == b.col
+    a_off, b_off = ~on_a & (a_data != 0), ~on_b & (b_data != 0)
+    diagonal_a, diagonal_b = np.zeros(m, dtype=complex), np.zeros(n, dtype=complex)
+    diagonal_a[a.row[on_a]] = a_data[on_a]
+    diagonal_b[b.row[on_b]] = b_data[on_b]
+    difference = (diagonal_a - diagonal_b[:, None]).ravel()      # entry i + m j
+    diagonal = np.where(difference != 0, -1j * difference, 0j)
     if gamma:
-        mask = dephased_a[:, None] != dephased_b[None, :]
-        gen = gen - sparse.diags(0.5 * gamma * mask.ravel(order="F"))
-    return gen.tocsr()
+        diagonal -= 0.5 * gamma * (dephased_a != dephased_b[:, None]).ravel()
+    kept = np.flatnonzero(diagonal)
+    block, site = m * np.arange(n)[:, None], np.arange(m)[:, None]
+    rows = np.concatenate([(block + a.row[a_off]).ravel(), (m * b.col[b_off] + site).ravel(), kept])
+    cols = np.concatenate([(block + a.col[a_off]).ravel(), (m * b.row[b_off] + site).ravel(), kept])
+    data = np.concatenate([np.tile(-1j * a_data[a_off], n),
+                           np.tile(-1j * (0j - b_data[b_off]), m), diagonal[kept]])
+    return sparse.csr_matrix((data, (rows, cols)), shape=(m * n, m * n))
 
 
 def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
@@ -390,33 +410,27 @@ def _orbit_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
                           abs(basis).T @ liouvillian.dephased > 0)
 
 
-def _pair_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
-                  blocks: SymmetryBlocks) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """rho(t) at each of the non-decreasing ``times`` as one (T, d, d) array,
-    each block pair rho_ab = P_a rho P_b that ``rho0`` occupies
-    (:func:`_occupied_pairs`) propagated alone under its generator
-    (:func:`_pair_superoperator` of the blocks H_a and H_b of B^H H B, for
-    the decomposition's basis B), with each sample's invariant deviations,
-    one array per key of :func:`invariant_deviations`. A t = 0 sample is
-    ``rho0`` itself.
+class _Pairs(NamedTuple):
+    """The block pairs that ``rho0`` occupies at one scan point: the block
+    ``basis`` B and its ``adjoint``, rho0 in that basis (``in_blocks``), one
+    generator per pair, the row-major indices of the pairs' entries (``order``,
+    column-stacked inside each pair), the block-basis dimensions the pairs
+    touch (``keep``), and whether the dense kernel steps them."""
 
-    When the largest pair of the decomposition's blocks has a generator of at
-    most ``DENSE_PAIR_LIMIT`` entries a side, the occupied pairs of one size are stacked and exponentiated by
-    one dense ``expm`` call, and all are stepped together by one
-    block-diagonal propagator: one per uniform grid, plus one to reach a
-    later first sample; otherwise one per distinct step. Else the pairs'
-    generators are concatenated block-diagonally and propagated by one
-    :func:`_expm_samples` call.
+    basis: np.ndarray | sparse.csr_matrix
+    adjoint: np.ndarray | sparse.csr_matrix
+    in_blocks: np.ndarray
+    generators: list
+    order: np.ndarray
+    keep: np.ndarray
+    dense: bool
 
-    The samples are written, a chunk of about ``_SAMPLE_CHUNK_BYTES`` at a
-    time, into a zeroed output in the block basis, only the occupied pairs'
-    entries. Each sample's smallest eigenvalue is read there, from the
-    Hermitian part of its rows and columns of the blocks that the occupied
-    pairs touch (``rho0``'s own at t = 0); every other entry is an exact
-    zero, so when those blocks leave out k < d dimensions the spectrum also
-    holds zeros and the value reported is at most 0. The chunk is then
-    rotated back with B, and trace and hermiticity are read in the site basis.
-    """
+
+def _point_pairs(rho0: np.ndarray, liouvillian: Liouvillian, blocks: SymmetryBlocks) -> _Pairs:
+    """The pairs of ``blocks`` that ``rho0`` occupies (:func:`_occupied_pairs`),
+    each with its generator (:func:`_pair_superoperator` of the blocks H_a and
+    H_b of B^H H B). The dense kernel steps them when the largest pair of the
+    decomposition has a generator of at most ``DENSE_PAIR_LIMIT`` entries a side."""
     dim, gamma = liouvillian.dim, liouvillian.gamma
     basis, sizes, dephased = blocks
     adjoint = basis.conj().T
@@ -427,116 +441,181 @@ def _pair_samples(rho0: np.ndarray, liouvillian: Liouvillian, times: np.ndarray,
     generators = [_pair_superoperator(h[span[a], span[a]], h[span[b], span[b]],
                                       dephased[span[a]], dephased[span[b]], gamma)
                   for a, b in pairs]
-    # The row-major indices of each pair's entries, column-stacked inside the pair.
     index = np.arange(dim)
     order = np.concatenate([(index[span[a]] * dim + index[span[b], None]).ravel()
                             for a, b in pairs])
-    vec = in_blocks.ravel()[order]
-    if sizes.max() ** 2 <= DENSE_PAIR_LIMIT:
-        shapes = np.array([g.shape[0] for g in generators])
-        stacks = [(which, np.array([generators[k].toarray() for k in which]))
-                  for which in (np.flatnonzero(shapes == m) for m in np.unique(shapes))]
-
-        def propagator(dt: float) -> sparse.csr_matrix:
-            steps = {k: p for which, stack in stacks for k, p in zip(which, expm(stack * dt))}
-            return sparse.block_diag([steps[k] for k in range(len(generators))], format="csr")
-
-        def stepped(vec: np.ndarray):
-            uniform = _is_uniform(times)
-            if uniform:
-                step = propagator((times[-1] - times[0]) / (len(times) - 1))
-            t_prev = 0.0
-            for k, t in enumerate(times):
-                if t > t_prev:
-                    vec = (step if uniform and k > 0 else propagator(t - t_prev)) @ vec
-                    t_prev = t
-                yield vec
-
-        samples = stepped(vec)
-    else:
-        # An iterator, so that each chunk resumes where the last one stopped.
-        samples = iter(_expm_samples(sparse.block_diag(generators, format="csr"), vec, times))
     keep = np.flatnonzero(np.repeat(np.isin(np.arange(len(sizes)), pairs), sizes))
+    return _Pairs(basis, adjoint, in_blocks, generators, order, keep,
+                  bool(sizes.max() ** 2 <= DENSE_PAIR_LIMIT))
 
-    def checked(chunk: np.ndarray, initial: np.ndarray) -> np.ndarray:
-        """The trace, hermiticity and positivity deviations, one row each, of
-        a chunk of block-basis samples, which is rotated back in place. The
-        scratch arrays live only in this call, so none is held while the
-        kernel makes the next samples."""
-        chunk[initial] = in_blocks
-        hermitian = chunk[:, keep[:, None], keep]
-        hermitian += hermitian.conj().transpose(0, 2, 1)
-        hermitian *= 0.5
-        smallest = np.linalg.eigvalsh(hermitian)[:, 0]
-        del hermitian       # freed before the rotation's scratch is taken
-        work = np.empty_like(chunk)
-        if sparse.issparse(basis):
-            for rho in chunk:
-                rho[...] = basis @ rho @ adjoint
+
+def _dense_samples(generators: list, vec: np.ndarray, times: np.ndarray):
+    """Yield exp(L t) vec at each of the non-decreasing ``times``, for the
+    block-diagonal L of ``generators``: the generators of one size are
+    stacked and exponentiated by one dense ``expm`` call per step, and all
+    are stepped together by one block-diagonal propagator, one per uniform
+    grid, plus one to reach a later first sample; otherwise one per distinct
+    step."""
+    shapes = np.array([g.shape[0] for g in generators])
+    stacks = [(which, np.array([generators[k].toarray() for k in which]))
+              for which in (np.flatnonzero(shapes == m) for m in np.unique(shapes))]
+
+    def propagator(dt: float) -> sparse.csr_matrix:
+        steps = {k: p for which, stack in stacks for k, p in zip(which, expm(stack * dt))}
+        return sparse.block_diag([steps[k] for k in range(len(generators))], format="csr")
+
+    uniform = _is_uniform(times)
+    if uniform:
+        step = propagator((times[-1] - times[0]) / (len(times) - 1))
+    t_prev = 0.0
+    for k, t in enumerate(times):
+        if t > t_prev:
+            vec = (step if uniform and k > 0 else propagator(t - t_prev)) @ vec
+            t_prev = t
+        yield vec
+
+
+def _checked(chunk: np.ndarray, initial: np.ndarray, rho0: np.ndarray,
+             pairs: _Pairs) -> np.ndarray:
+    """The trace, hermiticity and positivity deviations, one row each, of a
+    chunk of block-basis samples, which is rotated back in place; the samples
+    at ``initial`` are ``rho0`` itself. The scratch arrays live only in this
+    call, so none is held while the kernel makes the next samples."""
+    basis, adjoint, keep = pairs.basis, pairs.adjoint, pairs.keep
+    chunk[initial] = pairs.in_blocks
+    hermitian = chunk[:, keep[:, None], keep]
+    hermitian += hermitian.conj().transpose(0, 2, 1)
+    hermitian *= 0.5
+    smallest = np.linalg.eigvalsh(hermitian)[:, 0]
+    del hermitian       # freed before the rotation's scratch is taken
+    work = np.empty_like(chunk)
+    if sparse.issparse(basis):
+        for rho in chunk:
+            rho[...] = basis @ rho @ adjoint
+    else:
+        np.matmul(basis, chunk, out=work)
+        np.matmul(work, adjoint, out=chunk)
+    chunk[initial] = rho0
+    np.conjugate(chunk.transpose(0, 2, 1), out=work)
+    work -= chunk
+    return np.array([np.abs(np.trace(chunk, axis1=1, axis2=2) - 1.0),
+                     np.abs(work).max(axis=(1, 2)), smallest])
+
+
+def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray
+                  ) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
+    """rho(t) at each of the non-decreasing ``times`` under each scan point of
+    ``points``, (Liouvillian, :class:`SymmetryBlocks`) pairs of one dimension:
+    for each point one (T, d, d) array and each sample's invariant deviations,
+    one array per key of :func:`invariant_deviations`. Each block pair
+    rho_ab = P_a rho P_b that ``rho0`` occupies (:func:`_point_pairs`) is
+    propagated alone under its generator. A t = 0 sample is ``rho0`` itself.
+
+    The pairs of all points are stepped together, by one kernel each: the
+    points whose decomposition suits the dense kernel by :func:`_dense_samples`,
+    so that equal-size pairs are stacked across points, and the rest by one
+    :func:`_expm_samples` call on the block-diagonal concatenation of their
+    generators. Each point's sample vectors are sliced out of the kernel's.
+
+    The samples are written, a chunk of about ``_SAMPLE_CHUNK_BYTES`` at a
+    time, into a zeroed output in the block basis, only the occupied pairs'
+    entries. Each sample's smallest eigenvalue is read there, from the
+    Hermitian part of its rows and columns of the blocks that the occupied
+    pairs touch (``rho0``'s own at t = 0); every other entry is an exact
+    zero, so when those blocks leave out k < d dimensions the spectrum also
+    holds zeros and the value reported is at most 0. The chunk is then
+    rotated back with B, and trace and hermiticity are read in the site basis.
+    """
+    dim = rho0.shape[0]
+    occupied = [_point_pairs(rho0, liouvillian, blocks) for liouvillian, blocks in points]
+    streams, where = [], [None] * len(occupied)
+    for dense in (True, False):
+        members = [k for k, pairs in enumerate(occupied) if pairs.dense == dense]
+        if not members:
+            continue
+        ends = np.cumsum([len(occupied[k].order) for k in members])
+        for k, end in zip(members, ends):
+            where[k] = (len(streams), slice(end - len(occupied[k].order), end))
+        generators = [g for k in members for g in occupied[k].generators]
+        vec = np.concatenate([occupied[k].in_blocks.ravel()[occupied[k].order] for k in members])
+        if dense:
+            streams.append(_dense_samples(generators, vec, times))
         else:
-            np.matmul(basis, chunk, out=work)
-            np.matmul(work, adjoint, out=chunk)
-        chunk[initial] = rho0
-        np.conjugate(chunk.transpose(0, 2, 1), out=work)
-        work -= chunk
-        return np.array([np.abs(np.trace(chunk, axis1=1, axis2=2) - 1.0),
-                         np.abs(work).max(axis=(1, 2)), smallest])
-
-    states = np.zeros((len(times), dim, dim), dtype=complex)
-    deviations = np.empty((3, len(times)))
+            # An iterator, so that each chunk resumes where the last one stopped.
+            streams.append(iter(_expm_samples(sparse.block_diag(generators, format="csr"),
+                                              vec, times)))
+    states = [np.zeros((len(times), dim, dim), dtype=complex) for _ in occupied]
+    deviations = np.empty((len(occupied), 3, len(times)))
     rows = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
     for start in range(0, len(times), rows):
-        chunk = states[start:start + rows]
-        for rho, sample in zip(chunk, samples):
-            rho.reshape(-1)[order] = sample
-        deviations[:, start:start + rows] = checked(chunk, times[start:start + rows] == 0.0)
-    if len(keep) < dim:
-        np.minimum(deviations[2], 0.0, out=deviations[2])
-    return states, dict(zip(("max_trace_dev", "max_herm_dev", "min_eigenvalue"), deviations))
+        stop = min(start + rows, len(times))
+        for k in range(start, stop):
+            vectors = [next(stream) for stream in streams]
+            for pairs, out, (stream, part) in zip(occupied, states, where):
+                out[k].reshape(-1)[pairs.order] = vectors[stream][part]
+        initial = times[start:stop] == 0.0
+        for pairs, out, values in zip(occupied, states, deviations):
+            values[:, start:stop] = _checked(out[start:stop], initial, rho0, pairs)
+    for pairs, values in zip(occupied, deviations):
+        if len(pairs.keep) < dim:
+            np.minimum(values[2], 0.0, out=values[2])
+    keys = ("max_trace_dev", "max_herm_dev", "min_eigenvalue")
+    return [(out, dict(zip(keys, values))) for out, values in zip(states, deviations)]
 
 
-def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
-    """Propagate ``rho0`` under the Liouvillian and sample at ``times``.
+def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
+    """Propagate one ``rho0`` under each of ``liouvillians``, all of one
+    dimension, and sample at the same ``times``: one :class:`Trajectory` per
+    Liouvillian, in order, each as :func:`evolve` would give it.
 
     Applies the exact exponential to the block pairs rho_ab = P_a rho P_b
     that ``rho0`` occupies (:func:`_occupied_pairs`); each evolves alone
     (Buča & Prosen, NJP 14, 073007 (2012)), so a pair that starts at zero
     stays zero. Every pair gets its generator from :func:`_pair_superoperator`
-    and is stepped by :func:`_pair_samples`; only the kernel depends on the
+    and is stepped by :func:`_pair_samples`; only the kernel depends on each
     generator's symmetry blocks (:func:`_symmetry_blocks`; sectors that H or
     the jump does not leave invariant, or a block basis that is not unitary,
     raise ``RuntimeError``):
 
     - when the largest pair of blocks has a generator of at most
       ``DENSE_PAIR_LIMIT`` entries a side, dense exponentials of the pairs
-      of those blocks, one stacked ``expm`` call per pair size;
+      of those blocks, one stacked ``expm`` call per pair size and step,
+      shared by every such Liouvillian;
     - otherwise scipy's ``expm_multiply`` (Al-Mohy & Higham 2011), with a
       fixed seed for its norm estimate (:func:`_expm_samples`), on the pairs
       of the reflection orbits (:func:`_orbit_blocks`), which are one
-      identity block when reflection is broken.
+      identity block when reflection is broken; one call steps the pairs
+      of every such Liouvillian, so their samples move at rounding level
+      from those of one call each.
 
     Either way a grid that is ``np.linspace`` over its own ends (to a few
     ulps) is stepped by one propagator, any other grid by one per distinct
     step, and a first sample later than 0 is reached by one more. The
-    samples are one (T, d, d) array. Every sample is checked for trace and
-    hermiticity in the site basis, and for positivity in the block basis, on
-    the rows and columns of the blocks its occupied pairs touch: the block
-    basis is unitary, so that spectrum, with zeros for the blocks left out,
-    is spec(rho). The worst values are the trajectory's ``diagnostics``. The
-    run aborts at the first sample, in time order, whose deviation exceeds
-    ten times its tolerance.
+    samples are one (T, d, d) array per Liouvillian. Every sample is checked
+    for trace and hermiticity in the site basis, and for positivity in the
+    block basis, on the rows and columns of the blocks its occupied pairs
+    touch: the block basis is unitary, so that spectrum, with zeros for the
+    blocks left out, is spec(rho). The worst values are each trajectory's
+    ``diagnostics``. The scan aborts at the first Liouvillian, in order, with
+    a sample whose deviation exceeds ten times its tolerance, naming the
+    first such sample in time order.
 
     Parameters
     ----------
     rho0 : array
         Initial density matrix, with finite entries; time starts at 0
         relative to it.
+    liouvillians : sequence of Liouvillian
+        At least one, all of ``rho0``'s dimension.
     times : array-like
         Finite, non-decreasing sample times, first entry >= 0. A requested
         t = 0 returns ``rho0`` exactly.
     """
     rho0 = np.asarray(rho0)
+    liouvillians = list(liouvillians)
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not liouvillians:
+        raise ValueError("no Liouvillians given")
     if times.size == 0:
         raise ValueError("no sample times given")
     if not np.isfinite(times).all():
@@ -544,20 +623,36 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("sample times must be non-decreasing and non-negative")
 
-    dim = liouvillian.dim
+    dims = sorted({liouvillian.dim for liouvillian in liouvillians})
+    if len(dims) > 1:
+        raise ValueError(f"the Liouvillians have different dimensions {dims}")
+    dim = dims[0]
     if rho0.shape != (dim, dim):
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
     if not np.isfinite(rho0).all():
         raise ValueError("rho0 has a non-finite entry")
 
-    blocks = _symmetry_blocks(liouvillian)
-    if blocks.sizes.max() ** 2 > DENSE_PAIR_LIMIT:
-        blocks = _orbit_blocks(liouvillian)
-    states, deviations = _pair_samples(rho0, liouvillian, times, blocks)
-    _check_deviations(deviations, ABORT_FACTOR, times)
-    diagnostics = {key: float(values.min() if key == "min_eigenvalue" else values.max())
-                   for key, values in deviations.items()}
-    return Trajectory(times=times, states=states, diagnostics=diagnostics)
+    points = []
+    for liouvillian in liouvillians:
+        blocks = _symmetry_blocks(liouvillian)
+        if blocks.sizes.max() ** 2 > DENSE_PAIR_LIMIT:
+            blocks = _orbit_blocks(liouvillian)
+        points.append((liouvillian, blocks))
+    trajectories = []
+    for states, deviations in _pair_samples(rho0, points, times):
+        _check_deviations(deviations, ABORT_FACTOR, times)
+        diagnostics = {key: float(values.min() if key == "min_eigenvalue" else values.max())
+                       for key, values in deviations.items()}
+        trajectories.append(Trajectory(times=times, states=states, diagnostics=diagnostics))
+    return trajectories
+
+
+def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
+    """Propagate ``rho0`` under the Liouvillian and sample at ``times``, with
+    every sample checked: the one-point scan
+    ``evolve_scan(rho0, [liouvillian], times)[0]``, whose docstring gives
+    the method, the checks and the parameters."""
+    return evolve_scan(rho0, [liouvillian], times)[0]
 
 
 @dataclass

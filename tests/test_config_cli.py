@@ -17,7 +17,7 @@ from dephchain.config import (
 from dephchain import experiments
 from dephchain.experiments import run
 from dephchain.fock import ManyBodyBasis, bilinear_operator, expectation, fock_state
-from dephchain.lindblad import dephasing_liouvillian, evolve
+from dephchain.lindblad import dephasing_liouvillian, evolve, evolve_scan
 from dephchain.model import LatticeSpec
 from dephchain.oracle import analytic_steady_state
 
@@ -300,12 +300,13 @@ def test_robustness_int_parity_drift_fails_the_verdict(monkeypatch):
     payload["scan"].update({"n_values": 3, "times": [10.0]})
 
     def drifting(rho0, *args, **kwargs):
-        trajectory = evolve(rho0, *args, **kwargs)
+        trajectories = evolve_scan(rho0, *args, **kwargs)
         moved = fock_state(ManyBodyBasis(5, 3), "11100")
-        trajectory.states[:] = np.outer(moved, moved.conj())
-        return trajectory
+        for trajectory in trajectories:
+            trajectory.states[:] = np.outer(moved, moved.conj())
+        return trajectories
 
-    monkeypatch.setattr(experiments, "evolve", drifting)
+    monkeypatch.setattr(experiments, "evolve_scan", drifting)
     result = run(config_from_dict(payload))
     checks = result.summary["checks"]
     assert checks["not_enforced"] == ["charge_drift"]

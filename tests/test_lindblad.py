@@ -7,6 +7,8 @@ import scipy.sparse as sparse
 from scipy.linalg import expm
 
 import dephchain.lindblad as lindblad
+from dephchain import experiments
+from dephchain.config import default_config
 from dephchain.fock import (
     ManyBodyBasis,
     bilinear_operator,
@@ -28,6 +30,7 @@ from dephchain.lindblad import (
     build_liouvillian,
     dephasing_liouvillian,
     evolve,
+    evolve_scan,
     pure_state,
     steady_state,
     steady_state_null_space,
@@ -93,6 +96,36 @@ def test_gamma_zero_reduces_to_commutator():
     eye = np.eye(3)
     expected = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     assert np.abs(liou.matrix.toarray() - expected).max() < 1e-14
+
+
+def _kron_pair_superoperator(h_a, h_b, dephased_a, dephased_b, gamma):
+    """The pair generator by scipy's sparse kron, diags and subtraction."""
+    gen = -1j * (sparse.kron(sparse.identity(h_b.shape[0], format="csr", dtype=complex), h_a)
+                 - sparse.kron(h_b.T, sparse.identity(h_a.shape[0], format="csr", dtype=complex)))
+    if gamma:
+        mask = dephased_a[:, None] != dephased_b[None, :]
+        gen = gen - sparse.diags(0.5 * gamma * mask.ravel(order="F"))
+    return gen
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.7])
+@pytest.mark.parametrize("density", [1.0, 0.3], ids=["dense", "sparse"])
+def test_pair_superoperator_equals_the_kron_formula(gamma, density):
+    # The index arithmetic writes every entry as kron and subtraction do, so
+    # the generators agree bit for bit, on blocks of unequal size and on a
+    # pair of one block with itself.
+    rng = np.random.default_rng(5)
+    blocks = []
+    for size in (3, 5, 4):
+        h = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        h = np.where(rng.random((size, size)) < density, h, 0.0)
+        blocks.append((h if density == 1.0 else sparse.csr_matrix(h), rng.random(size) < 0.5))
+    for (h_a, on_a), (h_b, on_b) in itertools.product(blocks, repeat=2):
+        built = lindblad._pair_superoperator(h_a, h_b, on_a, on_b, gamma)
+        expected = _kron_pair_superoperator(h_a, h_b, on_a, on_b, gamma).toarray()
+        assert built.shape == expected.shape
+        assert np.array_equal(built.toarray(), expected)
+        assert built.toarray().view(np.int64).tobytes() == expected.view(np.int64).tobytes()
 
 
 def test_trace_preservation_left_null_vector():
@@ -558,7 +591,7 @@ def test_every_decomposition_matches_full_route_on_both_kernels(monkeypatch, kin
         monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
         dense = counting(monkeypatch, lindblad, "expm")
         krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
-        gap = np.abs(lindblad._pair_samples(rho0, liou, times, blocks)[0] - expected).max()
+        gap = np.abs(lindblad._pair_samples(rho0, [(liou, blocks)], times)[0][0] - expected).max()
         assert gap < 1e-12, f"{kind} on {kernel}: {gap:.3e}"
         assert (len(dense) > 0, len(krylov) > 0) == (kernel == "expm", kernel == "expm_multiply")
         monkeypatch.undo()
@@ -841,6 +874,97 @@ def test_envelope_decay_rate_is_gamma_over_four():
                 peaks_v.append(dev[k])
         slope = np.polyfit(peaks_t, np.log(peaks_v), 1)[0]
         assert abs(-slope - gamma / 4.0) / (gamma / 4.0) < 0.02
+
+
+def _scan_problem(kind):
+    """rho0, the Liouvillians and the sample times of a default scan."""
+    config = default_config(kind)
+    basis, rho0 = experiments.build_initial_state(config.lattice, config.initial_state)
+    field = {"robustness-int": "interaction", "robustness-aa": "aa_amplitude"}[kind]
+    liouvillians = [dephasing_liouvillian(replace(config.lattice, **{field: float(value)}), basis)
+                    for value in config.scan.grid()]
+    times = config.scan.times[:1] if kind == "robustness-int" else config.scan.times
+    return rho0, liouvillians, np.asarray(times, dtype=float)
+
+
+@pytest.mark.parametrize("kind, kernels, expm_calls, krylov_calls", [
+    ("robustness-int", [True] + [False] * 7, 1, 1),
+    ("robustness-aa", [True] * 8, 4, 0),
+])
+def test_scan_matches_evolve_point_by_point(monkeypatch, kind, kernels, expm_calls, krylov_calls):
+    # One call steps every point: the sparse points' pairs by one
+    # expm_multiply call on their block diagonal, the dense points' pairs of
+    # one size by one stacked expm per step (robustness-aa: two pair sizes,
+    # steps to t = 100 and then 900).
+    rho0, liouvillians, times = _scan_problem(kind)
+    limit = lindblad.DENSE_PAIR_LIMIT
+    assert [lindblad._symmetry_blocks(liou).sizes.max() ** 2 <= limit
+            for liou in liouvillians] == kernels
+    if kind == "robustness-aa":
+        assert list(times) == [100.0, 1000.0]
+    dense = counting(monkeypatch, lindblad, "expm")
+    krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
+    scan = evolve_scan(rho0, liouvillians, times)
+    assert (len(dense), len(krylov)) == (expm_calls, krylov_calls)
+    monkeypatch.undo()
+    assert len(scan) == len(liouvillians)
+    for trajectory, liou in zip(scan, liouvillians):
+        single = evolve(rho0, liou, times)
+        assert np.array_equal(trajectory.times, times)
+        assert np.abs(trajectory.states - single.states).max() < 1e-12
+        for key, value in single.diagnostics.items():
+            assert abs(trajectory.diagnostics[key] - value) < 1e-12, key
+
+
+def test_scan_refuses_liouvillians_of_unequal_dimension():
+    _, _, small = n3_problem()
+    liou, _ = interacting_problem()
+    with pytest.raises(ValueError, match="different dimensions"):
+        evolve_scan(np.eye(3) / 3, [small, liou], [0.0, 1.0])
+
+
+def test_scan_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="no Liouvillians"):
+        evolve_scan(np.eye(3) / 3, [], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("limit", [pytest.param(lindblad.DENSE_PAIR_LIMIT, id="dense"),
+                                   pytest.param(0, id="orbits")])
+def test_scan_aborts_at_the_first_failing_point(monkeypatch, limit):
+    # The generators of the points with gamma 2 and 3 are turned by
+    # different complex factors, so each gains its own hermiticity deviation;
+    # the scan names point 2's, as evolve of that point alone does.
+    monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+    _, basis, _ = n3_problem()
+    liouvillians = [n3_problem(gamma)[2] for gamma in (1.0, 0.5, 2.0, 3.0)]
+    original = lindblad._pair_superoperator
+    turn = {2.0: 1.0 + 1e-6j, 3.0: 1.0 + 1e-5j}
+    monkeypatch.setattr(lindblad, "_pair_superoperator",
+                        lambda *args: turn.get(args[-1], 1.0) * original(*args))
+    rho0 = pure_state(fock_state(basis, "010"))
+    with pytest.raises(InvariantViolation) as alone:
+        evolve(rho0, liouvillians[2], [0.0, 5.0])
+    with pytest.raises(InvariantViolation) as later:
+        evolve(rho0, liouvillians[3], [0.0, 5.0])
+    assert str(alone.value) != str(later.value)
+    with pytest.raises(InvariantViolation) as scanned:
+        evolve_scan(rho0, liouvillians, [0.0, 5.0])
+    assert str(scanned.value) == str(alone.value)
+    assert str(scanned.value).startswith("hermiticity deviation")
+
+
+def test_sparse_scan_leaves_the_global_random_state_alone():
+    # Two interacting points share one expm_multiply call, whose seeded norm
+    # estimate must leave numpy's global generator where it was.
+    liou, rho0 = interacting_problem()
+    other = replace(liou, hamiltonian=1.5 * liou.hamiltonian)
+    np.random.seed(7)
+    np.random.random(3)
+    before = np.random.get_state()
+    evolve_scan(rho0, [liou, other], [0.0, 40.0, 1000.0])
+    after = np.random.get_state()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])
 
 
 # ----------------------------------------------------------------------
