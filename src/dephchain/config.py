@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -182,11 +181,14 @@ class ExperimentConfig:
                 raise ConfigError(f"scan.fillings: none of {fillings!r} is at most (size + 1) / 2 "
                                   f"for a size in {sizes!r}; nothing to scan")
         if self.kind in ("robustness-aa", "robustness-int"):
+            if self.lattice.n_sites < 3:
+                raise ConfigError(f"lattice.n_sites: kind {self.kind!r} needs an end-to-end pair, "
+                                  f"so at least 3 sites, got {self.lattice.n_sites}")
             times = self.scan.times
             if not times:
                 raise ConfigError(f"scan.times: required for kind {self.kind!r}")
             if not isinstance(times, tuple) or not all(
-                    type(t) in (int, float) and np.isfinite(t) and t >= 0 for t in times):
+                    is_finite_number(t) and t >= 0 for t in times):
                 raise ConfigError(f"scan.times: need a list of finite times >= 0, got {times!r}")
             if any(later < earlier for earlier, later in zip(times, times[1:])):
                 raise ConfigError(f"scan.times: need non-decreasing times, got {times!r}")
@@ -235,7 +237,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     quench = build(QuenchSpec, "quench")
     scan = build(ScanSpec, "scan")
     tol = payload.get("convergence_tol", 1e-9)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < np.inf:
+    if not is_finite_number(tol) or tol <= 0:
         raise ConfigError(f"convergence_tol: need a positive finite number, got {tol!r}")
     return ExperimentConfig(
         kind=payload.get("kind", ""),
@@ -250,38 +252,16 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
+    """The plain-JSON form of ``config`` that :func:`config_from_dict` reads
+    back: unset (``None``) fields are left out and tuples become lists."""
     def plain(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {k: plain(v) for k, v in dataclasses.asdict(obj).items()
-                    if v is not None}
+        if isinstance(obj, dict):
+            return {k: plain(v) for k, v in obj.items() if v is not None}
         if isinstance(obj, tuple):
             return [plain(v) for v in obj]
         return obj
 
-    payload = {
-        "kind": config.kind,
-        "lattice": plain(config.lattice),
-        "initial_state": plain(config.initial_state),
-        "time_grid": plain(config.time_grid),
-        "observables": list(config.observables),
-        "convergence_tol": config.convergence_tol,
-    }
-    if config.quench is not None:
-        payload["quench"] = plain(config.quench)
-    if config.scan is not None:
-        payload["scan"] = plain(config.scan)
-    return payload
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as handle:
-        return config_from_dict(json.load(handle))
-
-
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(config_to_dict(config), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    return plain(dataclasses.asdict(config))
 
 
 def apply_overrides(payload: dict, overrides) -> dict:

@@ -60,7 +60,6 @@ class RunResult:
     """Everything a run produced: tabular payloads keyed by output file stem
     and a summary dictionary whose ``checks`` give the invariant verdict."""
 
-    kind: str
     summary: dict
     tables: dict[str, tuple[list[str], list[list]]] = field(default_factory=dict)
     json_payloads: dict[str, dict] = field(default_factory=dict)
@@ -116,6 +115,14 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
+def _result(config: ExperimentConfig, checks: dict, tables=None, json_payloads=None,
+            **extra) -> RunResult:
+    """A run's result: its summary holds the config, the checks and any
+    ``extra`` values the run reports beside them."""
+    summary = {"config": config_to_dict(config), "checks": checks, **extra}
+    return RunResult(summary, tables or {}, json_payloads or {})
+
+
 def _density_payload(rho: np.ndarray) -> dict:
     flat = [[float(z.real), float(z.imag)] for z in rho.flatten()]
     return {"dim": int(rho.shape[0]), "layout": "row-major complex pairs", "data": flat}
@@ -135,7 +142,7 @@ def build_initial_state(spec: LatticeSpec, descriptor: InitialState
     return basis, lindblad.pure_state(psi)
 
 
-def _parse_observables(names, basis: fock.ManyBodyBasis, spec: LatticeSpec):
+def _parse_observables(names, basis: fock.ManyBodyBasis):
     operators = {}
     for name in names:
         if name.startswith("corr:"):
@@ -234,22 +241,14 @@ def _timeseries_table(times, series) -> tuple[list[str], list[list]]:
 def run_evolve(config: ExperimentConfig) -> RunResult:
     spec = config.lattice
     basis, rho0 = build_initial_state(spec, config.initial_state)
+    operators = _parse_observables(config.observables, basis)
     liouvillian = dephasing_liouvillian(spec, basis)
     times = config.time_grid.values()
     trajectory = evolve(rho0, liouvillian, times)
-    operators = _parse_observables(config.observables, basis, spec)
     series = _series(trajectory, operators)
     checks = _conservation_checks(rho0, [trajectory], basis, [liouvillian])
-    result = RunResult(
-        kind="evolve",
-        summary={
-            "config": config_to_dict(config),
-            "checks": checks,
-            "final_time": float(times[-1]),
-        },
-    )
-    result.tables["timeseries"] = _timeseries_table(times, series)
-    return result
+    return _result(config, checks, {"timeseries": _timeseries_table(times, series)},
+                   final_time=float(times[-1]))
 
 
 def run_steady(config: ExperimentConfig) -> RunResult:
@@ -266,17 +265,8 @@ def run_steady(config: ExperimentConfig) -> RunResult:
     }
     diagonal = {f"rho_{i+1}{i+1}": float(rho[i, i].real) for i in range(basis.size)} \
         if basis.n_particles == 1 else {}
-    result = RunResult(
-        kind="steady",
-        summary={
-            "config": config_to_dict(config),
-            "checks": checks,
-            "is_x_state": bool(x_state),
-            **diagonal,
-        },
-    )
-    result.json_payloads["density_matrix"] = _density_payload(rho)
-    return result
+    return _result(config, checks, json_payloads={"density_matrix": _density_payload(rho)},
+                   is_x_state=bool(x_state), **diagonal)
 
 
 def run_correlation_map(config: ExperimentConfig) -> RunResult:
@@ -306,15 +296,7 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
     header = ["i", "j", "re", "im"]
     rows = [[i + 1, j + 1, c_steady[i, j].real, c_steady[i, j].imag]
             for i in range(n) for j in range(n)]
-    result = RunResult(
-        kind="correlation-map",
-        summary={
-            "config": config_to_dict(config),
-            "checks": checks,
-        },
-    )
-    result.tables["correlation_map"] = (header, rows)
-    return result
+    return _result(config, checks, {"correlation_map": (header, rows)})
 
 
 def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
@@ -357,12 +339,8 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
     checks["max_dev_from_2N_over_Np1"] = conjecture_dev
     checks["monotone_in_filling"] = monotone
     checks.update(_worst_diagnostics(deviations))
-    result = RunResult(
-        kind="concurrence-scan",
-        summary={"config": config_to_dict(config), "checks": checks},
-    )
-    result.tables["concurrence"] = (["n_sites", "n_particles", "site", "concurrence"], rows)
-    return result
+    header = ["n_sites", "n_particles", "site", "concurrence"]
+    return _result(config, checks, {"concurrence": (header, rows)})
 
 
 def _local_maxima(times: np.ndarray, values: np.ndarray, after: float = 0.0):
@@ -435,64 +413,48 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
         "retention_ratio": float(retention),
         **_conservation_checks(rho0, trajectories, basis, [liouvillian, trapped]),
     }
-    result = RunResult(
-        kind="fock-quench",
-        summary={
-            "config": config_to_dict(config),
-            "checks": checks,
-            "quench_time": t_quench,
-        },
-    )
-    result.tables["fock_quench"] = (header, rows)
-    return result
+    return _result(config, checks, {"fock_quench": (header, rows)}, quench_time=t_quench)
+
+
+def _parameter_scan(config: ExperimentConfig, parameter: str, times):
+    """Propagate the initial state to ``times`` under one Liouvillian per
+    scan value of the lattice field ``parameter``, all in one ``evolve_scan``
+    call. Returns the basis, the grid, one trajectory per grid value and the
+    conservation checks over all of them."""
+    base = config.lattice
+    basis, rho0 = build_initial_state(base, config.initial_state)
+    grid = config.scan.grid()
+    liouvillians = [dephasing_liouvillian(dataclasses.replace(base, **{parameter: float(value)}),
+                                          basis) for value in grid]
+    trajectories = evolve_scan(rho0, liouvillians, times)
+    return basis, grid, trajectories, _conservation_checks(rho0, trajectories, basis, liouvillians)
+
+
+def _end_to_end_concurrence(rho: np.ndarray, basis: fock.ManyBodyBasis) -> float:
+    return entangle.concurrence(entangle.reduce_to_pair(rho, basis, 1, basis.n_sites))
 
 
 def run_robustness_aa(config: ExperimentConfig) -> RunResult:
-    scan = config.scan
-    base = config.lattice
-    n = base.n_sites
-    basis, rho0 = build_initial_state(base, config.initial_state)
-    sample_times = np.asarray(scan.times, dtype=float)
-    grid = scan.grid()
-    liouvillians = [dephasing_liouvillian(dataclasses.replace(base, aa_amplitude=float(amplitude)),
-                                          basis) for amplitude in grid]
-    trajectories = evolve_scan(rho0, liouvillians, sample_times)
-    rows = []
-    for amplitude, trajectory in zip(grid, trajectories):
-        for t, rho in zip(sample_times, trajectory.states):
-            rdm = entangle.reduce_to_pair(rho, basis, 1, n)
-            rows.append([float(amplitude), float(t), entangle.concurrence(rdm)])
+    sample_times = np.asarray(config.scan.times, dtype=float)
+    basis, grid, trajectories, conservation = _parameter_scan(config, "aa_amplitude", sample_times)
+    rows = [[float(amplitude), float(t), _end_to_end_concurrence(rho, basis)]
+            for amplitude, trajectory in zip(grid, trajectories)
+            for t, rho in zip(sample_times, trajectory.states)]
     unperturbed = {t: c for a, t, c in rows if a == 0.0}
-    checks = {
-        "value_at_zero_amplitude": unperturbed,
-        "n_grid_points": len(grid),
-        **_conservation_checks(rho0, trajectories, basis, liouvillians),
-    }
-    result = RunResult(
-        kind="robustness-aa",
-        summary={"config": config_to_dict(config), "checks": checks},
-    )
-    result.tables["robustness_aa"] = (["aa_amplitude", "t", "concurrence_1N"], rows)
-    return result
+    checks = {"value_at_zero_amplitude": unperturbed, "n_grid_points": len(grid), **conservation}
+    header = ["aa_amplitude", "t", "concurrence_1N"]
+    return _result(config, checks, {"robustness_aa": (header, rows)})
 
 
 def run_robustness_int(config: ExperimentConfig) -> RunResult:
-    scan = config.scan
-    base = config.lattice
-    n = base.n_sites
-    basis, rho0 = build_initial_state(base, config.initial_state)
-    t_sample = float(scan.times[0])
-    end_to_end = fock.bilinear_operator(basis, 1, n)
-    grid = scan.grid()
-    liouvillians = [dephasing_liouvillian(dataclasses.replace(base, interaction=float(strength)),
-                                          basis) for strength in grid]
-    trajectories = evolve_scan(rho0, liouvillians, [t_sample])
+    t_sample = float(config.scan.times[0])
+    basis, grid, trajectories, conservation = _parameter_scan(config, "interaction", [t_sample])
+    end_to_end = fock.bilinear_operator(basis, 1, basis.n_sites)
     rows = []
     for strength, trajectory in zip(grid, trajectories):
         rho = trajectory.states[-1]
-        rdm = entangle.reduce_to_pair(rho, basis, 1, n)
         corr = fock.expectation(rho, end_to_end)
-        rows.append([float(strength), entangle.concurrence(rdm), corr.real, corr.imag])
+        rows.append([float(strength), _end_to_end_concurrence(rho, basis), corr.real, corr.imag])
     strengths = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])
     design = np.vstack([strengths, np.ones_like(strengths)]).T
@@ -505,16 +467,10 @@ def run_robustness_int(config: ExperimentConfig) -> RunResult:
         "linear_fit_intercept": float(coef[1]),
         "linear_fit_r_squared": r_squared,
         "sample_time": t_sample,
-        **_conservation_checks(rho0, trajectories, basis, liouvillians),
+        **conservation,
     }
-    result = RunResult(
-        kind="robustness-int",
-        summary={"config": config_to_dict(config), "checks": checks},
-    )
-    result.tables["robustness_int"] = (
-        ["interaction", "concurrence_1N", "corr_re", "corr_im"], rows
-    )
-    return result
+    header = ["interaction", "concurrence_1N", "corr_re", "corr_im"]
+    return _result(config, checks, {"robustness_int": (header, rows)})
 
 
 _RUNNERS = {

@@ -11,8 +11,6 @@ from dephchain.config import (
     config_from_dict,
     config_to_dict,
     default_config,
-    load_config,
-    save_config,
 )
 from dephchain import experiments
 from dephchain.experiments import run
@@ -32,14 +30,6 @@ def test_default_configs_are_valid_and_round_trip(kind):
     payload = config_to_dict(config)
     rebuilt = config_from_dict(payload)
     assert config_to_dict(rebuilt) == payload
-
-
-def test_file_round_trip(tmp_path):
-    config = default_config("fock-quench")
-    path = tmp_path / "cfg.json"
-    save_config(config, path)
-    again = load_config(path)
-    assert config_to_dict(again) == config_to_dict(config)
 
 
 def test_unknown_fields_rejected():
@@ -113,8 +103,7 @@ def test_override_requires_equals():
 # ----------------------------------------------------------------------
 
 def test_run_writes_outputs_and_summary(tmp_path):
-    config = default_config("steady")
-    result = run(config, out_dir=tmp_path)
+    run(default_config("steady"), out_dir=tmp_path)
     assert (tmp_path / "summary.json").exists()
     assert (tmp_path / "density_matrix.json").exists()
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -123,7 +112,6 @@ def test_run_writes_outputs_and_summary(tmp_path):
     payload = json.loads((tmp_path / "density_matrix.json").read_text())
     assert payload["dim"] == 3
     assert len(payload["data"]) == 9
-    assert result.kind == "steady"
 
 
 def test_evolve_with_t_zero_grid(tmp_path):
@@ -165,6 +153,7 @@ def test_run_is_deterministic(tmp_path):
     for kind in EXPERIMENT_KINDS:
         config = _small(kind)
         first = run(config, out_dir=tmp_path / kind / "a")
+        assert first.summary["config"] == config_to_dict(config) and "checks" in first.summary
         run(config, out_dir=tmp_path / kind / "b")
         names = sorted(p.name for p in (tmp_path / kind / "a").iterdir())
         assert names == sorted(p.name for p in (tmp_path / kind / "b").iterdir())
@@ -380,6 +369,17 @@ def test_unknown_observable_raises():
         run(config_from_dict(payload))
 
 
+def test_bad_observable_raises_before_propagating(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("evolve called before the observables were parsed")
+
+    monkeypatch.setattr(experiments, "evolve", unreachable)
+    payload = config_to_dict(default_config("evolve"))
+    payload["observables"] = ["corr:1,99"]
+    with pytest.raises(ValueError, match="99"):
+        run(config_from_dict(payload))
+
+
 # ----------------------------------------------------------------------
 # command line
 # ----------------------------------------------------------------------
@@ -400,7 +400,7 @@ def test_cli_steady_run(tmp_path, capsys):
 
 def test_cli_override_and_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
-    save_config(default_config("steady"), cfg)
+    cfg.write_text(json.dumps(config_to_dict(default_config("steady"))))
     code = main(["steady", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--override", "lattice.dephasing_gamma=2.0"])
     assert code == 0
@@ -410,7 +410,7 @@ def test_cli_override_and_config_file(tmp_path):
 
 def test_cli_kind_mismatch(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    save_config(default_config("steady"), cfg)
+    cfg.write_text(json.dumps(config_to_dict(default_config("steady"))))
     code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "kind" in capsys.readouterr().err
@@ -544,6 +544,14 @@ def test_cli_concurrence_scan_size_without_a_pair_is_config_error(tmp_path, caps
                  "--override", "scan.sizes=[1,3]"])
     assert code == 2
     assert "scan.sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["robustness-aa", "robustness-int"])
+def test_cli_robustness_chain_without_a_pair_is_config_error(tmp_path, capsys, kind):
+    # One site has no end-to-end pair to reduce to.
+    code = main([kind, "--out", str(tmp_path), "--override", "lattice.n_sites=1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: lattice.n_sites")
 
 
 @pytest.mark.parametrize("modes", ["[0]", "[10]", "[1,1]"], ids=["zero", "past-n", "repeated"])
