@@ -15,15 +15,48 @@ import numpy as np
 
 from .model import GOLDEN_MEAN, LatticeSpec, is_finite_number
 
-EXPERIMENT_KINDS = (
-    "evolve",
-    "steady",
-    "correlation-map",
-    "concurrence-scan",
-    "fock-quench",
-    "robustness-aa",
-    "robustness-int",
-)
+# The built-in desk-scale default of each experiment kind, reproducing its
+# figure panel; the kinds are this table's keys, in order.
+_DEFAULTS = {
+    "evolve": {
+        "lattice": {"n_sites": 9},
+        "initial_state": {"type": "ground"},
+        "time_grid": {"start": 0.0, "stop": 100.0, "num": 501},
+        "observables": ["corr:1,9", "corr:1,2", "charge", "number"],
+    },
+    "steady": {
+        "lattice": {"n_sites": 3},
+        "initial_state": {"type": "fock", "bitstring": "010"},
+        "observables": ["occ:2"],
+    },
+    "correlation-map": {
+        "lattice": {"n_sites": 9},
+        "initial_state": {"type": "ground"},
+    },
+    "concurrence-scan": {
+        "lattice": {"n_sites": 9},
+        "initial_state": {"type": "ground"},
+        "scan": {"sizes": [3, 5, 7, 9], "fillings": [1, 2, 3]},
+    },
+    "fock-quench": {
+        "lattice": {"n_sites": 7},
+        "initial_state": {"type": "fock", "bitstring": "1010101"},
+        "time_grid": {"start": 0.0, "stop": 60.0, "num": 1201},
+        "observables": ["corr:1,7"],
+        "quench": {"time": 31.1, "trap_amplitude": 2.0, "window": 20.0},
+    },
+    "robustness-aa": {
+        "lattice": {"n_sites": 9, "aa_frequency": GOLDEN_MEAN},
+        "initial_state": {"type": "ground"},
+        "scan": {"n_values": 8, "max_value": 0.5, "times": [100.0, 1000.0]},
+    },
+    "robustness-int": {
+        "lattice": {"n_sites": 7},
+        "initial_state": {"type": "fock", "bitstring": "1010101"},
+        "scan": {"n_values": 8, "max_value": 0.5, "times": [31.1]},
+    },
+}
+EXPERIMENT_KINDS = tuple(_DEFAULTS)
 
 
 class ConfigError(ValueError):
@@ -137,6 +170,28 @@ class ScanSpec:
         return np.linspace(0.0, self.max_value, self.n_values)
 
 
+# The observables by name, with the number of 1-based sites each takes.
+_OBSERVABLE_SITES = {"corr": 2, "occ": 1, "charge": 0, "number": 0, "purity": 0}
+
+
+def parse_observable(name: str, n_sites: int) -> tuple[str, tuple[int, ...]]:
+    """An observable entry as its name and its sites: ``corr:i,j`` for
+    <f!_i f_j>, ``occ:i``, ``charge``, ``number`` or ``purity``. Raises
+    :class:`ConfigError` naming the entry when it is none of these or names
+    a site outside 1..``n_sites``."""
+    kind, colon, rest = name.partition(":") if isinstance(name, str) else ("", "", "")
+    arity = _OBSERVABLE_SITES.get(kind)
+    try:
+        sites = tuple(int(part) for part in rest.split(",")) if colon else ()
+    except ValueError:
+        sites = None
+    if arity is None or sites is None or len(sites) != arity \
+            or not all(1 <= site <= n_sites for site in sites):
+        raise ConfigError(f"observables: {name!r} is not one of corr:i,j, occ:i, charge, "
+                          f"number, purity with sites in 1..{n_sites}")
+    return kind, sites
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -152,21 +207,27 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind: unknown experiment {self.kind!r}; "
                               f"choose from {', '.join(EXPERIMENT_KINDS)}")
+        if not isinstance(self.observables, tuple):
+            raise ConfigError(f"observables: need a list of names, got {self.observables!r}")
+        if self.kind == "evolve":       # the one kind that reads its observables
+            for name in self.observables:
+                parse_observable(name, self.lattice.n_sites)
+        if self.kind == "correlation-map" and self.lattice.interaction:
+            raise ConfigError("lattice.interaction: correlation-map needs a quadratic model "
+                              f"(interaction = 0), got {self.lattice.interaction}")
         modes = self.initial_state.modes
         if self.initial_state.type == "slater" and (
                 not isinstance(modes, tuple) or len(set(modes)) != len(modes)
                 or not all(type(m) is int and 1 <= m <= self.lattice.n_sites for m in modes)):
             raise ConfigError("initial_state.modes: need distinct integers in "
                               f"1..{self.lattice.n_sites}, got {modes!r}")
-        if self.kind == "fock-quench" and self.quench is None:
-            raise ConfigError("quench: block required for kind 'fock-quench'")
+        for block in ("quench", "scan"):     # required where the kind's default has one
+            if block in _DEFAULTS[self.kind] and getattr(self, block) is None:
+                raise ConfigError(f"{block}: block required for kind {self.kind!r}")
         if self.kind == "fock-quench" and self.quench.time != "auto" \
                 and self.quench.time < self.time_grid.values()[0]:
             raise ConfigError(f"quench.time: {self.quench.time:g} is earlier than the "
                               f"first time_grid time {self.time_grid.values()[0]:g}")
-        if self.kind in ("robustness-aa", "robustness-int", "concurrence-scan") \
-                and self.scan is None:
-            raise ConfigError(f"scan: block required for kind {self.kind!r}")
         if self.kind == "concurrence-scan":
             sizes, fillings = self.scan.sizes, self.scan.fillings
             if not sizes or not isinstance(sizes, tuple) or not all(
@@ -204,9 +265,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     """Build and validate a config from plain dictionaries."""
     if not isinstance(payload, dict):
         raise ConfigError("config: expected a JSON object")
-    known = {"kind", "lattice", "initial_state", "time_grid", "observables",
-             "quench", "scan", "convergence_tol"}
-    unknown = set(payload) - known
+    unknown = set(payload) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"config: unknown fields {sorted(unknown)}")
     try:
@@ -244,7 +303,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         lattice=lattice,
         initial_state=initial,
         time_grid=grid,
-        observables=tuple(payload.get("observables", ())),
+        observables=_tupled(payload.get("observables", ())),
         quench=quench,
         scan=scan,
         convergence_tol=float(tol),
@@ -288,55 +347,6 @@ def apply_overrides(payload: dict, overrides) -> dict:
 
 def default_config(kind: str) -> ExperimentConfig:
     """Built-in desk-scale defaults reproducing each figure panel."""
-    if kind == "evolve":
-        return config_from_dict({
-            "kind": "evolve",
-            "lattice": {"n_sites": 9},
-            "initial_state": {"type": "ground"},
-            "time_grid": {"start": 0.0, "stop": 100.0, "num": 501},
-            "observables": ["corr:1,9", "corr:1,2", "charge", "number"],
-        })
-    if kind == "steady":
-        return config_from_dict({
-            "kind": "steady",
-            "lattice": {"n_sites": 3},
-            "initial_state": {"type": "fock", "bitstring": "010"},
-            "observables": ["occ:2"],
-        })
-    if kind == "correlation-map":
-        return config_from_dict({
-            "kind": "correlation-map",
-            "lattice": {"n_sites": 9},
-            "initial_state": {"type": "ground"},
-        })
-    if kind == "concurrence-scan":
-        return config_from_dict({
-            "kind": "concurrence-scan",
-            "lattice": {"n_sites": 9},
-            "initial_state": {"type": "ground"},
-            "scan": {"sizes": [3, 5, 7, 9], "fillings": [1, 2, 3]},
-        })
-    if kind == "fock-quench":
-        return config_from_dict({
-            "kind": "fock-quench",
-            "lattice": {"n_sites": 7},
-            "initial_state": {"type": "fock", "bitstring": "1010101"},
-            "time_grid": {"start": 0.0, "stop": 60.0, "num": 1201},
-            "observables": ["corr:1,7"],
-            "quench": {"time": 31.1, "trap_amplitude": 2.0, "window": 20.0},
-        })
-    if kind == "robustness-aa":
-        return config_from_dict({
-            "kind": "robustness-aa",
-            "lattice": {"n_sites": 9, "aa_frequency": GOLDEN_MEAN},
-            "initial_state": {"type": "ground"},
-            "scan": {"n_values": 8, "max_value": 0.5, "times": [100.0, 1000.0]},
-        })
-    if kind == "robustness-int":
-        return config_from_dict({
-            "kind": "robustness-int",
-            "lattice": {"n_sites": 7},
-            "initial_state": {"type": "fock", "bitstring": "1010101"},
-            "scan": {"n_values": 8, "max_value": 0.5, "times": [31.1]},
-        })
-    raise ConfigError(f"kind: unknown experiment {kind!r}")
+    if kind not in _DEFAULTS:
+        raise ConfigError(f"kind: unknown experiment {kind!r}")
+    return config_from_dict({"kind": kind, **_DEFAULTS[kind]})

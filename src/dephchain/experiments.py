@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import entangle, fastpath, fock, lindblad, oracle
-from .config import ExperimentConfig, InitialState, config_to_dict
+from .config import ExperimentConfig, InitialState, config_to_dict, parse_observable
 from .lindblad import (
     Liouvillian,
     Trajectory,
@@ -66,7 +66,11 @@ class RunResult:
 
     @property
     def invariants_ok(self) -> bool:
-        return _checks_pass(self.summary["checks"])
+        """Whether every enforced check lies inside its ``LIMITS``."""
+        checks = self.summary["checks"]
+        skipped = set(checks.get("not_enforced", ()))
+        return all(lower < checks[key] < upper for key, (lower, upper) in LIMITS.items()
+                   if key in checks and key not in skipped)
 
 
 def _fmt(value) -> str:
@@ -99,20 +103,10 @@ def emit_plot_data(result: RunResult, out_dir: str | Path) -> list[Path]:
     summary["outputs"] = [p.name for p in written]
     path = out / "summary.json"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True, default=_json_default)
+        json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     written.append(path)
     return written
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 def _result(config: ExperimentConfig, checks: dict, tables=None, json_payloads=None,
@@ -128,37 +122,40 @@ def _density_payload(rho: np.ndarray) -> dict:
     return {"dim": int(rho.shape[0]), "layout": "row-major complex pairs", "data": flat}
 
 
+def _orbitals(spec: LatticeSpec, descriptor: InitialState) -> np.ndarray:
+    """The occupied orbitals of a state descriptor, one column each: the
+    sites of a Fock string, the chosen bare modes of a Slater state, or
+    mode 1 for the ground state, as eigh sorts the mode energies ascending."""
+    if descriptor.type == "fock":
+        bits = descriptor.bitstring
+        return np.eye(len(bits))[:, [site for site, bit in enumerate(bits) if bit == "1"]]
+    modes = [1] if descriptor.type == "ground" else descriptor.modes
+    return bare_mode_parity(spec.n_sites, spec.tunneling).modes[:, [m - 1 for m in modes]]
+
+
 def build_initial_state(spec: LatticeSpec, descriptor: InitialState
                         ) -> tuple[fock.ManyBodyBasis, np.ndarray]:
-    """Resolve a state descriptor into (sector basis, density matrix)."""
+    """Resolve a state descriptor into (sector basis, density matrix): the
+    Slater determinant of its :func:`_orbitals`, or a Fock string's basis state."""
     basis = fock.ManyBodyBasis(spec.n_sites, descriptor.n_particles())
     if descriptor.type == "fock":
         psi = fock.fock_state(basis, descriptor.bitstring)
-    elif descriptor.type == "slater":
-        psi = fock.slater_state(basis, descriptor.modes)
-    else:   # the ground state fills mode 1, as eigh sorts the mode energies ascending
-        parity = bare_mode_parity(spec.n_sites, spec.tunneling)
-        psi = fock.slater_state(basis, [1], orbitals=parity.modes)
+    else:
+        orbitals = _orbitals(spec, descriptor)
+        psi = fock.slater_state(basis, range(1, orbitals.shape[1] + 1), orbitals=orbitals)
     return basis, lindblad.pure_state(psi)
 
 
+_OBSERVABLES = {"corr": fock.bilinear_operator, "occ": fock.number_operator,
+                "charge": fock.charge_operator, "number": fock.total_number_operator,
+                "purity": lambda basis: None}
+
+
 def _parse_observables(names, basis: fock.ManyBodyBasis):
-    operators = {}
-    for name in names:
-        if name.startswith("corr:"):
-            i, j = (int(p) for p in name[5:].split(","))
-            operators[name] = fock.bilinear_operator(basis, i, j)
-        elif name.startswith("occ:"):
-            operators[name] = fock.number_operator(basis, int(name[4:]))
-        elif name == "charge":
-            operators[name] = fock.charge_operator(basis)
-        elif name == "number":
-            operators[name] = fock.total_number_operator(basis)
-        elif name == "purity":
-            operators[name] = None
-        else:
-            raise ValueError(f"unknown observable {name!r}")
-    return operators
+    """One operator per observable name (none for ``purity``), parsed by
+    :func:`config.parse_observable`."""
+    parsed = {name: parse_observable(name, basis.n_sites) for name in names}
+    return {name: _OBSERVABLES[kind](basis, *sites) for name, (kind, sites) in parsed.items()}
 
 
 def _series(trajectory: Trajectory, operators) -> dict[str, np.ndarray]:
@@ -206,13 +203,6 @@ def _commutator_norm(op: sparse.csr_matrix, liouvillian: Liouvillian) -> float:
     h, dephased, entries = liouvillian.hamiltonian, liouvillian.dephased, op.tocoo()
     across = entries.data[dephased[entries.row] != dephased[entries.col]]
     return max(abs(op @ h - h @ op).max(), np.abs(across).max(initial=0.0))
-
-
-def _checks_pass(checks: dict) -> bool:
-    """Whether every enforced check lies inside its ``LIMITS``."""
-    skipped = set(checks.get("not_enforced", ()))
-    return all(lower < checks[key] < upper for key, (lower, upper) in LIMITS.items()
-               if key in checks and key not in skipped)
 
 
 def _worst_diagnostics(diagnostics: list[dict]) -> dict:
@@ -271,19 +261,10 @@ def run_steady(config: ExperimentConfig) -> RunResult:
 
 def run_correlation_map(config: ExperimentConfig) -> RunResult:
     spec = config.lattice
-    if spec.interaction != 0.0:
-        raise ValueError("correlation-map requires a quadratic model (interaction = 0)")
     n = spec.n_sites
-    parity = bare_mode_parity(n, spec.tunneling)
-    descriptor = config.initial_state
-    n_particles = descriptor.n_particles()
-    if descriptor.type == "fock":
-        occupations = np.array([float(b) for b in descriptor.bitstring])
-        c0 = np.diag(occupations).astype(complex)
-    else:
-        modes = [1] if descriptor.type == "ground" else list(descriptor.modes)
-        chosen = parity.modes[:, [m - 1 for m in modes]]
-        c0 = (chosen @ chosen.T).astype(complex)
+    n_particles = config.initial_state.n_particles()
+    orbitals = _orbitals(spec, config.initial_state)
+    c0 = (orbitals @ orbitals.T).astype(complex)
     c_steady = fastpath.steady_correlation(spec, c0, tol=config.convergence_tol)
     reference = n_particles * oracle.analytic_steady_state(n)
     occupations = np.linalg.eigvalsh(0.5 * (c_steady + c_steady.conj().T))
@@ -312,16 +293,15 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
                 continue
             spec = dataclasses.replace(config.lattice, n_sites=n)
             basis = fock.ManyBodyBasis(n, filling)
+            liouvillian = dephasing_liouvillian(spec, basis)
             if scan.dynamical:
                 rho0 = lindblad.pure_state(fock.even_mode_slater(basis))
-                liouvillian = dephasing_liouvillian(spec, basis)
                 steady = steady_state(rho0, liouvillian,
                                       convergence_tol=config.convergence_tol)
                 rho = steady.state
                 residual = steady.residual
             else:
                 rho = oracle.even_sector_steady_state(n, filling)
-                liouvillian = dephasing_liouvillian(spec, basis)
                 residual = liouvillian.residual(rho)
             checks["max_sector_residual"] = max(checks["max_sector_residual"], residual)
             deviations.append(lindblad.invariant_deviations(rho))
@@ -381,7 +361,7 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     # rho(t_quench) is the last bare sample at or before t_quench, carried the
     # rest of the way when t_quench falls between samples.
     k = int(np.searchsorted(times, t_quench, side="right")) - 1
-    rho_at_quench, t_base = (rho0, 0.0) if k < 0 else (bare.states[k], float(times[k]))
+    rho_at_quench, t_base = bare.states[k], float(times[k])
     trajectories = [bare]
     if t_quench > t_base:
         trajectories.append(evolve(rho_at_quench, liouvillian, [t_quench - t_base]))

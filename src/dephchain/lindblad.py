@@ -343,12 +343,14 @@ def _expm_samples(generator, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
 class SymmetryBlocks(NamedTuple):
     """A block decomposition: the unitary ``basis``, whose columns are the
     block basis, block after block (dense W of :func:`_symmetry_blocks` or
-    the sparse real Q of :func:`_orbit_blocks`); the block ``sizes``; and the
-    jump's 0/1 diagonal in that basis, ``dephased``."""
+    the sparse real Q of :func:`_orbit_blocks`); the block ``sizes``; the
+    jump's 0/1 diagonal in that basis, ``dephased``; and, for symmetry
+    blocks, the compressed ``jump`` J = V^H n_c V on H's eigenvectors V."""
 
     basis: np.ndarray | sparse.csr_matrix
     sizes: np.ndarray
     dephased: np.ndarray
+    jump: np.ndarray | None = None
 
 
 def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
@@ -382,7 +384,7 @@ def _symmetry_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
         dephased[columns] = occupation > 0.5
     if np.abs(basis.conj().T @ basis - np.eye(liouvillian.dim)).max() > BLOCK_JUMP_TOL:
         raise RuntimeError("the symmetry block basis is not unitary")
-    return SymmetryBlocks(basis, sizes, dephased)
+    return SymmetryBlocks(basis, sizes, dephased, jump)
 
 
 def _occupied_pairs(in_blocks: np.ndarray, sizes: np.ndarray, rho0: np.ndarray) -> np.ndarray:
@@ -414,8 +416,8 @@ class _Pairs(NamedTuple):
     """The block pairs that ``rho0`` occupies at one scan point: the block
     ``basis`` B and its ``adjoint``, rho0 in that basis (``in_blocks``), one
     generator per pair, the row-major indices of the pairs' entries (``order``,
-    column-stacked inside each pair), the block-basis dimensions the pairs
-    touch (``keep``), and whether the dense kernel steps them."""
+    column-stacked inside each pair), and the block-basis dimensions the pairs
+    touch (``keep``)."""
 
     basis: np.ndarray | sparse.csr_matrix
     adjoint: np.ndarray | sparse.csr_matrix
@@ -423,16 +425,14 @@ class _Pairs(NamedTuple):
     generators: list
     order: np.ndarray
     keep: np.ndarray
-    dense: bool
 
 
 def _point_pairs(rho0: np.ndarray, liouvillian: Liouvillian, blocks: SymmetryBlocks) -> _Pairs:
     """The pairs of ``blocks`` that ``rho0`` occupies (:func:`_occupied_pairs`),
     each with its generator (:func:`_pair_superoperator` of the blocks H_a and
-    H_b of B^H H B). The dense kernel steps them when the largest pair of the
-    decomposition has a generator of at most ``DENSE_PAIR_LIMIT`` entries a side."""
+    H_b of B^H H B)."""
     dim, gamma = liouvillian.dim, liouvillian.gamma
-    basis, sizes, dephased = blocks
+    basis, sizes, dephased = blocks.basis, blocks.sizes, blocks.dephased
     adjoint = basis.conj().T
     in_blocks = adjoint @ rho0 @ basis
     h = adjoint @ (liouvillian.hamiltonian @ basis)
@@ -445,8 +445,7 @@ def _point_pairs(rho0: np.ndarray, liouvillian: Liouvillian, blocks: SymmetryBlo
     order = np.concatenate([(index[span[a]] * dim + index[span[b], None]).ravel()
                             for a, b in pairs])
     keep = np.flatnonzero(np.repeat(np.isin(np.arange(len(sizes)), pairs), sizes))
-    return _Pairs(basis, adjoint, in_blocks, generators, order, keep,
-                  bool(sizes.max() ** 2 <= DENSE_PAIR_LIMIT))
+    return _Pairs(basis, adjoint, in_blocks, generators, order, keep)
 
 
 def _dense_samples(generators: list, vec: np.ndarray, times: np.ndarray):
@@ -505,14 +504,15 @@ def _checked(chunk: np.ndarray, initial: np.ndarray, rho0: np.ndarray,
 def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray
                   ) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
     """rho(t) at each of the non-decreasing ``times`` under each scan point of
-    ``points``, (Liouvillian, :class:`SymmetryBlocks`) pairs of one dimension:
+    ``points``, (Liouvillian, :class:`SymmetryBlocks`, dense) triples of one
+    dimension, where ``dense`` says which kernel steps the point's pairs:
     for each point one (T, d, d) array and each sample's invariant deviations,
     one array per key of :func:`invariant_deviations`. Each block pair
     rho_ab = P_a rho P_b that ``rho0`` occupies (:func:`_point_pairs`) is
     propagated alone under its generator. A t = 0 sample is ``rho0`` itself.
 
     The pairs of all points are stepped together, by one kernel each: the
-    points whose decomposition suits the dense kernel by :func:`_dense_samples`,
+    dense points by :func:`_dense_samples`,
     so that equal-size pairs are stacked across points, and the rest by one
     :func:`_expm_samples` call on the block-diagonal concatenation of their
     generators. Each point's sample vectors are sliced out of the kernel's.
@@ -527,10 +527,10 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray
     rotated back with B, and trace and hermiticity are read in the site basis.
     """
     dim = rho0.shape[0]
-    occupied = [_point_pairs(rho0, liouvillian, blocks) for liouvillian, blocks in points]
+    occupied = [_point_pairs(rho0, liouvillian, blocks) for liouvillian, blocks, _ in points]
     streams, where = [], [None] * len(occupied)
     for dense in (True, False):
-        members = [k for k, pairs in enumerate(occupied) if pairs.dense == dense]
+        members = [k for k, point in enumerate(points) if point[2] == dense]
         if not members:
             continue
         ends = np.cumsum([len(occupied[k].order) for k in members])
@@ -635,9 +635,8 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     points = []
     for liouvillian in liouvillians:
         blocks = _symmetry_blocks(liouvillian)
-        if blocks.sizes.max() ** 2 > DENSE_PAIR_LIMIT:
-            blocks = _orbit_blocks(liouvillian)
-        points.append((liouvillian, blocks))
+        dense = blocks.sizes.max() ** 2 <= DENSE_PAIR_LIMIT
+        points.append((liouvillian, blocks if dense else _orbit_blocks(liouvillian), dense))
     trajectories = []
     for states, deviations in _pair_samples(rho0, points, times):
         _check_deviations(deviations, ABORT_FACTOR, times)
@@ -716,9 +715,7 @@ def _dark_spans(liouvillian: Liouvillian, in_eigenbasis: np.ndarray | None = Non
     edges = np.cumsum(blocks.sizes)[:-1]
     coordinates = [(c[d], c[~d]) for c, d in zip(np.split(blocks.basis.conj().T @ vectors, edges),
                                                   np.split(blocks.dephased, edges))]
-    jump = np.zeros((dim, dim), dtype=vectors.dtype)     # J = V^H n_c V, one block at a time
-    for (on, _), start, stop in zip(coordinates, np.append(0, edges), np.append(edges, dim)):
-        jump[start:stop, start:stop] = on[:, start:stop].conj().T @ on[:, start:stop]
+    jump = blocks.jump      # J = V^H n_c V
     gaps = np.subtract.outer(energies, energies).ravel()
     order = np.argsort(gaps, kind="stable")
     cluster = np.cumsum(np.diff(gaps[order], prepend=gaps[order[0]]) > DEGENERACY_TOL)

@@ -12,11 +12,12 @@ from dephchain.config import (
     config_to_dict,
     default_config,
 )
-from dephchain import experiments
+from dephchain import experiments, lindblad
 from dephchain.experiments import run
-from dephchain.fock import ManyBodyBasis, bilinear_operator, expectation, fock_state
+from dephchain.fock import (ManyBodyBasis, bilinear_operator, correlation_matrix, expectation,
+                            fock_state)
 from dephchain.lindblad import dephasing_liouvillian, evolve, evolve_scan
-from dephchain.model import LatticeSpec
+from dephchain.model import LatticeSpec, bare_mode_parity
 from dephchain.oracle import analytic_steady_state
 
 
@@ -173,6 +174,41 @@ def test_evolve_uses_the_lattice_trap():
                            bilinear_operator(basis, 1, 5))
     assert np.allclose([row[1] for row in trapped], expected.real, rtol=0, atol=1e-12)
     assert abs(bare[-1][1] - trapped[-1][1]) > 0.1
+
+
+def test_slater_input_is_the_determinant_of_its_modes():
+    # Its two-point matrix is Phi Phi^T, the C0 that correlation-map reads.
+    config = _small("evolve", 'initial_state={"type": "slater", "modes": [1, 3]}')
+    basis, rho0 = experiments.build_initial_state(config.lattice, config.initial_state)
+    modes = bare_mode_parity(5).modes[:, [0, 2]]
+    assert basis.n_particles == 2 and np.trace(rho0 @ rho0).real == pytest.approx(1.0)
+    assert np.abs(correlation_matrix(rho0, basis) - modes @ modes.T).max() < 1e-12
+
+
+def test_purity_observable_is_tr_rho_squared():
+    config = _small("evolve", 'observables=["purity"]')
+    header, rows = run(config).tables["timeseries"]
+    basis, rho0 = experiments.build_initial_state(config.lattice, config.initial_state)
+    states = evolve(rho0, dephasing_liouvillian(config.lattice, basis),
+                    config.time_grid.values()).states
+    assert header == ["t", "purity_re", "purity_im"]
+    assert np.allclose([row[1] for row in rows], np.einsum("tij,tji->t", states, states).real,
+                       rtol=0, atol=1e-12)
+    assert rows[0][1] == pytest.approx(1.0) and rows[-1][1] < 0.99
+    assert all(row[2] == 0 for row in rows)
+
+
+def test_fock_quench_auto_takes_the_first_post_transient_maximum():
+    config = _small("fock-quench", 'quench.time="auto"', "quench.transient=2.0")
+    result = run(config)
+    basis, rho0 = experiments.build_initial_state(config.lattice, config.initial_state)
+    times = config.time_grid.values()
+    corr = np.abs(expectation(evolve(rho0, dephasing_liouvillian(config.lattice, basis),
+                                     times).states, bilinear_operator(basis, 1, 5)))
+    peaks = [k for k in range(1, len(times) - 1)
+             if times[k] >= 2.0 and corr[k] >= max(corr[k - 1], corr[k + 1])]
+    assert peaks and result.summary["quench_time"] == times[peaks[0]]
+    assert result.summary["checks"]["pre_quench_local_max"] == pytest.approx(corr[peaks[0]])
 
 
 def test_concurrence_scan_uses_the_lattice():
@@ -473,12 +509,36 @@ def test_cli_bad_config_value(tmp_path, capsys):
         ("robustness-int", "scan.values=[0.1,NaN]", "scan.values"),
         ("robustness-int", "scan.values=[]", "scan.values"),
         ("concurrence-scan", "scan.dynamical=1", "scan.dynamical"),
+        # A malformed observable, or one naming a site off the chain.
+        ("evolve", 'observables=["corr:1"]', "'corr:1'"),
+        ("evolve", 'observables=["occ:x"]', "'occ:x'"),
+        ("evolve", 'observables=["corr:1,99"]', "'corr:1,99'"),
+        ("evolve", 'observables=["occ:0"]', "'occ:0'"),
     ]:
         # Space-separated overrides go in together.
         code = main([kind, "--out", str(tmp_path),
                      *[arg for item in override.split() for arg in ("--override", item)]])
         assert code == 2, override
-        assert field in capsys.readouterr().err, override
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err, override
+
+
+def test_cli_interacting_correlation_map_is_a_config_error(tmp_path, capsys):
+    # The two-point equation closes only for a quadratic model.
+    code = main(["correlation-map", "--out", str(tmp_path),
+                 "--override", "lattice.interaction=0.3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: lattice.interaction")
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_cli_invariant_violation_exits_1(tmp_path, capsys, monkeypatch):
+    # A negative trace tolerance fails the first sample, which aborts the run.
+    monkeypatch.setattr(lindblad, "TRACE_TOL", -1.0)
+    code = main(["evolve", "--out", str(tmp_path),
+                 *[arg for item in SMALL_OVERRIDES["evolve"] for arg in ("--override", item)]])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("invariant violation: trace deviation")
 
 
 def test_cli_nonconvergence_exit_code(tmp_path, capsys):

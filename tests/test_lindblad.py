@@ -462,6 +462,21 @@ def test_non_finite_initial_state_is_refused():
             steady_state(rho0, liou)
 
 
+def test_initial_state_of_the_wrong_shape_is_refused():
+    _, _, liou = n3_problem()
+    for bad in (np.eye(2) / 2, np.ones(3) / 3):
+        with pytest.raises(ValueError, match="does not match dimension 3"):
+            evolve_scan(bad, [liou], [0.0, 1.0])
+        with pytest.raises(ValueError, match="does not match dimension 3"):
+            steady_state(bad, liou)
+
+
+def test_scan_refuses_an_empty_time_list():
+    _, basis, liou = n3_problem()
+    with pytest.raises(ValueError, match="no sample times"):
+        evolve_scan(pure_state(fock_state(basis, "010")), [liou], [])
+
+
 def test_nan_residual_fails_every_steady_state_guard(monkeypatch):
     _, basis, liou = n3_problem()
     rho0 = pure_state(fock_state(basis, "010"))
@@ -582,16 +597,16 @@ def _decomposition(kind):
     ("identity", [10]),
 ])
 def test_every_decomposition_matches_full_route_on_both_kernels(monkeypatch, kind, sizes):
-    # Each decomposition goes through one propagation function; the pair
-    # limit picks the kernel, so both kernels run on every decomposition.
+    # Each decomposition goes through one propagation function; the point
+    # names its kernel, so both kernels run on every decomposition.
     liou, rho0, blocks, times = _decomposition(kind)
     assert list(blocks.sizes) == sizes
     expected = full_route(rho0, liou, times)
-    for limit, kernel in ((10 ** 6, "expm"), (0, "expm_multiply")):
-        monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+    for kernel in ("expm", "expm_multiply"):
         dense = counting(monkeypatch, lindblad, "expm")
         krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
-        gap = np.abs(lindblad._pair_samples(rho0, [(liou, blocks)], times)[0][0] - expected).max()
+        point = (liou, blocks, kernel == "expm")
+        gap = np.abs(lindblad._pair_samples(rho0, [point], times)[0][0] - expected).max()
         assert gap < 1e-12, f"{kind} on {kernel}: {gap:.3e}"
         assert (len(dense) > 0, len(krylov) > 0) == (kernel == "expm", kernel == "expm_multiply")
         monkeypatch.undo()
