@@ -238,9 +238,14 @@ class ExperimentConfig:
                     type(k) is int and k >= 1 for k in fillings):
                 raise ConfigError("scan.fillings: need a non-empty list of integers >= 1, "
                                   f"got {fillings!r}")
-            if not any(2 * k <= n + 1 for n in sizes for k in fillings):
+            scanned = [n for n in sizes if any(2 * k <= n + 1 for k in fillings)]
+            if not scanned:
                 raise ConfigError(f"scan.fillings: none of {fillings!r} is at most (size + 1) / 2 "
                                   f"for a size in {sizes!r}; nothing to scan")
+            center = self.lattice.trap_center
+            if center is not None and center > min(scanned):
+                raise ConfigError(f"lattice.trap_center: site {center} lies beyond the "
+                                  f"smallest scanned size {min(scanned)}")
         if self.kind in ("robustness-aa", "robustness-int"):
             if self.lattice.n_sites < 3:
                 raise ConfigError(f"lattice.n_sites: kind {self.kind!r} needs an end-to-end pair, "
@@ -255,6 +260,13 @@ class ExperimentConfig:
                 raise ConfigError(f"scan.times: need non-decreasing times, got {times!r}")
             if self.kind == "robustness-int" and len(times) > 1:
                 raise ConfigError(f"scan.times: robustness-int samples one time, got {times!r}")
+        bits, n_sites = self.initial_state.bitstring, self.lattice.n_sites
+        if self.initial_state.type == "fock" and len(bits) != n_sites:
+            raise ConfigError(f"initial_state.bitstring: {bits!r} has {len(bits)} sites, "
+                              f"but lattice.n_sites is {n_sites}")
+        if self.kind == "correlation-map" and not self.initial_state.n_particles():
+            raise ConfigError("initial_state.bitstring: correlation-map needs at least one "
+                              f"particle, got {bits!r}")
 
 
 def _tupled(value):

@@ -41,17 +41,13 @@ COMMUTATOR_TOL = 1e-12
 # Checks not named here, and those a run lists under "not_enforced", are
 # reported only.
 LIMITS = {
-    "max_trace_dev": (-math.inf, lindblad.TRACE_TOL),
-    "max_herm_dev": (-math.inf, lindblad.HERMITICITY_TOL),
-    "min_eigenvalue": (-lindblad.POSITIVITY_TOL, math.inf),
+    **lindblad.LIMITS, **fastpath.LIMITS,
     "charge_drift": (-math.inf, CHARGE_DRIFT_TOL),
     "number_drift": (-math.inf, CHARGE_DRIFT_TOL),
     "parity_even_drift": (-math.inf, CHARGE_DRIFT_TOL),
     "max_sector_residual": (-math.inf, 1e-8),
     "monotone_in_filling": (0.5, math.inf),         # a bool: True passes
     "trace_drift": (-math.inf, 1e-8),
-    "min_occupation": (-fastpath.EIGENVALUE_SLACK, math.inf),
-    "max_occupation": (-math.inf, 1.0 + fastpath.EIGENVALUE_SLACK),
 }
 
 
@@ -193,7 +189,7 @@ def _conservation_checks(rho0: np.ndarray, trajectories: list[Trajectory],
         checks[key] = float(np.abs(values - start).max())
         if any(_commutator_norm(operator, liou) > COMMUTATOR_TOL for liou in liouvillians):
             checks["not_enforced"].append(key)
-    checks.update(_worst_diagnostics([t.diagnostics for t in trajectories]))
+    checks.update(lindblad.worst_deviations([t.diagnostics for t in trajectories]))
     return checks
 
 
@@ -203,16 +199,6 @@ def _commutator_norm(op: sparse.csr_matrix, liouvillian: Liouvillian) -> float:
     h, dephased, entries = liouvillian.hamiltonian, liouvillian.dephased, op.tocoo()
     across = entries.data[dephased[entries.row] != dephased[entries.col]]
     return max(abs(op @ h - h @ op).max(), np.abs(across).max(initial=0.0))
-
-
-def _worst_diagnostics(diagnostics: list[dict]) -> dict:
-    """Worst per-sample trace, hermiticity and positivity over several
-    trajectories' diagnostics."""
-    return {
-        "max_trace_dev": max(d["max_trace_dev"] for d in diagnostics),
-        "max_herm_dev": max(d["max_herm_dev"] for d in diagnostics),
-        "min_eigenvalue": min(d["min_eigenvalue"] for d in diagnostics),
-    }
 
 
 def _timeseries_table(times, series) -> tuple[list[str], list[list]]:
@@ -248,11 +234,7 @@ def run_steady(config: ExperimentConfig) -> RunResult:
     steady = steady_state(rho0, liouvillian, convergence_tol=config.convergence_tol)
     rho = steady.state
     x_state, off = entangle.is_x_state(rho, tol=1e-7)
-    checks = {
-        "residual": steady.residual,
-        "max_off_x_pattern": off,
-        **lindblad.invariant_deviations(rho),
-    }
+    checks = {"residual": steady.residual, "max_off_x_pattern": off, **steady.diagnostics}
     diagonal = {f"rho_{i+1}{i+1}": float(rho[i, i].real) for i in range(basis.size)} \
         if basis.n_particles == 1 else {}
     return _result(config, checks, json_payloads={"density_matrix": _density_payload(rho)},
@@ -267,12 +249,10 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
     c0 = (orbitals @ orbitals.T).astype(complex)
     c_steady = fastpath.steady_correlation(spec, c0, tol=config.convergence_tol)
     reference = n_particles * oracle.analytic_steady_state(n)
-    occupations = np.linalg.eigvalsh(0.5 * (c_steady + c_steady.conj().T))
     checks = {
         "trace_drift": float(abs(np.trace(c_steady).real - n_particles)),
         "max_dev_from_analytic": float(np.abs(c_steady - reference).max()),
-        "min_occupation": float(occupations.min()),
-        "max_occupation": float(occupations.max()),
+        **fastpath.occupation_range(c_steady),
     }
     header = ["i", "j", "re", "im"]
     rows = [[i + 1, j + 1, c_steady[i, j].real, c_steady[i, j].imag]
@@ -298,13 +278,13 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
                 rho0 = lindblad.pure_state(fock.even_mode_slater(basis))
                 steady = steady_state(rho0, liouvillian,
                                       convergence_tol=config.convergence_tol)
-                rho = steady.state
-                residual = steady.residual
+                rho, residual, diagnostics = steady.state, steady.residual, steady.diagnostics
             else:
                 rho = oracle.even_sector_steady_state(n, filling)
                 residual = liouvillian.residual(rho)
+                diagnostics = lindblad.invariant_deviations(rho)
             checks["max_sector_residual"] = max(checks["max_sector_residual"], residual)
-            deviations.append(lindblad.invariant_deviations(rho))
+            deviations.append(diagnostics)
             values = []
             for i in range(1, (n - 1) // 2 + 1):
                 rdm = entangle.reduce_to_pair(rho, basis, i, n + 1 - i)
@@ -318,7 +298,7 @@ def run_concurrence_scan(config: ExperimentConfig) -> RunResult:
             previous = mean
     checks["max_dev_from_2N_over_Np1"] = conjecture_dev
     checks["monotone_in_filling"] = monotone
-    checks.update(_worst_diagnostics(deviations))
+    checks.update(lindblad.worst_deviations(deviations))
     header = ["n_sites", "n_particles", "site", "concurrence"]
     return _result(config, checks, {"concurrence": (header, rows)})
 

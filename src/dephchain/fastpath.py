@@ -26,6 +26,9 @@ from .lindblad import (HERMITICITY_TOL, Liouvillian, build_liouvillian, dephasin
 from .model import LatticeSpec
 
 EIGENVALUE_SLACK = 1e-9
+# Each value of :func:`occupation_range` passes when strictly between its bounds.
+LIMITS = {"min_occupation": (-EIGENVALUE_SLACK, np.inf),
+          "max_occupation": (-np.inf, 1.0 + EIGENVALUE_SLACK)}
 
 
 def __getattr__(name: str):
@@ -45,13 +48,20 @@ class ScalingDomainError(ValueError):
     (an occupation eigenvalue left [0, 1])."""
 
 
+def occupation_range(c: np.ndarray) -> dict[str, float]:
+    """The smallest and largest occupation eigenvalue of a two-point matrix:
+    the ends of the spectrum of its Hermitian part, keyed as in ``LIMITS``."""
+    eig = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+    return {"min_occupation": float(eig[0]), "max_occupation": float(eig[-1])}
+
+
 def validate_correlation_matrix(c: np.ndarray) -> None:
     c = np.asarray(c)
-    if np.abs(c - c.conj().T).max() > HERMITICITY_TOL:
+    if not np.abs(c - c.conj().T).max() < HERMITICITY_TOL:
         raise ValueError("correlation matrix is not Hermitian")
-    eig = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    if eig.min() < -EIGENVALUE_SLACK or eig.max() > 1.0 + EIGENVALUE_SLACK:
-        raise ValueError(f"occupation eigenvalues outside [0, 1]: [{eig.min()}, {eig.max()}]")
+    occupation = occupation_range(c)
+    if not all(lower < occupation[key] < upper for key, (lower, upper) in LIMITS.items()):
+        raise ValueError(f"occupation eigenvalues outside [0, 1]: {list(occupation.values())}")
 
 
 def _one_particle_state(c0, liouvillian: Liouvillian) -> tuple[np.ndarray, float]:
@@ -129,10 +139,10 @@ def multiparticle_scaling(c_sp_steady: np.ndarray, n_particles: int) -> np.ndarr
     if n_particles < 1:
         raise ValueError("n_particles must be a positive integer")
     scaled = n_particles * np.asarray(c_sp_steady, dtype=complex)
-    eig = np.linalg.eigvalsh(0.5 * (scaled + scaled.conj().T))
-    if eig.max() > 1.0 + EIGENVALUE_SLACK:
+    largest = occupation_range(scaled)["max_occupation"]
+    if not largest < LIMITS["max_occupation"][1]:
         raise ScalingDomainError(
-            f"scaled occupation eigenvalue {eig.max():.6f} exceeds 1; the "
+            f"scaled occupation eigenvalue {largest:.6f} exceeds 1; the "
             "scaling law only covers even-mode Slater inputs with filling "
             "up to (N+1)/2"
         )

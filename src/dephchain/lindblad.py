@@ -31,6 +31,11 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 ABORT_FACTOR = 10.0
 
+# The density-matrix verdict: a deviation passes when it lies strictly between
+# its bounds times a factor, 1 to validate a state and ``ABORT_FACTOR`` to abort a run.
+LIMITS = {"max_trace_dev": (-math.inf, TRACE_TOL), "max_herm_dev": (-math.inf, HERMITICITY_TOL),
+          "min_eigenvalue": (-POSITIVITY_TOL, math.inf)}
+
 # A time grid that differs from ``np.linspace`` over its own ends by at most
 # this many ulps of its last time is propagated in one interval call.
 UNIFORM_GRID_ULPS = 4
@@ -96,36 +101,42 @@ def pure_state(psi: np.ndarray) -> np.ndarray:
 
 def invariant_deviations(rho: np.ndarray) -> dict[str, float]:
     """Trace, hermiticity, and positivity deviations of a density matrix,
-    named as in a trajectory's diagnostics, which hold the worst of its
-    samples. All three are read from the whole d x d matrix."""
-    herm = np.abs(rho - rho.conj().T).max()
-    trace = abs(np.trace(rho) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    return {"max_trace_dev": float(trace), "max_herm_dev": float(herm),
-            "min_eigenvalue": min_eig}
+    keyed as ``LIMITS``, as are a trajectory's diagnostics, the worst over
+    its samples. All three are read from the whole d x d matrix."""
+    values = (abs(np.trace(rho) - 1.0), np.abs(rho - rho.conj().T).max(),
+              np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    return dict(zip(LIMITS, map(float, values)))
 
 
 def _check_deviations(deviations: dict, factor: float, times: np.ndarray | None = None) -> None:
-    """Raise :class:`InvariantViolation` when a deviation exceeds ``factor``
-    times its tolerance. Each deviation is one float, or one value per
-    sample at ``times``: then the first failing sample, in order, is
-    reported and the message ends with its time."""
-    values = np.array([deviations["max_trace_dev"], deviations["max_herm_dev"],
-                       np.negative(deviations["min_eigenvalue"])]).reshape(3, -1)
-    failed = ~(values <= factor * np.array([[TRACE_TOL], [HERMITICITY_TOL], [POSITIVITY_TOL]]))
+    """Raise :class:`InvariantViolation` when a deviation does not lie
+    strictly between ``factor`` times its ``LIMITS``. Each deviation is one
+    float, or one value per sample at ``times``: then the first failing
+    sample, in order, is reported and the message ends with its time."""
+    values = np.array([deviations[key] for key in LIMITS]).reshape(3, -1)
+    bounds = factor * np.array(list(LIMITS.values()))
+    failed = ~((bounds[:, :1] < values) & (values < bounds[:, 1:]))
     if failed.any():
         sample = int(np.argmax(failed.any(axis=0)))
         check = int(np.argmax(failed[:, sample]))
         name = ("trace deviation", "hermiticity deviation", "negative eigenvalue")[check]
-        value = -values[check, sample] if check == 2 else values[check, sample]
         where = "" if times is None else f" at t={times[sample]:g}"
-        raise InvariantViolation(f"{name} {value:.3e}{where}")
+        raise InvariantViolation(f"{name} {values[check, sample]:.3e}{where}")
 
 
-def validate_density(rho: np.ndarray) -> None:
-    """Raise :class:`InvariantViolation` when the trace, hermiticity or
-    positivity deviation of ``rho`` exceeds its tolerance."""
-    _check_deviations(invariant_deviations(rho), 1.0)
+def worst_deviations(deviations) -> dict[str, float]:
+    """The worst of several deviations of each key of ``LIMITS``, floats or
+    one value per sample: the largest against an upper bound, else the smallest."""
+    worst = {key: np.max if upper < math.inf else np.min for key, (_, upper) in LIMITS.items()}
+    return {key: float(op(np.hstack([d[key] for d in deviations]))) for key, op in worst.items()}
+
+
+def validate_density(rho: np.ndarray) -> dict[str, float]:
+    """The deviations of :func:`invariant_deviations`; raises
+    :class:`InvariantViolation` when one lies outside its ``LIMITS``."""
+    deviations = invariant_deviations(rho)
+    _check_deviations(deviations, 1.0)
+    return deviations
 
 
 @dataclass
@@ -293,7 +304,7 @@ def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis) -> Liouvillia
 class Trajectory:
     """Density-matrix samples: ``states[k]`` is rho(``times[k]``), and
     ``states`` is one (T, d, d) array. ``diagnostics`` holds the worst of the
-    samples' deviations, named as by :func:`invariant_deviations`."""
+    samples' deviations (:func:`worst_deviations`)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -559,8 +570,7 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray
     for pairs, values in zip(occupied, deviations):
         if len(pairs.keep) < dim:
             np.minimum(values[2], 0.0, out=values[2])
-    keys = ("max_trace_dev", "max_herm_dev", "min_eigenvalue")
-    return [(out, dict(zip(keys, values))) for out, values in zip(states, deviations)]
+    return [(out, dict(zip(LIMITS, values))) for out, values in zip(states, deviations)]
 
 
 def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
@@ -596,9 +606,9 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     block basis, on the rows and columns of the blocks its occupied pairs
     touch: the block basis is unitary, so that spectrum, with zeros for the
     blocks left out, is spec(rho). The worst values are each trajectory's
-    ``diagnostics``. The scan aborts at the first Liouvillian, in order, with
-    a sample whose deviation exceeds ten times its tolerance, naming the
-    first such sample in time order.
+    ``diagnostics``. The scan aborts at the first Liouvillian, in order, with a
+    sample outside ``ABORT_FACTOR`` times its ``LIMITS``, naming the first
+    such sample in time order.
 
     Parameters
     ----------
@@ -640,9 +650,7 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     trajectories = []
     for states, deviations in _pair_samples(rho0, points, times):
         _check_deviations(deviations, ABORT_FACTOR, times)
-        diagnostics = {key: float(values.min() if key == "min_eigenvalue" else values.max())
-                       for key, values in deviations.items()}
-        trajectories.append(Trajectory(times=times, states=states, diagnostics=diagnostics))
+        trajectories.append(Trajectory(times, states, worst_deviations([deviations])))
     return trajectories
 
 
@@ -656,8 +664,11 @@ def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
 
 @dataclass
 class SteadyStateResult:
+    """A steady ``state``, its ``residual`` and its :func:`validate_density` ``diagnostics``."""
+
     state: np.ndarray
     residual: float
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _dark_span(left_on: np.ndarray, left_off: np.ndarray, right_on: np.ndarray,
@@ -822,8 +833,8 @@ def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
     ``||L X_per||_inf`` reaches ``convergence_tol`` (it never decays, so the
     residual of rho(t) never falls below it), raises
     :class:`SteadyStateNotConverged` naming omega and the weight. The result
-    is validated as a density matrix and carries its residual. A ``rho0``
-    with a non-finite entry raises ``ValueError``.
+    is validated by :func:`validate_density` and carries its residual and
+    deviations. A ``rho0`` with a non-finite entry raises ``ValueError``.
     """
     rho0 = np.asarray(rho0)
     dim = liouvillian.dim
@@ -843,5 +854,4 @@ def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
     residual = liouvillian.residual(rho)
     if not residual <= 1e-10:
         raise RuntimeError(f"steady state has residual {residual:.3e}")
-    validate_density(rho)
-    return SteadyStateResult(state=rho, residual=residual)
+    return SteadyStateResult(state=rho, residual=residual, diagnostics=validate_density(rho))

@@ -389,6 +389,25 @@ def test_steady_runners_flag_a_broken_invariant(monkeypatch, kind):
     assert run(config_from_dict(payload)).invariants_ok is False
 
 
+def test_concurrence_scan_flags_a_drop_in_filling(monkeypatch):
+    # I/d commutes with H and the jump, so it is stationary, and it holds no
+    # pair concurrence: put at filling 2, only the monotone check fails.
+    real = experiments.oracle.even_sector_steady_state
+
+    def mixed_at_two(n_sites, n_particles):
+        rho = real(n_sites, n_particles)
+        return np.eye(len(rho)) / len(rho) if n_particles == 2 else rho
+
+    monkeypatch.setattr(experiments.oracle, "even_sector_steady_state", mixed_at_two)
+    payload = config_to_dict(default_config("concurrence-scan"))
+    payload["scan"] = {"sizes": [5], "fillings": [1, 2]}
+    result = run(config_from_dict(payload))
+    checks = result.summary["checks"]
+    assert checks["monotone_in_filling"] is False and result.invariants_ok is False
+    assert all(lower < checks[key] < upper for key, (lower, upper) in experiments.LIMITS.items()
+               if key in checks and key != "monotone_in_filling")
+
+
 def test_correlation_map_matches_analytic(tmp_path):
     payload = config_to_dict(default_config("correlation-map"))
     payload["lattice"]["n_sites"] = 5
@@ -514,6 +533,16 @@ def test_cli_bad_config_value(tmp_path, capsys):
         ("evolve", 'observables=["occ:x"]', "'occ:x'"),
         ("evolve", 'observables=["corr:1,99"]', "'corr:1,99'"),
         ("evolve", 'observables=["occ:0"]', "'occ:0'"),
+        # A Fock string off the lattice, a trap centre off a scanned chain, and
+        # a correlation map with no particle.
+        ("evolve", 'initial_state.type="fock" initial_state.bitstring="101"',
+         "initial_state.bitstring"),
+        ("correlation-map", 'initial_state.type="fock" initial_state.bitstring="101"',
+         "initial_state.bitstring"),
+        ("concurrence-scan", "lattice.trap_center=9 lattice.trap_amplitude=1.0",
+         "lattice.trap_center"),
+        ("correlation-map", 'initial_state.type="fock" initial_state.bitstring="000000000"',
+         "initial_state.bitstring"),
     ]:
         # Space-separated overrides go in together.
         code = main([kind, "--out", str(tmp_path),
@@ -533,8 +562,8 @@ def test_cli_interacting_correlation_map_is_a_config_error(tmp_path, capsys):
 
 
 def test_cli_invariant_violation_exits_1(tmp_path, capsys, monkeypatch):
-    # A negative trace tolerance fails the first sample, which aborts the run.
-    monkeypatch.setattr(lindblad, "TRACE_TOL", -1.0)
+    # A negative trace limit fails the first sample, which aborts the run.
+    monkeypatch.setitem(lindblad.LIMITS, "max_trace_dev", (-np.inf, -1.0))
     code = main(["evolve", "--out", str(tmp_path),
                  *[arg for item in SMALL_OVERRIDES["evolve"] for arg in ("--override", item)]])
     assert code == 1

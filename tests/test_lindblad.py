@@ -451,6 +451,24 @@ def test_nan_deviation_is_a_violation(key, name):
         lindblad._check_deviations(deviations, 1.0)
 
 
+@pytest.mark.parametrize("key, name", [("max_trace_dev", "trace deviation"),
+                                       ("max_herm_dev", "hermiticity deviation"),
+                                       ("min_eigenvalue", "negative eigenvalue")])
+def test_deviation_on_its_limit_fails_every_verdict(monkeypatch, key, name):
+    # One rule, lower < value < upper, for validation, for the abort at
+    # ABORT_FACTOR times the limits, and for a run's summary.
+    lower, upper = lindblad.LIMITS[key]
+    deviations = {"max_trace_dev": 0.0, "max_herm_dev": 0.0, "min_eigenvalue": 0.0,
+                  key: upper if upper < np.inf else lower}
+    for factor in (1.0, lindblad.ABORT_FACTOR):
+        with pytest.raises(InvariantViolation, match=name):
+            lindblad._check_deviations({k: factor * v for k, v in deviations.items()}, factor)
+    monkeypatch.setattr(lindblad, "invariant_deviations", lambda rho: deviations)
+    with pytest.raises(InvariantViolation, match=name):
+        validate_density(np.eye(2) / 2)
+    assert experiments.RunResult({"checks": deviations}).invariants_ok is False
+
+
 def test_non_finite_initial_state_is_refused():
     _, basis, liou = n3_problem()
     for bad in (np.nan, np.inf):
