@@ -132,13 +132,10 @@ def _orbitals(spec: LatticeSpec, descriptor: InitialState) -> np.ndarray:
 def build_initial_state(spec: LatticeSpec, descriptor: InitialState
                         ) -> tuple[fock.ManyBodyBasis, np.ndarray]:
     """Resolve a state descriptor into (sector basis, density matrix): the
-    Slater determinant of its :func:`_orbitals`, or a Fock string's basis state."""
+    Slater determinant of its :func:`_orbitals`; a Fock string's is its basis state."""
     basis = fock.ManyBodyBasis(spec.n_sites, descriptor.n_particles())
-    if descriptor.type == "fock":
-        psi = fock.fock_state(basis, descriptor.bitstring)
-    else:
-        orbitals = _orbitals(spec, descriptor)
-        psi = fock.slater_state(basis, range(1, orbitals.shape[1] + 1), orbitals=orbitals)
+    orbitals = _orbitals(spec, descriptor)
+    psi = fock.slater_state(basis, range(1, orbitals.shape[1] + 1), orbitals=orbitals)
     return basis, lindblad.pure_state(psi)
 
 

@@ -70,7 +70,9 @@ class ManyBodyBasis:
         """(size, n_sites) array of 0/1: entry [q, s - 1] is the occupation
         of site s in basis state q."""
         shifts = np.arange(self.n_sites - 1, -1, -1)
-        return (np.array(self.states)[:, None] >> shifts) & 1
+        # Masks of 64 or more sites stay Python ints, which never overflow.
+        masks = np.array(self.states, dtype=int if self.n_sites < 64 else object)
+        return ((masks[:, None] >> shifts) & 1).astype(int)
 
     def occupied_sites(self, mask: int) -> tuple[int, ...]:
         n = self.n_sites
@@ -148,7 +150,7 @@ def build_many_body_hamiltonian(spec: LatticeSpec, basis: ManyBodyBasis):
         )
     n = spec.n_sites
     h = build_single_particle_hamiltonian(spec)
-    hopping = [(i + 1, j + 1, h[i, j]) for i, j in zip(*np.nonzero(h)) if i != j]
+    hopping = [(int(i) + 1, int(j) + 1, h[i, j]) for i, j in zip(*np.nonzero(h)) if i != j]
     # Diagonal terms overlap, so they are summed here, site by site in
     # ascending order, and not left to the CSR assembly.
     diagonal = [sum(h[s - 1, s - 1] for s in basis.occupied_sites(m))
@@ -172,12 +174,11 @@ def reflection_operator(basis: ManyBodyBasis):
 
 def _mirror(basis: ManyBodyBasis) -> tuple[np.ndarray, float]:
     """The index of each basis state's mirror image, and the sector sign of R."""
-    n, k = basis.n_sites, basis.n_particles
+    k = basis.n_particles
     sign = -1.0 if (k * (k - 1) // 2) & 1 else 1.0
-    # Reversing the N bits of a mask reverses its sites.
-    masks = np.array(basis.states, dtype=np.int64)
-    mirrored = sum(((masks >> bit) & 1) << (n - 1 - bit) for bit in range(n))
-    return np.array([basis.index[m] for m in mirrored.tolist()], dtype=int), sign
+    # Reversing a mask's bitstring reverses its sites, at any chain length.
+    mirrored = [int(basis.bitstring(m)[::-1], 2) for m in basis.states]
+    return np.array([basis.index[m] for m in mirrored], dtype=int), sign
 
 
 def reflection_orbits(basis: ManyBodyBasis) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
@@ -246,7 +247,7 @@ def slater_state(basis: ManyBodyBasis, mode_indices, orbitals: np.ndarray | None
     if orbitals is None:
         orbitals = bare_mode_parity(basis.n_sites).modes
     cols = [k - 1 for k in modes]
-    if min(cols, default=0) < 0 or max(cols, default=0) >= orbitals.shape[1]:
+    if not all(0 <= c < orbitals.shape[1] for c in cols):
         raise ValueError(f"mode indices {modes} outside 1..{orbitals.shape[1]}")
     amplitudes = slater_determinants(basis, orbitals[:, cols]).astype(complex)
     norm = np.linalg.norm(amplitudes)

@@ -512,21 +512,20 @@ def _checked(chunk: np.ndarray, initial: np.ndarray, rho0: np.ndarray,
                      np.abs(work).max(axis=(1, 2)), smallest])
 
 
-def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray
+def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
                   ) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
     """rho(t) at each of the non-decreasing ``times`` under each scan point of
-    ``points``, (Liouvillian, :class:`SymmetryBlocks`, dense) triples of one
-    dimension, where ``dense`` says which kernel steps the point's pairs:
-    for each point one (T, d, d) array and each sample's invariant deviations,
-    one array per key of :func:`invariant_deviations`. Each block pair
-    rho_ab = P_a rho P_b that ``rho0`` occupies (:func:`_point_pairs`) is
-    propagated alone under its generator. A t = 0 sample is ``rho0`` itself.
+    ``points``, (Liouvillian, :class:`SymmetryBlocks`) pairs of one
+    dimension: for each point one (T, d, d) array and each sample's invariant
+    deviations, one array per key of :func:`invariant_deviations`. Each block
+    pair rho_ab = P_a rho P_b that ``rho0`` occupies (:func:`_point_pairs`)
+    is propagated alone under its generator. A t = 0 sample is ``rho0`` itself.
 
-    The pairs of all points are stepped together, by one kernel each: the
-    dense points by :func:`_dense_samples`,
-    so that equal-size pairs are stacked across points, and the rest by one
-    :func:`_expm_samples` call on the block-diagonal concatenation of their
-    generators. Each point's sample vectors are sliced out of the kernel's.
+    The pairs of all points are stepped together by one kernel call:
+    :func:`_dense_samples` when ``dense``, which stacks equal-size pairs
+    across points, else :func:`_expm_samples` on the block-diagonal
+    concatenation of their generators. Each point's sample vectors are
+    sliced out of the kernel's.
 
     The samples are written, a chunk of about ``_SAMPLE_CHUNK_BYTES`` at a
     time, into a zeroed output in the block basis, only the occupied pairs'
@@ -538,32 +537,21 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray
     rotated back with B, and trace and hermiticity are read in the site basis.
     """
     dim = rho0.shape[0]
-    occupied = [_point_pairs(rho0, liouvillian, blocks) for liouvillian, blocks, _ in points]
-    streams, where = [], [None] * len(occupied)
-    for dense in (True, False):
-        members = [k for k, point in enumerate(points) if point[2] == dense]
-        if not members:
-            continue
-        ends = np.cumsum([len(occupied[k].order) for k in members])
-        for k, end in zip(members, ends):
-            where[k] = (len(streams), slice(end - len(occupied[k].order), end))
-        generators = [g for k in members for g in occupied[k].generators]
-        vec = np.concatenate([occupied[k].in_blocks.ravel()[occupied[k].order] for k in members])
-        if dense:
-            streams.append(_dense_samples(generators, vec, times))
-        else:
-            # An iterator, so that each chunk resumes where the last one stopped.
-            streams.append(iter(_expm_samples(sparse.block_diag(generators, format="csr"),
-                                              vec, times)))
+    occupied = [_point_pairs(rho0, liouvillian, blocks) for liouvillian, blocks in points]
+    edges = np.cumsum([len(pairs.order) for pairs in occupied])[:-1]
+    generators = [g for pairs in occupied for g in pairs.generators]
+    vec = np.concatenate([pairs.in_blocks.ravel()[pairs.order] for pairs in occupied])
+    # An iterator either way, so that each chunk resumes where the last one stopped.
+    stream = (_dense_samples(generators, vec, times) if dense else
+              iter(_expm_samples(sparse.block_diag(generators, format="csr"), vec, times)))
     states = [np.zeros((len(times), dim, dim), dtype=complex) for _ in occupied]
     deviations = np.empty((len(occupied), 3, len(times)))
     rows = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
     for start in range(0, len(times), rows):
         stop = min(start + rows, len(times))
         for k in range(start, stop):
-            vectors = [next(stream) for stream in streams]
-            for pairs, out, (stream, part) in zip(occupied, states, where):
-                out[k].reshape(-1)[pairs.order] = vectors[stream][part]
+            for pairs, out, part in zip(occupied, states, np.split(next(stream), edges)):
+                out[k].reshape(-1)[pairs.order] = part
         initial = times[start:stop] == 0.0
         for pairs, out, values in zip(occupied, states, deviations):
             values[:, start:stop] = _checked(out[start:stop], initial, rho0, pairs)
@@ -582,21 +570,17 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     that ``rho0`` occupies (:func:`_occupied_pairs`); each evolves alone
     (Buča & Prosen, NJP 14, 073007 (2012)), so a pair that starts at zero
     stays zero. Every pair gets its generator from :func:`_pair_superoperator`
-    and is stepped by :func:`_pair_samples`; only the kernel depends on each
-    generator's symmetry blocks (:func:`_symmetry_blocks`; sectors that H or
-    the jump does not leave invariant, or a block basis that is not unitary,
-    raise ``RuntimeError``):
-
-    - when the largest pair of blocks has a generator of at most
-      ``DENSE_PAIR_LIMIT`` entries a side, dense exponentials of the pairs
-      of those blocks, one stacked ``expm`` call per pair size and step,
-      shared by every such Liouvillian;
-    - otherwise scipy's ``expm_multiply`` (Al-Mohy & Higham 2011), with a
-      fixed seed for its norm estimate (:func:`_expm_samples`), on the pairs
-      of the reflection orbits (:func:`_orbit_blocks`), which are one
-      identity block when reflection is broken; one call steps the pairs
-      of every such Liouvillian, so their samples move at rounding level
-      from those of one call each.
+    and all are stepped by one kernel call of :func:`_pair_samples`, chosen
+    once for the call from the Liouvillians' symmetry blocks
+    (:func:`_symmetry_blocks`; sectors that H or the jump does not leave
+    invariant, or a block basis that is not unitary, raise ``RuntimeError``):
+    when the largest pair of blocks of any of them has a generator of at most
+    ``DENSE_PAIR_LIMIT`` entries a side, stacked dense ``expm`` of the pairs
+    of those blocks; otherwise scipy's ``expm_multiply`` (Al-Mohy & Higham
+    2011), with a fixed seed for its norm estimate, on the pairs of the
+    reflection orbits (:func:`_orbit_blocks`), one identity block when
+    reflection is broken. A point's samples thus move at rounding level with
+    the other points of its call.
 
     Either way a grid that is ``np.linspace`` over its own ends (to a few
     ulps) is stepped by one propagator, any other grid by one per distinct
@@ -642,13 +626,12 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     if not np.isfinite(rho0).all():
         raise ValueError("rho0 has a non-finite entry")
 
-    points = []
-    for liouvillian in liouvillians:
-        blocks = _symmetry_blocks(liouvillian)
-        dense = blocks.sizes.max() ** 2 <= DENSE_PAIR_LIMIT
-        points.append((liouvillian, blocks if dense else _orbit_blocks(liouvillian), dense))
+    blocks = [_symmetry_blocks(liouvillian) for liouvillian in liouvillians]
+    dense = max(b.sizes.max() for b in blocks) ** 2 <= DENSE_PAIR_LIMIT
+    if not dense:
+        blocks = [_orbit_blocks(liouvillian) for liouvillian in liouvillians]
     trajectories = []
-    for states, deviations in _pair_samples(rho0, points, times):
+    for states, deviations in _pair_samples(rho0, list(zip(liouvillians, blocks)), times, dense):
         _check_deviations(deviations, ABORT_FACTOR, times)
         trajectories.append(Trajectory(times, states, worst_deviations([deviations])))
     return trajectories

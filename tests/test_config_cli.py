@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from dephchain.cli import main
 from dephchain.config import (
     EXPERIMENT_KINDS,
     ConfigError,
+    InitialState,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -183,6 +185,17 @@ def test_slater_input_is_the_determinant_of_its_modes():
     modes = bare_mode_parity(5).modes[:, [0, 2]]
     assert basis.n_particles == 2 and np.trace(rho0 @ rho0).real == pytest.approx(1.0)
     assert np.abs(correlation_matrix(rho0, basis) - modes @ modes.T).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_fock_input_is_the_determinant_of_its_sites(n):
+    # A Fock string is the Slater determinant of its site columns; the
+    # all-zero string is the empty determinant, the vacuum.
+    spec = LatticeSpec(n_sites=n)
+    for bits in itertools.product("01", repeat=n):
+        bitstring = "".join(bits)
+        basis, rho0 = experiments.build_initial_state(spec, InitialState("fock", bitstring))
+        assert np.array_equal(rho0, lindblad.pure_state(fock_state(basis, bitstring))), bitstring
 
 
 def test_purity_observable_is_tr_rho_squared():
@@ -415,6 +428,15 @@ def test_correlation_map_matches_analytic(tmp_path):
     assert result.summary["checks"]["max_dev_from_analytic"] < 1e-7
     header, rows = result.tables["correlation_map"]
     assert len(rows) == 25
+
+
+def test_correlation_map_runs_past_63_sites(tmp_path):
+    # A 65-site chain's Fock masks need 65 bits; they stay Python ints.
+    payload = config_to_dict(default_config("correlation-map"))
+    payload["lattice"]["n_sites"] = 65
+    result = run(config_from_dict(payload), out_dir=tmp_path)
+    assert result.invariants_ok
+    assert result.summary["checks"]["max_dev_from_analytic"] < 1e-12
 
 
 def test_unknown_observable_raises():

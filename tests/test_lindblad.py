@@ -615,7 +615,7 @@ def _decomposition(kind):
     ("identity", [10]),
 ])
 def test_every_decomposition_matches_full_route_on_both_kernels(monkeypatch, kind, sizes):
-    # Each decomposition goes through one propagation function; the point
+    # Each decomposition goes through one propagation function; the call
     # names its kernel, so both kernels run on every decomposition.
     liou, rho0, blocks, times = _decomposition(kind)
     assert list(blocks.sizes) == sizes
@@ -623,8 +623,8 @@ def test_every_decomposition_matches_full_route_on_both_kernels(monkeypatch, kin
     for kernel in ("expm", "expm_multiply"):
         dense = counting(monkeypatch, lindblad, "expm")
         krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
-        point = (liou, blocks, kernel == "expm")
-        gap = np.abs(lindblad._pair_samples(rho0, [point], times)[0][0] - expected).max()
+        samples = lindblad._pair_samples(rho0, [(liou, blocks)], times, kernel == "expm")
+        gap = np.abs(samples[0][0] - expected).max()
         assert gap < 1e-12, f"{kind} on {kernel}: {gap:.3e}"
         assert (len(dense) > 0, len(krylov) > 0) == (kernel == "expm", kernel == "expm_multiply")
         monkeypatch.undo()
@@ -921,14 +921,16 @@ def _scan_problem(kind):
 
 
 @pytest.mark.parametrize("kind, kernels, expm_calls, krylov_calls", [
-    ("robustness-int", [True] + [False] * 7, 1, 1),
+    ("robustness-int", [True] + [False] * 7, 0, 1),
     ("robustness-aa", [True] * 8, 4, 0),
 ])
 def test_scan_matches_evolve_point_by_point(monkeypatch, kind, kernels, expm_calls, krylov_calls):
-    # One call steps every point: the sparse points' pairs by one
-    # expm_multiply call on their block diagonal, the dense points' pairs of
-    # one size by one stacked expm per step (robustness-aa: two pair sizes,
-    # steps to t = 100 and then 900).
+    # One kernel per call steps every point: robustness-int's interacting
+    # points need the sparse kernel, so the whole scan, its dense-sized point
+    # 0 included, takes one expm_multiply call on the block diagonal of all
+    # pairs; robustness-aa's points are all dense-sized, so the pairs of one
+    # size take one stacked expm per step (two pair sizes, steps to t = 100
+    # and then 900).
     rho0, liouvillians, times = _scan_problem(kind)
     limit = lindblad.DENSE_PAIR_LIMIT
     assert [lindblad._symmetry_blocks(liou).sizes.max() ** 2 <= limit
