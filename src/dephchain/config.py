@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lindblad import BLOCK_JUMP_TOL, ENERGY_SCALE_LIMIT
 from .model import GOLDEN_MEAN, LatticeSpec, is_finite_number
 
 # The built-in desk-scale default of each experiment kind, reproducing its
@@ -267,6 +268,34 @@ class ExperimentConfig:
         if self.kind == "correlation-map" and not self.initial_state.n_particles():
             raise ConfigError("initial_state.bitstring: correlation-map needs at least one "
                               f"particle, got {bits!r}")
+        for lattice, particles, sources in self._diagonalized():
+            terms = lattice.energy_terms(particles)
+            if sum(terms.values()) > ENERGY_SCALE_LIMIT:
+                name = max(terms, key=terms.get)
+                raise ConfigError(
+                    f"{sources.get(name, 'lattice.' + name)}: {getattr(lattice, name):g} bounds "
+                    f"||H|| by {sum(terms.values()):.3g} with {particles} particle(s) on "
+                    f"{lattice.n_sites} sites, beyond {ENERGY_SCALE_LIMIT:.3g}, where eigh's "
+                    f"rounding no longer meets the symmetry-block tolerance {BLOCK_JUMP_TOL:g}")
+
+    def _diagonalized(self) -> list[tuple[LatticeSpec, int, dict[str, str]]]:
+        """Each lattice whose Hamiltonian the run diagonalizes (of a scan, the
+        one with the largest scanned value), with its particle number and the
+        config path of each lattice field that the kind sets from another block."""
+        lattice, particles = self.lattice, self.initial_state.n_particles()
+        if self.kind == "concurrence-scan":
+            return [(dataclasses.replace(lattice, n_sites=n), k, {}) for n in self.scan.sizes
+                    for k in self.scan.fillings if self.scan.dynamical and 2 * k <= n + 1]
+        if self.kind == "fock-quench":
+            trapped = dataclasses.replace(lattice, trap_amplitude=self.quench.trap_amplitude)
+            return [(lattice, particles, {}),
+                    (trapped, particles, {"trap_amplitude": "quench.trap_amplitude"})]
+        if self.kind in ("robustness-aa", "robustness-int"):
+            name = "aa_amplitude" if self.kind == "robustness-aa" else "interaction"
+            source = {name: "scan.max_value" if self.scan.values is None else "scan.values"}
+            largest = float(self.scan.grid().max())
+            return [(dataclasses.replace(lattice, **{name: largest}), particles, source)]
+        return [(lattice, particles, {})]
 
 
 def _tupled(value):

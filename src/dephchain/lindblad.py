@@ -19,9 +19,12 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
-from scipy.linalg import expm
 
+# The kernels are bound under these two names, which ``dephbench/tracing.py``
+# wraps in place to time them; their own module keeps them out of this
+# module's public names.
+from . import exponential as splinalg
+from .exponential import expm
 from .fock import (ManyBodyBasis, build_many_body_hamiltonian, number_operator,
                    reflection_orbits, slater_determinants)
 from .model import LatticeSpec, build_single_particle_hamiltonian, classify_mode_parity
@@ -59,6 +62,11 @@ _SAMPLE_CHUNK_BYTES = 1 << 20
 # jump between two, its eigenvalues' distance from 0 or 1 on one, and the block
 # basis's distance from unitary; beyond it the spectrum or _symmetry_blocks raises.
 BLOCK_JUMP_TOL = 1e-10
+# The largest bound on ||H|| (:meth:`LatticeSpec.energy_terms`) at which eigh's
+# rounding still meets BLOCK_JUMP_TOL: that rounding, H's eigen-residual on a
+# sector, reached 5.3 eps times the bound on the sectors of N <= 11, so the
+# bound may reach BLOCK_JUMP_TOL / (8 eps), about 5.6e4.
+ENERGY_SCALE_LIMIT = BLOCK_JUMP_TOL / (8 * np.finfo(float).eps)
 # The largest pair generator, (block size)^2, propagated by dense exponentials.
 # Measured on N = 7, Np = 4: dense won at 196 (trapped fock-quench sectors of 10
 # and 4 states taken as one block: 0.42 s against 0.62 s for 401 samples, 0.22 s
@@ -321,34 +329,22 @@ def _is_uniform(times: np.ndarray) -> bool:
 
 def _expm_samples(generator, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(L t) vec at each of the non-decreasing ``times``, one row each, by
-    scipy's ``expm_multiply``: one interval call for a uniform grid, otherwise
-    one call per distinct step.
-
-    scipy estimates 1-norms with numpy's global random generator, and at long
-    steps that estimate picks the Taylor steps. The generator is seeded for
-    the call and its state restored after it, so the samples are the same on
-    every run and the caller's random stream is left as it was.
+    the truncated Taylor series of :func:`exponential.expm_multiply`: one
+    interval call for a uniform grid, otherwise one call per distinct step,
+    and one more to reach a first sample later than 0.
     """
-    random_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        if times[0] > 0:
-            # The interval call sizes its Taylor steps by the interval length,
-            # not by ``start``, so the path up to the first sample is taken apart.
-            vec = splinalg.expm_multiply(generator * times[0], vec)
-        if _is_uniform(times):
-            return splinalg.expm_multiply(generator, vec, start=0.0,
-                                          stop=times[-1] - times[0], num=len(times),
-                                          endpoint=True)
-        samples, t_prev = [], times[0]
-        for t in times:
-            if t > t_prev:
-                vec = splinalg.expm_multiply(generator * (t - t_prev), vec)
-                t_prev = t
-            samples.append(vec)
-        return np.array(samples)
-    finally:
-        np.random.set_state(random_state)
+    if times[0] > 0:
+        vec = splinalg.expm_multiply(generator * times[0], vec)
+    if _is_uniform(times):
+        return splinalg.expm_multiply(generator, vec, start=0.0, stop=times[-1] - times[0],
+                                      num=len(times), endpoint=True)
+    samples, t_prev = [], times[0]
+    for t in times:
+        if t > t_prev:
+            vec = splinalg.expm_multiply(generator * (t - t_prev), vec)
+            t_prev = t
+        samples.append(vec)
+    return np.array(samples)
 
 
 class SymmetryBlocks(NamedTuple):
@@ -462,17 +458,18 @@ def _point_pairs(rho0: np.ndarray, liouvillian: Liouvillian, blocks: SymmetryBlo
 def _dense_samples(generators: list, vec: np.ndarray, times: np.ndarray):
     """Yield exp(L t) vec at each of the non-decreasing ``times``, for the
     block-diagonal L of ``generators``: the generators of one size are
-    stacked and exponentiated by one dense ``expm`` call per step, and all
-    are stepped together by one block-diagonal propagator, one per uniform
-    grid, plus one to reach a later first sample; otherwise one per distinct
-    step."""
+    stacked, exponentiated by one dense ``expm`` call per step, and step
+    their entries of the vector by one stacked product. One propagator
+    serves a uniform grid, plus one to reach a later first sample; any other
+    grid takes one per distinct step."""
     shapes = np.array([g.shape[0] for g in generators])
-    stacks = [(which, np.array([generators[k].toarray() for k in which]))
-              for which in (np.flatnonzero(shapes == m) for m in np.unique(shapes))]
+    starts = np.cumsum(shapes) - shapes
+    stacks = [(starts[which, None] + np.arange(size),
+               np.array([generators[k].toarray() for k in which]))
+              for size, which in ((m, np.flatnonzero(shapes == m)) for m in np.unique(shapes))]
 
-    def propagator(dt: float) -> sparse.csr_matrix:
-        steps = {k: p for which, stack in stacks for k, p in zip(which, expm(stack * dt))}
-        return sparse.block_diag([steps[k] for k in range(len(generators))], format="csr")
+    def propagator(dt: float) -> list:
+        return [(entries, expm(stack * dt)) for entries, stack in stacks]
 
     uniform = _is_uniform(times)
     if uniform:
@@ -480,8 +477,10 @@ def _dense_samples(generators: list, vec: np.ndarray, times: np.ndarray):
     t_prev = 0.0
     for k, t in enumerate(times):
         if t > t_prev:
-            vec = (step if uniform and k > 0 else propagator(t - t_prev)) @ vec
-            t_prev = t
+            stepped = np.empty(len(vec), dtype=complex)
+            for entries, p in step if uniform and k > 0 else propagator(t - t_prev):
+                stepped[entries] = np.matmul(p, vec[entries][:, :, None])[:, :, 0]
+            vec, t_prev = stepped, t
         yield vec
 
 
@@ -524,8 +523,8 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     The pairs of all points are stepped together by one kernel call:
     :func:`_dense_samples` when ``dense``, which stacks equal-size pairs
     across points, else :func:`_expm_samples` on the block-diagonal
-    concatenation of their generators. Each point's sample vectors are
-    sliced out of the kernel's.
+    concatenation of their generators. Each point's entries of a chunk of
+    the kernel's sample vectors are scattered into its output at once.
 
     The samples are written, a chunk of about ``_SAMPLE_CHUNK_BYTES`` at a
     time, into a zeroed output in the block basis, only the occupied pairs'
@@ -538,7 +537,7 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     """
     dim = rho0.shape[0]
     occupied = [_point_pairs(rho0, liouvillian, blocks) for liouvillian, blocks in points]
-    edges = np.cumsum([len(pairs.order) for pairs in occupied])[:-1]
+    edges = np.cumsum([0] + [len(pairs.order) for pairs in occupied])
     generators = [g for pairs in occupied for g in pairs.generators]
     vec = np.concatenate([pairs.in_blocks.ravel()[pairs.order] for pairs in occupied])
     # An iterator either way, so that each chunk resumes where the last one stopped.
@@ -549,9 +548,9 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     rows = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
     for start in range(0, len(times), rows):
         stop = min(start + rows, len(times))
-        for k in range(start, stop):
-            for pairs, out, part in zip(occupied, states, np.split(next(stream), edges)):
-                out[k].reshape(-1)[pairs.order] = part
+        chunk = np.array(list(itertools.islice(stream, stop - start)))
+        for pairs, out, lo, hi in zip(occupied, states, edges, edges[1:]):
+            out[start:stop].reshape(stop - start, -1)[:, pairs.order] = chunk[:, lo:hi]
         initial = times[start:stop] == 0.0
         for pairs, out, values in zip(occupied, states, deviations):
             values[:, start:stop] = _checked(out[start:stop], initial, rho0, pairs)
@@ -576,11 +575,12 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     invariant, or a block basis that is not unitary, raise ``RuntimeError``):
     when the largest pair of blocks of any of them has a generator of at most
     ``DENSE_PAIR_LIMIT`` entries a side, stacked dense ``expm`` of the pairs
-    of those blocks; otherwise scipy's ``expm_multiply`` (Al-Mohy & Higham
-    2011), with a fixed seed for its norm estimate, on the pairs of the
-    reflection orbits (:func:`_orbit_blocks`), one identity block when
-    reflection is broken. A point's samples thus move at rounding level with
-    the other points of its call.
+    of those blocks (Padé scaling and squaring, Higham 2005); otherwise the
+    truncated Taylor series of ``expm_multiply`` (Al-Mohy & Higham 2011),
+    with exact norms, on the pairs of the reflection orbits
+    (:func:`_orbit_blocks`), one identity block when reflection is broken.
+    Both kernels are :mod:`exponential`'s. A point's samples thus move at
+    rounding level with the other points of its call.
 
     Either way a grid that is ``np.linspace`` over its own ends (to a few
     ulps) is stepped by one propagator, any other grid by one per distinct

@@ -105,6 +105,18 @@ class LatticeSpec:
     def effective_trap_center(self) -> int:
         return self.central_site if self.trap_center is None else self.trap_center
 
+    def energy_terms(self, n_particles: int) -> dict[str, float]:
+        """An upper bound on the norm of the many-body Hamiltonian of
+        ``n_particles`` fermions, one term per field: each particle's hopping
+        (at most 2 J), quasi-periodic potential (V_AA) and trap (V times the
+        largest squared distance from the trap centre), and the interaction
+        of at most ``n_particles - 1`` occupied bonds."""
+        reach = max(self.effective_trap_center - 1, self.n_sites - self.effective_trap_center)
+        return {"tunneling": 2.0 * self.tunneling * n_particles,
+                "aa_amplitude": self.aa_amplitude * n_particles,
+                "trap_amplitude": self.trap_amplitude * reach ** 2 * n_particles,
+                "interaction": self.interaction * max(n_particles - 1, 0)}
+
 
 def build_single_particle_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     """Build the real symmetric N x N single-particle Hamiltonian matrix.

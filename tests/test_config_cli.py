@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -565,6 +566,15 @@ def test_cli_bad_config_value(tmp_path, capsys):
          "lattice.trap_center"),
         ("correlation-map", 'initial_state.type="fock" initial_state.bitstring="000000000"',
          "initial_state.bitstring"),
+        # An energy scale at which eigh's rounding cannot meet BLOCK_JUMP_TOL,
+        # named by the field that sets it (they ended in a RuntimeError).
+        ("evolve", "lattice.tunneling=1e6", "lattice.tunneling"),
+        ("steady", "lattice.trap_amplitude=1e6", "lattice.trap_amplitude"),
+        ("correlation-map", "lattice.aa_amplitude=1e6", "lattice.aa_amplitude"),
+        ("fock-quench", "quench.trap_amplitude=1e5", "quench.trap_amplitude"),
+        ("robustness-int", "scan.max_value=1e6", "scan.max_value"),
+        ("robustness-aa", "scan.values=[0.0,1e6]", "scan.values"),
+        ("concurrence-scan", "scan.dynamical=true lattice.tunneling=1e6", "lattice.tunneling"),
     ]:
         # Space-separated overrides go in together.
         code = main([kind, "--out", str(tmp_path),
@@ -572,6 +582,29 @@ def test_cli_bad_config_value(tmp_path, capsys):
         assert code == 2, override
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err, override
+
+
+@pytest.mark.parametrize("n_sites, n_particles, field", [
+    (7, 4, "trap_amplitude"), (11, 2, "aa_amplitude"), (9, 1, "tunneling"), (9, 4, "interaction")])
+def test_energy_scale_just_inside_the_limit_builds_symmetry_blocks(n_sites, n_particles, field):
+    # The sectors where eigh's rounding came closest to BLOCK_JUMP_TOL for
+    # each field: at an energy bound just under ENERGY_SCALE_LIMIT every
+    # check of the symmetry blocks still passes.
+    spec = LatticeSpec(n_sites=n_sites)
+    others = sum(spec.energy_terms(n_particles).values()) - spec.energy_terms(n_particles)[field]
+    per_unit = dataclasses.replace(spec, **{field: 1.0}).energy_terms(n_particles)[field]
+    spec = dataclasses.replace(spec, **{field: (0.99 * lindblad.ENERGY_SCALE_LIMIT - others)
+                                        / per_unit})
+    assert sum(spec.energy_terms(n_particles).values()) < lindblad.ENERGY_SCALE_LIMIT
+    lindblad._symmetry_blocks(dephasing_liouvillian(spec, ManyBodyBasis(n_sites, n_particles)))
+
+
+def test_energy_scale_limit_spares_runs_that_diagonalize_nothing(tmp_path):
+    # The closed-form concurrence scan never diagonalizes a many-body H.
+    payload = config_to_dict(default_config("concurrence-scan"))
+    payload["lattice"]["trap_amplitude"] = 1e6
+    payload["scan"].update(sizes=[3, 5], fillings=[1, 2])
+    assert run(config_from_dict(payload)).invariants_ok
 
 
 def test_cli_interacting_correlation_map_is_a_config_error(tmp_path, capsys):

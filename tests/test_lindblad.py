@@ -325,9 +325,9 @@ def test_expectations_match_dense_trace():
 
 
 def _long_step_problem():
-    # robustness-aa's longest steps: scipy's expm_multiply estimates 1-norms
-    # with numpy's global random generator there. Its one block is small, so
-    # the full route is forced by a zero pair limit.
+    # robustness-aa's longest steps, where a kernel that estimated 1-norms
+    # from numpy's global random generator would pick its Taylor steps by it.
+    # Its one block is small, so the full route is forced by a zero pair limit.
     spec = LatticeSpec(n_sites=9, aa_amplitude=3.0 / 14.0)
     basis = ManyBodyBasis(9, 1)
     parity = bare_mode_parity(9)
@@ -989,8 +989,8 @@ def test_scan_aborts_at_the_first_failing_point(monkeypatch, limit):
 
 
 def test_sparse_scan_leaves_the_global_random_state_alone():
-    # Two interacting points share one expm_multiply call, whose seeded norm
-    # estimate must leave numpy's global generator where it was.
+    # Two interacting points share one expm_multiply call, which must leave
+    # numpy's global generator where it was.
     liou, rho0 = interacting_problem()
     other = replace(liou, hamiltonian=1.5 * liou.hamiltonian)
     np.random.seed(7)

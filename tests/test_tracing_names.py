@@ -1,16 +1,17 @@
 """The benchmark's tracer wraps dephchain's names in place, among them the
-scipy kernels ``lindblad.expm``, ``lindblad.splinalg`` and
-``fastpath.solve_ivp``. The first two are imported because ``evolve`` calls
-them; ``fastpath.solve_ivp`` is now resolved lazily, on the tracer's first
-read, by the module's ``__getattr__``. Losing any of the three names breaks
-``dephbench/run.py --trace 1`` without failing any other test, so a traced
-run is made here, in a subprocess that keeps the wrapping out of this one.
-``correlation-map`` solves for its steady state without propagating, so two
-small ``evolve`` calls are traced as well: N = 3, whose symmetry blocks are
-propagated by dense ``expm``, and N = 7, Np = 4 with interaction 0.3, whose
-blocks are too large for that and go to ``expm_multiply``. ``steady_state``
-does not call ``steady_state_null_space``, the name the tracer books as
-steady work, so that is called directly once as well."""
+kernels ``lindblad.expm``, ``lindblad.splinalg`` and ``fastpath.solve_ivp``.
+The first two are the library's own exponentials (``dephchain.exponential``,
+bound in ``lindblad`` under the names the tracer reads), which ``evolve``
+calls; ``fastpath.solve_ivp`` is scipy's, resolved lazily, on the tracer's
+first read, by the module's ``__getattr__``. Losing any of the three names
+breaks ``dephbench/run.py --trace 1`` without failing any other test, so a
+traced run is made here, in a subprocess that keeps the wrapping out of this
+one. ``correlation-map`` solves for its steady state without propagating, so
+two small ``evolve`` calls are traced as well: N = 3, whose symmetry blocks
+are propagated by dense ``expm``, and N = 7, Np = 4 with interaction 0.3,
+whose blocks are too large for that and go to ``expm_multiply``.
+``steady_state`` does not call ``steady_state_null_space``, the name the
+tracer books as steady work, so that is called directly once as well."""
 
 import json
 import subprocess
