@@ -28,7 +28,6 @@ _DEFAULTS = {
     "steady": {
         "lattice": {"n_sites": 3},
         "initial_state": {"type": "fock", "bitstring": "010"},
-        "observables": ["occ:2"],
     },
     "correlation-map": {
         "lattice": {"n_sites": 9},

@@ -2,10 +2,10 @@
 
 ``expm`` exponentiates a stack of dense matrices by scaling and squaring the
 degree-13 Padé approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-(2005)). ``expm_multiply`` applies exp(A) of a sparse A to a vector by a
-truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)). Both are numpy code with exact norms: neither draws random numbers,
-so a result is the same on every run.
+(2005)). ``expm_multiply`` applies exp(t A) of a sparse A to a vector, step
+after step, by a truncated Taylor series (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)). Both are numpy code with exact norms: neither draws
+random numbers, so a result is the same on every run.
 """
 
 from __future__ import annotations
@@ -96,33 +96,27 @@ def _step(a, vec: np.ndarray, t: float, shift: complex, degree: int, steps: int)
     return total
 
 
-def expm_multiply(a, vec, start=None, stop=None, num=None, endpoint=True) -> np.ndarray:
-    """exp(A) vec for a square sparse or dense A and a vector ``vec``; with
-    ``start``, ``stop`` and ``num``, exp(t A) vec at each t of
-    ``np.linspace(start, stop, num, endpoint=endpoint)``, one row each.
+def expm_multiply(a, vec, steps) -> np.ndarray:
+    """exp(t_k A) applied to the row before, for each step t_k of ``steps``,
+    the first to ``vec``: one row per step, so a step of 0 repeats the row.
+    exp(A) vec is ``expm_multiply(a, vec, [1.0])[0]``.
 
-    A is shifted by its mean diagonal mu, whose exponential is the exact
-    factor exp(t mu), and the Taylor degree and step count come from the
-    exact 1-norm of t (A - mu) (:func:`_taylor_steps`). The interval form
-    reaches its first time by one such series and steps from sample to
-    sample by another, chosen once for the grid spacing. The result is
+    A is shifted once by its mean diagonal mu, whose exponential is the exact
+    factor exp(t mu), and each step takes the Taylor degree and step count
+    of the exact 1-norm of t (A - mu) (:func:`_taylor_steps`). The result is
     complex or real as A and ``vec`` together are."""
     a = sparse.csr_array(a)
     vec = np.asarray(vec)
+    steps = np.asarray(steps, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n) or vec.shape != (n,):
-        raise ValueError(f"need a square matrix and a vector of its size, got {a.shape} "
-                         f"and {vec.shape}")
+    if a.shape != (n, n) or vec.shape != (n,) or steps.ndim != 1:
+        raise ValueError(f"need a square matrix, a vector of its size and a list of steps, "
+                         f"got {a.shape}, {vec.shape} and {steps.shape}")
     vec = vec.astype(np.result_type(a.dtype, vec.dtype, float))
     shift = a.trace() / n if n else 0.0
     a = a - shift * sparse.eye_array(n, dtype=a.dtype, format="csr")
     norm = float(abs(a).sum(axis=0).max(initial=0.0))
-    if start is None:
-        return _step(a, vec, 1.0, shift, *_taylor_steps(norm))
-    times, spacing = np.linspace(start, stop, num, endpoint=endpoint, retstep=True)
-    samples = np.empty((len(times), n), dtype=vec.dtype)
-    samples[0] = _step(a, vec, times[0], shift, *_taylor_steps(abs(times[0]) * norm))
-    steps = _taylor_steps(abs(spacing) * norm) if len(times) > 1 else (0, 1)
-    for k in range(1, len(times)):
-        samples[k] = _step(a, samples[k - 1], spacing, shift, *steps)
+    samples = np.empty((len(steps), n), dtype=vec.dtype)
+    for k, t in enumerate(steps):
+        vec = samples[k] = _step(a, vec, t, shift, *_taylor_steps(abs(t) * norm)) if t else vec
     return samples

@@ -40,7 +40,8 @@ LIMITS = {"max_trace_dev": (-math.inf, TRACE_TOL), "max_herm_dev": (-math.inf, H
           "min_eigenvalue": (-POSITIVITY_TOL, math.inf)}
 
 # A time grid that differs from ``np.linspace`` over its own ends by at most
-# this many ulps of its last time is propagated in one interval call.
+# this many ulps of its last time takes its one spacing as every step after
+# the first (:func:`_steps`).
 UNIFORM_GRID_ULPS = 4
 
 # Eigenvalues of H closer than this (in the units of H) are one degenerate
@@ -319,32 +320,17 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _is_uniform(times: np.ndarray) -> bool:
-    """Whether ``times`` is ``np.linspace`` over its own ends, to a few ulps."""
-    if len(times) < 2 or times[-1] == times[0]:
-        return False
-    grid = np.linspace(times[0], times[-1], len(times))
-    return bool(np.abs(times - grid).max() <= UNIFORM_GRID_ULPS * np.spacing(times[-1]))
-
-
-def _expm_samples(generator, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(L t) vec at each of the non-decreasing ``times``, one row each, by
-    the truncated Taylor series of :func:`exponential.expm_multiply`: one
-    interval call for a uniform grid, otherwise one call per distinct step,
-    and one more to reach a first sample later than 0.
-    """
-    if times[0] > 0:
-        vec = splinalg.expm_multiply(generator * times[0], vec)
-    if _is_uniform(times):
-        return splinalg.expm_multiply(generator, vec, start=0.0, stop=times[-1] - times[0],
-                                      num=len(times), endpoint=True)
-    samples, t_prev = [], times[0]
-    for t in times:
-        if t > t_prev:
-            vec = splinalg.expm_multiply(generator * (t - t_prev), vec)
-            t_prev = t
-        samples.append(vec)
-    return np.array(samples)
+def _steps(times: np.ndarray) -> np.ndarray:
+    """The step that reaches each of the non-decreasing ``times`` from the
+    sample before, the first from 0. On a grid that is ``np.linspace`` over
+    its own ends, to ``UNIFORM_GRID_ULPS``, every later step is the one
+    spacing (t[-1] - t[0]) / (T - 1); on any other, each is a difference."""
+    steps = np.diff(times, prepend=0.0)
+    if len(times) > 1 and times[-1] > times[0]:
+        grid = np.linspace(times[0], times[-1], len(times))
+        if np.abs(times - grid).max() <= UNIFORM_GRID_ULPS * np.spacing(times[-1]):
+            steps[1:] = (times[-1] - times[0]) / (len(times) - 1)
+    return steps
 
 
 class SymmetryBlocks(NamedTuple):
@@ -455,32 +441,28 @@ def _point_pairs(rho0: np.ndarray, liouvillian: Liouvillian, blocks: SymmetryBlo
     return _Pairs(basis, adjoint, in_blocks, generators, order, keep)
 
 
-def _dense_samples(generators: list, vec: np.ndarray, times: np.ndarray):
-    """Yield exp(L t) vec at each of the non-decreasing ``times``, for the
-    block-diagonal L of ``generators``: the generators of one size are
-    stacked, exponentiated by one dense ``expm`` call per step, and step
-    their entries of the vector by one stacked product. One propagator
-    serves a uniform grid, plus one to reach a later first sample; any other
-    grid takes one per distinct step."""
+def _dense_samples(generators: list, vec: np.ndarray, steps: np.ndarray):
+    """Yield exp(L t_k) applied to the sample before, for each step t_k of
+    ``steps`` (the first to ``vec``), for the block-diagonal L of
+    ``generators``: the generators of one size are stacked, exponentiated by
+    one dense ``expm`` call per distinct positive step, and step their
+    entries of the vector by one stacked product; a step of 0 repeats the
+    sample. A propagator is kept only while a later sample takes its step."""
     shapes = np.array([g.shape[0] for g in generators])
     starts = np.cumsum(shapes) - shapes
     stacks = [(starts[which, None] + np.arange(size),
                np.array([generators[k].toarray() for k in which]))
               for size, which in ((m, np.flatnonzero(shapes == m)) for m in np.unique(shapes))]
-
-    def propagator(dt: float) -> list:
-        return [(entries, expm(stack * dt)) for entries, stack in stacks]
-
-    uniform = _is_uniform(times)
-    if uniform:
-        step = propagator((times[-1] - times[0]) / (len(times) - 1))
-    t_prev = 0.0
-    for k, t in enumerate(times):
-        if t > t_prev:
+    last = {step: k for k, step in enumerate(steps)}     # the last sample of each step
+    propagators = {}
+    for k, step in enumerate(steps):
+        if step > 0:
+            if step not in propagators:
+                propagators[step] = [(entries, expm(stack * step)) for entries, stack in stacks]
             stepped = np.empty(len(vec), dtype=complex)
-            for entries, p in step if uniform and k > 0 else propagator(t - t_prev):
+            for entries, p in propagators.pop(step) if last[step] == k else propagators[step]:
                 stepped[entries] = np.matmul(p, vec[entries][:, :, None])[:, :, 0]
-            vec, t_prev = stepped, t
+            vec = stepped
         yield vec
 
 
@@ -520,11 +502,12 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     pair rho_ab = P_a rho P_b that ``rho0`` occupies (:func:`_point_pairs`)
     is propagated alone under its generator. A t = 0 sample is ``rho0`` itself.
 
-    The pairs of all points are stepped together by one kernel call:
-    :func:`_dense_samples` when ``dense``, which stacks equal-size pairs
-    across points, else :func:`_expm_samples` on the block-diagonal
-    concatenation of their generators. Each point's entries of a chunk of
-    the kernel's sample vectors are scattered into its output at once.
+    The pairs of all points are stepped together by one kernel call, on the
+    steps of :func:`_steps`: :func:`_dense_samples` when ``dense``, which
+    stacks equal-size pairs across points, else ``expm_multiply`` on the
+    block-diagonal concatenation of their generators. Each point's entries
+    of a chunk of the kernel's sample vectors are scattered into its output
+    at once.
 
     The samples are written, a chunk of about ``_SAMPLE_CHUNK_BYTES`` at a
     time, into a zeroed output in the block basis, only the occupied pairs'
@@ -540,9 +523,10 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     edges = np.cumsum([0] + [len(pairs.order) for pairs in occupied])
     generators = [g for pairs in occupied for g in pairs.generators]
     vec = np.concatenate([pairs.in_blocks.ravel()[pairs.order] for pairs in occupied])
+    steps = _steps(times)
     # An iterator either way, so that each chunk resumes where the last one stopped.
-    stream = (_dense_samples(generators, vec, times) if dense else
-              iter(_expm_samples(sparse.block_diag(generators, format="csr"), vec, times)))
+    stream = (_dense_samples(generators, vec, steps) if dense else
+              iter(splinalg.expm_multiply(sparse.block_diag(generators, format="csr"), vec, steps)))
     states = [np.zeros((len(times), dim, dim), dtype=complex) for _ in occupied]
     deviations = np.empty((len(occupied), 3, len(times)))
     rows = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
@@ -582,9 +566,11 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     Both kernels are :mod:`exponential`'s. A point's samples thus move at
     rounding level with the other points of its call.
 
-    Either way a grid that is ``np.linspace`` over its own ends (to a few
-    ulps) is stepped by one propagator, any other grid by one per distinct
-    step, and a first sample later than 0 is reached by one more. The
+    Either way the samples are reached one after another by the steps of
+    :func:`_steps`, the first from 0: on a grid that is ``np.linspace`` over
+    its own ends (to a few ulps) all later steps are one spacing, on any other
+    they are the differences. The dense kernel takes one propagator per
+    distinct step, the sparse one a Taylor series per step. The
     samples are one (T, d, d) array per Liouvillian. Every sample is checked
     for trace and hermiticity in the site basis, and for positivity in the
     block basis, on the rows and columns of the blocks its occupied pairs

@@ -36,6 +36,11 @@ def test_default_configs_are_valid_and_round_trip(kind):
     assert config_to_dict(rebuilt) == payload
 
 
+def test_steady_default_carries_no_observables():
+    # The steady runner reads no observables, so its defaults name none.
+    assert default_config("steady").observables == ()
+
+
 def test_unknown_fields_rejected():
     payload = config_to_dict(default_config("steady"))
     payload["bogus"] = 1

@@ -2,7 +2,8 @@
 
 ``exponential.expm`` is compared with ``scipy.linalg.expm`` and
 ``exponential.expm_multiply`` with ``scipy.sparse.linalg.expm_multiply``,
-each to 1e-13 relative to the largest entry of scipy's result. The inputs
+each to 1e-13 relative to the largest entry of scipy's result. Ours
+takes the steps between samples where scipy's takes their times. The inputs
 are the kind the propagation exponentiates: dissipative generators
 -i H - D, with H Hermitian and D a non-negative diagonal, scaled to a given
 1-norm. scipy's ``expm_multiply`` picks its steps from estimated norms
@@ -60,7 +61,9 @@ def test_expm_multiply_one_step_matches_scipy(norm):
     rng = np.random.default_rng(2)
     a = sparse_dissipative(rng, 60, norm)
     vec = rng.normal(size=60) + 1j * rng.normal(size=60)
-    assert relative(expm_multiply(a, vec), scipy.sparse.linalg.expm_multiply(a, vec)) <= RTOL
+    got = expm_multiply(a, vec, [1.0])
+    assert got.shape == (1, 60)
+    assert relative(got[0], scipy.sparse.linalg.expm_multiply(a, vec)) <= RTOL
 
 
 @pytest.mark.parametrize("norm", [100.0, 300.0])
@@ -68,15 +71,17 @@ def test_expm_multiply_long_step_matches_dense_exponential(norm):
     rng = np.random.default_rng(3)
     a = sparse_dissipative(rng, 60, norm)
     vec = rng.normal(size=60) + 1j * rng.normal(size=60)
-    assert relative(expm_multiply(a, vec), scipy.linalg.expm(a.toarray()) @ vec) <= RTOL
+    got = expm_multiply(a, vec, [1.0])[0]
+    assert relative(got, scipy.linalg.expm(a.toarray()) @ vec) <= RTOL
 
 
 @pytest.mark.parametrize("stop, num", [(3.0, 31), (0.5, 2), (20.0, 7)])
 def test_expm_multiply_interval_matches_scipy(stop, num):
+    # scipy's interval form against the steps that reach its times.
     rng = np.random.default_rng(4)
     a = sparse_dissipative(rng, 60, 2.0)
     vec = rng.normal(size=60) + 1j * rng.normal(size=60)
-    got = expm_multiply(a, vec, start=0.0, stop=stop, num=num, endpoint=True)
+    got = expm_multiply(a, vec, np.diff(np.linspace(0.0, stop, num), prepend=0.0))
     expected = scipy.sparse.linalg.expm_multiply(a, vec, start=0.0, stop=stop, num=num,
                                                  endpoint=True)
     assert got.shape == (num, 60)
@@ -88,9 +93,9 @@ def test_expm_multiply_at_t_zero_is_the_input():
     rng = np.random.default_rng(5)
     a = sparse_dissipative(rng, 40, 5.0)
     vec = rng.normal(size=40) + 1j * rng.normal(size=40)
-    assert np.array_equal(expm_multiply(0.0 * a, vec), vec)
+    assert np.array_equal(expm_multiply(0.0 * a, vec, [1.0])[0], vec)
     assert np.array_equal(scipy.sparse.linalg.expm_multiply(0.0 * a, vec), vec)
-    single = expm_multiply(a, vec, start=0.0, stop=0.0, num=1, endpoint=True)
+    single = expm_multiply(a, vec, [0.0])
     assert single.shape == (1, 40) and np.array_equal(single[0], vec)
 
 
@@ -99,14 +104,32 @@ def test_expm_multiply_of_a_real_vector_is_complex():
     a = sparse_dissipative(rng, 40, 5.0)
     vec = rng.normal(size=40)
     for got, expected in (
-            (expm_multiply(a, vec), scipy.sparse.linalg.expm_multiply(a, vec)),
-            (expm_multiply(0.0 * a, vec), vec),
-            (expm_multiply(a, vec, start=0.0, stop=2.0, num=5, endpoint=True),
+            (expm_multiply(a, vec, [1.0])[0], scipy.sparse.linalg.expm_multiply(a, vec)),
+            (expm_multiply(0.0 * a, vec, [1.0])[0], vec),
+            (expm_multiply(a, vec, np.diff(np.linspace(0.0, 2.0, 5), prepend=0.0)),
              scipy.sparse.linalg.expm_multiply(a, vec, start=0.0, stop=2.0, num=5, endpoint=True))):
         assert got.dtype == complex
         assert relative(got, expected) <= RTOL
 
 
+def test_expm_multiply_on_unequal_steps_and_zeros():
+    # Each row is reached from the one before; a zero step repeats it exactly.
+    rng = np.random.default_rng(7)
+    a = sparse_dissipative(rng, 40, 5.0)
+    vec = rng.normal(size=40) + 1j * rng.normal(size=40)
+    steps = np.array([0.0, 0.3, 0.0, 1.7, 0.05, 0.0, 4.0])
+    got = expm_multiply(a, vec, steps)
+    assert got.shape == (len(steps), 40)
+    assert np.array_equal(got[0], vec)
+    for k in np.flatnonzero(steps[1:] == 0.0) + 1:
+        assert np.array_equal(got[k], got[k - 1])
+    dense = a.toarray()
+    expected = np.array([scipy.linalg.expm(dense * t) @ vec for t in np.cumsum(steps)])
+    assert relative(got, expected) <= RTOL
+
+
 def test_expm_multiply_refuses_mismatched_shapes():
     with pytest.raises(ValueError):
-        expm_multiply(sparse.identity(3, format="csr"), np.ones(4))
+        expm_multiply(sparse.identity(3, format="csr"), np.ones(4), [1.0])
+    with pytest.raises(ValueError):
+        expm_multiply(sparse.identity(3, format="csr"), np.ones(3), 1.0)

@@ -67,7 +67,7 @@ def interacting_problem():
 def full_route(rho0, liou, times):
     """The samples of the expm_multiply route on the whole superoperator."""
     times = np.asarray(times, dtype=float)
-    samples = lindblad._expm_samples(liou.matrix, vectorize(rho0), times)
+    samples = lindblad.splinalg.expm_multiply(liou.matrix, vectorize(rho0), lindblad._steps(times))
     states = samples.reshape(len(times), liou.dim, liou.dim).transpose(0, 2, 1)
     states[times == 0.0] = rho0
     return states
@@ -262,30 +262,50 @@ def test_expm_matches_dense_exponential(n_sites, bits, grid):
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("grid", list(EXPM_GRIDS), ids=list(EXPM_GRIDS))
+def test_steps_reach_each_sample_from_the_one_before(grid):
+    # A grid that is np.linspace over its own ends takes its first time and
+    # then one spacing; any other grid takes its exact differences.
+    times = EXPM_GRIDS[grid]
+    steps = lindblad._steps(times)
+    assert steps.shape == times.shape and steps[0] == times[0]
+    if grid in ("linspace", "arange", "late-start", "late-short-interval"):
+        assert np.all(steps[1:] == (times[-1] - times[0]) / (len(times) - 1))
+        assert np.abs(np.cumsum(steps) - times).max() <= 1e-12 * times[-1]
+    else:
+        assert np.array_equal(steps, np.diff(times, prepend=0.0))
+
+
+# Each grid with the number of distinct positive steps it takes: the dense
+# propagators per pair size.
 GRID_CALLS = [
     (np.linspace(0.0, 6.0, 121), 1),
     (np.linspace(1.0, 3.0, 41), 2),
     (np.array([0.0, 0.3, 0.3, 1.1]), 2),
+    (np.array([0.5, 1.0, 2.5, 3.0]), 2),
 ]
 
 
 @pytest.mark.parametrize("times, calls", GRID_CALLS)
 def test_expm_calls_per_grid(monkeypatch, times, calls):
-    # Full route: one interval call per uniform grid, plus one to reach a
-    # later first sample; one call per distinct step otherwise.
+    # Full route: one expm_multiply call on the grid's steps, whatever the
+    # grid, of which ``calls`` are distinct and positive.
     liou, rho0 = interacting_problem()
     seen = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
     dense = counting(monkeypatch, lindblad, "expm")
     evolve(rho0, liou, times)
-    assert len(seen) == calls
+    assert len(seen) == 1
+    steps = seen[0][2]
+    assert np.array_equal(steps, lindblad._steps(times))
+    assert len(np.unique(steps[steps > 0])) == calls
     assert dense == []
 
 
 @pytest.mark.parametrize("times, calls", [(np.linspace(0.0, 60.0, 1201), 1)] + GRID_CALLS[1:])
 def test_dense_exponentials_per_grid(monkeypatch, times, calls):
-    # Block route: the same number of propagators, each one dense expm call
-    # per pair size, and no expm_multiply. The input is a pure state with a
-    # weight on every basis state, so it occupies every pair of blocks.
+    # Block route: one propagator per distinct positive step, each one dense
+    # expm call per pair size, and no expm_multiply. The input is a pure state
+    # with a weight on every basis state, so it occupies every pair of blocks.
     _, basis, liou = n3_problem()
     sizes = lindblad._symmetry_blocks(liou)[1]
     pair_sizes = np.unique(np.outer(sizes, sizes)).size
@@ -635,7 +655,7 @@ def test_interacting_mirror_symmetric_input_builds_one_orbit_pair(monkeypatch):
     # generator, 19^2 wide, with the nonzeros of its two orbit Hamiltonians.
     liou, rho0 = interacting_problem()
     built = counting(monkeypatch, lindblad, "_pair_superoperator")
-    propagated = counting(monkeypatch, lindblad, "_expm_samples")
+    propagated = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
     evolve(rho0, liou, [0.0, 1.0])
     assert len(built) == 1 and len(propagated) == 1
     generator = propagated[0][0]
@@ -663,7 +683,7 @@ def _interacting_inputs():
 @pytest.mark.parametrize("times", [CROSS_GRIDS[0], CROSS_GRIDS[2]], ids=["uniform", "repeated"])
 def test_orbit_route_matches_full_route(monkeypatch, times):
     # The orbit route propagates only the occupied reflection pairs, one
-    # sparse generator each, in one expm_multiply call per step.
+    # sparse generator each, in one expm_multiply call on all the steps.
     liou, inputs = _interacting_inputs()
     assert [q.shape[1] for q in liou.orbits] == [19, 16]
     for name, rho0, pairs in inputs:
