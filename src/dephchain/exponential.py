@@ -10,6 +10,7 @@ random numbers, so a result is the same on every run.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,10 +65,12 @@ def expm(a) -> np.ndarray:
     return result
 
 
+@functools.lru_cache(maxsize=256)
 def _taylor_steps(norm: float) -> tuple[int, int]:
     """The degree m and the number of steps s for exp(t A) with ||t A||_1 =
     ``norm``: of the pairs with s = ceil(norm / theta_m), the one with the
-    fewest products m s, the lowest m on a tie. (0, 1) for a zero norm."""
+    fewest products m s, the lowest m on a tie. (0, 1) for a zero norm.
+    Cached, so the equal steps of a uniform grid choose once."""
     if norm == 0:
         return 0, 1
     return min(((m, math.ceil(norm / theta)) for m, theta in _TAYLOR_THETA.items()),

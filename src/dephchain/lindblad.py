@@ -445,22 +445,23 @@ def _dense_samples(generators: list, vec: np.ndarray, steps: np.ndarray):
     """Yield exp(L t_k) applied to the sample before, for each step t_k of
     ``steps`` (the first to ``vec``), for the block-diagonal L of
     ``generators``: the generators of one size are stacked, exponentiated by
-    one dense ``expm`` call per distinct positive step, and step their
-    entries of the vector by one stacked product; a step of 0 repeats the
-    sample. A propagator is kept only while a later sample takes its step."""
+    one dense ``expm`` call whenever a positive step differs from the last
+    positive one, and step their entries of the vector by one stacked
+    product; a step of 0 repeats the sample. Only the last propagator is held."""
     shapes = np.array([g.shape[0] for g in generators])
     starts = np.cumsum(shapes) - shapes
     stacks = [(starts[which, None] + np.arange(size),
                np.array([generators[k].toarray() for k in which]))
               for size, which in ((m, np.flatnonzero(shapes == m)) for m in np.unique(shapes))]
-    last = {step: k for k, step in enumerate(steps)}     # the last sample of each step
-    propagators = {}
-    for k, step in enumerate(steps):
+    held, propagators = None, []
+    for step in steps:
         if step > 0:
-            if step not in propagators:
-                propagators[step] = [(entries, expm(stack * step)) for entries, stack in stacks]
+            if step != held:
+                propagators = None      # freed before the next one is built
+                propagators = [(entries, expm(stack * step)) for entries, stack in stacks]
+                held = step
             stepped = np.empty(len(vec), dtype=complex)
-            for entries, p in propagators.pop(step) if last[step] == k else propagators[step]:
+            for entries, p in propagators:
                 stepped[entries] = np.matmul(p, vec[entries][:, :, None])[:, :, 0]
             vec = stepped
         yield vec
@@ -569,8 +570,8 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     Either way the samples are reached one after another by the steps of
     :func:`_steps`, the first from 0: on a grid that is ``np.linspace`` over
     its own ends (to a few ulps) all later steps are one spacing, on any other
-    they are the differences. The dense kernel takes one propagator per
-    distinct step, the sparse one a Taylor series per step. The
+    they are the differences. The dense kernel builds a propagator whenever
+    the step changes, the sparse one a Taylor series per step. The
     samples are one (T, d, d) array per Liouvillian. Every sample is checked
     for trace and hermiticity in the site basis, and for positivity in the
     block basis, on the rows and columns of the blocks its occupied pairs

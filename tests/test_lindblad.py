@@ -276,20 +276,20 @@ def test_steps_reach_each_sample_from_the_one_before(grid):
         assert np.array_equal(steps, np.diff(times, prepend=0.0))
 
 
-# Each grid with the number of distinct positive steps it takes: the dense
-# propagators per pair size.
+# Each grid with the number of times its positive step changes, counting the
+# first positive step: the dense propagators per pair size.
 GRID_CALLS = [
     (np.linspace(0.0, 6.0, 121), 1),
     (np.linspace(1.0, 3.0, 41), 2),
     (np.array([0.0, 0.3, 0.3, 1.1]), 2),
-    (np.array([0.5, 1.0, 2.5, 3.0]), 2),
+    (np.array([0.5, 1.0, 2.5, 3.0]), 3),
 ]
 
 
 @pytest.mark.parametrize("times, calls", GRID_CALLS)
 def test_expm_calls_per_grid(monkeypatch, times, calls):
     # Full route: one expm_multiply call on the grid's steps, whatever the
-    # grid, of which ``calls`` are distinct and positive.
+    # grid, whose positive step changes ``calls`` times.
     liou, rho0 = interacting_problem()
     seen = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
     dense = counting(monkeypatch, lindblad, "expm")
@@ -297,15 +297,16 @@ def test_expm_calls_per_grid(monkeypatch, times, calls):
     assert len(seen) == 1
     steps = seen[0][2]
     assert np.array_equal(steps, lindblad._steps(times))
-    assert len(np.unique(steps[steps > 0])) == calls
+    assert np.count_nonzero(np.diff(steps[steps > 0], prepend=0.0)) == calls
     assert dense == []
 
 
 @pytest.mark.parametrize("times, calls", [(np.linspace(0.0, 60.0, 1201), 1)] + GRID_CALLS[1:])
 def test_dense_exponentials_per_grid(monkeypatch, times, calls):
-    # Block route: one propagator per distinct positive step, each one dense
-    # expm call per pair size, and no expm_multiply. The input is a pure state
-    # with a weight on every basis state, so it occupies every pair of blocks.
+    # Block route: one propagator each time the positive step changes, each
+    # one dense expm call per pair size, and no expm_multiply. The input is a
+    # pure state with a weight on every basis state, so it occupies every pair
+    # of blocks.
     _, basis, liou = n3_problem()
     sizes = lindblad._symmetry_blocks(liou)[1]
     pair_sizes = np.unique(np.outer(sizes, sizes)).size
