@@ -141,49 +141,42 @@ def build_initial_state(spec: LatticeSpec, descriptor: InitialState
 
 _OBSERVABLES = {"corr": fock.bilinear_operator, "occ": fock.number_operator,
                 "charge": fock.charge_operator, "number": fock.total_number_operator,
-                "purity": lambda basis: None}
+                "purity": lambda basis: "purity"}
 
 
 def _parse_observables(names, basis: fock.ManyBodyBasis):
-    """One operator per observable name (none for ``purity``), parsed by
-    :func:`config.parse_observable`."""
+    """One readout of :func:`lindblad.evolve_scan` per observable name, an
+    operator or ``"purity"``, parsed by :func:`config.parse_observable`."""
     parsed = {name: parse_observable(name, basis.n_sites) for name in names}
     return {name: _OBSERVABLES[kind](basis, *sites) for name, (kind, sites) in parsed.items()}
 
 
-def _series(trajectory: Trajectory, operators) -> dict[str, np.ndarray]:
-    series = {}
-    for name, op in operators.items():
-        if name == "purity":
-            states = trajectory.states
-            series[name] = np.einsum("tij,tji->t", states, states).real.astype(complex)
-        else:
-            series[name] = fock.expectation(trajectory.states, op)
-    return series
-
-
-def _conservation_checks(rho0: np.ndarray, trajectories: list[Trajectory],
-                         basis: fock.ManyBodyBasis, liouvillians: list[Liouvillian]) -> dict:
-    """Drift from ``rho0`` of the charge, the particle number and the
-    even-reflection weight over the samples of ``trajectories``, with their
-    worst per-sample diagnostics.
-
-    A first sample at t = 0 is ``rho0`` itself and serves as the reference.
-    A drift is enforced only when its operator commutes with the jump and
-    with every Hamiltonian of ``liouvillians``; the others are named under
-    "not_enforced" and reported all the same.
-    """
-    operators = {
+def _drift_operators(basis: fock.ManyBodyBasis) -> dict[str, sparse.csr_matrix]:
+    """The charge, the particle number and the even-reflection projector,
+    keyed by the name of their drift check; every propagating run reads them
+    as readouts for :func:`_conservation_checks`."""
+    return {
         "charge_drift": fock.charge_operator(basis),
         "number_drift": fock.total_number_operator(basis),
         "parity_even_drift": 0.5 * (sparse.identity(basis.size, format="csr")
                                     + fock.reflection_operator(basis)),
     }
+
+
+def _conservation_checks(rho0: np.ndarray, trajectories: list[Trajectory], operators: dict,
+                         liouvillians: list[Liouvillian]) -> dict:
+    """Drift from ``rho0`` of each of the :func:`_drift_operators` over the
+    samples of ``trajectories``, read from their series of the same names,
+    with their worst per-sample diagnostics.
+
+    A drift is enforced only when its operator commutes with the jump and
+    with every Hamiltonian of ``liouvillians``; the others are named under
+    "not_enforced" and reported all the same.
+    """
     checks: dict = {"not_enforced": []}
     for key, operator in operators.items():
-        values = np.concatenate([fock.expectation(t.states, operator) for t in trajectories])
-        start = values[0] if trajectories[0].times[0] == 0 else fock.expectation(rho0, operator)
-        checks[key] = float(np.abs(values - start).max())
+        values = np.concatenate([t.series[key] for t in trajectories])
+        checks[key] = float(np.abs(values - fock.expectation(rho0, operator)).max())
         if any(_commutator_norm(operator, liou) > COMMUTATOR_TOL for liou in liouvillians):
             checks["not_enforced"].append(key)
     checks.update(lindblad.worst_deviations([t.diagnostics for t in trajectories]))
@@ -217,9 +210,10 @@ def run_evolve(config: ExperimentConfig) -> RunResult:
     operators = _parse_observables(config.observables, basis)
     liouvillian = dephasing_liouvillian(spec, basis)
     times = config.time_grid.values()
-    trajectory = evolve(rho0, liouvillian, times)
-    series = _series(trajectory, operators)
-    checks = _conservation_checks(rho0, [trajectory], basis, [liouvillian])
+    drifts = _drift_operators(basis)
+    trajectory = evolve(rho0, liouvillian, times, {**operators, **drifts}, keep=[])
+    series = {name: trajectory.series[name] for name in operators}
+    checks = _conservation_checks(rho0, [trajectory], drifts, [liouvillian])
     return _result(config, checks, {"timeseries": _timeseries_table(times, series)},
                    final_time=float(times[-1]))
 
@@ -318,12 +312,20 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     end_to_end = fock.bilinear_operator(basis, 1, n)
     liouvillian = dephasing_liouvillian(spec, basis)
 
+    drifts = _drift_operators(basis)
+    readouts = {"corr": end_to_end, "residual": "residual", **drifts}
+
     grid = config.time_grid
     times = grid.values()
-    bare = evolve(rho0, liouvillian, times)
-    corr = fock.expectation(bare.states, end_to_end)
+    if quench.time == "auto":
+        # The peak that sets t_quench is not known before the run; it lies
+        # at or after the transient.
+        keep = np.flatnonzero(times >= quench.transient)
+    else:
+        keep = [int(np.searchsorted(times, float(quench.time), side="right")) - 1]
+    bare = evolve(rho0, liouvillian, times, readouts, keep)
+    corr, residuals = bare.series["corr"], bare.series["residual"]
     abs_corr = np.abs(corr)
-    residuals = liouvillian.residual(bare.states)
 
     peaks = _local_maxima(times, abs_corr, after=quench.transient)
     if quench.time == "auto":
@@ -338,20 +340,19 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
     # rho(t_quench) is the last bare sample at or before t_quench, carried the
     # rest of the way when t_quench falls between samples.
     k = int(np.searchsorted(times, t_quench, side="right")) - 1
-    rho_at_quench, t_base = bare.states[k], float(times[k])
+    rho_at_quench, t_base = bare.states[np.searchsorted(bare.kept, k)], float(times[k])
     trajectories = [bare]
     if t_quench > t_base:
-        trajectories.append(evolve(rho_at_quench, liouvillian, [t_quench - t_base]))
+        trajectories.append(evolve(rho_at_quench, liouvillian, [t_quench - t_base], drifts))
         rho_at_quench = trajectories[-1].states[-1]
     trap_spec = dataclasses.replace(spec, trap_amplitude=quench.trap_amplitude)
     trapped = dephasing_liouvillian(trap_spec, basis)
     uniform = grid.points is None and grid.num > 1 and grid.stop > grid.start
     step = (grid.stop - grid.start) / (grid.num - 1) if uniform else quench.window / 400
     post_times = np.arange(0.0, quench.window + step / 2, step)
-    post = evolve(rho_at_quench, trapped, post_times)
+    post = evolve(rho_at_quench, trapped, post_times, readouts, keep=[])
     trajectories.append(post)
-    post_corr = fock.expectation(post.states, end_to_end)
-    post_residuals = trapped.residual(post.states)
+    post_corr, post_residuals = post.series["corr"], post.series["residual"]
 
     header = ["t", "corr_re", "corr_im", "corr_abs", "residual", "post_quench"]
     rows = [[t, corr[k].real, corr[k].imag, abs_corr[k], residuals[k], 0]
@@ -368,7 +369,7 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
         "pre_quench_local_max": pre_local_max,
         "post_window_mean": post_mean,
         "retention_ratio": float(retention),
-        **_conservation_checks(rho0, trajectories, basis, [liouvillian, trapped]),
+        **_conservation_checks(rho0, trajectories, drifts, [liouvillian, trapped]),
     }
     return _result(config, checks, {"fock_quench": (header, rows)}, quench_time=t_quench)
 
@@ -383,8 +384,9 @@ def _parameter_scan(config: ExperimentConfig, parameter: str, times):
     grid = config.scan.grid()
     liouvillians = [dephasing_liouvillian(dataclasses.replace(base, **{parameter: float(value)}),
                                           basis) for value in grid]
-    trajectories = evolve_scan(rho0, liouvillians, times)
-    return basis, grid, trajectories, _conservation_checks(rho0, trajectories, basis, liouvillians)
+    drifts = _drift_operators(basis)
+    trajectories = evolve_scan(rho0, liouvillians, times, drifts)
+    return basis, grid, trajectories, _conservation_checks(rho0, trajectories, drifts, liouvillians)
 
 
 def _end_to_end_concurrence(rho: np.ndarray, basis: fock.ManyBodyBasis) -> float:

@@ -117,7 +117,7 @@ def expm_multiply(a, vec, steps) -> np.ndarray:
                          f"got {a.shape}, {vec.shape} and {steps.shape}")
     vec = vec.astype(np.result_type(a.dtype, vec.dtype, float))
     shift = a.trace() / n if n else 0.0
-    a = a - shift * sparse.eye_array(n, dtype=a.dtype, format="csr")
+    a = a - shift * sparse.identity(n, dtype=a.dtype, format="csr")
     norm = float(abs(a).sum(axis=0).max(initial=0.0))
     samples = np.empty((len(steps), n), dtype=vec.dtype)
     for k, t in enumerate(steps):

@@ -276,9 +276,14 @@ def fock_state(basis: ManyBodyBasis, bitstring: str | int) -> np.ndarray:
 
 def expectation(rho: np.ndarray, operator):
     """Tr[O rho] of one d x d state, or one value per state of a (T, d, d)
-    stack, summed over the nonzero entries of the (sparse or dense) O only."""
-    op = sparse.coo_matrix(operator)
-    return np.asarray(rho)[..., op.col, op.row] @ op.data
+    stack, summed over the nonzero entries of the (sparse or dense) O only.
+    Each state's products are laid out in one C-ordered row and reduced by
+    numpy's pairwise sum, never by BLAS, so a state's value does not depend
+    on the stack it is read in or on the BLAS thread count. A COO matrix is
+    read as it is, which spares a caller that reads one operator many times
+    scipy's conversion."""
+    op = operator if isinstance(operator, sparse.coo_matrix) else sparse.coo_matrix(operator)
+    return np.multiply(np.asarray(rho)[..., op.col, op.row], op.data, order="C").sum(axis=-1)
 
 
 def correlation_matrix(rho: np.ndarray, basis: ManyBodyBasis) -> np.ndarray:

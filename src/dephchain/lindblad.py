@@ -25,7 +25,7 @@ import scipy.sparse as sparse
 # module's public names.
 from . import exponential as splinalg
 from .exponential import expm
-from .fock import (ManyBodyBasis, build_many_body_hamiltonian, number_operator,
+from .fock import (ManyBodyBasis, build_many_body_hamiltonian, expectation, number_operator,
                    reflection_orbits, slater_determinants)
 from .model import LatticeSpec, build_single_particle_hamiltonian, classify_mode_parity
 
@@ -56,7 +56,8 @@ NULL_TOL = 1e-10
 _GRAM_SCREEN = 1e-8
 # Row blocks of the dark-subspace constraint are about this many bytes.
 _CHUNK_BYTES = 1 << 22
-# Chunks of samples whose residual is taken at once are about this many bytes.
+# Chunks of samples that are checked, read and whose residual is taken at
+# once are about this many bytes (:func:`_chunk_rows`).
 _SAMPLE_CHUNK_BYTES = 1 << 20
 
 # Sectors are symmetry blocks to this: H's eigen-residual on each, the compressed
@@ -181,20 +182,16 @@ class Liouvillian:
     def residual(self, rho: np.ndarray) -> float | np.ndarray:
         """Infinity norm of L(rho) = -i [H, rho] - (gamma / 2) M o rho; zero
         exactly on steady states. ``rho`` is one d x d matrix, which gives a
-        float, or a (T, d, d) stack, which gives one norm per state."""
+        float, or a (T, d, d) stack, which gives one norm per state, taken
+        ``_chunk_rows`` states at a time as the ``"residual"`` readout of
+        :func:`evolve_scan` takes them."""
         rho = np.asarray(rho)
-        h = self.hamiltonian.toarray()
-        damping = 0.5 * self.gamma * (self.dephased[:, None] != self.dephased[None, :])
         stack = rho.reshape(-1, self.dim, self.dim)
-        rows = max(1, _SAMPLE_CHUNK_BYTES // (16 * self.dim * self.dim))
+        rows = _chunk_rows(self.dim)
+        read = _residual_reader(self, min(rows, len(stack)))
         norms = np.empty(len(stack))
         for k in range(0, len(stack), rows):
-            chunk = stack[k:k + rows]
-            image = h @ chunk
-            image -= chunk @ h
-            image *= -1j
-            image -= damping * chunk
-            norms[k:k + rows] = np.abs(image).max(axis=(1, 2))
+            norms[k:k + rows] = read(stack[k:k + rows])
         return float(norms[0]) if rho.ndim == 2 else norms
 
     @functools.cached_property
@@ -215,6 +212,59 @@ class Liouvillian:
         level = np.searchsorted(lowest, energies, side="right") - 1
         energies = (np.bincount(level, weights=energies) / np.bincount(level))[level]
         return energies, vectors, np.repeat(np.arange(len(sectors)), [q.shape[1] for q in sectors])
+
+
+def _chunk_rows(dim: int) -> int:
+    """The number of d x d samples in a chunk of about ``_SAMPLE_CHUNK_BYTES``."""
+    return max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
+
+
+def _residual_reader(liouvillian: Liouvillian, rows: int):
+    """The function that gives ||L(rho)||_inf of each state of a (k, d, d)
+    stack, k at most ``rows``: the one arithmetic of
+    :meth:`Liouvillian.residual` and of the ``"residual"`` readout, with H
+    made dense once and the scratch taken once, as in :func:`_pair_samples`."""
+    dim = liouvillian.dim
+    h = liouvillian.hamiltonian.toarray()
+    damping = 0.5 * liouvillian.gamma * (liouvillian.dephased[:, None] != liouvillian.dephased)
+    image, term = np.empty((2, rows, dim, dim), dtype=complex)
+    magnitude = np.empty(image.shape)
+
+    def read(stack: np.ndarray) -> np.ndarray:
+        rows = len(stack)
+        np.matmul(h, stack, out=image[:rows])
+        image[:rows] -= np.matmul(stack, h, out=term[:rows])
+        image[:rows] *= -1j
+        image[:rows] -= np.multiply(damping, stack, out=term[:rows])
+        return np.abs(image[:rows], out=magnitude[:rows]).max(axis=(1, 2))
+
+    return read
+
+
+def _purity(stack: np.ndarray) -> np.ndarray:
+    """Tr rho^2 of each state of a (k, d, d) stack, the real part of
+    sum_ij rho_ij rho_ji: each state's products are one C-ordered row,
+    reduced by numpy's pairwise sum, so the value does not depend on the stack."""
+    products = np.multiply(stack, stack.transpose(0, 2, 1), order="C")
+    return products.reshape(len(stack), -1).sum(axis=-1).real
+
+
+def _reader(readout, liouvillian: Liouvillian, rows: int):
+    """The function of a site-basis (k, d, d) chunk, k at most ``rows``,
+    that gives one value per sample of a readout of :func:`evolve_scan`:
+    ``"residual"`` (:func:`_residual_reader`), ``"purity"`` (:func:`_purity`)
+    or an operator O, whose Tr(O rho) is :func:`fock.expectation`."""
+    if isinstance(readout, str):
+        if readout == "residual":
+            return _residual_reader(liouvillian, rows)
+        if readout == "purity":
+            return _purity
+        raise ValueError(f"unknown readout {readout!r}; give 'residual', 'purity' or an operator")
+    op = sparse.coo_matrix(readout)
+    if op.shape != (liouvillian.dim, liouvillian.dim):
+        raise ValueError(f"readout operator shape {op.shape} does not match dimension "
+                         f"{liouvillian.dim}")
+    return functools.partial(expectation, operator=op)
 
 
 def _pair_superoperator(h_a, h_b, dephased_a: np.ndarray, dephased_b: np.ndarray,
@@ -311,13 +361,18 @@ def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis) -> Liouvillia
 
 @dataclass
 class Trajectory:
-    """Density-matrix samples: ``states[k]`` is rho(``times[k]``), and
-    ``states`` is one (T, d, d) array. ``diagnostics`` holds the worst of the
-    samples' deviations (:func:`worst_deviations`)."""
+    """The samples rho(t) at ``times``, as :func:`evolve_scan` reads them:
+    ``series[name]`` holds one value per time for each readout, and
+    ``states[j]`` is the whole state rho(``times[kept[j]]``), one (K, d, d)
+    array for the K sample indices ``kept`` (every index unless fewer were
+    asked for). ``diagnostics`` holds the worst of all the samples'
+    deviations (:func:`worst_deviations`)."""
 
     times: np.ndarray
     states: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+    series: dict = field(default_factory=dict)
+    kept: np.ndarray | None = None
 
 
 def _steps(times: np.ndarray) -> np.ndarray:
@@ -467,20 +522,18 @@ def _dense_samples(generators: list, vec: np.ndarray, steps: np.ndarray):
         yield vec
 
 
-def _checked(chunk: np.ndarray, initial: np.ndarray, rho0: np.ndarray,
+def _checked(chunk: np.ndarray, work: np.ndarray, initial: np.ndarray, rho0: np.ndarray,
              pairs: _Pairs) -> np.ndarray:
     """The trace, hermiticity and positivity deviations, one row each, of a
-    chunk of block-basis samples, which is rotated back in place; the samples
-    at ``initial`` are ``rho0`` itself. The scratch arrays live only in this
-    call, so none is held while the kernel makes the next samples."""
+    chunk of block-basis samples, which is rotated back in place, with
+    ``work`` of its shape as scratch; the samples at ``initial`` are
+    ``rho0`` itself."""
     basis, adjoint, keep = pairs.basis, pairs.adjoint, pairs.keep
     chunk[initial] = pairs.in_blocks
     hermitian = chunk[:, keep[:, None], keep]
     hermitian += hermitian.conj().transpose(0, 2, 1)
     hermitian *= 0.5
     smallest = np.linalg.eigvalsh(hermitian)[:, 0]
-    del hermitian       # freed before the rotation's scratch is taken
-    work = np.empty_like(chunk)
     if sparse.issparse(basis):
         for rho in chunk:
             rho[...] = basis @ rho @ adjoint
@@ -494,11 +547,14 @@ def _checked(chunk: np.ndarray, initial: np.ndarray, rho0: np.ndarray,
                      np.abs(work).max(axis=(1, 2)), smallest])
 
 
-def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
-                  ) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
+def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool,
+                  readers: list[dict], keep: np.ndarray
+                  ) -> list[tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]]:
     """rho(t) at each of the non-decreasing ``times`` under each scan point of
     ``points``, (Liouvillian, :class:`SymmetryBlocks`) pairs of one
-    dimension: for each point one (T, d, d) array and each sample's invariant
+    dimension, as it is read: for each point the samples at the sorted
+    indices ``keep`` as one (K, d, d) array, one series per name of its dict
+    in ``readers`` (:func:`_reader`), and each sample's invariant
     deviations, one array per key of :func:`invariant_deviations`. Each block
     pair rho_ab = P_a rho P_b that ``rho0`` occupies (:func:`_point_pairs`)
     is propagated alone under its generator. A t = 0 sample is ``rho0`` itself.
@@ -506,18 +562,20 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     The pairs of all points are stepped together by one kernel call, on the
     steps of :func:`_steps`: :func:`_dense_samples` when ``dense``, which
     stacks equal-size pairs across points, else ``expm_multiply`` on the
-    block-diagonal concatenation of their generators. Each point's entries
-    of a chunk of the kernel's sample vectors are scattered into its output
-    at once.
+    block-diagonal concatenation of their generators.
 
-    The samples are written, a chunk of about ``_SAMPLE_CHUNK_BYTES`` at a
-    time, into a zeroed output in the block basis, only the occupied pairs'
-    entries. Each sample's smallest eigenvalue is read there, from the
-    Hermitian part of its rows and columns of the blocks that the occupied
-    pairs touch (``rho0``'s own at t = 0); every other entry is an exact
-    zero, so when those blocks leave out k < d dimensions the spectrum also
-    holds zeros and the value reported is at most 0. The chunk is then
-    rotated back with B, and trace and hermiticity are read in the site basis.
+    The samples are taken a chunk of ``_chunk_rows`` (about
+    ``_SAMPLE_CHUNK_BYTES``) at a time. Each point's entries of the kernel's
+    sample vectors are scattered at once into a zeroed chunk in the block
+    basis, only the occupied pairs' entries. Each sample's smallest
+    eigenvalue is read there, from the Hermitian part of its rows and columns
+    of the blocks that the occupied pairs touch (``rho0``'s own at t = 0);
+    every other entry is an exact zero, so when those blocks leave out k < d
+    dimensions the spectrum also holds zeros and the value reported is at
+    most 0. The chunk is then rotated back with B, trace and hermiticity are
+    read in the site basis, and so is each readout, while the chunk is in
+    cache; only the samples at ``keep`` are copied out. No (T, d, d) array
+    is made unless every sample is kept.
     """
     dim = rho0.shape[0]
     occupied = [_point_pairs(rho0, liouvillian, blocks) for liouvillian, blocks in points]
@@ -528,27 +586,40 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     # An iterator either way, so that each chunk resumes where the last one stopped.
     stream = (_dense_samples(generators, vec, steps) if dense else
               iter(splinalg.expm_multiply(sparse.block_diag(generators, format="csr"), vec, steps)))
-    states = [np.zeros((len(times), dim, dim), dtype=complex) for _ in occupied]
+    states = [np.empty((len(keep), dim, dim), dtype=complex) for _ in occupied]
+    series = [{name: [] for name in read} for read in readers]
     deviations = np.empty((len(occupied), 3, len(times)))
-    rows = max(1, _SAMPLE_CHUNK_BYTES // (16 * dim * dim))
+    rows = _chunk_rows(dim)
+    # One chunk and its scratch, reused for every point and chunk: memory of
+    # this size freed and taken again each chunk goes back to the system
+    # and is faulted in again.
+    buffer, scratch = np.empty((2, min(rows, len(times)), dim, dim), dtype=complex)
     for start in range(0, len(times), rows):
         stop = min(start + rows, len(times))
         chunk = np.array(list(itertools.islice(stream, stop - start)))
-        for pairs, out, lo, hi in zip(occupied, states, edges, edges[1:]):
-            out[start:stop].reshape(stop - start, -1)[:, pairs.order] = chunk[:, lo:hi]
         initial = times[start:stop] == 0.0
-        for pairs, out, values in zip(occupied, states, deviations):
-            values[:, start:stop] = _checked(out[start:stop], initial, rho0, pairs)
+        first, last = np.searchsorted(keep, (start, stop))
+        samples, work = buffer[:stop - start], scratch[:stop - start]
+        for k, pairs in enumerate(occupied):
+            samples.fill(0)
+            samples.reshape(stop - start, -1)[:, pairs.order] = chunk[:, edges[k]:edges[k + 1]]
+            deviations[k][:, start:stop] = _checked(samples, work, initial, rho0, pairs)
+            for name, read in readers[k].items():
+                series[k][name].append(read(samples))
+            states[k][first:last] = samples[keep[first:last] - start]
     for pairs, values in zip(occupied, deviations):
         if len(pairs.keep) < dim:
             np.minimum(values[2], 0.0, out=values[2])
-    return [(out, dict(zip(LIMITS, values))) for out, values in zip(states, deviations)]
+    return [(out, {name: np.concatenate(parts) for name, parts in read.items()},
+             dict(zip(LIMITS, values))) for out, read, values in zip(states, series, deviations)]
 
 
-def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
+def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
+                keep=None) -> list[Trajectory]:
     """Propagate one ``rho0`` under each of ``liouvillians``, all of one
     dimension, and sample at the same ``times``: one :class:`Trajectory` per
-    Liouvillian, in order, each as :func:`evolve` would give it.
+    Liouvillian, in order, each as :func:`evolve` would give it, with one
+    series per readout and the whole states only at the indices ``keep``.
 
     Applies the exact exponential to the block pairs rho_ab = P_a rho P_b
     that ``rho0`` occupies (:func:`_occupied_pairs`); each evolves alone
@@ -571,15 +642,23 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     :func:`_steps`, the first from 0: on a grid that is ``np.linspace`` over
     its own ends (to a few ulps) all later steps are one spacing, on any other
     they are the differences. The dense kernel builds a propagator whenever
-    the step changes, the sparse one a Taylor series per step. The
-    samples are one (T, d, d) array per Liouvillian. Every sample is checked
-    for trace and hermiticity in the site basis, and for positivity in the
-    block basis, on the rows and columns of the blocks its occupied pairs
-    touch: the block basis is unitary, so that spectrum, with zeros for the
-    blocks left out, is spec(rho). The worst values are each trajectory's
-    ``diagnostics``. The scan aborts at the first Liouvillian, in order, with a
-    sample outside ``ABORT_FACTOR`` times its ``LIMITS``, naming the first
-    such sample in time order.
+    the step changes, the sparse one a Taylor series per step. Every sample
+    is checked for trace and hermiticity in the site basis, and for
+    positivity in the block basis, on the rows and columns of the blocks its
+    occupied pairs touch: the block basis is unitary, so that spectrum, with
+    zeros for the blocks left out, is spec(rho). The worst values are each
+    trajectory's ``diagnostics``. The scan aborts at the first Liouvillian,
+    in order, with a sample outside ``ABORT_FACTOR`` times its ``LIMITS``,
+    naming the first such sample in time order.
+
+    The samples are read in chunks of about 1 MB in the site basis, as they
+    are checked (:func:`_pair_samples`), so a run that keeps few states never
+    holds a (T, d, d) array. Each readout gives, bit for bit, what its
+    function gives on the same samples kept whole: Tr(O rho) as
+    :func:`fock.expectation` gives it, ``"purity"`` as Tr rho^2, and
+    ``"residual"`` as :meth:`Liouvillian.residual` of the trajectory's
+    Liouvillian. The first two are reduced by numpy's pairwise sum, not by
+    BLAS, so they do not depend on the BLAS thread count either.
 
     Parameters
     ----------
@@ -591,6 +670,13 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
     times : array-like
         Finite, non-decreasing sample times, first entry >= 0. A requested
         t = 0 returns ``rho0`` exactly.
+    readouts : mapping, optional
+        Name to readout: a sparse or dense d x d operator O, read as
+        Tr(O rho), ``"purity"`` or ``"residual"``. Each trajectory's
+        ``series[name]`` holds its T values.
+    keep : sequence of int, optional
+        The sample indices whose whole states each trajectory keeps, sorted
+        and without repeats as ``Trajectory.kept``; every index by default.
     """
     rho0 = np.asarray(rho0)
     liouvillians = list(liouvillians)
@@ -612,24 +698,32 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times) -> list[Trajectory]:
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
     if not np.isfinite(rho0).all():
         raise ValueError("rho0 has a non-finite entry")
+    rows = min(_chunk_rows(dim), len(times))
+    readers = [{name: _reader(readout, liouvillian, rows)
+                for name, readout in (readouts or {}).items()} for liouvillian in liouvillians]
+    keep = np.arange(len(times)) if keep is None else np.unique(np.asarray(keep, dtype=int))
+    if keep.size and not 0 <= keep[0] <= keep[-1] < len(times):
+        raise ValueError(f"kept sample indices must lie in 0..{len(times) - 1}, got {keep}")
 
     blocks = [_symmetry_blocks(liouvillian) for liouvillian in liouvillians]
     dense = max(b.sizes.max() for b in blocks) ** 2 <= DENSE_PAIR_LIMIT
     if not dense:
         blocks = [_orbit_blocks(liouvillian) for liouvillian in liouvillians]
     trajectories = []
-    for states, deviations in _pair_samples(rho0, list(zip(liouvillians, blocks)), times, dense):
+    for states, series, deviations in _pair_samples(rho0, list(zip(liouvillians, blocks)), times,
+                                                    dense, readers, keep):
         _check_deviations(deviations, ABORT_FACTOR, times)
-        trajectories.append(Trajectory(times, states, worst_deviations([deviations])))
+        trajectories.append(Trajectory(times, states, worst_deviations([deviations]), series, keep))
     return trajectories
 
 
-def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times) -> Trajectory:
+def evolve(rho0: np.ndarray, liouvillian: Liouvillian, times, readouts=None,
+           keep=None) -> Trajectory:
     """Propagate ``rho0`` under the Liouvillian and sample at ``times``, with
     every sample checked: the one-point scan
-    ``evolve_scan(rho0, [liouvillian], times)[0]``, whose docstring gives
-    the method, the checks and the parameters."""
-    return evolve_scan(rho0, [liouvillian], times)[0]
+    ``evolve_scan(rho0, [liouvillian], times, readouts, keep)[0]``, whose
+    docstring gives the method, the checks, the readouts and the parameters."""
+    return evolve_scan(rho0, [liouvillian], times, readouts, keep)[0]
 
 
 @dataclass

@@ -333,6 +333,13 @@ def test_robustness_runs_report_invariants(kind, initial_state):
     assert result.invariants_ok is True
 
 
+def _read_as(trajectory, readouts, rho, samples):
+    """Make the ``samples`` of ``trajectory`` read as the state ``rho``: the
+    runners read their drifts from the readout series, not from states."""
+    for name, operator in readouts.items():
+        trajectory.series[name][samples] = expectation(rho, operator)
+
+
 def test_robustness_int_parity_drift_fails_the_verdict(monkeypatch):
     # Every sample is swapped for a Fock state of the same particle number
     # whose even-reflection weight is 1/2 where rho0's is a whole number.
@@ -343,11 +350,12 @@ def test_robustness_int_parity_drift_fails_the_verdict(monkeypatch):
     payload["initial_state"] = {"type": "fock", "bitstring": "10101"}
     payload["scan"].update({"n_values": 3, "times": [10.0]})
 
-    def drifting(rho0, *args, **kwargs):
-        trajectories = evolve_scan(rho0, *args, **kwargs)
-        moved = fock_state(ManyBodyBasis(5, 3), "11100")
+    def drifting(rho0, liouvillians, times, readouts, keep=None):
+        trajectories = evolve_scan(rho0, liouvillians, times, readouts, keep)
+        moved = lindblad.pure_state(fock_state(ManyBodyBasis(5, 3), "11100"))
         for trajectory in trajectories:
-            trajectory.states[:] = np.outer(moved, moved.conj())
+            trajectory.states[:] = moved
+            _read_as(trajectory, readouts, moved, slice(None))
         return trajectories
 
     monkeypatch.setattr(experiments, "evolve_scan", drifting)
@@ -781,10 +789,10 @@ def test_bare_chain_charge_drift_fails_the_verdict(monkeypatch):
     payload["time_grid"] = {"start": 0.0, "stop": 5.0, "num": 11}
     payload["observables"] = ["charge"]
 
-    def drifting(rho0, *args, **kwargs):
-        trajectory = evolve(rho0, *args, **kwargs)
-        moved = fock_state(ManyBodyBasis(5, 2), "10100")
-        trajectory.states[-1] = np.outer(moved, moved.conj())
+    def drifting(rho0, liouvillian, times, readouts, keep=None):
+        trajectory = evolve(rho0, liouvillian, times, readouts, keep)
+        moved = lindblad.pure_state(fock_state(ManyBodyBasis(5, 2), "10100"))
+        _read_as(trajectory, readouts, moved, -1)
         return trajectory
 
     monkeypatch.setattr(experiments, "evolve", drifting)

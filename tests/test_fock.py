@@ -13,6 +13,7 @@ from dephchain.fock import (
     charge_operator,
     correlation_matrix,
     even_mode_slater,
+    expectation,
     fock_state,
     number_operator,
     odd_mode_slater,
@@ -21,6 +22,7 @@ from dephchain.fock import (
     reflection_orbits,
     slater_determinants,
     slater_state,
+    total_number_operator,
 )
 from dephchain.lindblad import pure_state
 from dephchain.model import LatticeSpec, bare_mode_parity, build_single_particle_hamiltonian
@@ -417,3 +419,18 @@ def test_correlation_matrix_of_slater():
     chosen = parity.modes[:, [k - 1 for k in parity.even[:2]]]
     assert np.abs(c - chosen @ chosen.T).max() < 1e-12
     assert np.trace(c).real == pytest.approx(2.0)
+
+
+def test_expectation_of_a_stack_equals_each_state_read_alone():
+    # Bit for bit: a state's value does not depend on the stack it is read in.
+    basis = ManyBodyBasis(7, 4)
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(9, 35, 35)) + 1j * rng.normal(size=(9, 35, 35))
+    operators = [bilinear_operator(basis, 1, 7), charge_operator(basis),
+                 total_number_operator(basis), reflection_operator(basis),
+                 rng.normal(size=(35, 35))]
+    for op in operators:
+        values = expectation(stack, op)
+        assert values.shape == (9,)
+        assert np.array_equal(values, [expectation(rho, op) for rho in stack])
+        assert np.array_equal(values[2:5], expectation(stack[2:5], op))

@@ -644,7 +644,8 @@ def test_every_decomposition_matches_full_route_on_both_kernels(monkeypatch, kin
     for kernel in ("expm", "expm_multiply"):
         dense = counting(monkeypatch, lindblad, "expm")
         krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
-        samples = lindblad._pair_samples(rho0, [(liou, blocks)], times, kernel == "expm")
+        samples = lindblad._pair_samples(rho0, [(liou, blocks)], times, kernel == "expm", [{}],
+                                         np.arange(len(times)))
         gap = np.abs(samples[0][0] - expected).max()
         assert gap < 1e-12, f"{kind} on {kernel}: {gap:.3e}"
         assert (len(dense) > 0, len(krylov) > 0) == (kernel == "expm", kernel == "expm_multiply")
