@@ -29,6 +29,8 @@ run_case evolve-aa-many-body evolve --override lattice.n_sites=7 --override latt
 run_case evolve-n11 evolve --override lattice.n_sites=11 --override 'initial_state.type="fock"' \
   --override 'initial_state.bitstring="10101000000"' --override time_grid.stop=10 \
   --override time_grid.num=101
+# The interacting quench: 1201 bare samples streamed from expm_multiply in chunks, one kept.
+run_case fock-quench-interacting fock-quench --override lattice.interaction=0.3
 # Interaction on every point: all scan points share one expm_multiply call.
 run_case robustness-int-sparse robustness-int --override 'scan.values=[0.05,0.2,0.45]'
 # A t = 0 sample and unequal steps: the scan's dense pairs stacked across points.

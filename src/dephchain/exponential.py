@@ -99,14 +99,15 @@ def _step(a, vec: np.ndarray, t: float, shift: complex, degree: int, steps: int)
     return total
 
 
-def expm_multiply(a, vec, steps) -> np.ndarray:
-    """exp(t_k A) applied to the row before, for each step t_k of ``steps``,
-    the first to ``vec``: one row per step, so a step of 0 repeats the row.
-    exp(A) vec is ``expm_multiply(a, vec, [1.0])[0]``.
+def expm_multiply(a, vec, steps):
+    """Yield exp(t_k A) applied to the sample before, for each step t_k of
+    ``steps``, the first to ``vec``; a step of 0 yields the last sample
+    again. exp(A) vec is ``next(expm_multiply(a, vec, [1.0]))``.
 
-    A is shifted once by its mean diagonal mu, whose exponential is the exact
-    factor exp(t mu), and each step takes the Taylor degree and step count
-    of the exact 1-norm of t (A - mu) (:func:`_taylor_steps`). The result is
+    The call checks its arguments and shifts A once by its mean diagonal mu,
+    whose exponential is the exact factor exp(t mu); each step is taken when
+    its sample is asked for, with the Taylor degree and step count of the
+    exact 1-norm of t (A - mu) (:func:`_taylor_steps`). The samples are
     complex or real as A and ``vec`` together are."""
     a = sparse.csr_array(a)
     vec = np.asarray(vec)
@@ -119,7 +120,10 @@ def expm_multiply(a, vec, steps) -> np.ndarray:
     shift = a.trace() / n if n else 0.0
     a = a - shift * sparse.identity(n, dtype=a.dtype, format="csr")
     norm = float(abs(a).sum(axis=0).max(initial=0.0))
-    samples = np.empty((len(steps), n), dtype=vec.dtype)
-    for k, t in enumerate(steps):
-        vec = samples[k] = _step(a, vec, t, shift, *_taylor_steps(abs(t) * norm)) if t else vec
-    return samples
+
+    def samples(vec):
+        for t in steps:
+            if t:
+                vec = _step(a, vec, t, shift, *_taylor_steps(abs(t) * norm))
+            yield vec
+    return samples(vec)

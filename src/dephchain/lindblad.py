@@ -525,15 +525,17 @@ def _dense_samples(generators: list, vec: np.ndarray, steps: np.ndarray):
 def _checked(chunk: np.ndarray, work: np.ndarray, initial: np.ndarray, rho0: np.ndarray,
              pairs: _Pairs) -> np.ndarray:
     """The trace, hermiticity and positivity deviations, one row each, of a
-    chunk of block-basis samples, which is rotated back in place, with
-    ``work`` of its shape as scratch; the samples at ``initial`` are
-    ``rho0`` itself."""
+    chunk of block-basis samples, rotated back in place with ``work`` as
+    scratch; the samples at ``initial`` are ``rho0``. The smallest eigenvalue,
+    on ``pairs.keep``, is at most 0 when that leaves out dimensions."""
     basis, adjoint, keep = pairs.basis, pairs.adjoint, pairs.keep
     chunk[initial] = pairs.in_blocks
     hermitian = chunk[:, keep[:, None], keep]
     hermitian += hermitian.conj().transpose(0, 2, 1)
     hermitian *= 0.5
     smallest = np.linalg.eigvalsh(hermitian)[:, 0]
+    if len(keep) < chunk.shape[1]:
+        np.minimum(smallest, 0.0, out=smallest)
     if sparse.issparse(basis):
         for rho in chunk:
             rho[...] = basis @ rho @ adjoint
@@ -562,20 +564,18 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     The pairs of all points are stepped together by one kernel call, on the
     steps of :func:`_steps`: :func:`_dense_samples` when ``dense``, which
     stacks equal-size pairs across points, else ``expm_multiply`` on the
-    block-diagonal concatenation of their generators.
+    block-diagonal concatenation of their generators. Either kernel yields
+    its samples one by one, and they are pulled a chunk of ``_chunk_rows``
+    (about ``_SAMPLE_CHUNK_BYTES``) at a time, so no (T, n) array is made.
 
-    The samples are taken a chunk of ``_chunk_rows`` (about
-    ``_SAMPLE_CHUNK_BYTES``) at a time. Each point's entries of the kernel's
-    sample vectors are scattered at once into a zeroed chunk in the block
-    basis, only the occupied pairs' entries. Each sample's smallest
-    eigenvalue is read there, from the Hermitian part of its rows and columns
-    of the blocks that the occupied pairs touch (``rho0``'s own at t = 0);
-    every other entry is an exact zero, so when those blocks leave out k < d
-    dimensions the spectrum also holds zeros and the value reported is at
-    most 0. The chunk is then rotated back with B, trace and hermiticity are
-    read in the site basis, and so is each readout, while the chunk is in
-    cache; only the samples at ``keep`` are copied out. No (T, d, d) array
-    is made unless every sample is kept.
+    Each point's entries of a chunk are scattered at once into a zeroed
+    chunk in the block basis, only the occupied pairs' entries, where
+    :func:`_checked` reads each sample's smallest eigenvalue on the blocks
+    that the occupied pairs touch (``rho0``'s own at t = 0). The chunk is
+    then rotated back with B, trace and hermiticity are read in the site
+    basis, and so is each readout, while the chunk is in cache; only the
+    samples at ``keep`` are copied out. No (T, d, d) array is made unless
+    every sample is kept.
     """
     dim = rho0.shape[0]
     occupied = [_point_pairs(rho0, liouvillian, blocks) for liouvillian, blocks in points]
@@ -583,9 +583,8 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     generators = [g for pairs in occupied for g in pairs.generators]
     vec = np.concatenate([pairs.in_blocks.ravel()[pairs.order] for pairs in occupied])
     steps = _steps(times)
-    # An iterator either way, so that each chunk resumes where the last one stopped.
     stream = (_dense_samples(generators, vec, steps) if dense else
-              iter(splinalg.expm_multiply(sparse.block_diag(generators, format="csr"), vec, steps)))
+              splinalg.expm_multiply(sparse.block_diag(generators, format="csr"), vec, steps))
     states = [np.empty((len(keep), dim, dim), dtype=complex) for _ in occupied]
     series = [{name: [] for name in read} for read in readers]
     deviations = np.empty((len(occupied), 3, len(times)))
@@ -607,9 +606,6 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
             for name, read in readers[k].items():
                 series[k][name].append(read(samples))
             states[k][first:last] = samples[keep[first:last] - start]
-    for pairs, values in zip(occupied, deviations):
-        if len(pairs.keep) < dim:
-            np.minimum(values[2], 0.0, out=values[2])
     return [(out, {name: np.concatenate(parts) for name, parts in read.items()},
              dict(zip(LIMITS, values))) for out, read, values in zip(states, series, deviations)]
 
@@ -638,18 +634,18 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
     Both kernels are :mod:`exponential`'s. A point's samples thus move at
     rounding level with the other points of its call.
 
-    Either way the samples are reached one after another by the steps of
-    :func:`_steps`, the first from 0: on a grid that is ``np.linspace`` over
-    its own ends (to a few ulps) all later steps are one spacing, on any other
-    they are the differences. The dense kernel builds a propagator whenever
-    the step changes, the sparse one a Taylor series per step. Every sample
-    is checked for trace and hermiticity in the site basis, and for
-    positivity in the block basis, on the rows and columns of the blocks its
-    occupied pairs touch: the block basis is unitary, so that spectrum, with
-    zeros for the blocks left out, is spec(rho). The worst values are each
-    trajectory's ``diagnostics``. The scan aborts at the first Liouvillian,
-    in order, with a sample outside ``ABORT_FACTOR`` times its ``LIMITS``,
-    naming the first such sample in time order.
+    Either way the samples are yielded one by one, each reached from the one
+    before by a step of :func:`_steps`, the first from 0: on a grid that is
+    ``np.linspace`` over its own ends (to a few ulps) all later steps are one
+    spacing, on any other they are the differences. The dense kernel builds a
+    propagator whenever the step changes, the sparse one a Taylor series per
+    step. Every sample is checked for trace and hermiticity in the site basis,
+    and for positivity in the block basis, on the rows and columns of the
+    blocks its occupied pairs touch: the block basis is unitary, so that
+    spectrum, with zeros for the blocks left out, is spec(rho). The worst
+    values are each trajectory's ``diagnostics``. The scan aborts at the first
+    Liouvillian, in order, with a sample outside ``ABORT_FACTOR`` times its
+    ``LIMITS``, naming the first such sample in time order.
 
     The samples are read in chunks of about 1 MB in the site basis, as they
     are checked (:func:`_pair_samples`), so a run that keeps few states never

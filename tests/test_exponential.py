@@ -3,7 +3,8 @@
 ``exponential.expm`` is compared with ``scipy.linalg.expm`` and
 ``exponential.expm_multiply`` with ``scipy.sparse.linalg.expm_multiply``,
 each to 1e-13 relative to the largest entry of scipy's result. Ours
-takes the steps between samples where scipy's takes their times. The inputs
+takes the steps between samples where scipy's takes their times, and yields
+its samples, which ``rows`` reads into one array. The inputs
 are the kind the propagation exponentiates: dissipative generators
 -i H - D, with H Hermitian and D a non-negative diagonal, scaled to a given
 1-norm. scipy's ``expm_multiply`` picks its steps from estimated norms
@@ -36,6 +37,11 @@ def sparse_dissipative(rng, n, norm):
     return a * (norm / abs(a).sum(axis=0).max())
 
 
+def rows(a, vec, steps):
+    """The samples of ``expm_multiply``, read into one (T, n) array."""
+    return np.array(list(expm_multiply(a, vec, steps)))
+
+
 def relative(got, expected):
     return np.abs(got - expected).max() / np.abs(expected).max()
 
@@ -61,7 +67,7 @@ def test_expm_multiply_one_step_matches_scipy(norm):
     rng = np.random.default_rng(2)
     a = sparse_dissipative(rng, 60, norm)
     vec = rng.normal(size=60) + 1j * rng.normal(size=60)
-    got = expm_multiply(a, vec, [1.0])
+    got = rows(a, vec, [1.0])
     assert got.shape == (1, 60)
     assert relative(got[0], scipy.sparse.linalg.expm_multiply(a, vec)) <= RTOL
 
@@ -71,7 +77,7 @@ def test_expm_multiply_long_step_matches_dense_exponential(norm):
     rng = np.random.default_rng(3)
     a = sparse_dissipative(rng, 60, norm)
     vec = rng.normal(size=60) + 1j * rng.normal(size=60)
-    got = expm_multiply(a, vec, [1.0])[0]
+    got = rows(a, vec, [1.0])[0]
     assert relative(got, scipy.linalg.expm(a.toarray()) @ vec) <= RTOL
 
 
@@ -81,7 +87,7 @@ def test_expm_multiply_interval_matches_scipy(stop, num):
     rng = np.random.default_rng(4)
     a = sparse_dissipative(rng, 60, 2.0)
     vec = rng.normal(size=60) + 1j * rng.normal(size=60)
-    got = expm_multiply(a, vec, np.diff(np.linspace(0.0, stop, num), prepend=0.0))
+    got = rows(a, vec, np.diff(np.linspace(0.0, stop, num), prepend=0.0))
     expected = scipy.sparse.linalg.expm_multiply(a, vec, start=0.0, stop=stop, num=num,
                                                  endpoint=True)
     assert got.shape == (num, 60)
@@ -93,9 +99,9 @@ def test_expm_multiply_at_t_zero_is_the_input():
     rng = np.random.default_rng(5)
     a = sparse_dissipative(rng, 40, 5.0)
     vec = rng.normal(size=40) + 1j * rng.normal(size=40)
-    assert np.array_equal(expm_multiply(0.0 * a, vec, [1.0])[0], vec)
+    assert np.array_equal(rows(0.0 * a, vec, [1.0])[0], vec)
     assert np.array_equal(scipy.sparse.linalg.expm_multiply(0.0 * a, vec), vec)
-    single = expm_multiply(a, vec, [0.0])
+    single = rows(a, vec, [0.0])
     assert single.shape == (1, 40) and np.array_equal(single[0], vec)
 
 
@@ -104,9 +110,9 @@ def test_expm_multiply_of_a_real_vector_is_complex():
     a = sparse_dissipative(rng, 40, 5.0)
     vec = rng.normal(size=40)
     for got, expected in (
-            (expm_multiply(a, vec, [1.0])[0], scipy.sparse.linalg.expm_multiply(a, vec)),
-            (expm_multiply(0.0 * a, vec, [1.0])[0], vec),
-            (expm_multiply(a, vec, np.diff(np.linspace(0.0, 2.0, 5), prepend=0.0)),
+            (rows(a, vec, [1.0])[0], scipy.sparse.linalg.expm_multiply(a, vec)),
+            (rows(0.0 * a, vec, [1.0])[0], vec),
+            (rows(a, vec, np.diff(np.linspace(0.0, 2.0, 5), prepend=0.0)),
              scipy.sparse.linalg.expm_multiply(a, vec, start=0.0, stop=2.0, num=5, endpoint=True))):
         assert got.dtype == complex
         assert relative(got, expected) <= RTOL
@@ -118,7 +124,7 @@ def test_expm_multiply_on_unequal_steps_and_zeros():
     a = sparse_dissipative(rng, 40, 5.0)
     vec = rng.normal(size=40) + 1j * rng.normal(size=40)
     steps = np.array([0.0, 0.3, 0.0, 1.7, 0.05, 0.0, 4.0])
-    got = expm_multiply(a, vec, steps)
+    got = rows(a, vec, steps)
     assert got.shape == (len(steps), 40)
     assert np.array_equal(got[0], vec)
     for k in np.flatnonzero(steps[1:] == 0.0) + 1:

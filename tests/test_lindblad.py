@@ -67,7 +67,8 @@ def interacting_problem():
 def full_route(rho0, liou, times):
     """The samples of the expm_multiply route on the whole superoperator."""
     times = np.asarray(times, dtype=float)
-    samples = lindblad.splinalg.expm_multiply(liou.matrix, vectorize(rho0), lindblad._steps(times))
+    samples = np.array(list(lindblad.splinalg.expm_multiply(liou.matrix, vectorize(rho0),
+                                                            lindblad._steps(times))))
     states = samples.reshape(len(times), liou.dim, liou.dim).transpose(0, 2, 1)
     states[times == 0.0] = rho0
     return states
@@ -316,6 +317,27 @@ def test_dense_exponentials_per_grid(monkeypatch, times, calls):
     assert pair_sizes == 3      # pairs of the blocks {E = +-sqrt 2} and {E = 0}
     assert len(seen) == calls * pair_sizes
     assert krylov == []
+
+
+def test_both_kernels_step_only_when_a_sample_is_pulled(monkeypatch):
+    # Each kernel yields its samples one by one: pulling the first of five
+    # unequal positive steps takes one Taylor step on the sparse kernel and
+    # one dense expm per pair size on the dense one, and the rest come later.
+    _, _, liou = n3_problem()
+    rho0 = pure_state([0.6, 0.48j, 0.64])
+    pairs = lindblad._point_pairs(rho0, liou, lindblad._symmetry_blocks(liou))
+    vec = pairs.in_blocks.ravel()[pairs.order]
+    steps = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    taylor = counting(monkeypatch, lindblad.splinalg, "_step")
+    dense = counting(monkeypatch, lindblad, "expm")
+    sparse_stream = lindblad.splinalg.expm_multiply(
+        sparse.block_diag(pairs.generators, format="csr"), vec, steps)
+    dense_stream = lindblad._dense_samples(pairs.generators, vec, steps)
+    first = next(sparse_stream), next(dense_stream)
+    assert (len(taylor), len(dense)) == (1, 3)     # pairs of three sizes
+    assert np.abs(first[0] - first[1]).max() < 1e-13
+    assert len(list(sparse_stream)) == len(list(dense_stream)) == 4
+    assert (len(taylor), len(dense)) == (5, 15)
 
 
 def test_dark_state_is_stationary():

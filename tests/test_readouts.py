@@ -148,3 +148,21 @@ def test_fock_quench_holds_no_trajectory_of_states():
     finally:
         tracemalloc.stop()
     assert peak < limit, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_sparse_route_holds_no_array_of_kernel_samples():
+    # Half of a (1201, 1225) complex array: every sample of the four orbit
+    # pairs' entries, which the Taylor kernel would hold if it were not streamed.
+    spec, state, _, _ = ROUTES["sparse-interacting"]
+    basis = ManyBodyBasis(spec.n_sites, state.count("1"))
+    liou = dephasing_liouvillian(spec, basis)
+    rho0 = pure_state(fock_state(basis, state))
+    limit = 1201 * 1225 * 16 // 2
+    tracemalloc.start()
+    try:
+        evolve(rho0, liou, np.linspace(0.0, 60.0, 1201),
+               {"corr": bilinear_operator(basis, 1, spec.n_sites)}, keep=[])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, f"traced peak {peak / 2**20:.1f} MiB"
