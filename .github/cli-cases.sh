@@ -21,10 +21,11 @@ run_case evolve-interacting-steps evolve --override lattice.n_sites=7 \
   --override 'time_grid.points=[0.0,0.5,2.0,7.5]'
 # An input that straddles both reflection sectors: all four orbit pairs on the sparse route.
 run_case robustness-int-asym robustness-int --override 'initial_state.bitstring="1101010"'
-# Broken reflection with a many-body sector: one sparse identity block on expm_multiply.
+# Broken reflection with a many-body sector: one sparse identity block on expm_multiply;
+# it also reads the purity.
 run_case evolve-aa-many-body evolve --override lattice.n_sites=7 --override lattice.aa_amplitude=0.4 \
   --override 'initial_state.type="fock"' --override 'initial_state.bitstring="1010101"' \
-  --override 'observables=["corr:1,7","charge","number"]' --override time_grid.num=201
+  --override 'observables=["corr:1,7","charge","number","purity"]' --override time_grid.num=201
 # N = 11 bare: the Slater blocks are too large, so the orbit pairs of 80 and 85 states go sparse.
 run_case evolve-n11 evolve --override lattice.n_sites=11 --override 'initial_state.type="fock"' \
   --override 'initial_state.bitstring="10101000000"' --override time_grid.stop=10 \

@@ -4,7 +4,8 @@ Simulation and analysis toolkit for the tight-binding chain whose only
 coupling to the environment is number-operator dephasing on the central
 site: exact-diagonalization sector dynamics, the closed two-point fastpath,
 symmetry-sector bookkeeping, steady-state solvers, and the entanglement of
-the symmetrically located pairs the dynamics generates.
+the symmetrically located pairs the dynamics generates. Closed forms that
+only the tests compare against live in the test suite, not here.
 """
 
 from .model import (
@@ -22,13 +23,10 @@ from .fock import (
     bilinear_operator,
     build_many_body_hamiltonian,
     charge_operator,
-    correlation_matrix,
     even_mode_slater,
     expectation,
     fock_state,
     number_operator,
-    odd_mode_slater,
-    parity_sector_weights,
     reflection_operator,
     slater_state,
     total_number_operator,
@@ -46,28 +44,21 @@ from .lindblad import (
     steady_state,
     steady_state_null_space,
     validate_density,
-    vectorize,
 )
 from .fastpath import (
     ScalingDomainError,
     correlation_evolve,
-    evolve_with_hamiltonian,
     multiparticle_scaling,
     steady_correlation,
 )
 from .entangle import (
     concurrence,
     is_x_state,
-    partial_transpose_eigenvalues,
     reduce_to_pair,
 )
 from .oracle import (
-    analytic_n3_density_matrix,
-    analytic_n3_elements,
-    analytic_pair_rdm,
     analytic_steady_state,
     even_sector_steady_state,
-    n5_steady_residual,
     ppt_eigenvalue_formula,
 )
 

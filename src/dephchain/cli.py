@@ -55,6 +55,8 @@ def _effective_config(args):
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
             payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ConfigError("config: expected a JSON object")
         payload.setdefault("kind", args.kind)
         if payload["kind"] != args.kind:
             raise ConfigError(

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fock
 from .lindblad import BLOCK_JUMP_TOL, ENERGY_SCALE_LIMIT
 from .model import GOLDEN_MEAN, LatticeSpec, is_finite_number
 
@@ -170,17 +172,21 @@ class ScanSpec:
         return np.linspace(0.0, self.max_value, self.n_values)
 
 
-# The observables by name, with the number of 1-based sites each takes.
-_OBSERVABLE_SITES = {"corr": 2, "occ": 1, "charge": 0, "number": 0, "purity": 0}
+# The observables by name: the number of 1-based sites each takes, and the
+# builder of its readout of ``lindblad.evolve_scan`` from a basis and those
+# sites.
+_OBSERVABLES = {"corr": (2, fock.bilinear_operator), "occ": (1, fock.number_operator),
+                "charge": (0, fock.charge_operator), "number": (0, fock.total_number_operator),
+                "purity": (0, lambda basis: "purity")}
 
 
-def parse_observable(name: str, n_sites: int) -> tuple[str, tuple[int, ...]]:
-    """An observable entry as its name and its sites: ``corr:i,j`` for
-    <f!_i f_j>, ``occ:i``, ``charge``, ``number`` or ``purity``. Raises
-    :class:`ConfigError` naming the entry when it is none of these or names
-    a site outside 1..``n_sites``."""
+def parse_observable(name: str, n_sites: int) -> tuple[Callable, tuple[int, ...]]:
+    """An observable entry as the builder of its readout and its sites:
+    ``corr:i,j`` for <f!_i f_j>, ``occ:i``, ``charge``, ``number`` or
+    ``purity``. Raises :class:`ConfigError` naming the entry when it is none
+    of these or names a site outside 1..``n_sites``."""
     kind, colon, rest = name.partition(":") if isinstance(name, str) else ("", "", "")
-    arity = _OBSERVABLE_SITES.get(kind)
+    arity, build = _OBSERVABLES.get(kind, (None, None))
     try:
         sites = tuple(int(part) for part in rest.split(",")) if colon else ()
     except ValueError:
@@ -189,7 +195,7 @@ def parse_observable(name: str, n_sites: int) -> tuple[str, tuple[int, ...]]:
             or not all(1 <= site <= n_sites for site in sites):
         raise ConfigError(f"observables: {name!r} is not one of corr:i,j, occ:i, charge, "
                           f"number, purity with sites in 1..{n_sites}")
-    return kind, sites
+    return build, sites
 
 
 @dataclass(frozen=True)

@@ -73,20 +73,6 @@ def concurrence(rdm: np.ndarray) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def partial_transpose_eigenvalues(rdm: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the partial transpose over the second site.
-
-    A negative eigenvalue certifies entanglement; for two qubits the PPT
-    criterion is also sufficient, so a non-negative spectrum means separable.
-    """
-    rdm = np.asarray(rdm)
-    if rdm.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {rdm.shape}")
-    blocks = rdm.reshape(2, 2, 2, 2)
-    transposed = blocks.transpose(0, 3, 2, 1).reshape(4, 4)
-    return np.sort(np.linalg.eigvalsh(transposed))
-
-
 def is_x_state(rho, tol: float = 1e-7) -> tuple[bool, float]:
     """Whether all entries off the diagonal and anti-diagonal stay below
     ``tol``; also returns the largest off-pattern magnitude."""

@@ -139,16 +139,11 @@ def build_initial_state(spec: LatticeSpec, descriptor: InitialState
     return basis, lindblad.pure_state(psi)
 
 
-_OBSERVABLES = {"corr": fock.bilinear_operator, "occ": fock.number_operator,
-                "charge": fock.charge_operator, "number": fock.total_number_operator,
-                "purity": lambda basis: "purity"}
-
-
 def _parse_observables(names, basis: fock.ManyBodyBasis):
     """One readout of :func:`lindblad.evolve_scan` per observable name, an
-    operator or ``"purity"``, parsed by :func:`config.parse_observable`."""
+    operator or ``"purity"``, built as :func:`config.parse_observable` gives it."""
     parsed = {name: parse_observable(name, basis.n_sites) for name in names}
-    return {name: _OBSERVABLES[kind](basis, *sites) for name, (kind, sites) in parsed.items()}
+    return {name: build(basis, *sites) for name, (build, sites) in parsed.items()}
 
 
 def _drift_operators(basis: fock.ManyBodyBasis) -> dict[str, sparse.csr_matrix]:

@@ -7,13 +7,12 @@ the two-point matrix C_jk = <f!_j f_k> obeys
     M_jk = (delta_jc - delta_kc)^2,
 
 which is the one-particle sector of :mod:`dephchain.lindblad` read as
-C = rho^T: the sector's generator (``lindblad.dephasing_liouvillian`` of a
-spec, with its symmetry sectors, or one built from an explicit one-body ``h``
-and the mask M of the dephased site c), acting on rho = C^T / Tr C. Evolution and steady
-states therefore go through ``lindblad.evolve`` and ``lindblad.steady_state``
-(the exact projection onto the kernel), with their invariant checks, and are
-scaled back by Tr C. The multi-fermion steady-state scaling law lives
-here as well.
+C = rho^T: the spec's generator (``lindblad.dephasing_liouvillian``, with its
+symmetry sectors) acting on rho = C^T / Tr C. Evolution and steady states
+therefore go through ``lindblad.evolve`` and ``lindblad.steady_state`` (the
+exact projection onto the kernel), with their invariant checks, and are
+scaled back by Tr C. The multi-fermion steady-state scaling law lives here
+as well.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import ManyBodyBasis
-from .lindblad import (HERMITICITY_TOL, Liouvillian, build_liouvillian, dephasing_liouvillian,
-                       evolve, steady_state)
+from .lindblad import HERMITICITY_TOL, Liouvillian, dephasing_liouvillian, evolve, steady_state
 from .model import LatticeSpec
 
 EIGENVALUE_SLACK = 1e-9
@@ -78,27 +76,6 @@ def _one_particle_state(c0, liouvillian: Liouvillian) -> tuple[np.ndarray, float
     return c0.T / filling, filling
 
 
-def _evolve(c0, liouvillian: Liouvillian, times) -> np.ndarray:
-    rho0, filling = _one_particle_state(c0, liouvillian)
-    return filling * evolve(rho0, liouvillian, times).states.transpose(0, 2, 1)
-
-
-def evolve_with_hamiltonian(c0: np.ndarray, h: np.ndarray, gamma: float, center: int,
-                            times) -> np.ndarray:
-    """Two-point trajectory for an explicit real symmetric one-body ``h``,
-    with the projector on the 1-based ``center`` site as jump operator.
-
-    Returns C(t) at each requested time (non-decreasing, starting from 0
-    relative to ``c0``) as one (T, n, n) array. Raises ``ValueError``
-    unless ``center`` is an integer in 1..n.
-    """
-    h = np.asarray(h, dtype=float)
-    if not isinstance(center, (int, np.integer)) or not 1 <= center <= len(h):
-        raise ValueError(f"center must be an integer site in 1..{len(h)}, got {center!r}")
-    return _evolve(c0, build_liouvillian(h, gamma, np.diag(np.arange(len(h)) == center - 1)),
-                   times)
-
-
 def _one_particle_liouvillian(spec: LatticeSpec) -> Liouvillian:
     """The spec's one-particle generator, with its symmetry sectors; refuses
     an interacting spec."""
@@ -112,8 +89,12 @@ def _one_particle_liouvillian(spec: LatticeSpec) -> Liouvillian:
 
 def correlation_evolve(spec: LatticeSpec, c0: np.ndarray, times) -> np.ndarray:
     """Two-point trajectory for a lattice spec; refuses interacting problems,
-    where the two-point equation no longer closes."""
-    return _evolve(c0, _one_particle_liouvillian(spec), times)
+    where the two-point equation no longer closes. Returns C(t) at each
+    requested time (non-decreasing, starting from 0 relative to ``c0``) as
+    one (T, n, n) array."""
+    liouvillian = _one_particle_liouvillian(spec)
+    rho0, filling = _one_particle_state(c0, liouvillian)
+    return filling * evolve(rho0, liouvillian, times).states.transpose(0, 2, 1)
 
 
 def steady_correlation(spec: LatticeSpec, c0: np.ndarray, tol: float = 1e-10) -> np.ndarray:

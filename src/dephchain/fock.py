@@ -61,10 +61,6 @@ class ManyBodyBasis:
     def bitstring(self, mask: int) -> str:
         return format(mask, f"0{self.n_sites}b")
 
-    def index_of(self, state: int | str) -> int:
-        mask = self.mask_of(state) if isinstance(state, str) else state
-        return self.index[mask]
-
     @property
     def occupations(self) -> np.ndarray:
         """(size, n_sites) array of 0/1: entry [q, s - 1] is the occupation
@@ -286,39 +282,11 @@ def expectation(rho: np.ndarray, operator):
     return np.multiply(np.asarray(rho)[..., op.col, op.row], op.data, order="C").sum(axis=-1)
 
 
-def correlation_matrix(rho: np.ndarray, basis: ManyBodyBasis) -> np.ndarray:
-    """Two-point matrix C_jk = Tr[rho f!_j f_k] of a sector density matrix."""
-    n = basis.n_sites
-    out = np.empty((n, n), dtype=complex)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            out[j - 1, k - 1] = expectation(rho, bilinear_operator(basis, j, k))
-    return out
-
-
-def parity_sector_weights(rho: np.ndarray, basis: ManyBodyBasis) -> tuple[float, float]:
-    """(even, odd) reflection-sector populations of a density matrix."""
-    reflected = float(np.real(expectation(rho, reflection_operator(basis))))
-    trace = float(np.real(np.trace(rho)))
-    return 0.5 * (trace + reflected), 0.5 * (trace - reflected)
-
-
-def _bare_parity_slater(basis: ManyBodyBasis, even: bool, which) -> np.ndarray:
-    parity = bare_mode_parity(basis.n_sites)
-    pool = parity.even if even else parity.odd
-    if which is None:
-        which = tuple(range(basis.n_particles))
-    return slater_state(basis, [pool[w] for w in which], orbitals=parity.modes)
-
-
 def even_mode_slater(basis: ManyBodyBasis, which: tuple[int, ...] | None = None) -> np.ndarray:
     """Slater state occupying even-parity bare modes only (dephasing-coupled
     sector); ``which`` selects positions in the even-mode list, defaulting to
     the lowest ones."""
-    return _bare_parity_slater(basis, True, which)
-
-
-def odd_mode_slater(basis: ManyBodyBasis, which: tuple[int, ...] | None = None) -> np.ndarray:
-    """Slater state occupying odd-parity bare modes only (a dark state of the
-    central dephasing)."""
-    return _bare_parity_slater(basis, False, which)
+    parity = bare_mode_parity(basis.n_sites)
+    if which is None:
+        which = tuple(range(basis.n_particles))
+    return slater_state(basis, [parity.even[w] for w in which], orbitals=parity.modes)

@@ -97,11 +97,6 @@ class SteadyStateNotConverged(RuntimeError):
         self.weight = weight
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(rho).flatten(order="F")
-
-
 def pure_state(psi: np.ndarray) -> np.ndarray:
     """The density matrix |psi><psi| of a state vector, normalized."""
     psi = np.asarray(psi, dtype=complex)
@@ -673,6 +668,7 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
     keep : sequence of int, optional
         The sample indices whose whole states each trajectory keeps, sorted
         and without repeats as ``Trajectory.kept``; every index by default.
+        A float or bool index raises ``ValueError``.
     """
     rho0 = np.asarray(rho0)
     liouvillians = list(liouvillians)
@@ -697,7 +693,10 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
     rows = min(_chunk_rows(dim), len(times))
     readers = [{name: _reader(readout, liouvillian, rows)
                 for name, readout in (readouts or {}).items()} for liouvillian in liouvillians]
-    keep = np.arange(len(times)) if keep is None else np.unique(np.asarray(keep, dtype=int))
+    keep = np.arange(len(times)) if keep is None else np.asarray(keep)
+    if keep.size and keep.dtype.kind not in "iu":
+        raise ValueError(f"kept sample indices must be integers, got {keep}")
+    keep = np.unique(keep.astype(int))
     if keep.size and not 0 <= keep[0] <= keep[-1] < len(times):
         raise ValueError(f"kept sample indices must lie in 0..{len(times) - 1}, got {keep}")
 

@@ -1,17 +1,25 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here deliberately avoids the package's bit-twiddling and
+The brute-force oracles deliberately avoid the package's bit-twiddling and
 sign-bookkeeping paths: fermionic operators act on explicit ordered
 creation-operator sequences, and reduced states come from full Jordan-Wigner
 spin matrices on the 2^N-dimensional space. Slow and simple on purpose.
+
+The closed forms below them are the references that no run computes: the
+full N = 3 trajectory, the N = 5 steady-state equations, the steady pair's
+reduced state and its partial-transpose spectrum, and the two-point matrix
+of a sector state read through the package's bilinears.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+from dephchain.fock import ManyBodyBasis, bilinear_operator, expectation
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 PAULI_Z = np.diag([1.0, -1.0])
@@ -194,3 +202,124 @@ def dense_kernel(superoperator: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     vectors of its full SVD whose singular value is below ``tol``."""
     _u, svals, vh = np.linalg.svd(superoperator)
     return vh[svals < tol].conj().T
+
+
+# ----------------------------------------------------------------------
+# Closed forms
+# ----------------------------------------------------------------------
+
+_REAL_TOL = 1e-12
+
+
+class N3Elements(NamedTuple):
+    """Independent matrix elements of the N = 3 trajectory from |010>.
+
+    The full matrix has rho11 = rho13 = rho31 = rho33, rho12 = rho32 and
+    rho21 = rho23 = conj(rho12).
+    """
+
+    rho11: float
+    rho22: float
+    rho12: complex
+    rho13: float
+
+
+def _damped_envelope(t: float, gamma: float) -> tuple[complex, complex]:
+    """exp(-t gamma / 4) * (f, g) with the hyperbolic forms evaluated in
+    complex arithmetic; sqrt(gamma^2 - 128) is imaginary below gamma =
+    sqrt(128), giving trigonometric behavior, with the removable singularity
+    handled explicitly."""
+    root = np.sqrt(complex(gamma * gamma - 128.0))
+    arg = t * root / 4.0
+    if abs(root) < 1e-9:
+        sinh_over_root = t / 4.0 + 0.0j
+    else:
+        sinh_over_root = np.sinh(arg) / root
+    f = np.cosh(arg) + gamma * sinh_over_root
+    g = 4.0j * sinh_over_root
+    envelope = math.exp(-t * gamma / 4.0)
+    return envelope * f, envelope * g
+
+
+def analytic_n3_elements(t: float, gamma: float) -> N3Elements:
+    """Time-dependent matrix elements of the N = 3, |010> dephasing problem."""
+    if t < 0 or gamma < 0:
+        raise ValueError("t and gamma must be non-negative")
+    ef, eg = _damped_envelope(t, gamma)
+    if abs(ef.imag) > _REAL_TOL * max(1.0, abs(ef)):
+        raise FloatingPointError(f"envelope acquired imaginary part {ef.imag:.3e}")
+    rho11 = 0.25 * (1.0 - ef.real)
+    rho22 = 0.5 * (1.0 + ef.real)
+    return N3Elements(rho11=rho11, rho22=rho22, rho12=eg, rho13=rho11)
+
+
+def analytic_n3_density_matrix(t: float, gamma: float) -> np.ndarray:
+    """Full 3x3 density matrix of the N = 3 trajectory."""
+    el = analytic_n3_elements(t, gamma)
+    return np.array(
+        [
+            [el.rho11, el.rho12, el.rho13],
+            [np.conj(el.rho12), el.rho22, np.conj(el.rho12)],
+            [el.rho13, el.rho12, el.rho11],
+        ]
+    )
+
+
+def n5_steady_residual(rho: np.ndarray, gamma: float = 1.0) -> float:
+    """Maximum residual of the four N = 5 steady-state equations.
+
+    The equations assume the reflection-symmetric entry pattern of an
+    even-sector state (rho_jk = rho_j'k' with primed indices reflected);
+    the last one is the trace constraint.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (5, 5):
+        raise ValueError(f"expected a 5x5 matrix, got {rho.shape}")
+    r11, r22, r33 = rho[0, 0], rho[1, 1], rho[2, 2]
+    r12, r13, r23 = rho[0, 1], rho[0, 2], rho[1, 2]
+    equations = (
+        1j * (2.0 * r22 - r33 - r13) - gamma * r23 / 2.0,
+        1j * (2.0 * r12 - r13) - gamma * r13 / 2.0,
+        r11 + r13 - r22,
+        2.0 * (r11 + r22) + r33 - 1.0,
+    )
+    return float(max(abs(value) for value in equations))
+
+
+def analytic_pair_rdm(n_sites: int) -> np.ndarray:
+    """Two-site reduced state of the single-particle steady state for a
+    symmetric pair (i, N+1-i), i != c: diagonal
+    ((N-1)/(N+1), 1/(N+1), 1/(N+1), 0) plus a 1/(N+1) coherence between
+    |01> and |10>. Valid for any N >= 3 without building the lattice."""
+    n = n_sites
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n_sites must be odd and >= 3, got {n}")
+    rdm = np.zeros((4, 4))
+    rdm[0, 0] = (n - 1.0) / (n + 1.0)
+    rdm[1, 1] = rdm[2, 2] = 1.0 / (n + 1.0)
+    rdm[1, 2] = rdm[2, 1] = 1.0 / (n + 1.0)
+    return rdm
+
+
+def partial_transpose_eigenvalues(rdm: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the partial transpose over the second site.
+
+    A negative eigenvalue certifies entanglement; for two qubits the PPT
+    criterion is also sufficient, so a non-negative spectrum means separable.
+    """
+    rdm = np.asarray(rdm)
+    if rdm.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {rdm.shape}")
+    blocks = rdm.reshape(2, 2, 2, 2)
+    transposed = blocks.transpose(0, 3, 2, 1).reshape(4, 4)
+    return np.sort(np.linalg.eigvalsh(transposed))
+
+
+def correlation_matrix(rho: np.ndarray, basis: ManyBodyBasis) -> np.ndarray:
+    """Two-point matrix C_jk = Tr[rho f!_j f_k] of a sector density matrix."""
+    n = basis.n_sites
+    out = np.empty((n, n), dtype=complex)
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            out[j - 1, k - 1] = expectation(rho, bilinear_operator(basis, j, k))
+    return out

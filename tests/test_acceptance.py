@@ -11,18 +11,17 @@ import numpy as np
 import pytest
 
 from dephchain.config import config_from_dict, config_to_dict, default_config
-from dephchain.entangle import concurrence, partial_transpose_eigenvalues, reduce_to_pair
+from dephchain.entangle import concurrence, reduce_to_pair
 from dephchain.experiments import run_fock_quench, run_robustness_aa, run_robustness_int
 from dephchain.fastpath import correlation_evolve, multiparticle_scaling
 from dephchain.fock import (
     ManyBodyBasis,
     charge_operator,
-    correlation_matrix,
     even_mode_slater,
     expectation,
     fock_state,
-    odd_mode_slater,
-    parity_sector_weights,
+    reflection_operator,
+    slater_state,
     total_number_operator,
 )
 from dephchain.lindblad import (
@@ -30,16 +29,15 @@ from dephchain.lindblad import (
     evolve,
     pure_state,
     steady_state,
-    vectorize,
 )
 from dephchain.model import LatticeSpec, bare_mode_parity
-from dephchain.oracle import (
+from dephchain.oracle import analytic_steady_state, even_sector_steady_state, ppt_eigenvalue_formula
+from oracles import (
     analytic_n3_density_matrix,
     analytic_pair_rdm,
-    analytic_steady_state,
-    even_sector_steady_state,
+    correlation_matrix,
     n5_steady_residual,
-    ppt_eigenvalue_formula,
+    partial_transpose_eigenvalues,
 )
 
 
@@ -115,7 +113,7 @@ def test_criterion_04_kernel_membership_and_uniqueness():
             basis = ManyBodyBasis(n, 1)
             liou = dephasing_liouvillian(spec, basis)
             target = analytic_steady_state(n)
-            residual = float(np.abs(liou.matrix @ vectorize(target)).max())
+            residual = float(np.abs(liou.matrix @ np.ravel(target, order="F")).max())
             assert residual < 1e-10, f"N={n} kernel residual {residual:.3e}"
 
             center = "0" * ((n - 1) // 2) + "1" + "0" * ((n - 1) // 2)
@@ -189,7 +187,7 @@ def test_criterion_08_odd_sector_dark_states():
             spec = LatticeSpec(n_sites=n)
             basis = ManyBodyBasis(n, filling)
             liou = dephasing_liouvillian(spec, basis)
-            rho0 = pure_state(odd_mode_slater(basis))
+            rho0 = pure_state(slater_state(basis, bare_mode_parity(n).odd[:filling]))
             traj = evolve(rho0, liou, np.linspace(0.0, 100.0, 21))
             deviation = max(np.abs(rho - rho0).max() for rho in traj.states)
             assert deviation < 1e-9, f"(N={n}, Np={filling}): {deviation:.3e}"
@@ -212,13 +210,14 @@ def test_criterion_09_conserved_charges_along_trajectories():
             elif kind == "even":
                 psi = even_mode_slater(basis)
             else:
-                psi = odd_mode_slater(basis)
+                psi = slater_state(basis, bare_mode_parity(spec.n_sites).odd[:filling])
             liou = dephasing_liouvillian(spec, basis)
             traj = evolve(pure_state(psi), liou,
                           np.linspace(0.0, horizon, 21))
             charge = expectation(traj.states, charge_operator(basis)).real
             number = expectation(traj.states, total_number_operator(basis)).real
-            parity = np.array([parity_sector_weights(r, basis)[0] for r in traj.states])
+            parity = 0.5 * (np.trace(traj.states, axis1=1, axis2=2).real
+                            + expectation(traj.states, reflection_operator(basis)).real)
             for name, series in (("charge", charge), ("number", number),
                                  ("parity", parity)):
                 drift = np.abs(series - series[0]).max()

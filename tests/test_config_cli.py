@@ -17,11 +17,11 @@ from dephchain.config import (
 )
 from dephchain import experiments, lindblad
 from dephchain.experiments import run
-from dephchain.fock import (ManyBodyBasis, bilinear_operator, correlation_matrix, expectation,
-                            fock_state)
+from dephchain.fock import ManyBodyBasis, bilinear_operator, expectation, fock_state
 from dephchain.lindblad import dephasing_liouvillian, evolve, evolve_scan
 from dephchain.model import LatticeSpec, bare_mode_parity
 from dephchain.oracle import analytic_steady_state
+from oracles import correlation_matrix
 
 
 # ----------------------------------------------------------------------
@@ -505,6 +505,15 @@ def test_cli_kind_mismatch(tmp_path, capsys):
     code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [[], "x"])
+def test_cli_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    code = main(["steady", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: config: expected a JSON object\n"
 
 
 def test_cli_bad_config_value(tmp_path, capsys):

@@ -3,23 +3,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dephchain.entangle import (
-    concurrence,
-    is_x_state,
-    partial_transpose_eigenvalues,
-    reduce_to_pair,
-)
+from dephchain.entangle import concurrence, is_x_state, reduce_to_pair
 from dephchain.fock import ManyBodyBasis, even_mode_slater, fock_state
 from dephchain.lindblad import dephasing_liouvillian, pure_state, steady_state
 from dephchain.model import LatticeSpec
-from dephchain.oracle import (
+from dephchain.oracle import analytic_steady_state, even_sector_steady_state
+from oracles import (
     analytic_n3_density_matrix,
     analytic_pair_rdm,
-    analytic_steady_state,
-    even_sector_steady_state,
-    ppt_eigenvalue_formula,
+    jw_pair_rdm,
+    partial_transpose_eigenvalues,
+    xstate_concurrence,
 )
-from oracles import jw_pair_rdm, xstate_concurrence
 
 
 def random_density(rng, dim, rank=None):

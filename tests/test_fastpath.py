@@ -5,20 +5,16 @@ import dephchain.fastpath as fastpath
 from dephchain.fastpath import (
     ScalingDomainError,
     correlation_evolve,
-    evolve_with_hamiltonian,
     multiparticle_scaling,
     steady_correlation,
     validate_correlation_matrix,
 )
-from dephchain.fock import (
-    ManyBodyBasis,
-    correlation_matrix,
-    even_mode_slater,
-    fock_state,
-)
-from dephchain.lindblad import dephasing_liouvillian, evolve, pure_state, steady_state
+from dephchain.fock import ManyBodyBasis, even_mode_slater, fock_state
+from dephchain.lindblad import (build_liouvillian, dephasing_liouvillian, evolve, pure_state,
+                                steady_state)
 from dephchain.model import LatticeSpec, bare_mode_parity, build_single_particle_hamiltonian
 from dephchain.oracle import analytic_steady_state
+from oracles import correlation_matrix
 
 
 def full_two_point(spec, basis, psi, times):
@@ -26,6 +22,17 @@ def full_two_point(spec, basis, psi, times):
     liou = dephasing_liouvillian(spec, basis)
     traj = evolve(pure_state(psi), liou, times)
     return [correlation_matrix(rho, basis) for rho in traj.states]
+
+
+def explicit_h_two_point(c0, h, gamma, center, times):
+    """Two-point trajectory of an explicit one-body ``h``, with the projector
+    on the 1-based ``center`` site as jump: the one-particle generator that
+    ``build_liouvillian`` gives, evolved on rho0 = C0^T / Tr C0 and read back
+    as Tr C0 * rho(t)^T."""
+    c0 = np.asarray(c0, dtype=complex)
+    filling = float(np.trace(c0).real)
+    liouvillian = build_liouvillian(h, gamma, np.diag(np.arange(len(h)) == center - 1))
+    return filling * evolve(c0.T / filling, liouvillian, times).states.transpose(0, 2, 1)
 
 
 def test_sign_convention_fixed_by_liouvillian_oracle():
@@ -91,7 +98,7 @@ def test_center_occupation_not_damped_directly():
     c0 = np.array([[0.5, 0.2, 0.1],
                    [0.2, 0.3, 0.2],
                    [0.1, 0.2, 0.2]], dtype=complex)
-    out = evolve_with_hamiltonian(c0, np.zeros((3, 3)), gamma, 2, [1.0])[-1]
+    out = explicit_h_two_point(c0, np.zeros((3, 3)), gamma, 2, [1.0])[-1]
     decay = np.exp(-gamma / 2.0)
     expected = c0.copy()
     for j in range(3):
@@ -99,15 +106,6 @@ def test_center_occupation_not_damped_directly():
             if (j == 1) != (k == 1):
                 expected[j, k] *= decay
     assert np.abs(out - expected).max() < 1e-10
-
-
-@pytest.mark.parametrize("center", [0, 4, 2.5])
-def test_evolve_with_hamiltonian_refuses_a_bad_center(center):
-    # A centre off the chain or between sites would give a zero jump and a
-    # run without dephasing.
-    h = -(np.eye(3, k=1) + np.eye(3, k=-1))
-    with pytest.raises(ValueError, match="center"):
-        evolve_with_hamiltonian(np.diag([0.0, 1.0, 0.0]), h, 1.0, center, [50.0])
 
 
 def test_n3_steady_correlation_values():
@@ -160,12 +158,12 @@ def test_trace_and_hermiticity_preserved():
 
 
 def test_repeated_sample_times_share_a_sample():
-    # evolve_with_hamiltonian accepts non-decreasing times; repeats map back
+    # evolve accepts non-decreasing times; repeats map back
     # onto one sample.
     h = build_single_particle_hamiltonian(LatticeSpec(n_sites=3))
     c0 = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    repeated = evolve_with_hamiltonian(c0, h, 1.0, 2, [0.0, 1.0, 1.0, 2.5])
-    distinct = evolve_with_hamiltonian(c0, h, 1.0, 2, [0.0, 1.0, 2.5])
+    repeated = explicit_h_two_point(c0, h, 1.0, 2, [0.0, 1.0, 1.0, 2.5])
+    distinct = explicit_h_two_point(c0, h, 1.0, 2, [0.0, 1.0, 2.5])
     assert len(repeated) == 4
     assert np.array_equal(repeated[0], c0)
     assert np.array_equal(repeated[1], repeated[2])
@@ -201,7 +199,7 @@ def test_spec_entry_points_use_the_spec_generator(monkeypatch):
     steady_correlation(spec, c0)
     assert [sorted(q.shape[1] for q in liou.sectors) for liou in seen] == [[1] * 20 + [21]] * 2
     h = build_single_particle_hamiltonian(spec)
-    assert np.abs(trajectory - evolve_with_hamiltonian(c0, h, 1.0, 21, [0.0, 3.0])).max() < 1e-12
+    assert np.abs(trajectory - explicit_h_two_point(c0, h, 1.0, 21, [0.0, 3.0])).max() < 1e-12
 
 
 def test_steady_correlation_needs_positive_trace():
@@ -242,7 +240,6 @@ def test_validate_correlation_matrix():
         validate_correlation_matrix(np.diag([1.5, 0.0]))
     # Every entry point refuses the same bad C0 before it evolves anything.
     spec = LatticeSpec(n_sites=3)
-    h = build_single_particle_hamiltonian(spec)
     not_hermitian = np.array([[0.5, 0.2, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
     for c0, message in ((not_hermitian, "not Hermitian"),
                         (np.diag([1.5, 0.0, 0.0]), "outside")):
@@ -250,8 +247,6 @@ def test_validate_correlation_matrix():
             correlation_evolve(spec, c0, [0.0, 1.0])
         with pytest.raises(ValueError, match=message):
             steady_correlation(spec, c0)
-        with pytest.raises(ValueError, match=message):
-            evolve_with_hamiltonian(c0, h, 1.0, 2, [0.0, 1.0])
 
 
 # ----------------------------------------------------------------------

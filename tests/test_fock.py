@@ -11,13 +11,10 @@ from dephchain.fock import (
     bilinear_operator,
     build_many_body_hamiltonian,
     charge_operator,
-    correlation_matrix,
     even_mode_slater,
     expectation,
     fock_state,
     number_operator,
-    odd_mode_slater,
-    parity_sector_weights,
     reflection_operator,
     reflection_orbits,
     slater_determinants,
@@ -30,6 +27,7 @@ from oracles import (
     apply_creation,
     bruteforce_bilinear,
     bruteforce_reflection,
+    correlation_matrix,
     embed_sector_density,
     jw_annihilation,
 )
@@ -61,9 +59,9 @@ def test_basis_popcounts_and_index():
     basis = ManyBodyBasis(5, 2)
     for q, mask in enumerate(basis.states):
         assert bin(mask).count("1") == 2
-        assert basis.states[basis.index_of(mask)] == mask
+        assert basis.states[basis.index[mask]] == mask
         assert "".join(map(str, basis.occupations[q])) == basis.bitstring(mask)
-    assert basis.index_of("01010") == basis.index[0b01010]
+    assert basis.index[basis.mask_of("01010")] == basis.index[0b01010]
 
 
 def test_basis_rejects_bad_filling():
@@ -151,9 +149,9 @@ def test_interaction_diagonal():
     spec = LatticeSpec(n_sites=3, interaction=5.0)
     basis = ManyBodyBasis(3, 2)
     h_many = dense(build_many_body_hamiltonian(spec, basis))
-    q = basis.index_of("110")
+    q = basis.index[basis.mask_of("110")]
     assert h_many[q, q] == pytest.approx(5.0)
-    q2 = basis.index_of("101")
+    q2 = basis.index[basis.mask_of("101")]
     assert h_many[q2, q2] == pytest.approx(0.0)
 
 
@@ -387,7 +385,7 @@ def test_even_mode_slaters_are_even_and_charged(n, k):
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3)])
 def test_odd_mode_slaters_are_dark(n, k):
     basis = ManyBodyBasis(n, k)
-    psi = odd_mode_slater(basis)
+    psi = slater_state(basis, bare_mode_parity(n).odd[:k])
     n_c = dense(number_operator(basis, (n + 1) // 2))
     assert np.abs(n_c @ psi).max() < 1e-12
 
@@ -397,9 +395,16 @@ def test_fock_state_examples():
     assert np.allclose(fock_state(basis, "010"), [0.0, 1.0, 0.0])
     big = ManyBodyBasis(7, 4)
     psi = fock_state(big, "1010101")
-    assert np.count_nonzero(psi) == 1 and abs(psi[big.index_of("1010101")]) == 1.0
+    assert np.count_nonzero(psi) == 1 and abs(psi[big.index[big.mask_of("1010101")]]) == 1.0
     with pytest.raises(ValueError):
         fock_state(basis, "011")
+
+
+def parity_sector_weights(rho, basis):
+    """(even, odd) reflection-sector populations (Tr rho +- <R>) / 2."""
+    reflected = float(np.real(expectation(rho, reflection_operator(basis))))
+    trace = float(np.real(np.trace(rho)))
+    return 0.5 * (trace + reflected), 0.5 * (trace - reflected)
 
 
 def test_parity_sector_weights():

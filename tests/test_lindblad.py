@@ -18,8 +18,7 @@ from dephchain.fock import (
     expectation,
     fock_state,
     number_operator,
-    odd_mode_slater,
-    parity_sector_weights,
+    reflection_operator,
     slater_state,
     total_number_operator,
 )
@@ -35,7 +34,6 @@ from dephchain.lindblad import (
     steady_state,
     steady_state_null_space,
     validate_density,
-    vectorize,
 )
 from dephchain.model import (
     LatticeSpec,
@@ -43,8 +41,8 @@ from dephchain.model import (
     build_single_particle_hamiltonian,
     classify_mode_parity,
 )
-from dephchain.oracle import analytic_n3_density_matrix, analytic_steady_state
-from oracles import dense_kernel
+from dephchain.oracle import analytic_steady_state
+from oracles import analytic_n3_density_matrix, dense_kernel
 
 
 def n3_problem(gamma=1.0):
@@ -67,8 +65,8 @@ def interacting_problem():
 def full_route(rho0, liou, times):
     """The samples of the expm_multiply route on the whole superoperator."""
     times = np.asarray(times, dtype=float)
-    samples = np.array(list(lindblad.splinalg.expm_multiply(liou.matrix, vectorize(rho0),
-                                                            lindblad._steps(times))))
+    samples = np.array(list(lindblad.splinalg.expm_multiply(
+        liou.matrix, np.ravel(rho0, order="F"), lindblad._steps(times))))
     states = samples.reshape(len(times), liou.dim, liou.dim).transpose(0, 2, 1)
     states[times == 0.0] = rho0
     return states
@@ -132,7 +130,7 @@ def test_pair_superoperator_equals_the_kron_formula(gamma, density):
 def test_trace_preservation_left_null_vector():
     for gamma in (0.0, 0.5, 2.0):
         _, _, liou = n3_problem(gamma)
-        assert np.abs(vectorize(np.eye(liou.dim)) @ liou.matrix).max() < 1e-10
+        assert np.abs(np.ravel(np.eye(liou.dim), order="F") @ liou.matrix).max() < 1e-10
 
 
 def test_maximally_mixed_is_stationary():
@@ -150,7 +148,7 @@ def test_residual_operator_form_matches_superoperator(spec, filling):
     liou = dephasing_liouvillian(spec, ManyBodyBasis(spec.n_sites, filling))
     rng = np.random.default_rng(4)
     stack = rng.normal(size=(3, liou.dim, liou.dim)) + 1j * rng.normal(size=(3, liou.dim, liou.dim))
-    expected = [np.abs(liou.matrix @ vectorize(rho)).max() for rho in stack]
+    expected = [np.abs(liou.matrix @ np.ravel(rho, order="F")).max() for rho in stack]
     norms = liou.residual(stack)
     assert norms.shape == (3,)
     assert np.abs(norms - expected).max() < 1e-13 * max(expected)
@@ -176,11 +174,11 @@ def test_build_rejects_bad_inputs():
 def test_vectorization_round_trip():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(vectorize(m).reshape((4, 4), order="F"), m)
+    assert np.array_equal(np.ravel(m, order="F").reshape((4, 4), order="F"), m)
     # column stacking: vec(A rho B) = kron(B.T, A) vec(rho)
     a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-    lhs = vectorize(a @ m @ b)
-    rhs = np.kron(b.T, a) @ vectorize(m)
+    lhs = np.ravel(a @ m @ b, order="F")
+    rhs = np.kron(b.T, a) @ np.ravel(m, order="F")
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -253,11 +251,11 @@ def test_expm_matches_dense_exponential(n_sites, bits, grid):
     liou = dephasing_liouvillian(spec, basis)
     rho0 = pure_state(fock_state(basis, bits))
     traj = evolve(rho0, liou, times)
-    generator, vec0 = liou.matrix.toarray(), vectorize(rho0)
+    generator, vec0 = liou.matrix.toarray(), np.ravel(rho0, order="F")
     # every sample of a short grid; 30 spread over a long one, the last included
     checked = np.unique(np.linspace(0, len(times) - 1, 30).round().astype(int))
     worst = max(
-        np.abs(vectorize(traj.states[k]) - expm(generator * times[k]) @ vec0).max()
+        np.abs(np.ravel(traj.states[k], order="F") - expm(generator * times[k]) @ vec0).max()
         for k in checked
     )
     assert worst < 1e-12
@@ -344,7 +342,7 @@ def test_dark_state_is_stationary():
     spec = LatticeSpec(n_sites=5, dephasing_gamma=2.0)
     basis = ManyBodyBasis(5, 2)
     liou = dephasing_liouvillian(spec, basis)
-    rho0 = pure_state(odd_mode_slater(basis))
+    rho0 = pure_state(slater_state(basis, bare_mode_parity(5).odd[:2]))
     times = np.linspace(0.0, 50.0, 11)
     traj = evolve(rho0, liou, times)
     worst = max(np.abs(rho - rho0).max() for rho in traj.states)
@@ -1188,7 +1186,7 @@ def test_steady_state_needs_diagonal_projector_jump():
 def test_null_space_contains_analytic_steady_state():
     _, basis, liou = n3_problem()
     kernel = steady_state_null_space(liou)
-    target = vectorize(analytic_steady_state(3)).astype(complex)
+    target = np.ravel(analytic_steady_state(3), order="F").astype(complex)
     target /= np.linalg.norm(target)
     overlap = kernel @ (kernel.conj().T @ target)
     assert np.linalg.norm(overlap - target) < 1e-9
@@ -1276,15 +1274,16 @@ def test_dark_parts_match_dense_eigenspaces():
             kernel_part, undamped, _weight, _omega = lindblad._dark_parts(rho0, liou, 1e-9)
             superop = liou.matrix.toarray()
             kernel = dense_kernel(superop)
-            assert np.abs(vectorize(kernel_part) - kernel @ (kernel.conj().T @ vectorize(rho0))
+            vec0 = np.ravel(rho0, order="F")
+            assert np.abs(np.ravel(kernel_part, order="F") - kernel @ (kernel.conj().T @ vec0)
                           ).max() < 1e-8, spec
             eigenvalues = np.linalg.eigvals(superop)
             omegas = np.unique(np.round(eigenvalues.imag[np.abs(eigenvalues.real) < 1e-9], 6))
             expected = np.zeros(basis.size ** 2, dtype=complex)
             for omega in omegas[omegas != 0]:
                 space = dense_kernel(superop - 1j * omega * np.eye(len(superop)), tol=1e-6)
-                expected += space @ (space.conj().T @ vectorize(rho0))
-            assert np.abs(vectorize(undamped) - expected).max() < 1e-8, spec
+                expected += space @ (space.conj().T @ vec0)
+            assert np.abs(np.ravel(undamped, order="F") - expected).max() < 1e-8, spec
             undamped_cases += np.abs(expected).max() > 1e-3
     assert undamped_cases >= 3
 
@@ -1307,7 +1306,8 @@ def test_trapped_kernel_states_are_their_own_limit(filling):
     kernel = dense_kernel(liou.matrix.toarray())
     rng = np.random.default_rng(filling)
     a = rng.normal(size=(liou.dim,) * 2) + 1j * rng.normal(size=(liou.dim,) * 2)
-    rho0 = (kernel @ (kernel.conj().T @ vectorize(a @ a.conj().T))).reshape((liou.dim,) * 2, order="F")
+    rho0 = (kernel @ (kernel.conj().T @ np.ravel(a @ a.conj().T, order="F"))
+            ).reshape((liou.dim,) * 2, order="F")
     rho0 /= np.trace(rho0)
     assert np.abs(steady_state(rho0, liou).state - rho0).max() < 1e-9
 
@@ -1387,11 +1387,12 @@ def test_kernel_elements_are_physical():
     for k in range(basis.size):
         pure = np.zeros((basis.size, basis.size), dtype=complex)
         pure[k, k] = 1.0
-        rho = (kernel @ (kernel.conj().T @ vectorize(pure))).reshape(pure.shape, order="F")
+        rho = (kernel @ (kernel.conj().T @ np.ravel(pure, order="F"))
+               ).reshape(pure.shape, order="F")
         assert abs(np.trace(rho) - 1.0) < 1e-9
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-8
-    identity = vectorize(np.eye(basis.size) / basis.size)
+    identity = np.ravel(np.eye(basis.size) / basis.size, order="F")
     assert np.linalg.norm(kernel @ (kernel.conj().T @ identity) - identity) < 1e-12
 
 
@@ -1434,8 +1435,9 @@ def test_even_sector_protection():
     # The charge's eigenvalues are half-integers one apart, so <(Q - 1/2)^2>
     # bounds the weight outside Q = 1/2.
     shifted = charge_operator(basis) - 0.5 * sparse.identity(basis.size)
+    reflection = reflection_operator(basis)
     for rho in traj.states:
-        even, odd = parity_sector_weights(rho, basis)
+        odd = 0.5 * (np.trace(rho).real - expectation(rho, reflection).real)
         assert odd < 1e-8
         assert abs(expectation(rho, shifted @ shifted)) < 1e-8
 

@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dephchain.entangle import partial_transpose_eigenvalues, reduce_to_pair
+from dephchain.entangle import reduce_to_pair
 from dephchain.fock import ManyBodyBasis, fock_state
-from dephchain.lindblad import (
-    dephasing_liouvillian,
-    pure_state,
-    validate_density,
-    vectorize,
-)
+from dephchain.lindblad import dephasing_liouvillian, pure_state, validate_density
 from dephchain.model import LatticeSpec
-from dephchain.oracle import (
+from dephchain.oracle import analytic_steady_state, even_sector_steady_state, ppt_eigenvalue_formula
+from oracles import (
     analytic_n3_density_matrix,
     analytic_n3_elements,
     analytic_pair_rdm,
-    analytic_steady_state,
-    even_sector_steady_state,
     n5_steady_residual,
-    ppt_eigenvalue_formula,
+    partial_transpose_eigenvalues,
 )
 
 
@@ -61,7 +55,7 @@ def test_steady_state_in_liouvillian_kernel(n):
     spec = LatticeSpec(n_sites=n)
     basis = ManyBodyBasis(n, 1)
     liou = dephasing_liouvillian(spec, basis)
-    assert np.abs(liou.matrix @ vectorize(analytic_steady_state(n))).max() < 1e-10
+    assert np.abs(liou.matrix @ np.ravel(analytic_steady_state(n), order="F")).max() < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +123,7 @@ def test_cross_check_against_independent_integrator():
     liou = dephasing_liouvillian(spec, basis)
     rho0 = pure_state(fock_state(basis, "010"))
     # a dense exponential of the generator, independent of evolve's Krylov path
-    rho = (expm(liou.matrix.toarray()) @ vectorize(rho0)).reshape((3, 3), order="F")
+    rho = (expm(liou.matrix.toarray()) @ np.ravel(rho0, order="F")).reshape((3, 3), order="F")
     assert np.abs(rho - analytic_n3_density_matrix(1.0, 1.0)).max() < 1e-7
 
 

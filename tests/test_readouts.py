@@ -80,6 +80,8 @@ def test_a_run_keeps_no_state_when_asked_for_none():
     ({"x": np.eye(3)}, None, "does not match dimension"),
     ({}, [0, 5], "kept sample indices"),
     ({}, [-1], "kept sample indices"),
+    ({}, [1.7], "kept sample indices must be integers"),
+    ({}, [True], "kept sample indices must be integers"),
 ])
 def test_bad_readouts_and_kept_indices_raise_before_propagating(monkeypatch, readouts, keep,
                                                                 message):
