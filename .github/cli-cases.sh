@@ -43,3 +43,7 @@ run_case evolve-slater evolve --override 'initial_state.type="slater"' \
   --override 'initial_state.modes=[1,3]'
 # The dense route on a late first sample and a step that recurs: three propagators.
 run_case evolve-repeated-step evolve --override 'time_grid.points=[0.5,1.0,2.5,3.0]'
+# The quench time read from the bare run: the first post-transient peak of |<f1+ fN>|.
+run_case fock-quench-auto fock-quench --override 'quench.time="auto"'
+# A quench time between two bare samples: one extra step from the last sample before it.
+run_case fock-quench-off-grid fock-quench --override quench.time=31.13

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import scipy.sparse as sparse
@@ -259,12 +260,10 @@ def slater_state(basis: ManyBodyBasis, mode_indices, orbitals: np.ndarray | None
 
 def fock_state(basis: ManyBodyBasis, bitstring: str | int) -> np.ndarray:
     """Unit vector on a single occupation configuration."""
-    mask = basis.mask_of(bitstring) if isinstance(bitstring, str) else bitstring
-    if bin(mask).count("1") != basis.n_particles:
-        raise ValueError(
-            f"occupation {basis.bitstring(mask)} has the wrong particle count "
-            f"for an {basis.n_particles}-particle basis"
-        )
+    mask = basis.mask_of(bitstring) if isinstance(bitstring, str) else operator.index(bitstring)
+    if mask not in basis.index:
+        raise ValueError(f"occupation mask {mask} ({basis.bitstring(mask)}) is not a state of "
+                         f"the {basis.n_sites}-site, {basis.n_particles}-particle basis")
     vec = np.zeros(basis.size, dtype=complex)
     vec[basis.index[mask]] = 1.0
     return vec
@@ -277,9 +276,12 @@ def expectation(rho: np.ndarray, operator):
     numpy's pairwise sum, never by BLAS, so a state's value does not depend
     on the stack it is read in or on the BLAS thread count. A COO matrix is
     read as it is, which spares a caller that reads one operator many times
-    scipy's conversion."""
+    scipy's conversion. An operator that is not d x d raises ``ValueError``."""
+    rho = np.asarray(rho)
     op = operator if isinstance(operator, sparse.coo_matrix) else sparse.coo_matrix(operator)
-    return np.multiply(np.asarray(rho)[..., op.col, op.row], op.data, order="C").sum(axis=-1)
+    if op.shape != rho.shape[-2:]:
+        raise ValueError(f"operator shape {op.shape} does not match state shape {rho.shape[-2:]}")
+    return np.multiply(rho[..., op.col, op.row], op.data, order="C").sum(axis=-1)
 
 
 def even_mode_slater(basis: ManyBodyBasis, which: tuple[int, ...] | None = None) -> np.ndarray:

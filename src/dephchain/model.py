@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -201,7 +200,6 @@ def classify_mode_parity(h: np.ndarray) -> ModeParity:
                       odd=tuple(int(k) + 1 for k in np.flatnonzero(~is_even)))
 
 
-@lru_cache(maxsize=None)
 def bare_mode_parity(n_sites: int, tunneling: float = 1.0) -> ModeParity:
     """Parity-classified eigenmodes of the bare open chain (no perturbations)."""
     spec = LatticeSpec(n_sites=n_sites, tunneling=tunneling, dephasing_gamma=0.0)

@@ -426,6 +426,22 @@ def test_correlation_matrix_of_slater():
     assert np.trace(c).real == pytest.approx(2.0)
 
 
+def test_fock_state_outside_the_basis_is_refused():
+    with pytest.raises(ValueError, match="mask 8 "):
+        fock_state(ManyBodyBasis(3, 1), 0b1000)
+
+
+def test_expectation_of_an_operator_of_another_shape_is_refused():
+    # A smaller operator used to read part of the state, a larger one to
+    # index past it.
+    rho = np.eye(10) / 10
+    for size in (5, 20):
+        with pytest.raises(ValueError, match=rf"\({size}, {size}\) .* \(10, 10\)"):
+            expectation(rho, np.eye(size))
+        with pytest.raises(ValueError, match=rf"\({size}, {size}\) .* \(10, 10\)"):
+            expectation(np.stack([rho, rho]), sparse.identity(size))
+
+
 def test_expectation_of_a_stack_equals_each_state_read_alone():
     # Bit for bit: a state's value does not depend on the stack it is read in.
     basis = ManyBodyBasis(7, 4)

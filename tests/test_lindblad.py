@@ -7,7 +7,7 @@ import scipy.sparse as sparse
 from scipy.linalg import expm
 
 import dephchain.lindblad as lindblad
-from dephchain import experiments
+from dephchain import experiments, exponential
 from dephchain.config import default_config
 from dephchain.fock import (
     ManyBodyBasis,
@@ -288,16 +288,19 @@ GRID_CALLS = [
 @pytest.mark.parametrize("times, calls", GRID_CALLS)
 def test_expm_calls_per_grid(monkeypatch, times, calls):
     # Full route: one expm_multiply call on the grid's steps, whatever the
-    # grid, whose positive step changes ``calls`` times.
+    # grid, whose positive step changes ``calls`` times; the Taylor degree
+    # and step count are chosen once per change.
     liou, rho0 = interacting_problem()
     seen = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
     dense = counting(monkeypatch, lindblad, "expm")
+    choices = counting(monkeypatch, exponential, "_taylor_steps")
     evolve(rho0, liou, times)
     assert len(seen) == 1
     steps = seen[0][2]
     assert np.array_equal(steps, lindblad._steps(times))
     assert np.count_nonzero(np.diff(steps[steps > 0], prepend=0.0)) == calls
     assert dense == []
+    assert len(choices) == calls
 
 
 @pytest.mark.parametrize("times, calls", [(np.linspace(0.0, 60.0, 1201), 1)] + GRID_CALLS[1:])
@@ -519,6 +522,14 @@ def test_non_finite_initial_state_is_refused():
             evolve(rho0, liou, [0.0, 1.0])
         with pytest.raises(ValueError, match="rho0 has a non-finite entry"):
             steady_state(rho0, liou)
+
+
+def test_steady_state_refuses_a_tolerance_that_is_not_positive_and_finite():
+    _, basis, liou = n3_problem()
+    rho0 = pure_state(fock_state(basis, "010"))
+    for tol in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="convergence_tol must be a positive finite number"):
+            steady_state(rho0, liou, convergence_tol=tol)
 
 
 def test_initial_state_of_the_wrong_shape_is_refused():
@@ -780,7 +791,9 @@ def test_hermiticity_deviation_aborts(monkeypatch, limit):
 @pytest.mark.parametrize("limit", KERNELS)
 def test_block_basis_that_is_not_unitary_raises(monkeypatch, limit):
     # H's eigenvectors scaled by 1 + 1e-8; without dephasing the jump checks
-    # see nothing, so only the unitarity guard can refuse the basis.
+    # see nothing, so only the unitarity guard can refuse the basis. The
+    # dense route reads that basis and refuses it; the orbit route never
+    # builds it, so it runs.
     monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
     basis = ManyBodyBasis(5, 2)
     liou = dephasing_liouvillian(LatticeSpec(n_sites=5, dephasing_gamma=0.0), basis)
@@ -788,8 +801,14 @@ def test_block_basis_that_is_not_unitary_raises(monkeypatch, limit):
     liou.__dict__["_spectrum"] = (energies, (1.0 + 1e-8) * vectors, label)
     with pytest.raises(RuntimeError, match="not unitary"):
         lindblad._symmetry_blocks(liou)
-    with pytest.raises(RuntimeError, match="not unitary"):
-        evolve(pure_state(fock_state(basis, "10100")), liou, [0.0, 1.0])
+    rho0 = pure_state(fock_state(basis, "10100"))
+    if limit:
+        with pytest.raises(RuntimeError, match="not unitary"):
+            evolve(rho0, liou, [0.0, 1.0])
+    else:
+        built = counting(monkeypatch, lindblad, "_symmetry_blocks")
+        evolve(rho0, liou, [0.0, 1.0])
+        assert built == []
 
 
 def _occupied_dimension(rho0, liou) -> int:
