@@ -47,3 +47,8 @@ run_case evolve-repeated-step evolve --override 'time_grid.points=[0.5,1.0,2.5,3
 run_case fock-quench-auto fock-quench --override 'quench.time="auto"'
 # A quench time between two bare samples: one extra step from the last sample before it.
 run_case fock-quench-off-grid fock-quench --override quench.time=31.13
+# A many-body pair: p11 > 0, so the concurrence's sqrt(p00 p11) term is read; reflection
+# broken with d = 35, so the sparse route.
+run_case robustness-aa-many-body robustness-aa --override lattice.n_sites=7 \
+  --override 'initial_state.type="fock"' --override 'initial_state.bitstring="1010101"' \
+  --override 'scan.times=[5.0,31.1]'

@@ -54,6 +54,7 @@ from .fastpath import (
 from .entangle import (
     concurrence,
     is_x_state,
+    pair_readouts,
     reduce_to_pair,
 )
 from .oracle import (

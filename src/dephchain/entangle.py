@@ -1,76 +1,94 @@
-"""Two-site reduced density matrices and bipartite entanglement measures.
+"""Two-site reduced density matrices and their concurrence.
 
-The states here are number-conserving, so the reduced state of a pair of
-fermionic modes (i, j) holds only the four pair populations and the
-coherence <f!_i f_j>. The populations are read off the diagonal and the
-coherence is one :func:`dephchain.fock.expectation` of the hopping bilinear,
-string included, so every fermionic sign comes from :mod:`dephchain.fock`.
-Concurrence is always evaluated on the exact reduced matrix, never through
-Wick factorization, because the steady states here need not be Gaussian.
+The states here are number-conserving, so a pair of fermionic modes (i, j)
+holds only four populations and the coherence z = <f!_i f_j>, a bilinear
+whose string signs come from :mod:`dephchain.fock`. :func:`pair_readouts`
+alone defines the five operators that read them, on a whole state
+(:func:`reduce_to_pair`) or as series of :func:`dephchain.lindblad.evolve_scan`.
+Such a pair is an X-state, whose concurrence has a closed form (Wootters,
+PRL 80, 2245 (1998)); the steady states need not be Gaussian, so no Wick
+factorization is used.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
+import scipy.sparse as sparse
 
 from .fock import ManyBodyBasis, bilinear_operator, expectation
 
-# A 4x4 matrix whose smallest eigenvalue lies below minus this is not a state.
+# A 4x4 matrix with an eigenvalue below minus this, or an entry above it off
+# the number-conserving pattern, is refused.
 PSD_TOL = 1e-7
 
-# 4x4 basis ordering of a pair (i, j), i < j: |00>, |01>, |10>, |11> with the
-# occupation of i first.
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# 4x4 basis of a pair (i, j), i < j: |00>, |01>, |10>, |11>, the occupation of i
+# first. Number conservation leaves the diagonal and the |01> <-> |10> entries.
+_POPULATIONS = ("p00", "p01", "p10", "p11")
+_PATTERN = np.eye(4, dtype=bool)
+_PATTERN[1, 2] = _PATTERN[2, 1] = True
 
 
-def reduce_to_pair(rho, basis: ManyBodyBasis, i: int, j: int) -> np.ndarray:
-    """Reduced density matrix of sites (i, j), i < j, from a sector state.
-
-    Exact for any d x d matrix on the sector basis: a fixed particle number
-    leaves only the populations of |00>, |01>, |10>, |11>, summed from the
-    diagonal of ``rho``, and the |01> <-> |10> coherences <f!_i f_j> and
-    <f!_j f_i>.
-    """
+def pair_readouts(basis: ManyBodyBasis, i: int, j: int) -> dict:
+    """The five readouts of sites (i, j), 1 <= i < j <= N, as COO operators:
+    the populations ``"p00"``, ``"p01"``, ``"p10"``, ``"p11"``, diagonal, and
+    ``"z"``, the bilinear f!_i f_j. A bool or non-integer site raises ``ValueError``."""
     n = basis.n_sites
+    if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in (i, j)):
+        raise ValueError(f"sites must be integers, got ({i!r}, {j!r})")
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    rho = np.asarray(rho)
-    if rho.shape != (basis.size, basis.size):
-        raise ValueError(f"state shape {rho.shape} does not match basis size {basis.size}")
+    label = basis.occupations[:, [i - 1, j - 1]] @ [2, 1]   # each basis state's pair state
+    readouts = {}
+    for k, name in enumerate(_POPULATIONS):
+        q = np.flatnonzero(label == k)
+        readouts[name] = sparse.coo_matrix((np.ones(q.size), (q, q)), shape=(basis.size,) * 2)
+    readouts["z"] = bilinear_operator(basis, i, j).tocoo()
+    return readouts
 
-    occ_i, occ_j = basis.occupations[:, [i - 1, j - 1]].T
-    populations = rho.diagonal()
-    hop = bilinear_operator(basis, i, j)
-    out = np.zeros((4, 4), dtype=complex)
-    for ab, weight in enumerate(((1 - occ_i) * (1 - occ_j), (1 - occ_i) * occ_j,
-                                 occ_i * (1 - occ_j), occ_i * occ_j)):
-        out[ab, ab] = populations @ weight
-    out[1, 2] = expectation(rho, hop)
-    out[2, 1] = expectation(rho, hop.T)
+
+def pair_matrix(values) -> np.ndarray:
+    """The Hermitian 4 x 4, or a (..., 4, 4) stack, from the values of the
+    :func:`pair_readouts`: populations on the diagonal, z at [1, 2]."""
+    z = np.asarray(values["z"])
+    out = np.zeros(z.shape + (4, 4), dtype=complex)
+    for k, name in enumerate(_POPULATIONS):
+        out[..., k, k] = values[name]
+    out[..., 1, 2], out[..., 2, 1] = z, np.conj(z)
     return out
 
 
-def concurrence(rdm: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def reduce_to_pair(rho, basis: ManyBodyBasis, i: int, j: int) -> np.ndarray:
+    """Reduced density matrix of sites (i, j), i < j, of a d x d sector state:
+    :func:`fock.expectation` of each of the :func:`pair_readouts` on ``rho``."""
+    readouts = pair_readouts(basis, i, j)
+    rho = np.asarray(rho)
+    if rho.shape != (basis.size, basis.size):
+        raise ValueError(f"state shape {rho.shape} does not match basis size {basis.size}")
+    return pair_matrix({name: expectation(rho, op) for name, op in readouts.items()})
 
-    The square roots l1 >= ... >= l4 of the eigenvalues of
-    ``rho (sy x sy) rho* (sy x sy)`` are combined as
-    ``max(0, l1 - l2 - l3 - l4)``. They are taken as the singular values of
-    Wootters' ``tau = W^T (sy x sy) W`` with ``rho = W W^dagger``,
-    ``W = V sqrt(p)`` from the eigendecomposition of rho; the eigenvalues of
-    the non-normal product lose half their digits on rank-deficient states.
-    For the X-form steady pair this reduces to ``2 max(0, |z| - sqrt(p00 p11))``.
-    """
+
+def concurrence(rdm: np.ndarray) -> float:
+    """Concurrence ``2 max(0, |z| - sqrt(p00 p11))`` of a number-conserving pair,
+    z the coherence of the Hermitian part of ``rdm``. ``ValueError`` refuses a
+    matrix that is not 4 x 4, has a non-finite entry or one above ``PSD_TOL``
+    off the pattern, or has an eigenvalue below ``-PSD_TOL``."""
     rdm = np.asarray(rdm)
     if rdm.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rdm.shape}")
-    weights, vectors = np.linalg.eigh(0.5 * (rdm + rdm.conj().T))
-    if weights[0] < -PSD_TOL:
-        raise ValueError(f"input is not positive semidefinite (min eig {weights[0]:.3e})")
-    w = vectors * np.sqrt(np.clip(weights, 0.0, None))
-    roots = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    if not np.isfinite(rdm).all():
+        raise ValueError("input has a non-finite entry")
+    off = np.abs(rdm[~_PATTERN]).max()
+    if off > PSD_TOL:
+        raise ValueError(f"input is not number-conserving (entry {off:.3e} off its pattern)")
+    p00, p01, p10, p11 = rdm.diagonal().real
+    z = abs(0.5 * (rdm[1, 2] + np.conj(rdm[2, 1])))
+    smallest = min(p00, p11, 0.5 * (p01 + p10) - math.hypot(0.5 * (p01 - p10), z))
+    if smallest < -PSD_TOL:
+        raise ValueError(f"input is not positive semidefinite (min eig {smallest:.3e})")
+    return float(max(0.0, 2.0 * (z - math.sqrt(max(p00, 0.0) * max(p11, 0.0)))))
 
 
 def is_x_state(rho, tol: float = 1e-7) -> tuple[bool, float]:

@@ -372,28 +372,26 @@ def run_fock_quench(config: ExperimentConfig) -> RunResult:
 def _parameter_scan(config: ExperimentConfig, parameter: str, times):
     """Propagate the initial state to ``times`` under one Liouvillian per
     scan value of the lattice field ``parameter``, all in one ``evolve_scan``
-    call. Returns the basis, the grid, one trajectory per grid value and the
-    conservation checks over all of them."""
+    call that reads the pair (1, N) as its :func:`entangle.pair_readouts`
+    and keeps no state. Returns the grid, one (T, 4, 4) stack of pair states
+    per grid value and the conservation checks over all of them."""
     base = config.lattice
     basis, rho0 = build_initial_state(base, config.initial_state)
     grid = config.scan.grid()
     liouvillians = [dephasing_liouvillian(dataclasses.replace(base, **{parameter: float(value)}),
                                           basis) for value in grid]
     drifts = _drift_operators(basis)
-    trajectories = evolve_scan(rho0, liouvillians, times, drifts)
-    return basis, grid, trajectories, _conservation_checks(rho0, trajectories, drifts, liouvillians)
-
-
-def _end_to_end_concurrence(rho: np.ndarray, basis: fock.ManyBodyBasis) -> float:
-    return entangle.concurrence(entangle.reduce_to_pair(rho, basis, 1, basis.n_sites))
+    pair = entangle.pair_readouts(basis, 1, base.n_sites)
+    trajectories = evolve_scan(rho0, liouvillians, times, {**pair, **drifts}, keep=[])
+    return (grid, [entangle.pair_matrix(t.series) for t in trajectories],
+            _conservation_checks(rho0, trajectories, drifts, liouvillians))
 
 
 def run_robustness_aa(config: ExperimentConfig) -> RunResult:
     sample_times = np.asarray(config.scan.times, dtype=float)
-    basis, grid, trajectories, conservation = _parameter_scan(config, "aa_amplitude", sample_times)
-    rows = [[float(amplitude), float(t), _end_to_end_concurrence(rho, basis)]
-            for amplitude, trajectory in zip(grid, trajectories)
-            for t, rho in zip(sample_times, trajectory.states)]
+    grid, pairs, conservation = _parameter_scan(config, "aa_amplitude", sample_times)
+    rows = [[float(amplitude), float(t), entangle.concurrence(rdm)]
+            for amplitude, stack in zip(grid, pairs) for t, rdm in zip(sample_times, stack)]
     unperturbed = {t: c for a, t, c in rows if a == 0.0}
     checks = {"value_at_zero_amplitude": unperturbed, "n_grid_points": len(grid), **conservation}
     header = ["aa_amplitude", "t", "concurrence_1N"]
@@ -402,13 +400,9 @@ def run_robustness_aa(config: ExperimentConfig) -> RunResult:
 
 def run_robustness_int(config: ExperimentConfig) -> RunResult:
     t_sample = float(config.scan.times[0])
-    basis, grid, trajectories, conservation = _parameter_scan(config, "interaction", [t_sample])
-    end_to_end = fock.bilinear_operator(basis, 1, basis.n_sites)
-    rows = []
-    for strength, trajectory in zip(grid, trajectories):
-        rho = trajectory.states[-1]
-        corr = fock.expectation(rho, end_to_end)
-        rows.append([float(strength), _end_to_end_concurrence(rho, basis), corr.real, corr.imag])
+    grid, pairs, conservation = _parameter_scan(config, "interaction", [t_sample])
+    rows = [[float(strength), entangle.concurrence(rdm), rdm[1, 2].real, rdm[1, 2].imag]
+            for strength, (rdm,) in zip(grid, pairs)]
     strengths = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])
     design = np.vstack([strengths, np.ones_like(strengths)]).T

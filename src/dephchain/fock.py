@@ -259,7 +259,9 @@ def slater_state(basis: ManyBodyBasis, mode_indices, orbitals: np.ndarray | None
 
 
 def fock_state(basis: ManyBodyBasis, bitstring: str | int) -> np.ndarray:
-    """Unit vector on a single occupation configuration."""
+    """Unit vector on a single occupation configuration; a bool mask raises ``ValueError``."""
+    if isinstance(bitstring, bool):
+        raise ValueError(f"occupation mask {bitstring!r} is a bool, not an integer")
     mask = basis.mask_of(bitstring) if isinstance(bitstring, str) else operator.index(bitstring)
     if mask not in basis.index:
         raise ValueError(f"occupation mask {mask} ({basis.bitstring(mask)}) is not a state of "

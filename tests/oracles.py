@@ -5,10 +5,12 @@ sign-bookkeeping paths: fermionic operators act on explicit ordered
 creation-operator sequences, and reduced states come from full Jordan-Wigner
 spin matrices on the 2^N-dimensional space. Slow and simple on purpose.
 
-The closed forms below them are the references that no run computes: the
-full N = 3 trajectory, the N = 5 steady-state equations, the steady pair's
-reduced state and its partial-transpose spectrum, and the two-point matrix
-of a sector state read through the package's bilinears.
+Wootters' general two-qubit concurrence, from an eigendecomposition and an
+SVD, is the reference for the package's closed form on number-conserving
+pairs. The closed forms below them are the references that no run computes:
+the full N = 3 trajectory, the N = 5 steady-state equations, the steady
+pair's reduced state and its partial-transpose spectrum, and the two-point
+matrix of a sector state read through the package's bilinears.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from dephchain.entangle import PSD_TOL
 from dephchain.fock import ManyBodyBasis, bilinear_operator, expectation
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -188,9 +191,30 @@ def jw_pair_rdm(rho: np.ndarray, basis, i: int, j: int) -> np.ndarray:
     return out
 
 
-def xstate_concurrence(p00: float, p11: float, coherence: complex) -> float:
-    """Closed form for the number-conserving X pair: 2 max(0, |z| - sqrt(p00 p11))."""
-    return max(0.0, 2.0 * (abs(coherence) - math.sqrt(max(p00, 0.0) * max(p11, 0.0))))
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+
+
+def wootters_concurrence(rdm: np.ndarray) -> float:
+    """Wootters concurrence of any two-qubit density matrix.
+
+    The square roots l1 >= ... >= l4 of the eigenvalues of
+    ``rho (sy x sy) rho* (sy x sy)`` are combined as
+    ``max(0, l1 - l2 - l3 - l4)``. They are taken as the singular values of
+    Wootters' ``tau = W^T (sy x sy) W`` with ``rho = W W^dagger``,
+    ``W = V sqrt(p)`` from the eigendecomposition of rho; the eigenvalues of
+    the non-normal product lose half their digits on rank-deficient states.
+    For the X-form steady pair this reduces to ``2 max(0, |z| - sqrt(p00 p11))``.
+    """
+    rdm = np.asarray(rdm)
+    if rdm.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {rdm.shape}")
+    weights, vectors = np.linalg.eigh(0.5 * (rdm + rdm.conj().T))
+    if weights[0] < -PSD_TOL:
+        raise ValueError(f"input is not positive semidefinite (min eig {weights[0]:.3e})")
+    w = vectors * np.sqrt(np.clip(weights, 0.0, None))
+    roots = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
+    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dephchain.entangle import concurrence, is_x_state, reduce_to_pair
+from dephchain.entangle import concurrence, is_x_state, pair_readouts, reduce_to_pair
 from dephchain.fock import ManyBodyBasis, even_mode_slater, fock_state
 from dephchain.lindblad import dephasing_liouvillian, pure_state, steady_state
 from dephchain.model import LatticeSpec
@@ -13,7 +13,7 @@ from oracles import (
     analytic_pair_rdm,
     jw_pair_rdm,
     partial_transpose_eigenvalues,
-    xstate_concurrence,
+    wootters_concurrence,
 )
 
 
@@ -22,6 +22,21 @@ def random_density(rng, dim, rank=None):
     block = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = block @ block.conj().T
     return rho / np.trace(rho).real
+
+
+def random_x_state(rng, rank_deficient=False):
+    """A number-conserving pair: Dirichlet populations and a coherence of
+    random phase, at the largest modulus a state allows when
+    ``rank_deficient``, when p00 or p11 is also set to zero."""
+    p = rng.dirichlet(np.ones(4))
+    if rank_deficient:
+        p[rng.choice([0, 3])] = 0.0
+        p /= p.sum()
+    z_max = np.sqrt(p[1] * p[2])
+    z = (z_max if rank_deficient else rng.uniform(0, z_max)) * np.exp(2j * np.pi * rng.uniform())
+    rho = np.diag(p).astype(complex)
+    rho[1, 2], rho[2, 1] = z, np.conj(z)
+    return rho
 
 
 # ----------------------------------------------------------------------
@@ -95,6 +110,24 @@ def test_reduce_rejects_bad_pairs():
         reduce_to_pair(rho, basis, 0, 2)
 
 
+@pytest.mark.parametrize("i, j", [(True, 3), (1, True), (1.0, 3), (1, 3.0), (np.float64(2), 4)])
+def test_sites_that_are_bools_or_not_integers_are_refused(i, j):
+    # A bool used to read site 1 and a float to raise a bare IndexError.
+    basis = ManyBodyBasis(5, 2)
+    rho = np.eye(basis.size) / basis.size
+    with pytest.raises(ValueError, match="sites must be integers"):
+        reduce_to_pair(rho, basis, i, j)
+    with pytest.raises(ValueError, match="sites must be integers"):
+        pair_readouts(basis, i, j)
+
+
+def test_numpy_integer_sites_read_the_same_pair():
+    basis = ManyBodyBasis(5, 2)
+    rho = random_density(np.random.default_rng(3), basis.size)
+    assert np.array_equal(reduce_to_pair(rho, basis, np.int64(2), np.int32(4)),
+                          reduce_to_pair(rho, basis, 2, 4))
+
+
 # ----------------------------------------------------------------------
 # concurrence
 # ----------------------------------------------------------------------
@@ -135,8 +168,44 @@ def test_concurrence_agrees_with_x_state_closed_form():
         z = rng.uniform(0, z_max) * np.exp(2j * np.pi * rng.uniform())
         rho = np.diag(p).astype(complex)
         rho[1, 2], rho[2, 1] = z, np.conj(z)
-        expected = xstate_concurrence(p[0], p[3], z)
+        expected = wootters_concurrence(rho)
         assert concurrence(rho) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_closed_form_equals_wootters_on_x_states(rank_deficient):
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        rho = random_x_state(rng, rank_deficient)
+        assert abs(concurrence(rho) - wootters_concurrence(rho)) < 1e-12
+
+
+def test_concurrence_refuses_states_that_are_not_number_conserving_or_not_psd():
+    # (|00> + |11>) / sqrt 2 is maximally entangled, but no number-conserving
+    # pair: the closed form does not hold for it.
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+    assert wootters_concurrence(bell) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="not number-conserving"):
+        concurrence(bell)
+    # Positive populations, but a coherence too large for them: the 01-10
+    # block has the eigenvalue 0.25 - 0.3.
+    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    rho[1, 2] = rho[2, 1] = 0.3
+    with pytest.raises(ValueError, match=r"min eig -5\.000e-02"):
+        concurrence(rho)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        wootters_concurrence(rho)
+
+
+def test_concurrence_refuses_non_finite_input():
+    for bad in (np.nan, np.inf):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            concurrence(rho)
+        with pytest.raises(ValueError, match="non-finite"):
+            concurrence(np.full((4, 4), bad))
 
 
 def test_concurrence_rejects_non_psd():
@@ -154,7 +223,17 @@ def test_concurrence_nonincreasing_under_mixing(seed, weight):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 4, rank=rng.integers(1, 5))
     mixed = weight * rho + (1.0 - weight) * np.eye(4) / 4.0
-    assert concurrence(mixed) <= concurrence(rho) + 1e-9
+    assert wootters_concurrence(mixed) <= wootters_concurrence(rho) + 1e-9
+    # The closed form on number-conserving pairs: one reduced from a random
+    # sector density and one random X-state.
+    basis = ManyBodyBasis(5, int(rng.integers(1, 5)))
+    i = int(rng.integers(1, 5))
+    pairs = [reduce_to_pair(random_density(rng, basis.size, rank=int(rng.integers(1, 4))),
+                            basis, i, int(rng.integers(i + 1, 6))),
+             random_x_state(rng, rank_deficient=bool(rng.integers(2)))]
+    for pair in pairs:
+        mixed = weight * pair + (1.0 - weight) * np.eye(4) / 4.0
+        assert concurrence(mixed) <= concurrence(pair) + 1e-9
 
 
 def test_equal_concurrence_across_symmetric_pairs():

@@ -431,6 +431,13 @@ def test_fock_state_outside_the_basis_is_refused():
         fock_state(ManyBodyBasis(3, 1), 0b1000)
 
 
+def test_fock_state_refuses_a_bool_mask():
+    # True used to give the state of mask 1, 001.
+    for mask in (True, False):
+        with pytest.raises(ValueError, match="is a bool"):
+            fock_state(ManyBodyBasis(3, 1), mask)
+
+
 def test_expectation_of_an_operator_of_another_shape_is_refused():
     # A smaller operator used to read part of the state, a larger one to
     # index past it.

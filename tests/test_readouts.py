@@ -1,7 +1,9 @@
 """Readouts of ``evolve_scan``: the series and kept states of a run that
 keeps few states equal, bit for bit, what is read from a run that keeps all
-of them, on both kernels; the ``fock-quench`` runner, which keeps one state,
-writes the table that whole states give and stays small in memory."""
+of them, on both kernels, and so do the streamed pair readouts what
+``reduce_to_pair`` reads on the whole states; the ``fock-quench`` runner,
+which keeps one state, writes the table that whole states give and stays
+small in memory."""
 
 import dataclasses
 import tracemalloc
@@ -12,9 +14,11 @@ import scipy.sparse as sparse
 
 from dephchain import experiments, lindblad
 from dephchain.config import config_from_dict, config_to_dict, default_config
+from dephchain.entangle import pair_matrix, pair_readouts, reduce_to_pair
 from dephchain.experiments import build_initial_state, run
 from dephchain.fock import (ManyBodyBasis, bilinear_operator, charge_operator, expectation,
-                            fock_state, reflection_operator, total_number_operator)
+                            fock_state, reflection_operator, slater_state,
+                            total_number_operator)
 from dephchain.lindblad import dephasing_liouvillian, evolve, pure_state
 from dephchain.model import LatticeSpec
 
@@ -73,6 +77,47 @@ def test_a_run_keeps_no_state_when_asked_for_none():
                         times, {"purity": "purity"}, keep=[])
     assert trajectory.states.shape == (0, basis.size, basis.size)
     assert len(trajectory.series["purity"]) == len(times) == len(trajectory.times)
+
+
+# (spec, input, times): a Fock input at N = 7 and a Slater input at N = 9,
+# each on an unequal grid with a t = 0 sample.
+PAIR_INPUTS = {
+    "fock-n7": (LatticeSpec(n_sites=7), "1010101", [0.0, 0.5, 2.0, 7.5, 31.1]),
+    "slater-n9": (LatticeSpec(n_sites=9), (1, 3), [0.0, 1.0, 2.0, 3.0, 12.5]),
+}
+
+
+@pytest.mark.parametrize("limit", [pytest.param(lindblad.DENSE_PAIR_LIMIT, id="dense"),
+                                   pytest.param(0, id="orbits")])
+@pytest.mark.parametrize("case", PAIR_INPUTS)
+def test_streamed_pairs_equal_the_pairs_of_the_whole_states(monkeypatch, case, limit):
+    # The five pair series of one scan, read as the samples are made, against
+    # reduce_to_pair of the same samples kept whole, for every mirror pair.
+    monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+    spec, state, times = PAIR_INPUTS[case]
+    n = spec.n_sites
+    if isinstance(state, str):
+        basis = ManyBodyBasis(n, state.count("1"))
+        rho0 = pure_state(fock_state(basis, state))
+    else:
+        basis = ManyBodyBasis(n, len(state))
+        rho0 = pure_state(slater_state(basis, state))
+    liouvillians = [dephasing_liouvillian(dataclasses.replace(spec, trap_amplitude=a), basis)
+                    for a in (0.0, 2.0)]
+    largest = max(q.shape[1] for liouvillian in liouvillians for q in liouvillian.sectors)
+    assert (largest ** 2 <= limit) == (limit > 0)
+    pairs = [(i, n + 1 - i) for i in range(1, (n + 1) // 2)]
+    readouts = {(pair, name): op for pair in pairs
+                for name, op in pair_readouts(basis, *pair).items()}
+    trajectories = lindblad.evolve_scan(rho0, liouvillians, times, readouts)
+    for trajectory in trajectories:
+        assert len(trajectory.states) == len(times)
+        for pair in pairs:
+            streamed = pair_matrix({name: trajectory.series[(pair, name)]
+                                    for name in ("p00", "p01", "p10", "p11", "z")})
+            whole = np.array([reduce_to_pair(rho, basis, *pair) for rho in trajectory.states])
+            assert streamed.shape == (len(times), 4, 4)
+            assert np.abs(streamed - whole).max() <= 1e-15, pair
 
 
 @pytest.mark.parametrize("readouts, keep, message", [
