@@ -38,6 +38,9 @@ run_case robustness-int-sparse robustness-int --override 'scan.values=[0.05,0.2,
 run_case robustness-aa-t0 robustness-aa --override 'scan.times=[0.0,5.0,31.1]'
 # A 65-site chain: Fock masks wider than 64 bits stay Python ints.
 run_case correlation-map-n65 correlation-map --override lattice.n_sites=65
+# Odd-mode weight: mode 2's projector never decays, and the closed form keeps it.
+run_case correlation-map-odd correlation-map --override 'initial_state.type="slater"' \
+  --override 'initial_state.modes=[1,2]'
 # A Slater input: the determinant of the chosen bare modes.
 run_case evolve-slater evolve --override 'initial_state.type="slater"' \
   --override 'initial_state.modes=[1,3]'

@@ -3,9 +3,10 @@
 Simulation and analysis toolkit for the tight-binding chain whose only
 coupling to the environment is number-operator dephasing on the central
 site: exact-diagonalization sector dynamics, the closed two-point fastpath,
-symmetry-sector bookkeeping, steady-state solvers, and the entanglement of
-the symmetrically located pairs the dynamics generates. Closed forms that
-only the tests compare against live in the test suite, not here.
+symmetry-sector bookkeeping, steady-state solvers, the entanglement of the
+symmetrically located pairs the dynamics generates, and the closed forms
+that runs check their results against. Closed forms that only the tests
+compare against live in the test suite, not here.
 """
 
 from .model import (
@@ -46,9 +47,7 @@ from .lindblad import (
     validate_density,
 )
 from .fastpath import (
-    ScalingDomainError,
     correlation_evolve,
-    multiparticle_scaling,
     steady_correlation,
 )
 from .entangle import (
@@ -60,7 +59,7 @@ from .entangle import (
 from .oracle import (
     analytic_steady_state,
     even_sector_steady_state,
-    ppt_eigenvalue_formula,
+    long_time_correlation,
 )
 
 __version__ = "0.1.0"

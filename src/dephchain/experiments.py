@@ -234,7 +234,7 @@ def run_correlation_map(config: ExperimentConfig) -> RunResult:
     orbitals = _orbitals(spec, config.initial_state)
     c0 = (orbitals @ orbitals.T).astype(complex)
     c_steady = fastpath.steady_correlation(spec, c0, tol=config.convergence_tol)
-    reference = n_particles * oracle.analytic_steady_state(n)
+    reference = oracle.long_time_correlation(c0)
     checks = {
         "trace_drift": float(abs(np.trace(c_steady).real - n_particles)),
         "max_dev_from_analytic": float(np.abs(c_steady - reference).max()),

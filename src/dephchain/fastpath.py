@@ -11,8 +11,7 @@ C = rho^T: the spec's generator (``lindblad.dephasing_liouvillian``, with its
 symmetry sectors) acting on rho = C^T / Tr C. Evolution and steady states
 therefore go through ``lindblad.evolve`` and ``lindblad.steady_state`` (the
 exact projection onto the kernel), with their invariant checks, and are
-scaled back by Tr C. The multi-fermion steady-state scaling law lives here
-as well.
+scaled back by Tr C.
 """
 
 from __future__ import annotations
@@ -39,11 +38,6 @@ def __getattr__(name: str):
         from scipy.integrate import solve_ivp
         return solve_ivp
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class ScalingDomainError(ValueError):
-    """The multiparticle scaling law was applied outside its validity domain
-    (an occupation eigenvalue left [0, 1])."""
 
 
 def occupation_range(c: np.ndarray) -> dict[str, float]:
@@ -109,22 +103,3 @@ def steady_correlation(spec: LatticeSpec, c0: np.ndarray, tol: float = 1e-10) ->
     steady = steady_state(rho0, liouvillian, convergence_tol=tol / filling)
     return filling * steady.state.T
 
-
-def multiparticle_scaling(c_sp_steady: np.ndarray, n_particles: int) -> np.ndarray:
-    """Steady-state scaling <f!_i f_j>_N = N <f!_i f_j>_sp.
-
-    Valid for initial Slater states built from even-parity modes only, which
-    limits the filling to (N + 1) / 2. The occupation bound is checked on the
-    result; a violation means the law was applied outside that class.
-    """
-    if n_particles < 1:
-        raise ValueError("n_particles must be a positive integer")
-    scaled = n_particles * np.asarray(c_sp_steady, dtype=complex)
-    largest = occupation_range(scaled)["max_occupation"]
-    if not largest < LIMITS["max_occupation"][1]:
-        raise ScalingDomainError(
-            f"scaled occupation eigenvalue {largest:.6f} exceeds 1; the "
-            "scaling law only covers even-mode Slater inputs with filling "
-            "up to (N+1)/2"
-        )
-    return scaled

@@ -602,6 +602,16 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
              dict(zip(LIMITS, values))) for out, read, values in zip(states, series, deviations)]
 
 
+def _dense_route(liouvillians) -> bool:
+    """Whether :func:`evolve_scan` steps ``liouvillians`` by dense ``expm``:
+    whether the largest pair of the sectors they declare
+    (``Liouvillian.sectors``, the whole space when there are none) has a
+    generator of at most ``DENSE_PAIR_LIMIT`` entries a side."""
+    largest = max(max((q.shape[1] for q in liou.sectors), default=liou.dim)
+                  for liou in liouvillians)
+    return largest ** 2 <= DENSE_PAIR_LIMIT
+
+
 def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
                 keep=None) -> list[Trajectory]:
     """Propagate one ``rho0`` under each of ``liouvillians``, all of one
@@ -614,8 +624,8 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
     (Buča & Prosen, NJP 14, 073007 (2012)), so a pair that starts at zero
     stays zero. Every pair gets its generator from :func:`_pair_superoperator`
     and all are stepped by one kernel call of :func:`_pair_samples`, chosen
-    once for the call from the sizes of the sectors the Liouvillians declare
-    (``Liouvillian.sectors``), before any block is built: when the largest
+    once for the call by :func:`_dense_route` from the sizes of the sectors
+    the Liouvillians declare, before any block is built: when the largest
     pair of sectors of any of them has a generator of at most
     ``DENSE_PAIR_LIMIT`` entries a side, stacked dense ``expm`` (Padé scaling
     and squaring, Higham 2005) of the pairs of their symmetry blocks
@@ -698,8 +708,7 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
     if keep.size and not 0 <= keep[0] <= keep[-1] < len(times):
         raise ValueError(f"kept sample indices must lie in 0..{len(times) - 1}, got {keep}")
 
-    largest = max(max((q.shape[1] for q in liou.sectors), default=dim) for liou in liouvillians)
-    dense = largest ** 2 <= DENSE_PAIR_LIMIT
+    dense = _dense_route(liouvillians)
     blocks = [(_symmetry_blocks if dense else _orbit_blocks)(liou) for liou in liouvillians]
     trajectories = []
     for states, series, deviations in _pair_samples(rho0, list(zip(liouvillians, blocks)), times,

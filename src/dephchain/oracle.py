@@ -1,23 +1,22 @@
 """Closed-form steady states used as executable ground truth.
 
 Each is an independent analytic expression: the X-form single-particle
-steady state, the partial-transpose spectrum of its symmetric pair, and the
-even-sector multi-fermion steady state. The simulator modules are tested
+steady state, the long-time two-point matrix of any input that settles, and
+the even-sector multi-fermion steady state. The simulator modules are tested
 against these, never the other way around; the closed forms that only the
 tests compare against (the N = 3 trajectory, the N = 5 steady-state
-equations, the steady pair's reduced state) live in the test suite's
-``oracles`` module.
+equations, the steady pair's reduced state and its partial-transpose
+spectrum) live in the test suite's ``oracles`` module.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .fock import ManyBodyBasis, slater_state
-from .model import bare_mode_parity
+from .model import bare_mode_parity, reflection_permutation
 
 
 def analytic_steady_state(n_sites: int) -> np.ndarray:
@@ -37,26 +36,28 @@ def analytic_steady_state(n_sites: int) -> np.ndarray:
     return rho
 
 
-def ppt_eigenvalue_formula(n_sites: int) -> np.ndarray:
-    """Closed-form partial-transpose spectrum of the steady symmetric pair.
+def long_time_correlation(c0) -> np.ndarray:
+    """The t -> infinity two-point matrix C = (Tr Pi C0) X_N + P C0 P.
 
-    ``{1/(N+1), 1/(N+1), (N-1 +- sqrt(N^2 - 2N + 5)) / (2(N+1))}`` in
-    ascending order; the smallest is negative for every N, approaching
-    -1/N^2 at large N, so the pair is always entangled.
+    Pi and P = 1 - Pi project onto the reflection-even and reflection-odd
+    one-particle states, and X_N = Pi / n_e is :func:`analytic_steady_state`.
+    On a quadratic chain with reflection symmetry, dephased at its centre,
+    the odd states vanish at the centre: their block P C P never sees the
+    jump, the even-odd coherences decay, and the n_e = (N + 1)/2 even states
+    relax to their uniform mixture with the conserved weight m = Tr Pi C0.
+    For a Slater input of the chain's own modes this is
+    sum_{k in S} phi_k phi_k^T + (m / n_e) Pi, S the occupied odd modes.
+    Holds for every ``c0`` that settles, whose P C0 P is then stationary; not
+    on a chain with broken reflection. Refuses a ``c0`` that is not square,
+    and an even N as :func:`analytic_steady_state` does.
     """
-    n = n_sites
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n_sites must be odd and >= 3, got {n}")
-    root = math.sqrt(n * n - 2.0 * n + 5.0)
-    values = np.array(
-        [
-            1.0 / (n + 1),
-            1.0 / (n + 1),
-            (n - 1.0 + root) / (2.0 * (n + 1)),
-            (n - 1.0 - root) / (2.0 * (n + 1)),
-        ]
-    )
-    return np.sort(values)
+    c0 = np.asarray(c0)
+    if c0.ndim != 2 or c0.shape[0] != c0.shape[1]:
+        raise ValueError(f"a two-point matrix is square, got shape {c0.shape}")
+    n = len(c0)
+    even = 0.5 * (np.eye(n) + reflection_permutation(n))
+    odd = np.eye(n) - even
+    return np.trace(even @ c0).real * analytic_steady_state(n) + odd @ c0 @ odd
 
 
 def even_sector_steady_state(n_sites: int, n_particles: int) -> np.ndarray:

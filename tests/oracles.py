@@ -9,8 +9,9 @@ Wootters' general two-qubit concurrence, from an eigendecomposition and an
 SVD, is the reference for the package's closed form on number-conserving
 pairs. The closed forms below them are the references that no run computes:
 the full N = 3 trajectory, the N = 5 steady-state equations, the steady
-pair's reduced state and its partial-transpose spectrum, and the two-point
-matrix of a sector state read through the package's bilinears.
+pair's reduced state, its partial-transpose spectrum in closed form and from
+any reduced state, and the two-point matrix of a sector state read through
+the package's bilinears.
 """
 
 from __future__ import annotations
@@ -323,6 +324,28 @@ def analytic_pair_rdm(n_sites: int) -> np.ndarray:
     rdm[1, 1] = rdm[2, 2] = 1.0 / (n + 1.0)
     rdm[1, 2] = rdm[2, 1] = 1.0 / (n + 1.0)
     return rdm
+
+
+def ppt_eigenvalue_formula(n_sites: int) -> np.ndarray:
+    """Closed-form partial-transpose spectrum of the steady symmetric pair.
+
+    ``{1/(N+1), 1/(N+1), (N-1 +- sqrt(N^2 - 2N + 5)) / (2(N+1))}`` in
+    ascending order; the smallest is negative for every N, approaching
+    -1/N^2 at large N, so the pair is always entangled.
+    """
+    n = n_sites
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n_sites must be odd and >= 3, got {n}")
+    root = math.sqrt(n * n - 2.0 * n + 5.0)
+    values = np.array(
+        [
+            1.0 / (n + 1),
+            1.0 / (n + 1),
+            (n - 1.0 + root) / (2.0 * (n + 1)),
+            (n - 1.0 - root) / (2.0 * (n + 1)),
+        ]
+    )
+    return np.sort(values)
 
 
 def partial_transpose_eigenvalues(rdm: np.ndarray) -> np.ndarray:

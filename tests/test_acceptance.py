@@ -13,7 +13,7 @@ import pytest
 from dephchain.config import config_from_dict, config_to_dict, default_config
 from dephchain.entangle import concurrence, reduce_to_pair
 from dephchain.experiments import run_fock_quench, run_robustness_aa, run_robustness_int
-from dephchain.fastpath import correlation_evolve, multiparticle_scaling
+from dephchain.fastpath import correlation_evolve
 from dephchain.fock import (
     ManyBodyBasis,
     charge_operator,
@@ -31,13 +31,14 @@ from dephchain.lindblad import (
     steady_state,
 )
 from dephchain.model import LatticeSpec, bare_mode_parity
-from dephchain.oracle import analytic_steady_state, even_sector_steady_state, ppt_eigenvalue_formula
+from dephchain.oracle import analytic_steady_state, even_sector_steady_state, long_time_correlation
 from oracles import (
     analytic_n3_density_matrix,
     analytic_pair_rdm,
     correlation_matrix,
     n5_steady_residual,
     partial_transpose_eigenvalues,
+    ppt_eigenvalue_formula,
 )
 
 
@@ -152,14 +153,14 @@ def test_criterion_06_multiparticle_scaling_law():
             spec = LatticeSpec(n_sites=n)
             basis = ManyBodyBasis(n, filling)
             liou = dephasing_liouvillian(spec, basis)
-            psi = even_mode_slater(basis)
-            steady = steady_state(
-                pure_state(psi), liou, convergence_tol=1e-10
-            )
+            rho0 = pure_state(even_mode_slater(basis))
+            steady = steady_state(rho0, liou, convergence_tol=1e-10)
             exact = correlation_matrix(steady.state, basis)
-            scaled = multiparticle_scaling(analytic_steady_state(n), filling)
-            deviation = np.abs(exact - scaled).max()
+            closed = long_time_correlation(correlation_matrix(rho0, basis))
+            deviation = np.abs(exact - closed).max()
             assert deviation < 1e-7, f"(N={n}, Np={filling}): {deviation:.3e}"
+            # Even modes only: the closed form is the scaling law itself.
+            assert np.abs(closed - filling * analytic_steady_state(n)).max() < 1e-15
 
 
 def test_criterion_07_closed_shell_dark_states():

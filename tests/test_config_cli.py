@@ -20,7 +20,7 @@ from dephchain.experiments import run
 from dephchain.fock import ManyBodyBasis, bilinear_operator, expectation, fock_state
 from dephchain.lindblad import dephasing_liouvillian, evolve, evolve_scan
 from dephchain.model import LatticeSpec, bare_mode_parity
-from dephchain.oracle import analytic_steady_state
+from dephchain.oracle import long_time_correlation
 from oracles import correlation_matrix
 
 
@@ -453,6 +453,23 @@ def test_correlation_map_runs_past_63_sites(tmp_path):
     assert result.summary["checks"]["max_dev_from_analytic"] < 1e-12
 
 
+@pytest.mark.parametrize("n_sites, initial_state", [
+    (9, {"type": "slater", "modes": [2]}),
+    (9, {"type": "slater", "modes": [1, 2]}),
+    (9, {"type": "slater", "modes": [2, 4]}),
+    (9, {"type": "slater", "modes": [1, 3, 4]}),
+    (3, {"type": "fock", "bitstring": "100"}),
+    (3, {"type": "fock", "bitstring": "101"}),
+], ids=["slater-2", "slater-1-2", "slater-2-4", "slater-1-3-4", "fock-100", "fock-101"])
+def test_correlation_map_settles_on_the_closed_form_with_odd_mode_weight(n_sites, initial_state):
+    # The odd-mode part of C0 never decays; the reference keeps it.
+    payload = config_to_dict(default_config("correlation-map"))
+    payload["lattice"]["n_sites"] = n_sites
+    payload["initial_state"] = initial_state
+    result = run(config_from_dict(payload))
+    assert result.summary["checks"]["max_dev_from_analytic"] < 1e-12
+
+
 def test_unknown_observable_raises():
     payload = config_to_dict(default_config("evolve"))
     payload["observables"] = ["bananas"]
@@ -665,15 +682,14 @@ def test_cli_slow_relaxation_reaches_exact_limit(tmp_path):
     # |100> relaxes, even though at gamma = 100 (Zeno regime) it takes a time
     # of order 1000: the exact limit is returned, not a timeout. Half the
     # particle sits in the dark mode (1, 0, -1)/sqrt(2), half relaxes to the
-    # even-sector X state.
+    # even-sector X state: the closed form's C, read as rho = C^T.
     code = main([
         "steady", "--out", str(tmp_path),
         "--override", 'initial_state.bitstring="100"',
         "--override", "lattice.dephasing_gamma=100.0",
     ])
     assert code == 0
-    dark = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
-    expected = 0.5 * np.outer(dark, dark) + 0.5 * analytic_steady_state(3)
+    expected = long_time_correlation(np.diag([1.0, 0.0, 0.0])).T
     data = json.loads((tmp_path / "density_matrix.json").read_text())["data"]
     rho = np.array([complex(re, im) for re, im in data]).reshape(3, 3)
     assert np.abs(rho - expected).max() < 1e-12

@@ -1,19 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import dephchain.fastpath as fastpath
 from dephchain.fastpath import (
-    ScalingDomainError,
     correlation_evolve,
-    multiparticle_scaling,
     steady_correlation,
     validate_correlation_matrix,
 )
 from dephchain.fock import ManyBodyBasis, even_mode_slater, fock_state
 from dephchain.lindblad import (build_liouvillian, dephasing_liouvillian, evolve, pure_state,
                                 steady_state)
-from dephchain.model import LatticeSpec, bare_mode_parity, build_single_particle_hamiltonian
-from dephchain.oracle import analytic_steady_state
+from dephchain.model import (LatticeSpec, bare_mode_parity, build_single_particle_hamiltonian,
+                             classify_mode_parity)
+from dephchain.oracle import long_time_correlation
 from oracles import correlation_matrix
 
 
@@ -178,8 +179,7 @@ def test_steady_correlation_scales_with_filling():
     psi = even_mode_slater(basis)
     c0 = correlation_matrix(np.outer(psi, psi.conj()), basis)
     c = steady_correlation(LatticeSpec(n_sites=9), c0)
-    expected = multiparticle_scaling(analytic_steady_state(9), 3)
-    assert np.abs(c - expected).max() < 1e-8
+    assert np.abs(c - long_time_correlation(c0)).max() < 1e-8
 
 
 def test_spec_entry_points_use_the_spec_generator(monkeypatch):
@@ -250,18 +250,21 @@ def test_validate_correlation_matrix():
 
 
 # ----------------------------------------------------------------------
-# multiparticle scaling
+# the long-time closed form
 # ----------------------------------------------------------------------
 
-def test_scaling_identity_for_one_particle():
-    c = analytic_steady_state(5).astype(complex)
-    assert np.array_equal(multiparticle_scaling(c, 1), c)
+def _slater_c0(parity, modes) -> np.ndarray:
+    """C0 of the Slater determinant of the given 1-based modes."""
+    phi = parity.modes[:, np.array(modes, dtype=int) - 1]
+    return phi @ phi.T
 
 
 def test_scaling_examples():
-    c = multiparticle_scaling(analytic_steady_state(5), 2)
+    parity = bare_mode_parity(5)
+    c = long_time_correlation(_slater_c0(parity, parity.even[:2]))
     assert c[0, 4].real == pytest.approx(1.0 / 3.0, abs=1e-12)
-    c3 = multiparticle_scaling(analytic_steady_state(3), 2)
+    parity = bare_mode_parity(3)
+    c3 = long_time_correlation(_slater_c0(parity, parity.even[:2]))
     assert c3[0, 0].real == pytest.approx(0.5)
     assert c3[1, 1].real == pytest.approx(1.0)
     assert c3[0, 2].real == pytest.approx(0.5)
@@ -270,16 +273,26 @@ def test_scaling_examples():
 def test_scaling_matches_exact_closed_shell():
     spec = LatticeSpec(n_sites=3)
     basis = ManyBodyBasis(3, 2)
-    psi = even_mode_slater(basis)
+    rho0 = pure_state(even_mode_slater(basis))
     liou = dephasing_liouvillian(spec, basis)
-    steady = steady_state(pure_state(psi), liou)
+    steady = steady_state(rho0, liou)
     exact = correlation_matrix(steady.state, basis)
-    scaled = multiparticle_scaling(analytic_steady_state(3), 2)
-    assert np.abs(exact - scaled).max() < 1e-7
+    closed = long_time_correlation(correlation_matrix(rho0, basis))
+    assert np.abs(exact - closed).max() < 1e-7
 
 
-def test_scaling_rejects_overfilling():
-    with pytest.raises(ScalingDomainError):
-        multiparticle_scaling(analytic_steady_state(3), 3)   # beyond (N+1)/2
-    with pytest.raises(ValueError):
-        multiparticle_scaling(analytic_steady_state(3), 0)
+@pytest.mark.parametrize("spec", [LatticeSpec(n_sites=7),
+                                  LatticeSpec(n_sites=9, trap_amplitude=0.7),
+                                  LatticeSpec(n_sites=9, trap_amplitude=2.0)],
+                         ids=["bare-7", "trap-0.7", "trap-2.0"])
+def test_long_time_correlation_matches_the_kernel_route(spec):
+    # Every one- and two-mode Slater input of the chain's own modes settles:
+    # the odd ones keep their projectors, the even ones share the uniform
+    # mixture of their weight.
+    parity = classify_mode_parity(build_single_particle_hamiltonian(spec))
+    modes = range(1, spec.n_sites + 1)
+    inputs = [_slater_c0(parity, pattern) for size in (1, 2)
+              for pattern in itertools.combinations(modes, size)]
+    worst = max(np.abs(steady_correlation(spec, c0) - long_time_correlation(c0)).max()
+                for c0 in inputs)
+    assert worst < 1e-10

@@ -47,8 +47,7 @@ for spec, bits, dense in ((dephchain.LatticeSpec(n_sites=3), "010", True),
                           (dephchain.LatticeSpec(n_sites=7, interaction=0.3), "1010101", False)):
     basis = dephchain.ManyBodyBasis(spec.n_sites, bits.count("1"))
     liouvillian = dephchain.dephasing_liouvillian(spec, basis)
-    sizes = lindblad._symmetry_blocks(liouvillian).sizes
-    assert (sizes.max() ** 2 <= lindblad.DENSE_PAIR_LIMIT) == dense
+    assert lindblad._dense_route([liouvillian]) == dense
     dephchain.evolve(dephchain.pure_state(dephchain.fock_state(basis, bits)), liouvillian,
                      [0.0, 1.0])
 loaded = [name for name in {unused!r} if name in sys.modules]

@@ -41,7 +41,7 @@ from dephchain.model import (
     build_single_particle_hamiltonian,
     classify_mode_parity,
 )
-from dephchain.oracle import analytic_steady_state
+from dephchain.oracle import analytic_steady_state, long_time_correlation
 from oracles import analytic_n3_density_matrix, dense_kernel
 
 
@@ -58,7 +58,7 @@ def interacting_problem():
     spec = LatticeSpec(n_sites=7, interaction=0.3)
     basis = ManyBodyBasis(7, 4)
     liou = dephasing_liouvillian(spec, basis)
-    assert lindblad._symmetry_blocks(liou)[1].max() ** 2 > lindblad.DENSE_PAIR_LIMIT
+    assert not lindblad._dense_route([liou])
     return liou, pure_state(fock_state(basis, "1010101"))
 
 
@@ -612,7 +612,7 @@ def _routes_agree(spec, filling, kind, times, rng) -> bool:
     liou = dephasing_liouvillian(spec, basis)
     rho0 = _cross_input(basis, kind, rng)
     _assert_blocks_exact(liou)
-    if lindblad._symmetry_blocks(liou).sizes.max() ** 2 > lindblad.DENSE_PAIR_LIMIT:
+    if not lindblad._dense_route([liou]):
         return False        # the orbit route, tested on its own
     gap = np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max()
     assert gap < 1e-12, f"{spec}, filling {filling}: {gap:.3e}"
@@ -813,10 +813,9 @@ def test_block_basis_that_is_not_unitary_raises(monkeypatch, limit):
 
 def _occupied_dimension(rho0, liou) -> int:
     """The number of block-basis dimensions that the blocks of evolve's
-    occupied pairs span, on the decomposition that DENSE_PAIR_LIMIT picks."""
-    blocks = lindblad._symmetry_blocks(liou)
-    if blocks.sizes.max() ** 2 > lindblad.DENSE_PAIR_LIMIT:
-        blocks = lindblad._orbit_blocks(liou)
+    occupied pairs span, on the decomposition that its route picks."""
+    dense = lindblad._dense_route([liou])
+    blocks = (lindblad._symmetry_blocks if dense else lindblad._orbit_blocks)(liou)
     occupied = lindblad._occupied_pairs(blocks.basis.conj().T @ rho0 @ blocks.basis,
                                         blocks.sizes, rho0)
     return int(blocks.sizes[occupied.any(axis=0) | occupied.any(axis=1)].sum())
@@ -836,7 +835,7 @@ def test_recorded_diagnostics_equal_a_full_space_check(monkeypatch):
             assert abs(traj.diagnostics[key] - worst) <= 1e-15, f"{name}: {key}"
         worst = min(d["min_eigenvalue"] for d in full)
         assert abs(traj.diagnostics["min_eigenvalue"] - worst) <= 1e-14, name
-        dense = lindblad._symmetry_blocks(liou).sizes.max() ** 2 <= lindblad.DENSE_PAIR_LIMIT
+        dense = lindblad._dense_route([liou])
         partial = _occupied_dimension(rho0, liou) < liou.dim
         covered.update({"dense" if dense else "orbits", "k < d" if partial else "k = d",
                         ("uniform", "jittered", "repeated", "no t = 0")[grid]})
@@ -993,9 +992,7 @@ def test_scan_matches_evolve_point_by_point(monkeypatch, kind, kernels, expm_cal
     # size take one stacked expm per step (two pair sizes, steps to t = 100
     # and then 900).
     rho0, liouvillians, times = _scan_problem(kind)
-    limit = lindblad.DENSE_PAIR_LIMIT
-    assert [lindblad._symmetry_blocks(liou).sizes.max() ** 2 <= limit
-            for liou in liouvillians] == kernels
+    assert [lindblad._dense_route([liou]) for liou in liouvillians] == kernels
     if kind == "robustness-aa":
         assert list(times) == [100.0, 1000.0]
     dense = counting(monkeypatch, lindblad, "expm")
@@ -1335,14 +1332,12 @@ def test_trapped_odd_pattern_slater_inputs_reach_the_closed_form():
     # N = 9, Np = 4, trap 2.0: every pattern S of the four odd trapped modes,
     # filled up with the lowest even ones, relaxes to the pure pattern times
     # the uniform mixture of the m = 4 - |S| even-mode particles, whose
-    # two-point matrix is sum_{k in S} phi_k phi_k^T + (m / n_e) Pi, with Pi
-    # the projector on the even modes and n_e = 5 of them.
+    # two-point matrix oracle.long_time_correlation gives from C0.
     spec = LatticeSpec(n_sites=9, trap_amplitude=2.0)
     basis = ManyBodyBasis(9, 4)
     liou = dephasing_liouvillian(spec, basis)
     parity = classify_mode_parity(build_single_particle_hamiltonian(spec))
     phi = parity.modes
-    even = phi[:, np.array(parity.even) - 1]
     bilinears = [[bilinear_operator(basis, j, k) for k in range(1, 10)] for j in range(1, 10)]
     worst = 0.0
     for size in range(5):
@@ -1351,8 +1346,8 @@ def test_trapped_odd_pattern_slater_inputs_reach_the_closed_form():
             modes = list(pattern) + list(parity.even[:m])
             rho = steady_state(pure_state(slater_state(basis, modes, orbitals=phi)), liou).state
             c = np.array([[expectation(rho, op) for op in row] for row in bilinears])
-            odd = phi[:, np.array(pattern, dtype=int) - 1]
-            expected = odd @ odd.T + (m / 5) * even @ even.T
+            occupied = phi[:, np.array(modes) - 1]
+            expected = long_time_correlation(occupied @ occupied.T)
             worst = max(worst, np.abs(c - expected).max())
     assert worst < 1e-10
 

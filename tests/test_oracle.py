@@ -6,13 +6,14 @@ from dephchain.entangle import reduce_to_pair
 from dephchain.fock import ManyBodyBasis, fock_state
 from dephchain.lindblad import dephasing_liouvillian, pure_state, validate_density
 from dephchain.model import LatticeSpec
-from dephchain.oracle import analytic_steady_state, even_sector_steady_state, ppt_eigenvalue_formula
+from dephchain.oracle import analytic_steady_state, even_sector_steady_state, long_time_correlation
 from oracles import (
     analytic_n3_density_matrix,
     analytic_n3_elements,
     analytic_pair_rdm,
     n5_steady_residual,
     partial_transpose_eigenvalues,
+    ppt_eigenvalue_formula,
 )
 
 
@@ -56,6 +57,22 @@ def test_steady_state_in_liouvillian_kernel(n):
     basis = ManyBodyBasis(n, 1)
     liou = dephasing_liouvillian(spec, basis)
     assert np.abs(liou.matrix @ np.ravel(analytic_steady_state(n), order="F")).max() < 1e-10
+
+
+def test_long_time_correlation_keeps_the_odd_block_and_mixes_the_even_one():
+    # N = 3, one particle on site 1: weight 1/2 in the even states, and the
+    # odd state (e_1 - e_3)/sqrt 2 with weight 1/2.
+    c = long_time_correlation(np.diag([1.0, 0.0, 0.0]))
+    odd = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    assert np.abs(c - (0.5 * analytic_steady_state(3) + 0.5 * np.outer(odd, odd))).max() < 1e-15
+
+
+def test_long_time_correlation_refuses_a_matrix_that_is_not_square():
+    for c0 in (np.zeros((3, 5)), np.zeros(3), np.zeros((3, 3, 3))):
+        with pytest.raises(ValueError, match="square"):
+            long_time_correlation(c0)
+    with pytest.raises(ValueError, match="odd"):
+        long_time_correlation(np.eye(4))
 
 
 # ----------------------------------------------------------------------

@@ -47,8 +47,7 @@ def test_readouts_equal_the_values_of_the_whole_states(route):
     spec, bits, times, dense = ROUTES[route]
     basis = ManyBodyBasis(spec.n_sites, bits.count("1"))
     liouvillian = dephasing_liouvillian(spec, basis)
-    blocks = lindblad._symmetry_blocks(liouvillian)
-    assert (blocks.sizes.max() ** 2 <= lindblad.DENSE_PAIR_LIMIT) == dense
+    assert lindblad._dense_route([liouvillian]) == dense
     rho0 = pure_state(fock_state(basis, bits))
     readouts = _readouts(basis)
     keep = [len(times) - 1, 0, 60, 7, 60]
