@@ -41,6 +41,10 @@ run_case correlation-map-n65 correlation-map --override lattice.n_sites=65
 # Odd-mode weight: mode 2's projector never decays, and the closed form keeps it.
 run_case correlation-map-odd correlation-map --override 'initial_state.type="slater"' \
   --override 'initial_state.modes=[1,2]'
+# Strong hopping: three particles would bound ||H|| beyond the energy limit, but the
+# two-point equation diagonalizes only the one-particle H.
+run_case correlation-map-strong-hopping correlation-map --override lattice.tunneling=1e4 \
+  --override 'initial_state.type="slater"' --override 'initial_state.modes=[1,3,5]'
 # A Slater input: the determinant of the chosen bare modes.
 run_case evolve-slater evolve --override 'initial_state.type="slater"' \
   --override 'initial_state.modes=[1,3]'

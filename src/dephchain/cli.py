@@ -4,8 +4,8 @@
 
 Without ``--config`` the built-in desk-scale default for the kind is used;
 ``--dump-config`` prints the effective config instead of running. The exit
-code is nonzero when any invariant check fails or the initial state never
-settles to a steady state.
+code is 1 when an invariant check fails, 2 for a config error (and for
+nothing else) and 3 when the initial state never settles to a steady state.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ConfigError as exc:      # a quench time "auto" that finds no maximum
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     status = "ok" if result.invariants_ok else "INVARIANT CHECKS FAILED"
     print(f"{config.kind}: {status}; outputs in {args.out}")

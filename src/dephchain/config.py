@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .lindblad import BLOCK_JUMP_TOL, ENERGY_SCALE_LIMIT
+from .lindblad import (BLOCK_JUMP_TOL, DEPHASING_RATE_LIMIT, ENERGY_SCALE_LIMIT,
+                       STEADY_RESIDUAL_TOL)
 from .model import GOLDEN_MEAN, LatticeSpec, is_finite_number
 
 # The built-in desk-scale default of each experiment kind, reproducing its
@@ -77,16 +78,17 @@ class InitialState:
     def __post_init__(self):
         if self.type not in ("fock", "slater", "ground"):
             raise ConfigError(f"initial_state.type: unknown type {self.type!r}")
-        if self.type == "fock":
-            if not self.bitstring:
-                raise ConfigError("initial_state.bitstring: required for type 'fock'")
-            if not isinstance(self.bitstring, str) or set(self.bitstring) - {"0", "1"}:
-                raise ConfigError(
-                    "initial_state.bitstring: expected a string of 0/1 "
-                    f"(got {self.bitstring!r}; quote it on the command line)"
-                )
+        if self.type == "fock" and not self.bitstring:
+            raise ConfigError("initial_state.bitstring: required for type 'fock'")
         if self.type == "slater" and not self.modes:
             raise ConfigError("initial_state.modes: required for type 'slater'")
+        bits, modes = self.bitstring, self.modes
+        if bits is not None and (not isinstance(bits, str) or set(bits) - {"0", "1"}):
+            raise ConfigError("initial_state.bitstring: expected a string of 0/1 "
+                              f"(got {bits!r}; quote it on the command line)")
+        if modes is not None and (not modes or not isinstance(modes, tuple) or not all(
+                type(m) is int and m >= 1 for m in modes) or len(set(modes)) != len(modes)):
+            raise ConfigError(f"initial_state.modes: need distinct integers >= 1, got {modes!r}")
 
     def n_particles(self) -> int:
         if self.type == "fock":
@@ -165,6 +167,19 @@ class ScanSpec:
                               f"got {self.values!r}")
         if type(self.dynamical) is not bool:
             raise ConfigError(f"scan.dynamical: need true or false, got {self.dynamical!r}")
+        sizes, fillings, times = self.sizes, self.fillings, self.times
+        if not sizes or not isinstance(sizes, tuple) or not all(
+                type(n) is int and n >= 3 and n % 2 for n in sizes):
+            raise ConfigError(f"scan.sizes: need a non-empty list of odd integers >= 3 "
+                              f"(a centre site and a symmetric pair), got {sizes!r}")
+        if not fillings or not isinstance(fillings, tuple) or not all(
+                type(k) is int and k >= 1 for k in fillings):
+            raise ConfigError("scan.fillings: need a non-empty list of integers >= 1, "
+                              f"got {fillings!r}")
+        if not isinstance(times, tuple) or not all(is_finite_number(t) and t >= 0 for t in times):
+            raise ConfigError(f"scan.times: need a list of finite times >= 0, got {times!r}")
+        if any(later < earlier for earlier, later in zip(times, times[1:])):
+            raise ConfigError(f"scan.times: need non-decreasing times, got {times!r}")
 
     def grid(self) -> np.ndarray:
         if self.values is not None:
@@ -221,29 +236,20 @@ class ExperimentConfig:
         if self.kind == "correlation-map" and self.lattice.interaction:
             raise ConfigError("lattice.interaction: correlation-map needs a quadratic model "
                               f"(interaction = 0), got {self.lattice.interaction}")
-        modes = self.initial_state.modes
-        if self.initial_state.type == "slater" and (
-                not isinstance(modes, tuple) or len(set(modes)) != len(modes)
-                or not all(type(m) is int and 1 <= m <= self.lattice.n_sites for m in modes)):
-            raise ConfigError("initial_state.modes: need distinct integers in "
-                              f"1..{self.lattice.n_sites}, got {modes!r}")
+        bits, modes = self.initial_state.bitstring, self.initial_state.modes
+        n_sites = self.lattice.n_sites
+        if modes is not None and max(modes) > n_sites:
+            raise ConfigError(f"initial_state.modes: need distinct integers in 1..{n_sites}, "
+                              f"got {modes!r}")
         for block in ("quench", "scan"):     # required where the kind's default has one
             if block in _DEFAULTS[self.kind] and getattr(self, block) is None:
                 raise ConfigError(f"{block}: block required for kind {self.kind!r}")
-        if self.kind == "fock-quench" and self.quench.time != "auto" \
-                and self.quench.time < self.time_grid.values()[0]:
+        first = (self.time_grid.points or (self.time_grid.start,))[0]     # builds no grid
+        if self.kind == "fock-quench" and self.quench.time != "auto" and self.quench.time < first:
             raise ConfigError(f"quench.time: {self.quench.time:g} is earlier than the "
-                              f"first time_grid time {self.time_grid.values()[0]:g}")
+                              f"first time_grid time {first:g}")
         if self.kind == "concurrence-scan":
             sizes, fillings = self.scan.sizes, self.scan.fillings
-            if not sizes or not isinstance(sizes, tuple) or not all(
-                    type(n) is int and n >= 3 and n % 2 for n in sizes):
-                raise ConfigError(f"scan.sizes: need a non-empty list of odd integers >= 3 "
-                                  f"(a centre site and a symmetric pair), got {sizes!r}")
-            if not fillings or not isinstance(fillings, tuple) or not all(
-                    type(k) is int and k >= 1 for k in fillings):
-                raise ConfigError("scan.fillings: need a non-empty list of integers >= 1, "
-                                  f"got {fillings!r}")
             scanned = [n for n in sizes if any(2 * k <= n + 1 for k in fillings)]
             if not scanned:
                 raise ConfigError(f"scan.fillings: none of {fillings!r} is at most (size + 1) / 2 "
@@ -256,23 +262,24 @@ class ExperimentConfig:
             if self.lattice.n_sites < 3:
                 raise ConfigError(f"lattice.n_sites: kind {self.kind!r} needs an end-to-end pair, "
                                   f"so at least 3 sites, got {self.lattice.n_sites}")
-            times = self.scan.times
-            if not times:
+            if not self.scan.times:
                 raise ConfigError(f"scan.times: required for kind {self.kind!r}")
-            if not isinstance(times, tuple) or not all(
-                    is_finite_number(t) and t >= 0 for t in times):
-                raise ConfigError(f"scan.times: need a list of finite times >= 0, got {times!r}")
-            if any(later < earlier for earlier, later in zip(times, times[1:])):
-                raise ConfigError(f"scan.times: need non-decreasing times, got {times!r}")
-            if self.kind == "robustness-int" and len(times) > 1:
-                raise ConfigError(f"scan.times: robustness-int samples one time, got {times!r}")
-        bits, n_sites = self.initial_state.bitstring, self.lattice.n_sites
-        if self.initial_state.type == "fock" and len(bits) != n_sites:
+            if self.kind == "robustness-int" and len(self.scan.times) > 1:
+                raise ConfigError("scan.times: robustness-int samples one time, "
+                                  f"got {self.scan.times!r}")
+        if bits is not None and len(bits) != n_sites:
             raise ConfigError(f"initial_state.bitstring: {bits!r} has {len(bits)} sites, "
                               f"but lattice.n_sites is {n_sites}")
         if self.kind == "correlation-map" and not self.initial_state.n_particles():
             raise ConfigError("initial_state.bitstring: correlation-map needs at least one "
                               f"particle, got {bits!r}")
+        gamma = self.lattice.dephasing_gamma
+        if gamma > DEPHASING_RATE_LIMIT and (self.kind in ("steady", "correlation-map") or (
+                self.kind == "concurrence-scan" and self.scan.dynamical)):
+            raise ConfigError(
+                f"lattice.dephasing_gamma: {gamma:g} is beyond {DEPHASING_RATE_LIMIT:.3g}, where "
+                "the rounding of the steady state no longer meets its residual tolerance "
+                f"{STEADY_RESIDUAL_TOL:g}")
         for lattice, particles, sources in self._diagonalized():
             terms = lattice.energy_terms(particles)
             if sum(terms.values()) > ENERGY_SCALE_LIMIT:
@@ -288,6 +295,8 @@ class ExperimentConfig:
         one with the largest scanned value), with its particle number and the
         config path of each lattice field that the kind sets from another block."""
         lattice, particles = self.lattice, self.initial_state.n_particles()
+        if self.kind == "correlation-map":      # the two-point equation's one-particle H
+            return [(lattice, 1, {})]
         if self.kind == "concurrence-scan":
             return [(dataclasses.replace(lattice, n_sites=n), k, {}) for n in self.scan.sizes
                     for k in self.scan.fillings if self.scan.dynamical and 2 * k <= n + 1]
@@ -298,7 +307,9 @@ class ExperimentConfig:
         if self.kind in ("robustness-aa", "robustness-int"):
             name = "aa_amplitude" if self.kind == "robustness-aa" else "interaction"
             source = {name: "scan.max_value" if self.scan.values is None else "scan.values"}
-            largest = float(self.scan.grid().max())
+            scan = self.scan        # the largest of grid(), which may be too long to build
+            largest = float(max(scan.values) if scan.values is not None
+                            else scan.max_value * (scan.n_values > 1))
             return [(dataclasses.replace(lattice, **{name: largest}), particles, source)]
         return [(lattice, particles, {})]
 

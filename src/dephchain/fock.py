@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -103,10 +104,14 @@ def bilinear_operator(basis: ManyBodyBasis, i: int, j: int):
 
 def _bilinear_sum(basis: ManyBodyBasis, terms) -> sparse.csr_matrix:
     """``sum_k c_k f!_{i_k} f_{j_k}`` over ``terms`` of (i, j, c), assembled
-    as one CSR matrix. Distinct off-diagonal terms never share an element."""
+    as one CSR matrix. Distinct off-diagonal terms never share an element.
+    A bool or non-integer site raises ``ValueError``."""
     n = basis.n_sites
     rows, cols, vals = [], [], []
     for i, j, coefficient in terms:
+        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in (i, j)):
+            raise ValueError(f"sites must be integers, got ({i!r}, {j!r})")
+        i, j = int(i), int(j)
         for site in (i, j):
             if not 1 <= site <= n:
                 raise ValueError(f"site index {site} outside 1..{n}")

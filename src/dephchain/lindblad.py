@@ -68,6 +68,16 @@ BLOCK_JUMP_TOL = 1e-10
 # sector, reached 5.3 eps times the bound on the sectors of N <= 11, so the
 # bound may reach BLOCK_JUMP_TOL / (8 eps), about 5.6e4.
 ENERGY_SCALE_LIMIT = BLOCK_JUMP_TOL / (8 * np.finfo(float).eps)
+# A steady state, and each kernel element it is built from, meets this
+# residual ||L rho||_inf, or steady_state raises.
+STEADY_RESIDUAL_TOL = 1e-10
+# The largest dephasing rate at which that residual's rounding, which grows
+# like gamma, still meets STEADY_RESIDUAL_TOL: it reached 0.26 eps gamma on
+# the steady states of the CI cases and of the sectors of N <= 11, and 0.48
+# eps gamma on random chains of N <= 9 with a trap, a quasi-periodic
+# potential or interaction, so gamma may reach STEADY_RESIDUAL_TOL / eps,
+# about 4.5e5.
+DEPHASING_RATE_LIMIT = STEADY_RESIDUAL_TOL / np.finfo(float).eps
 # The largest pair generator, (block size)^2, propagated by dense exponentials.
 # Measured on N = 7, Np = 4: dense won at 196 (trapped fock-quench sectors of 10
 # and 4 states taken as one block: 0.42 s against 0.62 s for 401 samples, 0.22 s
@@ -343,13 +353,12 @@ def _symmetry_sectors(spec: LatticeSpec, basis: ManyBodyBasis, orbits: tuple) ->
 def dephasing_liouvillian(spec: LatticeSpec, basis: ManyBodyBasis) -> Liouvillian:
     """Generator of the central-site dephasing problem for one sector, with
     the symmetry sectors of :func:`_symmetry_sectors` and, when site
-    reflection is unbroken (no quasi-periodic potential, any trap centred),
-    the nonempty reflection orbits."""
+    reflection holds (:attr:`LatticeSpec.reflection_symmetric`), the
+    nonempty reflection orbits."""
     liouvillian = build_liouvillian(build_many_body_hamiltonian(spec, basis), spec.dephasing_gamma,
                                     number_operator(basis, spec.central_site))
-    off_centre = spec.trap_amplitude and spec.effective_trap_center != spec.central_site
-    orbits = () if spec.aa_amplitude or off_centre else tuple(
-        q for q in reflection_orbits(basis) if q.shape[1])
+    orbits = tuple(q for q in reflection_orbits(basis) if q.shape[1]) \
+        if spec.reflection_symmetric else ()
     return replace(liouvillian, sectors=_symmetry_sectors(spec, basis, orbits), orbits=orbits)
 
 
@@ -849,7 +858,7 @@ def steady_state_null_space(liouvillian: Liouvillian) -> np.ndarray:
         candidates.append(vectors[:, rows] @ y @ vectors[:, cols].conj().T)
     candidates = np.concatenate(candidates)
     residual = np.max(liouvillian.residual(candidates), initial=0.0)
-    if not residual <= 1e-10:
+    if not residual <= STEADY_RESIDUAL_TOL:
         raise RuntimeError(f"kernel candidate has residual {residual:.3e}")
     # Column-stacked vectors: vec(X) is the row-major ravel of X^T.
     return candidates.transpose(0, 2, 1).reshape(len(candidates), -1).T
@@ -921,6 +930,6 @@ def steady_state(rho0: np.ndarray, liouvillian: Liouvillian,
             residual=residual, omega=omega, weight=weight,
         )
     residual = liouvillian.residual(rho)
-    if not residual <= 1e-10:
+    if not residual <= STEADY_RESIDUAL_TOL:
         raise RuntimeError(f"steady state has residual {residual:.3e}")
     return SteadyStateResult(state=rho, residual=residual, diagnostics=validate_density(rho))

@@ -104,6 +104,13 @@ class LatticeSpec:
     def effective_trap_center(self) -> int:
         return self.central_site if self.trap_center is None else self.trap_center
 
+    @property
+    def reflection_symmetric(self) -> bool:
+        """Whether site reversal i -> N + 1 - i leaves the Hamiltonian
+        unchanged: no quasi-periodic potential, and the trap absent or centred."""
+        return not self.aa_amplitude and (
+            not self.trap_amplitude or self.effective_trap_center == self.central_site)
+
     def energy_terms(self, n_particles: int) -> dict[str, float]:
         """An upper bound on the norm of the many-body Hamiltonian of
         ``n_particles`` fermions, one term per field: each particle's hopping

@@ -15,7 +15,7 @@ from dephchain.config import (
     config_to_dict,
     default_config,
 )
-from dephchain import experiments, lindblad
+from dephchain import cli, experiments, lindblad
 from dephchain.experiments import run
 from dephchain.fock import ManyBodyBasis, bilinear_operator, expectation, fock_state
 from dephchain.lindblad import dephasing_liouvillian, evolve, evolve_scan
@@ -444,6 +444,24 @@ def test_correlation_map_matches_analytic(tmp_path):
     assert len(rows) == 25
 
 
+@pytest.mark.parametrize("overrides, reflection", [
+    ([], True),
+    (["lattice.trap_amplitude=1.0"], True),
+    (["lattice.aa_amplitude=0.4"], False),
+    (["lattice.trap_amplitude=1.0", "lattice.trap_center=3"], False),
+], ids=["bare", "centred-trap", "quasi-periodic", "off-centre-trap"])
+def test_correlation_map_compares_with_the_closed_form_only_under_reflection(
+        tmp_path, overrides, reflection):
+    # The closed form holds only where site reflection does.
+    code = main(["correlation-map", "--out", str(tmp_path),
+                 *[arg for item in overrides for arg in ("--override", item)]])
+    assert code == 0
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert ("max_dev_from_analytic" in checks) is reflection
+    if reflection:
+        assert checks["max_dev_from_analytic"] < 1e-12
+
+
 def test_correlation_map_runs_past_63_sites(tmp_path):
     # A 65-site chain's Fock masks need 65 bits; they stay Python ints.
     payload = config_to_dict(default_config("correlation-map"))
@@ -614,6 +632,24 @@ def test_cli_bad_config_value(tmp_path, capsys):
         ("robustness-int", "scan.max_value=1e6", "scan.max_value"),
         ("robustness-aa", "scan.values=[0.0,1e6]", "scan.values"),
         ("concurrence-scan", "scan.dynamical=true lattice.tunneling=1e6", "lattice.tunneling"),
+        # correlation-map diagonalizes the one-particle H, so its bound counts one particle.
+        ("correlation-map", 'lattice.tunneling=2.9e4 initial_state.type="slater" '
+         "initial_state.modes=[1,3,5]", "lattice.tunneling"),
+        # A field's own check runs whatever the kind, also where the kind never reads it.
+        ("evolve", "scan.sizes=[4]", "scan.sizes"),
+        ("evolve", "scan.fillings=[0]", "scan.fillings"),
+        ("steady", "initial_state.modes=[0]", "initial_state.modes"),
+        ("correlation-map", "scan.times=[5.0,-1.0]", "scan.times"),
+        ("robustness-aa", "scan.times=null", "scan.times"),
+        ("fock-quench", "initial_state.modes=[1,1]", "initial_state.modes"),
+        ("evolve", 'initial_state.bitstring="012"', "initial_state.bitstring"),
+        ("correlation-map", 'initial_state.type="slater" initial_state.modes=[[1]]',
+         "initial_state.modes"),
+        # A dephasing rate at which the steady state cannot meet its residual tolerance.
+        ("steady", "lattice.dephasing_gamma=1e8", "lattice.dephasing_gamma"),
+        ("correlation-map", "lattice.dephasing_gamma=1e7", "lattice.dephasing_gamma"),
+        ("concurrence-scan", "scan.dynamical=true lattice.dephasing_gamma=3e6",
+         "lattice.dephasing_gamma"),
     ]:
         # Space-separated overrides go in together.
         code = main([kind, "--out", str(tmp_path),
@@ -636,6 +672,53 @@ def test_energy_scale_just_inside_the_limit_builds_symmetry_blocks(n_sites, n_pa
                                         / per_unit})
     assert sum(spec.energy_terms(n_particles).values()) < lindblad.ENERGY_SCALE_LIMIT
     lindblad._symmetry_blocks(dephasing_liouvillian(spec, ManyBodyBasis(n_sites, n_particles)))
+
+
+def test_correlation_map_energy_bound_counts_the_one_particle_hamiltonian(tmp_path):
+    # Three particles would bound ||H|| by 6e4, beyond the limit, but the
+    # two-point equation diagonalizes only the one-particle H, bounded by 2e4.
+    code = main(["correlation-map", "--out", str(tmp_path),
+                 "--override", "lattice.tunneling=1e4",
+                 "--override", 'initial_state.type="slater"',
+                 "--override", "initial_state.modes=[1,3,5]"])
+    assert code == 0
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert checks["max_dev_from_analytic"] < 1e-12
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("steady", []),
+    ("correlation-map", []),
+    ("concurrence-scan", ["scan.dynamical=true", "scan.sizes=[3,5]", "scan.fillings=[1,2]"]),
+], ids=["steady", "correlation-map", "concurrence-scan-dynamical"])
+def test_dephasing_rate_limit_sits_inside_the_steady_residual_guard(tmp_path, capsys, kind,
+                                                                    overrides):
+    # Just under the limit the steady states meet STEADY_RESIDUAL_TOL (the
+    # scan holds N = 5 at one particle, the sector of the largest measured
+    # residual per unit gamma); just over it the config is refused.
+    for factor, expected in ((0.99, 0), (1.01, 2)):
+        gamma = factor * float(lindblad.DEPHASING_RATE_LIMIT)
+        code = main([kind, "--out", str(tmp_path / str(factor)),
+                     *[arg for item in [*overrides, f"lattice.dephasing_gamma={gamma!r}"]
+                       for arg in ("--override", item)]])
+        assert code == expected, factor
+    assert capsys.readouterr().err.startswith("config error: lattice.dephasing_gamma")
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("evolve", []), ("concurrence-scan", []), ("fock-quench", []), ("robustness-aa", [])])
+def test_dephasing_rate_limit_spares_kinds_without_a_steady_state(kind, overrides):
+    code = main([kind, "--dump-config", "--override", "lattice.dephasing_gamma=1e8"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("kind, override", [
+    ("robustness-aa", "scan.n_values=4611686018427387904"),
+    ("fock-quench", "time_grid.num=4611686018427387904"),
+], ids=["scan", "time-grid"])
+def test_validation_builds_no_grid(kind, override, capsys):
+    # Both grids are too long to build; validation reads only their ends.
+    assert main([kind, "--dump-config", "--override", override]) == 0
 
 
 def test_energy_scale_limit_spares_runs_that_diagonalize_nothing(tmp_path):
@@ -758,7 +841,20 @@ def test_cli_fock_quench_auto_without_a_maximum_is_an_error(tmp_path, capsys):
         "--override", "quench.transient=9.99",
     ])
     assert code == 2
-    assert "no post-transient correlation maximum" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: quench.time")
+    assert "no post-transient correlation maximum" in err
+
+
+def test_cli_a_value_error_from_a_run_is_not_a_config_error(tmp_path, monkeypatch):
+    # Exit 2 is a config error only; any other ValueError is a fault of the
+    # program and keeps its traceback.
+    def faulty(config, out_dir=None):
+        raise ValueError("a fault")
+
+    monkeypatch.setattr(cli, "run", faulty)
+    with pytest.raises(ValueError, match="a fault"):
+        main(["steady", "--out", str(tmp_path)])
 
 
 def test_cli_correlation_map_nonconvergence_exit_code(tmp_path, capsys):

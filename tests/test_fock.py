@@ -117,6 +117,25 @@ def test_bilinear_index_bounds():
         bilinear_operator(basis, 1, 4)
 
 
+@pytest.mark.parametrize("site", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_bilinear_refuses_a_site_that_is_not_an_integer(site):
+    # True would otherwise count as site 1, and a float fails in a bit shift.
+    basis = ManyBodyBasis(3, 1)
+    for sites in ((site, 2), (2, site)):
+        with pytest.raises(ValueError, match="sites must be integers"):
+            bilinear_operator(basis, *sites)
+    with pytest.raises(ValueError, match="sites must be integers"):
+        number_operator(basis, site)
+
+
+def test_bilinear_takes_numpy_integer_sites():
+    # Past 63 sites a numpy integer would overflow the bit shifts of the masks.
+    for n, k in ((5, 2), (65, 1)):
+        basis = ManyBodyBasis(n, k)
+        expected = bilinear_operator(basis, 1, n)
+        assert (bilinear_operator(basis, np.int64(1), np.int64(n)) != expected).nnz == 0
+
+
 def test_sparse_storage_above_threshold():
     small = ManyBodyBasis(5, 2)      # dimension 10
     large = ManyBodyBasis(9, 3)      # dimension 84

@@ -90,6 +90,24 @@ def test_aa_breaks_reflection():
         classify_mode_parity(h)
 
 
+@pytest.mark.parametrize("fields, symmetric", [
+    ({}, True),
+    ({"trap_amplitude": 2.0}, True),
+    ({"trap_amplitude": 2.0, "trap_center": 4}, True),
+    ({"trap_center": 2}, True),
+    ({"interaction": 0.5}, True),
+    ({"trap_amplitude": 2.0, "trap_center": 2}, False),
+    ({"aa_amplitude": 0.3}, False),
+], ids=["bare", "trap", "trap-centred", "centre-without-trap", "interaction", "off-centre",
+        "quasi-periodic"])
+def test_reflection_symmetric_matches_the_hamiltonian(fields, symmetric):
+    spec = LatticeSpec(n_sites=7, **fields)
+    h = build_single_particle_hamiltonian(spec)
+    reflection = reflection_permutation(7)
+    assert spec.reflection_symmetric is symmetric
+    assert bool(np.abs(h @ reflection - reflection @ h).max() == 0.0) is symmetric
+
+
 def test_aa_diagonal_convention():
     spec = LatticeSpec(n_sites=5, aa_amplitude=0.25)
     h = build_single_particle_hamiltonian(spec)
