@@ -24,6 +24,7 @@ import scipy.sparse as sparse
 # wraps in place to time them; their own module keeps them out of this
 # module's public names.
 from . import exponential as splinalg
+from . import pairgen
 from .exponential import expm
 from .fock import (ManyBodyBasis, build_many_body_hamiltonian, expectation, number_operator,
                    reflection_orbits, slater_determinants)
@@ -179,8 +180,8 @@ class Liouvillian:
     def matrix(self) -> sparse.csr_matrix:
         """The superoperator on column-vectorized density matrices,
         ``-i (I x H - H^T x I) - (gamma / 2) diag(vec M)``
-        (:func:`_pair_superoperator` of H with itself)."""
-        return _pair_superoperator(self.hamiltonian, self.hamiltonian, self.dephased,
+        (:func:`pairgen.superoperator` of H with itself)."""
+        return pairgen.superoperator(self.hamiltonian, self.hamiltonian, self.dephased,
                                    self.dephased, self.gamma)
 
     def residual(self, rho: np.ndarray) -> float | np.ndarray:
@@ -269,42 +270,6 @@ def _reader(readout, liouvillian: Liouvillian, rows: int):
         raise ValueError(f"readout operator shape {op.shape} does not match dimension "
                          f"{liouvillian.dim}")
     return functools.partial(expectation, operator=op)
-
-
-def _pair_superoperator(h_a, h_b, dephased_a: np.ndarray, dephased_b: np.ndarray,
-                        gamma: float) -> sparse.csr_matrix:
-    """The generator of rho_ab = P_a rho P_b on its column-stacked entries,
-    ``-i (I x H_a - H_b^T x I) - (gamma / 2) diag(vec M_ab)``, from the
-    sparse blocks H_a and H_b of H and the jump's 0/1 diagonals on them;
-    M_ab = 1 where exactly one of the two states is dephased. Every pair that
-    :func:`_pair_samples` propagates gets its generator here; with a = b the
-    whole space, it is ``Liouvillian.matrix``.
-
-    The entries are written by index arithmetic. Entry (i, k) of H_a sits at
-    (i + m j, k + m j) for every column j of the pair, and entry (r, c) of H_b
-    at (i + m c, i + m r) for every row i (m = dim H_a). The two meet only on
-    the diagonal, H_a[i, i] - H_b[j, j]. Each value is computed as sparse
-    kron and subtraction compute it, -1j (a - b) minus the damping, with
-    absent entries as complex zeros and zero results dropped."""
-    m, n = h_a.shape[0], h_b.shape[0]
-    a, b = sparse.coo_array(h_a), sparse.coo_array(h_b)
-    a_data, b_data = (1 + 0j) * a.data, b.data * (1 + 0j)     # kron's products with I
-    on_a, on_b = a.row == a.col, b.row == b.col
-    a_off, b_off = ~on_a & (a_data != 0), ~on_b & (b_data != 0)
-    diagonal_a, diagonal_b = np.zeros(m, dtype=complex), np.zeros(n, dtype=complex)
-    diagonal_a[a.row[on_a]] = a_data[on_a]
-    diagonal_b[b.row[on_b]] = b_data[on_b]
-    difference = (diagonal_a - diagonal_b[:, None]).ravel()      # entry i + m j
-    diagonal = np.where(difference != 0, -1j * difference, 0j)
-    if gamma:
-        diagonal -= 0.5 * gamma * (dephased_a != dephased_b[:, None]).ravel()
-    kept = np.flatnonzero(diagonal)
-    block, site = m * np.arange(n)[:, None], np.arange(m)[:, None]
-    rows = np.concatenate([(block + a.row[a_off]).ravel(), (m * b.col[b_off] + site).ravel(), kept])
-    cols = np.concatenate([(block + a.col[a_off]).ravel(), (m * b.row[b_off] + site).ravel(), kept])
-    data = np.concatenate([np.tile(-1j * a_data[a_off], n),
-                           np.tile(-1j * (0j - b_data[b_off]), m), diagonal[kept]])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(m * n, m * n))
 
 
 def build_liouvillian(hamiltonian, gamma: float, jump_operator) -> Liouvillian:
@@ -460,39 +425,64 @@ def _orbit_blocks(liouvillian: Liouvillian) -> SymmetryBlocks:
 
 
 class _Pairs(NamedTuple):
-    """The block pairs that ``rho0`` occupies at one scan point: the block
-    ``basis`` B and its ``adjoint``, rho0 in that basis (``in_blocks``), one
-    generator per pair, the row-major indices of the pairs' entries (``order``,
-    column-stacked inside each pair), and the block-basis dimensions the pairs
-    touch (``keep``)."""
+    """The block pairs rho_ab, a <= b, that ``rho0`` occupies at one scan
+    point: the block ``basis`` B and its ``adjoint``, rho0 in that basis
+    (``in_blocks``), one real generator per pair, rho0's real coordinates
+    (``vec``), the float view of a row-major block-basis state as their map,
+    slot ``targets[k]`` being ``weights[k]`` times coordinate ``sources[k]``,
+    and the block-basis dimensions the pairs touch (``keep``)."""
 
     basis: np.ndarray | sparse.csr_matrix
     adjoint: np.ndarray | sparse.csr_matrix
     in_blocks: np.ndarray
     generators: list
-    order: np.ndarray
+    vec: np.ndarray
+    targets: np.ndarray
+    sources: np.ndarray
+    weights: np.ndarray
     keep: np.ndarray
 
 
 def _point_pairs(rho0: np.ndarray, liouvillian: Liouvillian, blocks: SymmetryBlocks) -> _Pairs:
-    """The pairs of ``blocks`` that ``rho0`` occupies (:func:`_occupied_pairs`),
-    each with its generator (:func:`_pair_superoperator` of the blocks H_a and
-    H_b of B^H H B)."""
+    """The pairs a <= b of ``blocks`` that ``rho0`` occupies
+    (:func:`_occupied_pairs`, either way round), each in its real coordinates
+    (:func:`pairgen.real_coordinates`) with its real generator
+    (:func:`pairgen.real_generator` of the blocks H_a and H_b of B^H H B).
+    rho0's coordinates are read by T^T, the projection onto them; a pair
+    a < b is written back to rho_ab and, conjugate-transposed, to rho_ba."""
     dim, gamma = liouvillian.dim, liouvillian.gamma
     basis, sizes, dephased = blocks.basis, blocks.sizes, blocks.dephased
     adjoint = basis.conj().T
-    in_blocks = adjoint @ rho0 @ basis
+    in_blocks = np.ascontiguousarray(adjoint @ rho0 @ basis, dtype=complex)
+    slots = in_blocks.view(float).ravel()
     h = adjoint @ (liouvillian.hamiltonian @ basis)
-    span = [slice(start, start + size) for start, size in zip(np.cumsum(sizes) - sizes, sizes)]
-    pairs = np.argwhere(_occupied_pairs(in_blocks, sizes, rho0))
-    generators = [_pair_superoperator(h[span[a], span[a]], h[span[b], span[b]],
-                                      dephased[span[a]], dephased[span[b]], gamma)
-                  for a, b in pairs]
-    index = np.arange(dim)
-    order = np.concatenate([(index[span[a]] * dim + index[span[b], None]).ravel()
-                            for a, b in pairs])
+    starts = np.cumsum(sizes) - sizes
+    span = [slice(start, start + size) for start, size in zip(starts, sizes)]
+    occupied = _occupied_pairs(in_blocks, sizes, rho0)
+    pairs = np.argwhere(np.triu(occupied | occupied.T))
+    generators, vec, targets, sources, weights = [], [], [], [], []
+    offset = 0
+    for a, b in pairs:
+        coordinates = pairgen.real_coordinates(sizes[a], sizes[b], a == b)
+        generators.append(pairgen.real_generator(h[span[a], span[a]], h[span[b], span[b]],
+                                                 dephased[span[a]], dephased[span[b]], gamma,
+                                                 coordinates))
+        col, row = np.divmod(coordinates.slot // 2, sizes[a])     # of entry row + m col
+        row, col, part = row + starts[a], col + starts[b], coordinates.slot % 2
+        here = 2 * (row * dim + col) + part
+        vec.append(np.bincount(coordinates.param, weights=coordinates.weight * slots[here]))
+        source = offset + coordinates.param
+        offset += len(vec[-1])
+        targets.append(here)
+        sources.append(source)
+        weights.append(coordinates.weight)
+        if a != b:      # rho_ba = rho_ab^H
+            targets.append(2 * (col * dim + row) + part)
+            sources.append(source)
+            weights.append(np.where(part, -1.0, 1.0) * coordinates.weight)
     keep = np.flatnonzero(np.repeat(np.isin(np.arange(len(sizes)), pairs), sizes))
-    return _Pairs(basis, adjoint, in_blocks, generators, order, keep)
+    return _Pairs(basis, adjoint, in_blocks, generators, np.concatenate(vec),
+                  np.concatenate(targets), np.concatenate(sources), np.concatenate(weights), keep)
 
 
 def _dense_samples(generators: list, vec: np.ndarray, steps: np.ndarray):
@@ -514,7 +504,7 @@ def _dense_samples(generators: list, vec: np.ndarray, steps: np.ndarray):
                 propagators = None      # freed before the next one is built
                 propagators = [(entries, expm(stack * step)) for entries, stack in stacks]
                 held = step
-            stepped = np.empty(len(vec), dtype=complex)
+            stepped = np.empty_like(vec)
             for entries, p in propagators:
                 stepped[entries] = np.matmul(p, vec[entries][:, :, None])[:, :, 0]
             vec = stepped
@@ -559,18 +549,22 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     indices ``keep`` as one (K, d, d) array, one series per name of its dict
     in ``readers`` (:func:`_reader`), and each sample's invariant
     deviations, one array per key of :func:`invariant_deviations`. Each block
-    pair rho_ab = P_a rho P_b that ``rho0`` occupies (:func:`_point_pairs`)
-    is propagated alone under its generator. A t = 0 sample is ``rho0`` itself.
+    pair rho_ab = P_a rho P_b, a <= b, that ``rho0`` occupies
+    (:func:`_point_pairs`) is propagated alone, as its real coordinates under
+    its real generator. A t = 0 sample is ``rho0`` itself.
 
     The pairs of all points are stepped together by one kernel call, on the
     steps of :func:`_steps`: :func:`_dense_samples` when ``dense``, which
     stacks equal-size pairs across points, else ``expm_multiply`` on the
-    block-diagonal concatenation of their generators. Either kernel yields
-    its samples one by one, and they are pulled a chunk of ``_chunk_rows``
-    (about ``_CHUNK_BYTES``) at a time, so no (T, n) array is made.
+    block-diagonal concatenation of their generators; both step one real
+    vector. Either kernel yields its samples one by one, and they are pulled
+    a chunk of ``_chunk_rows`` (about ``_CHUNK_BYTES``) at a time, so no
+    (T, n) array is made.
 
-    Each point's entries of a chunk are scattered at once into a zeroed
-    chunk in the block basis, only the occupied pairs' entries, where
+    Each point's coordinates in a chunk are written at once into the float
+    view of a zeroed chunk in the block basis, each pair a < b both to
+    rho_ab and, conjugated, to rho_ba, so each sample is Hermitian there by
+    construction; only the occupied pairs' entries are written, where
     :func:`_checked` reads each sample's smallest eigenvalue on the blocks
     that the occupied pairs touch (``rho0``'s own at t = 0). The chunk is
     then rotated back with B, trace and hermiticity are read in the site
@@ -580,9 +574,9 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
     """
     dim = rho0.shape[0]
     occupied = [_point_pairs(rho0, liouvillian, blocks) for liouvillian, blocks in points]
-    edges = np.cumsum([0] + [len(pairs.order) for pairs in occupied])
+    edges = np.cumsum([0] + [len(pairs.vec) for pairs in occupied])
     generators = [g for pairs in occupied for g in pairs.generators]
-    vec = np.concatenate([pairs.in_blocks.ravel()[pairs.order] for pairs in occupied])
+    vec = np.concatenate([pairs.vec for pairs in occupied])
     steps = _steps(times)
     stream = (_dense_samples(generators, vec, steps) if dense else
               splinalg.expm_multiply(sparse.block_diag(generators, format="csr"), vec, steps))
@@ -602,7 +596,8 @@ def _pair_samples(rho0: np.ndarray, points: list, times: np.ndarray, dense: bool
         samples, work = buffer[:stop - start], scratch[:stop - start]
         for k, pairs in enumerate(occupied):
             samples.fill(0)
-            samples.reshape(stop - start, -1)[:, pairs.order] = chunk[:, edges[k]:edges[k + 1]]
+            samples.view(float).reshape(stop - start, -1)[:, pairs.targets] = \
+                chunk[:, edges[k] + pairs.sources] * pairs.weights
             deviations[k][:, start:stop] = _checked(samples, work, initial, rho0, pairs)
             for name, read in readers[k].items():
                 series[k][name].append(read(samples))
@@ -631,8 +626,13 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
     Applies the exact exponential to the block pairs rho_ab = P_a rho P_b
     that ``rho0`` occupies (:func:`_occupied_pairs`); each evolves alone
     (Buča & Prosen, NJP 14, 073007 (2012)), so a pair that starts at zero
-    stays zero. Every pair gets its generator from :func:`_pair_superoperator`
-    and all are stepped by one kernel call of :func:`_pair_samples`, chosen
+    stays zero. Since rho_ba = rho_ab^H, only the pairs a <= b are stepped,
+    each in its real coordinates under a real generator (:mod:`pairgen`), so
+    every sample is Hermitian in the block basis by construction; a ``rho0``
+    whose hermiticity deviation does not lie below ``ABORT_FACTOR`` times its
+    limit would lose its anti-Hermitian part, and raises
+    :class:`InvariantViolation` before anything is propagated, whatever the
+    grid. All pairs are stepped by one kernel call of :func:`_pair_samples`, chosen
     once for the call by :func:`_dense_route` from the sizes of the sectors
     the Liouvillians declare, before any block is built: when the largest
     pair of sectors of any of them has a generator of at most
@@ -671,7 +671,8 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
     Parameters
     ----------
     rho0 : array
-        Initial density matrix, with finite entries; time starts at 0
+        Initial density matrix, with finite entries, Hermitian to within
+        ``ABORT_FACTOR`` times its hermiticity limit; time starts at 0
         relative to it.
     liouvillians : sequence of Liouvillian
         At least one, all of ``rho0``'s dimension.
@@ -707,6 +708,9 @@ def evolve_scan(rho0: np.ndarray, liouvillians, times, readouts=None,
         raise ValueError(f"state shape {rho0.shape} does not match dimension {dim}")
     if not np.isfinite(rho0).all():
         raise ValueError("rho0 has a non-finite entry")
+    deviation = np.abs(rho0 - rho0.conj().T).max(initial=0.0)
+    if not deviation < ABORT_FACTOR * LIMITS["max_herm_dev"][1]:
+        raise InvariantViolation(f"hermiticity deviation {deviation:.3e} of rho0")
     rows = min(_chunk_rows(dim), len(times))
     readers = [{name: _reader(readout, liouvillian, rows)
                 for name, readout in (readouts or {}).items()} for liouvillian in liouvillians]

@@ -118,6 +118,35 @@ def test_expm_multiply_of_a_real_vector_is_complex():
         assert relative(got, expected) <= RTOL
 
 
+def real_dissipative(rng, n, norm, stack=()):
+    """A stack of dense real n x n generators K - D of the given 1-norm
+    each, K antisymmetric and D a non-negative diagonal: the kind that steps
+    the real coordinates of a density matrix."""
+    k = rng.normal(size=stack + (n, n))
+    damping = np.abs(rng.normal(size=stack + (n, 1))) * np.eye(n)
+    a = k - np.swapaxes(k, -1, -2) - damping
+    return a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[..., None, None]
+
+
+@pytest.mark.parametrize("norm", [1e-2, 1.0, 30.0])
+def test_real_input_gives_real_output(norm):
+    # Both kernels keep a real matrix and a real vector real, and give what
+    # the same input cast to complex gives. A silent upcast would keep the
+    # values and lose the real arithmetic.
+    rng = np.random.default_rng(8)
+    stack = real_dissipative(rng, 6, norm, (4,))
+    got = expm(stack)
+    assert got.dtype == np.float64
+    assert relative(got, expm(stack.astype(complex))) <= 1e-14
+    dense = real_dissipative(rng, 40, norm)
+    a = sparse.csr_matrix(np.where(rng.random((40, 40)) < 0.1, dense, 0.0))
+    vec = rng.normal(size=40)
+    steps = [0.0, 0.3, 0.3, 1.7]
+    got = rows(a, vec, steps)
+    assert got.dtype == np.float64
+    assert relative(got, rows(a.astype(complex), vec.astype(complex), steps)) <= 1e-14
+
+
 def test_expm_multiply_on_unequal_steps_and_zeros():
     # Each row is reached from the one before; a zero step repeats it exactly.
     rng = np.random.default_rng(7)

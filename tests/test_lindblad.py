@@ -7,7 +7,7 @@ import scipy.sparse as sparse
 from scipy.linalg import expm
 
 import dephchain.lindblad as lindblad
-from dephchain import experiments, exponential
+from dephchain import experiments, exponential, pairgen
 from dephchain.config import default_config
 from dephchain.fock import (
     ManyBodyBasis,
@@ -120,11 +120,53 @@ def test_pair_superoperator_equals_the_kron_formula(gamma, density):
         h = np.where(rng.random((size, size)) < density, h, 0.0)
         blocks.append((h if density == 1.0 else sparse.csr_matrix(h), rng.random(size) < 0.5))
     for (h_a, on_a), (h_b, on_b) in itertools.product(blocks, repeat=2):
-        built = lindblad._pair_superoperator(h_a, h_b, on_a, on_b, gamma)
+        built = pairgen.superoperator(h_a, h_b, on_a, on_b, gamma)
         expected = _kron_pair_superoperator(h_a, h_b, on_a, on_b, gamma).toarray()
         assert built.shape == expected.shape
         assert np.array_equal(built.toarray(), expected)
         assert built.toarray().view(np.int64).tobytes() == expected.view(np.int64).tobytes()
+
+
+def _isometry(coordinates, entries):
+    """T, the dense map from a pair's real coordinates to the float view of
+    its ``entries`` column-stacked complex entries."""
+    t = np.zeros((2 * entries, coordinates.param.max() + 1))
+    t[coordinates.slot, coordinates.param] = coordinates.weight
+    return t
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.7])
+def test_real_pair_generator_is_the_complex_one_in_real_coordinates(gamma):
+    # On complex Hermitian blocks: a pair a < b steps the float view of its
+    # entries as the complex generator steps the entries; a diagonal pair's
+    # coordinates are an orthonormal basis of its Hermitian matrices, and
+    # its real generator is the complex one restricted to them.
+    rng = np.random.default_rng(6)
+    blocks = []
+    for size in (3, 4):
+        h = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        blocks.append((h + h.conj().T, rng.random(size) < 0.5))
+    (h_a, on_a), (h_b, on_b) = blocks
+    coordinates = pairgen.real_coordinates(3, 4, False)
+    real = pairgen.real_generator(h_a, h_b, on_a, on_b, gamma, coordinates)
+    complex_ = pairgen.superoperator(h_a, h_b, on_a, on_b, gamma)
+    z = rng.normal(size=12) + 1j * rng.normal(size=12)
+    assert real.dtype == np.float64 and real.shape == (24, 24)
+    assert np.abs(real @ z.view(float) - (complex_ @ z).view(float)).max() < 1e-14
+    for h, on in blocks:
+        n = len(h)
+        coordinates = pairgen.real_coordinates(n, n, True)
+        t = _isometry(coordinates, n * n)
+        assert np.abs(t.T @ t - np.eye(n * n)).max() < 1e-15
+        real = pairgen.real_generator(h, h, on, on, gamma, coordinates).toarray()
+        restricted = t.T @ pairgen.real_generator(
+            h, h, on, on, gamma, pairgen.real_coordinates(n, n, False)).toarray() @ t
+        assert real.shape == (n * n, n * n)
+        assert np.abs(real - restricted).max() < 1e-14
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        x = x + x.conj().T
+        vec = np.ravel(x, order="F")
+        assert np.abs(t @ (t.T @ vec.view(float)) - vec.view(float)).max() < 1e-14
 
 
 def test_trace_preservation_left_null_vector():
@@ -306,16 +348,19 @@ def test_expm_calls_per_grid(monkeypatch, times, calls):
 @pytest.mark.parametrize("times, calls", [(np.linspace(0.0, 60.0, 1201), 1)] + GRID_CALLS[1:])
 def test_dense_exponentials_per_grid(monkeypatch, times, calls):
     # Block route: one propagator each time the positive step changes, each
-    # one dense expm call per pair size, and no expm_multiply. The input is a
-    # pure state with a weight on every basis state, so it occupies every pair
-    # of blocks.
+    # one dense expm call per size of real pair generator, and no
+    # expm_multiply. The input is a pure state with a weight on every basis
+    # state, so it occupies every pair a <= b of blocks.
     _, basis, liou = n3_problem()
     sizes = lindblad._symmetry_blocks(liou)[1]
-    pair_sizes = np.unique(np.outer(sizes, sizes)).size
+    pair_sizes = len({sizes[a] * sizes[b] * (1 + (a != b))
+                      for a, b in itertools.combinations_with_replacement(range(len(sizes)), 2)})
     seen = counting(monkeypatch, lindblad, "expm")
     krylov = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
     evolve(pure_state([0.6, 0.48j, 0.64]), liou, times)
-    assert pair_sizes == 3      # pairs of the blocks {E = +-sqrt 2} and {E = 0}
+    # the blocks {E = +-sqrt 2} and {E = 0}: rho_00 and rho_01 have 4 real
+    # coordinates each, rho_11 has 1
+    assert pair_sizes == 2
     assert len(seen) == calls * pair_sizes
     assert krylov == []
 
@@ -327,7 +372,7 @@ def test_both_kernels_step_only_when_a_sample_is_pulled(monkeypatch):
     _, _, liou = n3_problem()
     rho0 = pure_state([0.6, 0.48j, 0.64])
     pairs = lindblad._point_pairs(rho0, liou, lindblad._symmetry_blocks(liou))
-    vec = pairs.in_blocks.ravel()[pairs.order]
+    vec = pairs.vec
     steps = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     taylor = counting(monkeypatch, lindblad.splinalg, "_step")
     dense = counting(monkeypatch, lindblad, "expm")
@@ -335,10 +380,10 @@ def test_both_kernels_step_only_when_a_sample_is_pulled(monkeypatch):
         sparse.block_diag(pairs.generators, format="csr"), vec, steps)
     dense_stream = lindblad._dense_samples(pairs.generators, vec, steps)
     first = next(sparse_stream), next(dense_stream)
-    assert (len(taylor), len(dense)) == (1, 3)     # pairs of three sizes
+    assert (len(taylor), len(dense)) == (1, 2)     # pairs of two real sizes
     assert np.abs(first[0] - first[1]).max() < 1e-13
     assert len(list(sparse_stream)) == len(list(dense_stream)) == 4
-    assert (len(taylor), len(dense)) == (5, 15)
+    assert (len(taylor), len(dense)) == (5, 10)
 
 
 def test_dark_state_is_stationary():
@@ -462,9 +507,9 @@ def test_invariant_violation_aborts(monkeypatch):
     # a generator that leaks trace: every generator built from operators
     # preserves it, so each orbit pair's superoperator is replaced by pure decay
     liou, rho0 = interacting_problem()
-    monkeypatch.setattr(lindblad, "_pair_superoperator",
-                        lambda h_a, h_b, *_: sparse.identity(h_a.shape[0] * h_b.shape[0],
-                                                             format="csr") * -0.5)
+    monkeypatch.setattr(pairgen, "entries", lambda h_a, h_b, *_: (
+        np.full(h_a.shape[0] * h_b.shape[0], -0.5 + 0j),
+        (np.arange(h_a.shape[0] * h_b.shape[0]),) * 2))
     with pytest.raises(InvariantViolation, match="trace deviation"):
         evolve(rho0, liou, [0.0, 5.0])
 
@@ -661,6 +706,54 @@ def _decomposition(kind):
     return liou, _cross_input(basis, 2, rng), lindblad._orbit_blocks(liou), CROSS_GRIDS[3]
 
 
+def _random_complex_problem():
+    """A complex Hermitian H on 8 states with a random 0/1 jump, checked by
+    build_liouvillian: one block, whose real coordinates read Im H."""
+    rng = np.random.default_rng(9)
+    h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    liou = build_liouvillian(h + h.conj().T, 0.8, np.diag((rng.random(8) < 0.5).astype(float)))
+    return liou, [pure_state(rng.normal(size=8) + 1j * rng.normal(size=8)),
+                  _cross_input(ManyBodyBasis(8, 1), 2, rng)]
+
+
+@pytest.mark.parametrize("spec, fock", [
+    pytest.param(LatticeSpec(n_sites=5), "11000", id="n5"),
+    pytest.param(LatticeSpec(n_sites=7, trap_amplitude=1.5), "1100000", id="n7-trap"),
+    pytest.param(LatticeSpec(n_sites=7, aa_amplitude=0.4), "1100000", id="n7-aa"),
+    pytest.param(LatticeSpec(n_sites=7, interaction=0.3), "1100000", id="n7-interacting"),
+    pytest.param(None, None, id="complex-h"),
+])
+def test_evolve_matches_scipy_expm_of_the_whole_superoperator(monkeypatch, spec, fock):
+    # Both kernels, each forced by DENSE_PAIR_LIMIT, against a reference that
+    # shares no code with them: scipy.linalg.expm of the dense
+    # Liouvillian.matrix over one step, applied once and three times, at two
+    # particles (d <= 21). The Fock string is not its own mirror image, so it
+    # occupies pairs a < b wherever there is more than one block, as the
+    # random mixed state does.
+    if spec is None:
+        liou, inputs = _random_complex_problem()
+    else:
+        basis = ManyBodyBasis(spec.n_sites, 2)
+        liou = dephasing_liouvillian(spec, basis)
+        inputs = [pure_state(fock_state(basis, fock)),
+                  _cross_input(basis, 2, np.random.default_rng(3))]
+    times = [0.0, 0.7, 2.1, 2.1]
+    step = expm(0.7 * liou.matrix.toarray())
+    for rho0 in inputs:
+        vec = np.ravel(rho0, order="F")
+        reached = [vec, step @ vec, step @ (step @ (step @ vec))]
+        expected = np.array([reached[k].reshape(liou.dim, liou.dim, order="F")
+                             for k in (0, 1, 2, 2)])
+        for limit in (10 ** 6, 0):
+            monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
+            blocks = (lindblad._symmetry_blocks if limit else lindblad._orbit_blocks)(liou)
+            occupied = lindblad._occupied_pairs(blocks.basis.conj().T @ rho0 @ blocks.basis,
+                                                blocks.sizes, rho0)
+            assert np.triu(occupied, 1).any() == (len(blocks.sizes) > 1)
+            gap = np.abs(evolve(rho0, liou, times).states - expected).max()
+            assert gap < 1e-12, f"limit {limit}: {gap:.3e}"
+
+
 @pytest.mark.parametrize("kind, sizes", [
     ("slater", [4, 6, 6, 6, 4, 4, 4, 1]),
     ("orbits", [19, 16]),
@@ -685,20 +778,23 @@ def test_every_decomposition_matches_full_route_on_both_kernels(monkeypatch, kin
 
 def test_interacting_mirror_symmetric_input_builds_one_orbit_pair(monkeypatch):
     # robustness-int's input 1010101 lies in the +1 orbits alone: one pair
-    # generator, 19^2 wide, with the nonzeros of its two orbit Hamiltonians.
+    # generator, on the 19^2 real coordinates of a Hermitian 19 x 19 block,
+    # with the nonzeros of its orbit Hamiltonian. 32 of them, below 1e-16, come
+    # from diagonal entries of that Hamiltonian that are equal but for rounding.
     liou, rho0 = interacting_problem()
-    built = counting(monkeypatch, lindblad, "_pair_superoperator")
+    built = counting(monkeypatch, pairgen, "entries")
     propagated = counting(monkeypatch, lindblad.splinalg, "expm_multiply")
     evolve(rho0, liou, [0.0, 1.0])
     assert len(built) == 1 and len(propagated) == 1
     generator = propagated[0][0]
     assert generator.shape == (361, 361)
-    assert generator.nnz == 2580
+    assert generator.dtype == np.float64
+    assert generator.nnz == 2592
 
 
 def _interacting_inputs():
     """N = 7, Np = 4, interaction 0.3: inputs named by the reflection pairs
-    they occupy. 1010101 is its own mirror image, so it lies in the +1
+    a <= b they occupy. 1010101 is its own mirror image, so it lies in the +1
     orbits alone; 1101010 straddles both; so does a random mixed state. The
     last is 1010101 with weight 1e-17 moved to a -1 state: its (-, -) block
     has norm 1e-17 < eps and is dropped."""
@@ -707,20 +803,20 @@ def _interacting_inputs():
     minus = liou.orbits[1][:, 0].toarray().ravel()
     return liou, [
         ("mirror-symmetric", symmetric, 1),
-        ("straddling", pure_state(fock_state(basis, "1101010")), 4),
-        ("random-mixed", _cross_input(basis, 2, np.random.default_rng(11)), 4),
+        ("straddling", pure_state(fock_state(basis, "1101010")), 3),
+        ("random-mixed", _cross_input(basis, 2, np.random.default_rng(11)), 3),
         ("tiny-block", (1.0 - 1e-17) * symmetric + 1e-17 * np.outer(minus, minus), 1),
     ]
 
 
 @pytest.mark.parametrize("times", [CROSS_GRIDS[0], CROSS_GRIDS[2]], ids=["uniform", "repeated"])
 def test_orbit_route_matches_full_route(monkeypatch, times):
-    # The orbit route propagates only the occupied reflection pairs, one
-    # sparse generator each, in one expm_multiply call on all the steps.
+    # The orbit route propagates only the occupied reflection pairs a <= b,
+    # one sparse generator each, in one expm_multiply call on all the steps.
     liou, inputs = _interacting_inputs()
     assert [q.shape[1] for q in liou.orbits] == [19, 16]
     for name, rho0, pairs in inputs:
-        built = counting(monkeypatch, lindblad, "_pair_superoperator")
+        built = counting(monkeypatch, pairgen, "entries")
         states = evolve(rho0, liou, times).states
         assert len(built) == pairs, name
         gap = np.abs(states - full_route(rho0, liou, times)).max()
@@ -730,8 +826,8 @@ def test_orbit_route_matches_full_route(monkeypatch, times):
 
 def test_block_route_propagates_only_occupied_pairs(monkeypatch):
     # The trapped fock-quench sector at N = 7: 1010101 occupies 9 of the 64
-    # pairs of its odd-pattern blocks, and one propagator exponentiates
-    # those 9 alone.
+    # pairs of its odd-pattern blocks, 6 of them with a <= b, and one
+    # propagator exponentiates those 6 alone.
     basis = ManyBodyBasis(7, 4)
     liou = dephasing_liouvillian(LatticeSpec(n_sites=7, trap_amplitude=2.0), basis)
     rho0 = pure_state(fock_state(basis, "1010101"))
@@ -741,7 +837,7 @@ def test_block_route_propagates_only_occupied_pairs(monkeypatch):
     assert (occupied.sum(), occupied.size) == (9, 64)
     seen = counting(monkeypatch, lindblad, "expm")
     evolve(rho0, liou, [0.0, 2.0])
-    assert sum(len(stack) for stack, in seen) == 9
+    assert sum(len(stack) for stack, in seen) == 6
     times = CROSS_GRIDS[1]
     gap = np.abs(evolve(rho0, liou, times).states - full_route(rho0, liou, times)).max()
     assert gap < 1e-12
@@ -775,15 +871,46 @@ def test_negative_eigenvalue_aborts_at_the_first_sample(monkeypatch, limit):
         evolve(rho0, liou, [0.0, 1.0])
 
 
+def turn_conjugates(monkeypatch, factor):
+    """Make every pair write the imaginary parts of its conjugate entries,
+    below a diagonal pair's diagonal and in rho_ba of a pair a < b, times
+    ``factor(liouvillian)``: the trace is still kept, but each sample after
+    t = 0, which is rho0 itself, gains an anti-Hermitian part."""
+    original = lindblad._point_pairs
+
+    def point_pairs(rho0, liouvillian, blocks):
+        pairs = original(rho0, liouvillian, blocks)
+        turned = np.where(pairs.weights < 0, factor(liouvillian), 1.0) * pairs.weights
+        return pairs._replace(weights=turned)
+
+    monkeypatch.setattr(lindblad, "_point_pairs", point_pairs)
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0], [1.0, 2.0]], ids=["with-t0", "without-t0"])
+def test_non_hermitian_rho0_is_refused_on_any_grid(monkeypatch, times):
+    # The pairs step only a state's Hermitian coordinates, so a rho0 whose
+    # hermiticity deviation reaches ABORT_FACTOR times its limit is refused
+    # before anything is propagated, whether or not its grid holds t = 0.
+    basis = ManyBodyBasis(5, 2)
+    liou = dephasing_liouvillian(LatticeSpec(n_sites=5), basis)
+    rho0 = pure_state(fock_state(basis, "10100"))
+    rho0[0, 1] += 1e-6
+    monkeypatch.setattr(lindblad, "_pair_samples", None)      # never reached
+    with pytest.raises(InvariantViolation, match="^hermiticity deviation 1.000e-06 of rho0$"):
+        evolve(rho0, liou, times)
+    monkeypatch.undo()
+    rho0[0, 1] = 5e-10      # inside the limit: runs, and only rho0 itself shows it
+    deviation = evolve(rho0, liou, times).diagnostics["max_herm_dev"]
+    assert abs(deviation - (5e-10 if times[0] == 0.0 else 0.0)) < 1e-15
+
+
 @pytest.mark.parametrize("limit", KERNELS)
 def test_hermiticity_deviation_aborts(monkeypatch, limit):
-    # Every pair generator is turned by a small complex factor: the trace is
-    # still kept, but each sample after t = 0 gains an anti-Hermitian part.
+    # The generators keep every sample Hermitian in the block basis; the
+    # check in the site basis catches a state that is written back wrong.
     monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
     _, basis, liou = n3_problem()
-    original = lindblad._pair_superoperator
-    monkeypatch.setattr(lindblad, "_pair_superoperator",
-                        lambda *args: (1.0 + 1e-6j) * original(*args))
+    turn_conjugates(monkeypatch, lambda liou: 1.0 + 1e-6)
     with pytest.raises(InvariantViolation, match="hermiticity deviation .* at t=5$"):
         evolve(pure_state(fock_state(basis, "010")), liou, [0.0, 5.0])
 
@@ -1024,16 +1151,14 @@ def test_scan_refuses_an_empty_list():
 @pytest.mark.parametrize("limit", [pytest.param(lindblad.DENSE_PAIR_LIMIT, id="dense"),
                                    pytest.param(0, id="orbits")])
 def test_scan_aborts_at_the_first_failing_point(monkeypatch, limit):
-    # The generators of the points with gamma 2 and 3 are turned by
-    # different complex factors, so each gains its own hermiticity deviation;
-    # the scan names point 2's, as evolve of that point alone does.
+    # The points with gamma 2 and 3 write their conjugate entries turned by
+    # different factors, so each gains its own hermiticity deviation; the
+    # scan names point 2's, as evolve of that point alone does.
     monkeypatch.setattr(lindblad, "DENSE_PAIR_LIMIT", limit)
     _, basis, _ = n3_problem()
     liouvillians = [n3_problem(gamma)[2] for gamma in (1.0, 0.5, 2.0, 3.0)]
-    original = lindblad._pair_superoperator
-    turn = {2.0: 1.0 + 1e-6j, 3.0: 1.0 + 1e-5j}
-    monkeypatch.setattr(lindblad, "_pair_superoperator",
-                        lambda *args: turn.get(args[-1], 1.0) * original(*args))
+    turn = {2.0: 1.0 + 1e-6, 3.0: 1.0 + 1e-5}
+    turn_conjugates(monkeypatch, lambda liou: turn.get(liou.gamma, 1.0))
     rho0 = pure_state(fock_state(basis, "010"))
     with pytest.raises(InvariantViolation) as alone:
         evolve(rho0, liouvillians[2], [0.0, 5.0])
